@@ -47,6 +47,8 @@ from .core import (
 from .errors import (
     CatlpError,
     GuardError,
+    InvariantError,
+    NameCollisionError,
     NotAModelError,
     ParseError,
     ProgramClassError,

@@ -122,15 +122,7 @@ def _cmd_abstract(args) -> int:
         print(json.dumps(_abstract_json(parse_constraint(args.catom), args.classify)))
         return EXIT_OK
     program = _load_file(args.file)
-    seen: list[CAtom] = []
-    for rule in program.rules:
-        for element in rule.head:
-            if isinstance(element, CAtom) and element not in seen:
-                seen.append(element)
-        for lit in rule.body:
-            if lit.is_constraint and lit.item not in seen:
-                seen.append(lit.item)
-    print(json.dumps([_abstract_json(c, args.classify) for c in seen]))
+    print(json.dumps([_abstract_json(c, args.classify) for c in program.catoms]))
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ interpretations can be shared freely across threads.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -74,6 +75,11 @@ class CAtom:
 
     def canonical_key(self) -> tuple:
         return (set_key(self.domain), tuple(sorted(set_key(s) for s in self.solutions)))
+
+    @cached_property
+    def digest(self) -> str:
+        """Short deterministic hash of the canonical key, computed once."""
+        return hashlib.sha256(repr(self.canonical_key()).encode()).hexdigest()[:10]
 
 
 #: The canonical always-false constraint (spelled ``bot`` in rule heads).
@@ -169,6 +175,15 @@ class Program:
     def language(self) -> frozenset[str]:
         """The program vocabulary: occurring atoms plus declared ones."""
         return self.atoms | self.declared_atoms
+
+    @cached_property
+    def catoms(self) -> tuple[CAtom, ...]:
+        """Distinct constraint atoms, heads before bodies, in rule order."""
+        found: dict[CAtom, None] = {}
+        for rule in self.rules:
+            found.update((e, None) for e in rule.head if isinstance(e, CAtom))
+            found.update((lit.item, None) for lit in rule.body if lit.is_constraint)
+        return tuple(found)
 
 
 def satisfies_catom(interpretation: Iterable[str], catom: CAtom) -> bool:

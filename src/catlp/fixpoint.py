@@ -25,7 +25,7 @@ from .core import (
     iter_subsets,
     satisfies_catom,
 )
-from .errors import GuardError, NotAModelError, ProgramClassError
+from .errors import GuardError, InvariantError, NotAModelError, ProgramClassError
 
 #: ``cond_satisfies`` enumerates at most this many free atoms (2**16 sets).
 COND_INTERVAL_LIMIT = 16
@@ -118,7 +118,7 @@ def fixpoint_stable(program: Program, interpretation: Iterable[str]) -> bool:
         if nxt == current:
             return current == candidate
         current = nxt
-    raise AssertionError("fixpoint iteration exceeded its bound")
+    raise InvariantError("fixpoint iteration exceeded its bound")
 
 
 def to_positive_basic(program: Program) -> Program:

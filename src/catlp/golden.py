@@ -122,6 +122,19 @@ def disjunctive_fact_program() -> Program:
 
 
 # -- checks -------------------------------------------------------------------
+#
+# Checks raise AssertionError through these helpers rather than ``assert``
+# statements, which ``python -O`` strips.
+
+
+def _expect(condition: bool, what: str) -> None:
+    if not condition:
+        raise AssertionError(what)
+
+
+def _expect_equal(actual, expected) -> None:
+    if actual != expected:
+        raise AssertionError(f"got {actual!r}, expected {expected!r}")
 
 
 def _strip_special(text: str) -> str:
@@ -146,107 +159,112 @@ def reduct_lines(program: Program, interpretation) -> set[str]:
 
 def check_lattice_family():
     abstract = build_abstract(LATTICE_FAMILY)
-    assert abstract.lattices == frozenset(
-        (pps("", "bc"), pps("c", "ab"), pps("c", "bd")))
+    _expect_equal(abstract.lattices, frozenset(
+        (pps("", "bc"), pps("c", "ab"), pps("c", "bd"))))
 
 
 def check_minimal_dnf():
     two = simplified_dnf(build_abstract(AT_LEAST_ONE))
-    assert {(tuple(sorted(d.pos)), tuple(sorted(d.neg))) for d in two.disjuncts} == {
-        (("a",), ()), (("b",), ())}
+    _expect_equal(
+        {(tuple(sorted(d.pos)), tuple(sorted(d.neg))) for d in two.disjuncts},
+        {(("a",), ()), (("b",), ())})
     mixed = simplified_dnf(build_abstract(MIXED_FAMILY))
-    assert {(tuple(sorted(d.pos)), tuple(sorted(d.neg))) for d in mixed.disjuncts} == {
-        (("d",), ("a", "b", "c")), (("a",), ("d",))}
+    _expect_equal(
+        {(tuple(sorted(d.pos)), tuple(sorted(d.neg))) for d in mixed.disjuncts},
+        {(("d",), ("a", "b", "c")), (("a",), ("d",))})
 
 
 def check_punctured_cube():
     abstract = build_abstract(PUNCTURED_CUBE)
-    assert abstract.lattices == frozenset(
-        (pps("", "ac"), pps("", "bc"), pps("c", "ab")))
+    _expect_equal(abstract.lattices, frozenset(
+        (pps("", "ac"), pps("", "bc"), pps("c", "ab"))))
 
 
 def check_sum_loop():
     program = load_program(SUM_LOOP)
     catom = next(
         lit.item for rule in program.rules for lit in rule.body if lit.is_constraint)
-    assert build_abstract(catom).lattices == frozenset((
+    _expect_equal(build_abstract(catom).lattices, frozenset((
         PrefixedPowerSet(frozenset(("p(1)",)), frozenset(("p(2)",))),
         PrefixedPowerSet(frozenset(("p(2)",)), frozenset(("p(-1)", "p(1)"))),
-    ))
+    )))
     everything = frozenset(("p(-1)", "p(1)", "p(2)"))
     reduct = gl_reduct(program, everything)
-    assert reduct_lines(program, everything) == {
-        "p(1).", "p(-1) :- p(2).", "p(2) :- T1.", "T1 :- p(2)."}
-    assert least_model(reduct) - reduct.gamma == frozenset(("p(1)",))
-    assert not is_stable(program, everything)
-    assert stable_models(program) == ()
+    _expect_equal(reduct_lines(program, everything), {
+        "p(1).", "p(-1) :- p(2).", "p(2) :- T1.", "T1 :- p(2)."})
+    _expect_equal(least_model(reduct) - reduct.gamma, frozenset(("p(1)",)))
+    _expect(not is_stable(program, everything), "the full interpretation is stable")
+    _expect_equal(stable_models(program), ())
 
 
 def check_disjunctive_fact():
     program = disjunctive_fact_program()
-    assert reduct_lines(program, frozenset("ab")) == {
-        "B1 | B2.", "a :- B1.", "B1 :- a.", "b :- B2.", "B2 :- b.", "a :- b."}
-    assert not is_stable(program, frozenset("ab"))
-    assert is_stable(program, frozenset("a"))
+    _expect_equal(reduct_lines(program, frozenset("ab")), {
+        "B1 | B2.", "a :- B1.", "B1 :- a.", "b :- B2.", "B2 :- b.", "a :- b."})
+    _expect(not is_stable(program, frozenset("ab")), "{a, b} is stable")
+    _expect(is_stable(program, frozenset("a")), "{a} is not stable")
     reduct = gl_reduct(program, frozenset("ab"))
     expected = frozenset(("a", beta_atom(CAtom.elementary("a"))))
-    assert minimal_models(reduct) == (expected,)
-    assert is_minimal_model(expected, reduct.to_program())
+    _expect_equal(minimal_models(reduct), (expected,))
+    _expect(is_minimal_model(expected, reduct.to_program()), "the witness is not minimal")
     # The parsed spelling flattens the heads; the verdicts must agree.
     parsed = load_program(DISJUNCTIVE_FACT)
-    assert not is_stable(parsed, frozenset("ab"))
-    assert is_stable(parsed, frozenset("a"))
+    _expect(not is_stable(parsed, frozenset("ab")), "parsed: {a, b} is stable")
+    _expect(is_stable(parsed, frozenset("a")), "parsed: {a} is not stable")
 
 
 def check_shift_grouping():
     program = load_program(SHIFT_GROUPING)
-    assert stable_models(program) == tuple(
+    _expect_equal(stable_models(program), tuple(
         frozenset(s) for s in (
             (), ("a", "b"), ("a", "c"), ("a", "d", "e"), ("a", "d", "f"),
-            ("a", "e", "f")))
+            ("a", "e", "f"))))
 
 
 def check_sum_count_disjunction():
     program = load_program(SUM_COUNT_DISJUNCTION)
-    assert stable_models(program) == tuple(
+    _expect_equal(stable_models(program), tuple(
         frozenset(s) for s in (
-            ("p(-1)",), ("p(-1)", "p(1)"), ("p(1)", "p(2)")))
+            ("p(-1)",), ("p(-1)", "p(1)"), ("p(1)", "p(2)"))))
 
 
 def check_pair_choice_fact():
     program = load_program(PAIR_CHOICE_FACT)
-    assert stable_models(program) == tuple(
-        frozenset(s) for s in (("a",), ("a", "b"), ("b",)))
-    assert is_model(frozenset("ab"), program)
-    assert not is_minimal_model(frozenset("ab"), program)
+    _expect_equal(stable_models(program), tuple(
+        frozenset(s) for s in (("a",), ("a", "b"), ("b",))))
+    _expect(is_model(frozenset("ab"), program), "{a, b} is not a model")
+    _expect(not is_minimal_model(frozenset("ab"), program), "{a, b} is a minimal model")
 
 
 def check_even_loop():
     program = load_program(EVEN_LOOP)
-    assert stable_models(program) == (frozenset(("a", "p")), frozenset(("b", "p")))
+    _expect_equal(stable_models(program), (frozenset(("a", "p")), frozenset(("b", "p"))))
     report = cycle_report(dependency_graph(program))
-    assert report.has_even_cycle
-    assert report.call_consistent
+    _expect(report.has_even_cycle, "no even cycle reported")
+    _expect(report.call_consistent, "not reported call-consistent")
     graph = dependency_graph(program)
-    assert ("a", "b", "-") in graph.edges and ("b", "a", "-") in graph.edges
+    _expect(("a", "b", "-") in graph.edges and ("b", "a", "-") in graph.edges,
+            "the negative a/b edges are missing")
 
 
 def check_self_support():
     program = load_program(SELF_SUPPORT)
     everything = frozenset("bcd")
     models = [i for i in iter_subsets("bcd") if is_model(i, program)]
-    assert models == [everything]
-    assert not is_stable(program, everything)
-    assert not fixpoint_stable(to_positive_basic(program), everything)
+    _expect_equal(models, [everything])
+    _expect(not is_stable(program, everything), "{b, c, d} is stable (reduct)")
+    _expect(not fixpoint_stable(to_positive_basic(program), everything),
+            "{b, c, d} is stable (fixpoint)")
 
 
 def check_tautology_body():
     program = load_program(TAUTOLOGY_BODY)
-    assert stable_models(program) == (frozenset("a"),)
+    _expect_equal(stable_models(program), (frozenset("a"),))
     translated = translate_normal(program)
     lines = set(_strip_special(format_program(translated)).splitlines())
-    assert lines == {"a :- T1.", "T1."}
-    assert {m & frozenset("a") for m in stable_models(translated)} == {frozenset("a")}
+    _expect_equal(lines, {"a :- T1.", "T1."})
+    _expect_equal(
+        {m & frozenset("a") for m in stable_models(translated)}, {frozenset("a")})
 
 
 def check_normal_translation():
@@ -255,21 +273,21 @@ def check_normal_translation():
     lines = set(_strip_special(format_program(translated)).splitlines())
     # Ordinary body atoms go through wrapper atoms too, so the chained rule
     # reads through T1 while the aggregate unfolds into T2's two rules.
-    assert lines == {
+    _expect_equal(lines, {
         "p(1).", "p(-1) :- T1.", "p(2) :- T2.", "T1 :- p(2).",
-        "T2 :- p(1), not p(-1).", "T2 :- p(2)."}
-    assert stable_models(translated) == ()
+        "T2 :- p(1), not p(-1).", "T2 :- p(2)."})
+    _expect_equal(stable_models(translated), ())
 
 
 def check_negative_edges():
     graph = dependency_graph(load_program(NEGATIVE_EDGE_RULE))
-    assert graph.edges == frozenset(
-        (("a", "a", "-"), ("a", "c", "-"), ("a", "b", "+")))
+    _expect_equal(graph.edges, frozenset(
+        (("a", "a", "-"), ("a", "c", "-"), ("a", "b", "+"))))
 
 
 def check_bot_constraint():
     program = load_program(BOT_CONSTRAINT)
-    assert stable_models(program) == ()
+    _expect_equal(stable_models(program), ())
 
 
 @dataclass(frozen=True)

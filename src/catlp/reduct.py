@@ -13,11 +13,10 @@ candidate back.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .abstraction import abstract_of, satisfiable_sets
 from .core import (
@@ -25,34 +24,35 @@ from .core import (
     Literal,
     Program,
     Rule,
+    is_model,
+    iter_subsets,
     satisfies_catom,
     set_key,
 )
-from .errors import GuardError, ProgramClassError
+from .errors import GuardError, InvariantError, NameCollisionError, ProgramClassError
 
 #: The false atom produced for falsified head constraints.
 BOT = "__bot"
 
-#: ``minimal_models`` refuses programs with more atoms than this.
+#: ``minimal_models`` refuses programs with more atoms than this, and
+#: ``is_stable`` refuses a witness search over a larger pool.
 MINIMAL_MODELS_ATOM_LIMIT = 22
 
 #: ``stable_models`` refuses vocabularies larger than this.
 STABLE_LANGUAGE_LIMIT = 20
 
 
-def _catom_digest(catom: CAtom) -> str:
-    text = repr(catom.canonical_key())
-    return hashlib.sha256(text.encode()).hexdigest()[:10]
+_NEGATED_CATOM = "negated c-atoms must be replaced by complements before the reduct"
 
 
 def theta_atom(catom: CAtom) -> str:
     """The body-replacement atom; identical c-atoms share one name."""
-    return "__theta_" + _catom_digest(catom)
+    return "__theta_" + catom.digest
 
 
 def beta_atom(catom: CAtom) -> str:
     """The head-replacement atom; identical c-atoms share one name."""
-    return "__beta_" + _catom_digest(catom)
+    return "__beta_" + catom.digest
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,25 @@ def as_reduct_program(program: Program) -> ReductProgram:
     return ReductProgram(tuple(rules), frozenset())
 
 
+def _claim(owners: dict[str, CAtom], name: str, catom: CAtom) -> None:
+    if owners.setdefault(name, catom) != catom:
+        raise NameCollisionError(
+            f"distinct constraint atoms over {{{', '.join(sorted(catom.domain))}}} and "
+            f"{{{', '.join(sorted(owners[name].domain))}}} both map to {name}")
+
+
 def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
-    """Apply the four transformation steps for the given candidate."""
+    """Apply the four transformation steps for the given candidate.
+
+    Raises :class:`NameCollisionError` when two distinct c-atoms would share
+    an introduced name, and :class:`InvariantError` when the result breaks
+    ``reduct_size_bound``.
+    """
     candidate = frozenset(interpretation)
     emitted: list[ReductRule] = []
     theta_defs: dict[CAtom, list[ReductRule]] = {}
     beta_defs: dict[CAtom, list[ReductRule]] = {}
+    owners: dict[str, CAtom] = {}  # introduced name -> its c-atom; keys form gamma
 
     for rule in program.rules:
         if _rule_dropped(rule, candidate):
@@ -138,6 +151,7 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
                 name = theta_atom(catom)
                 body.append(name)
                 if catom not in theta_defs:
+                    _claim(owners, name, catom)
                     covers = sorted(
                         satisfiable_sets(abstract_of(catom), candidate), key=set_key)
                     theta_defs[catom] = [
@@ -155,6 +169,7 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
             name = beta_atom(catom)
             head.append(name)
             if catom not in beta_defs:
+                _claim(owners, name, catom)
                 true_part = sorted(candidate & catom.domain)
                 false_part = sorted(catom.domain - candidate)
                 defs = [ReductRule((atom,), (name,)) for atom in true_part]
@@ -169,10 +184,11 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
         for block in blocks:
             emitted.extend(block)
 
-    gamma = frozenset(theta_atom(c) for c in theta_defs)
-    gamma |= frozenset(beta_atom(c) for c in beta_defs)
-    result = ReductProgram(tuple(emitted), gamma)
-    assert len(result.rules) <= reduct_size_bound(program), "reduct exceeded its size bound"
+    result = ReductProgram(tuple(emitted), frozenset(owners))
+    bound = reduct_size_bound(program)
+    if len(result.rules) > bound:
+        raise InvariantError(
+            f"the reduct has {len(result.rules)} rules, above its size bound of {bound}")
     return result
 
 
@@ -180,8 +196,7 @@ def _rule_dropped(rule: Rule, candidate: frozenset[str]) -> bool:
     for lit in rule.body:
         if not lit.positive:
             if lit.is_constraint:
-                raise ProgramClassError(
-                    "negated c-atoms must be replaced by complements before the reduct")
+                raise ProgramClassError(_NEGATED_CATOM)
             if lit.item in candidate:
                 return True
         elif lit.is_constraint and not satisfies_catom(candidate, lit.item):
@@ -195,8 +210,7 @@ def reduct_size_bound(program: Program) -> int:
     One transformed rule per source rule, plus per distinct c-atom at most
     its sublattice count (body role) and domain size plus one (head role).
     """
-    catoms = {lit.item for r in program.rules for lit in r.body if lit.is_constraint}
-    catoms |= {e for r in program.rules for e in r.head if isinstance(e, CAtom)}
+    catoms = program.catoms
     if not catoms:
         return len(program.rules)
     widest = max(len(abstract_of(c).lattices) for c in catoms)
@@ -219,6 +233,63 @@ def least_model(reduct: ReductProgram) -> frozenset[str]:
     return frozenset(derived)
 
 
+def _compile(reduct: ReductProgram, index: dict[str, int]) -> list[tuple[int, int]]:
+    """Rules as (head, body) bit masks over ``index``.
+
+    Rules whose body leaves ``index`` are dropped and head atoms outside it
+    are ignored: neither matters for sets drawn from ``index`` alone.
+    """
+    compiled = []
+    for rule in reduct.rules:
+        if not all(a in index for a in rule.body):
+            continue
+        head = body = 0
+        for a in rule.head:
+            if a in index:
+                head |= 1 << index[a]
+        for a in rule.body:
+            body |= 1 << index[a]
+        compiled.append((head, body))
+    return compiled
+
+
+def _is_model_mask(mask: int, compiled: list[tuple[int, int]]) -> bool:
+    return all(body & mask != body or head & mask for head, body in compiled)
+
+
+def _has_smaller_model(mask: int, compiled: list[tuple[int, int]]) -> bool:
+    """Is some proper subset of ``mask`` a model?"""
+    # Only rules whose body fits inside the mask can fail on a subset of it.
+    relevant = [(head & mask, body) for head, body in compiled if body & mask == body]
+    sub = mask
+    while sub:
+        sub = (sub - 1) & mask
+        if _is_model_mask(sub, relevant):
+            return True
+    return False
+
+
+def _minimal_extensions(
+    compiled: list[tuple[int, int]], base: int, free: range
+) -> Iterator[int]:
+    """Models ``base | G``, G a set of ``free`` bits, minimal among such sets.
+
+    Sets are tried by increasing size of G, and a set containing a model
+    already yielded is skipped, since that model sits inside it.
+    """
+    found: list[int] = []
+    for size in range(len(free) + 1):
+        for combo in combinations(free, size):
+            mask = base
+            for i in combo:
+                mask |= 1 << i
+            if any(prior & mask == prior for prior in found):
+                continue
+            if _is_model_mask(mask, compiled):
+                found.append(mask)
+                yield mask
+
+
 def minimal_models(reduct: ReductProgram) -> tuple[frozenset[str], ...]:
     """All subset-minimal models, enumerated over the program's atoms."""
     atoms = sorted(reduct.atoms)
@@ -226,57 +297,67 @@ def minimal_models(reduct: ReductProgram) -> tuple[frozenset[str], ...]:
         raise GuardError(
             f"minimal-model enumeration over {len(atoms)} atoms exceeds the "
             f"{MINIMAL_MODELS_ATOM_LIMIT}-atom guard")
-    index = {a: i for i, a in enumerate(atoms)}
-    compiled = []
-    for rule in reduct.rules:
-        head = 0
-        for a in rule.head:
-            head |= 1 << index[a]
-        body = 0
-        for a in rule.body:
-            body |= 1 << index[a]
-        compiled.append((head, body))
-
-    found: list[int] = []
-    for size in range(len(atoms) + 1):
-        for combo in combinations(range(len(atoms)), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if any(prior & mask == prior for prior in found):
-                continue  # a smaller model sits inside
-            if all(body & mask != body or head & mask for head, body in compiled):
-                found.append(mask)
-
+    compiled = _compile(reduct, {a: i for i, a in enumerate(atoms)})
     models = [
         frozenset(atoms[i] for i in range(len(atoms)) if mask >> i & 1)
-        for mask in found
+        for mask in _minimal_extensions(compiled, 0, range(len(atoms)))
     ]
     return tuple(sorted(models, key=set_key))
 
 
+def _has_minimal_witness(reduct: ReductProgram, candidate: frozenset[str]) -> bool:
+    """Is ``candidate | G`` a minimal model of the reduct for some G in gamma?"""
+    gamma = sorted(reduct.gamma & reduct.atoms)
+    pool = len(candidate) + len(gamma)
+    if pool > MINIMAL_MODELS_ATOM_LIMIT:
+        raise GuardError(
+            f"minimal-model witness search over {pool} atoms (candidate plus "
+            f"introduced atoms) exceeds the {MINIMAL_MODELS_ATOM_LIMIT}-atom guard")
+    if candidate & reduct.gamma or not candidate <= reduct.atoms:
+        return False  # no set of reduct atoms strips to the candidate
+    atoms = sorted(candidate) + gamma
+    compiled = _compile(reduct, {a: i for i, a in enumerate(atoms)})
+    base = (1 << len(candidate)) - 1
+    return any(
+        not _has_smaller_model(mask, compiled)
+        for mask in _minimal_extensions(compiled, base, range(len(candidate), len(atoms))))
+
+
 def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
-    """Does the candidate reproduce itself through its reduct?"""
+    """Does the candidate reproduce itself through its reduct?
+
+    A normal reduct is decided by its least model.  For a disjunctive one
+    the candidate is stable when some minimal model N has N - gamma equal
+    to it, so only the sets ``candidate | G`` with G drawn from gamma are
+    tried.  A set containing an earlier model is skipped; each other model
+    is tested against all of its proper subsets, and the first minimal one
+    ends the search.  Worst case: at most ``3**|gamma| * 2**|candidate|``
+    model tests.  A ``GuardError`` is raised before any enumeration when
+    the pool ``|candidate| + |gamma|`` exceeds ``MINIMAL_MODELS_ATOM_LIMIT``.
+    """
     candidate = frozenset(interpretation)
     reduct = gl_reduct(program, candidate)
     if reduct.is_normal:
         return least_model(reduct) - reduct.gamma == candidate
-    return any(m - reduct.gamma == candidate for m in minimal_models(reduct))
+    return _has_minimal_witness(reduct, candidate)
 
 
 def stable_models(program: Program) -> tuple[frozenset[str], ...]:
-    """All stable models, enumerated over subsets of the vocabulary."""
-    vocabulary = sorted(program.language)
+    """All stable models, enumerated over subsets of the vocabulary.
+
+    Stable models are models, so candidates failing ``is_model`` are skipped
+    before any reduct is built.
+    """
+    vocabulary = program.language
     if len(vocabulary) > STABLE_LANGUAGE_LIMIT:
         raise GuardError(
             f"stable-model enumeration over a {len(vocabulary)}-atom vocabulary "
             f"exceeds the {STABLE_LANGUAGE_LIMIT}-atom guard")
-    out = []
-    for size in range(len(vocabulary) + 1):
-        for combo in combinations(vocabulary, size):
-            candidate = frozenset(combo)
-            if is_stable(program, candidate):
-                out.append(candidate)
+    if any(lit.is_constraint and not lit.positive
+           for rule in program.rules for lit in rule.body):
+        raise ProgramClassError(_NEGATED_CATOM)
+    out = [candidate for candidate in iter_subsets(vocabulary)
+           if is_model(candidate, program) and is_stable(program, candidate)]
     return tuple(sorted(out, key=set_key))
 
 

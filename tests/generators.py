@@ -16,7 +16,8 @@ def random_catom(rng: random.Random, pool=POOL, max_domain=4, min_domain=0) -> C
     return CAtom(domain, solutions)
 
 
-def _random_body(rng, atoms, max_domain, max_items=2, negation=False):
+def _random_body(rng, atoms, max_domain, max_items=2, negation=False,
+                 negated_constraints=True):
     body = []
     for _ in range(rng.randint(0, max_items)):
         roll = rng.random()
@@ -28,7 +29,7 @@ def _random_body(rng, atoms, max_domain, max_items=2, negation=False):
                 body.append(Literal.atom(atom))
         else:
             catom = random_catom(rng, atoms, max_domain)
-            if negation and rng.random() < 0.25:
+            if negation and negated_constraints and rng.random() < 0.25:
                 body.append(Literal.negated_constraint(catom))
             else:
                 body.append(Literal.constraint(catom))
@@ -86,4 +87,20 @@ def random_normal_constraint_program(
         head = rng.choice(atoms)
         rules.append(Rule(
             (head,), _random_body(rng, atoms, max_domain, negation=True)))
+    return Program(tuple(rules))
+
+
+def random_disjunctive_constraint_program(
+    rng: random.Random, atoms=POOL[:4], max_rules=4, max_domain=3, max_width=3
+) -> Program:
+    """Disjunctive heads mixing atoms and constraints; bodies may negate atoms."""
+    rules = []
+    for _ in range(rng.randint(1, max_rules)):
+        head = tuple(
+            rng.choice(atoms) if rng.random() < 0.5
+            else random_catom(rng, atoms, max_domain)
+            for _ in range(rng.randint(1, max_width)))
+        body = _random_body(
+            rng, atoms, max_domain, negation=True, negated_constraints=False)
+        rules.append(Rule(head, body))
     return Program(tuple(rules))

@@ -4,7 +4,10 @@ Everything here recomputes results straight from the definitions and stays
 away from the library's algorithms: sublattice inclusion enumerates covered
 sets, abstract forms scan every candidate per solution, stable models of
 ordinary programs go through the textbook two-step reduct, and closure
-properties of constraint atoms are checked by exhausting subsets.
+properties of constraint atoms are checked by exhausting subsets.  Stable
+models of constraint programs reuse the library's ``gl_reduct`` (the
+definition under test is the model search) and scan every subset of the
+reduct's atoms for its minimal models.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from catlp.core import (
     Rule,
     head_atom_name,
     iter_subsets,
+    set_key,
 )
+from catlp.reduct import gl_reduct
 
 
 def covered_sets(member: PrefixedPowerSet) -> frozenset[frozenset[str]]:
@@ -203,6 +208,25 @@ def brute_minimal_models(rules: list[tuple[frozenset[str], frozenset[str]]],
         if all(not (body <= candidate and not (head & candidate))
                for head, body in rules)]
     return {m for m in models if not any(o < m for o in models)}
+
+
+def brute_is_stable(program: Program, candidate) -> bool:
+    """Stability by definition: some minimal model of the reduct, found by a
+    full scan over the reduct's atoms, equals the candidate once the
+    introduced atoms are stripped."""
+    candidate = frozenset(candidate)
+    reduct = gl_reduct(program, candidate)
+    rules = [(frozenset(r.head), frozenset(r.body)) for r in reduct.rules]
+    return any(m - reduct.gamma == candidate
+               for m in brute_minimal_models(rules, reduct.atoms))
+
+
+def brute_stable_models(program: Program) -> tuple[frozenset[str], ...]:
+    """Every subset of the language through ``brute_is_stable``; no model
+    prefilter, no witness search."""
+    return tuple(sorted(
+        (c for c in iter_subsets(program.language) if brute_is_stable(program, c)),
+        key=set_key))
 
 
 def embed_ordinary(program: Program) -> Program:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import catlp
 from catlp import cli
 from catlp.golden import EVEN_LOOP, SUM_COUNT_DISJUNCTION, SUM_LOOP
 
@@ -153,3 +158,51 @@ def test_selftest(capsys):
     out = capsys.readouterr().out
     assert "cases passed" in out
     assert "FAIL" not in out
+
+
+SRC = str(Path(catlp.__file__).resolve().parents[1])
+
+
+def _run_optimized(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -O`` with catlp importable, capturing text output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-O", *args], env=env, capture_output=True, text=True,
+        timeout=120)
+
+
+class TestSelftestUnderOptimize:
+    def test_module_entry_point_passes(self):
+        result = _run_optimized("-m", "catlp", "selftest")
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "14/14 cases passed" in result.stdout
+
+    def test_failing_case_still_fails(self):
+        # Golden checks must not be bare asserts, which -O strips.
+        script = (
+            "import sys\n"
+            "from catlp import cli, golden\n"
+            "golden.stable_models = lambda program: ()\n"
+            "sys.exit(cli.run(['selftest']))\n")
+        result = _run_optimized("-c", script)
+        assert result.returncode == 1, result.stdout + result.stderr
+        assert "9/14 cases passed" in result.stdout
+
+
+class TestPoolGuard:
+    @staticmethod
+    def _pairs(tmp_path, count):
+        path = tmp_path / "pairs.lp"
+        path.write_text(" ".join(f"a{i} | b{i}." for i in range(count)))
+        return str(path)
+
+    def test_twelve_pairs_answer(self, tmp_path, capsys):
+        candidate = ",".join(f"a{i}" for i in range(12))
+        assert cli.run(["check", self._pairs(tmp_path, 12), "-I", candidate]) == 0
+        assert capsys.readouterr().out.strip() == "stable"
+
+    def test_pool_over_limit_refused(self, tmp_path, capsys):
+        candidate = ",".join(f"a{i}" for i in range(23))
+        assert cli.run(["check", self._pairs(tmp_path, 23), "-I", candidate]) == 2
+        assert "refused" in capsys.readouterr().err

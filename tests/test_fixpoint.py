@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from catlp import fixpoint as fixpoint_module
 from catlp.abstraction import build_abstract
 from catlp.core import (
     CAtom,
@@ -12,7 +13,7 @@ from catlp.core import (
     is_model,
     iter_subsets,
 )
-from catlp.errors import GuardError, NotAModelError, ProgramClassError
+from catlp.errors import GuardError, InvariantError, NotAModelError, ProgramClassError
 from catlp.fixpoint import (
     cond_satisfies,
     cond_satisfies_abstract,
@@ -158,6 +159,15 @@ class TestFixpointStable:
         program = to_positive_basic(load_program(SUM_LOOP))
         with pytest.raises(NotAModelError):
             fixpoint_stable(program, {"p(1)"})
+
+    def test_iteration_bound_is_enforced(self, monkeypatch):
+        # An operator that never settles must hit the typed bound check.
+        steps = iter(range(1000))
+        monkeypatch.setattr(
+            fixpoint_module, "tp_step",
+            lambda program, lower, context: frozenset((f"s{next(steps)}",)))
+        with pytest.raises(InvariantError, match="exceeded its bound"):
+            fixpoint_stable(load_program("a."), frozenset("a"))
 
     def test_agrees_with_reduct_on_self_loop(self):
         program = load_program("a :- a.")

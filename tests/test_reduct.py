@@ -3,8 +3,14 @@ import random
 
 import pytest
 
-from catlp.core import CAtom, Literal, Program, Rule, is_model
-from catlp.errors import GuardError, ProgramClassError
+from catlp import reduct as reduct_module
+from catlp.core import CAtom, Literal, Program, Rule, is_model, iter_subsets
+from catlp.errors import (
+    GuardError,
+    InvariantError,
+    NameCollisionError,
+    ProgramClassError,
+)
 from catlp.golden import (
     PAIR_CHOICE_FACT,
     SHIFT_GROUPING,
@@ -13,9 +19,10 @@ from catlp.golden import (
     disjunctive_fact_program,
     reduct_lines,
 )
-from catlp.parser import load_program
+from catlp.parser import eliminate_negated_catoms, load_program
 from catlp.reduct import (
     BOT,
+    MINIMAL_MODELS_ATOM_LIMIT,
     ReductProgram,
     ReductRule,
     as_reduct_program,
@@ -110,6 +117,32 @@ class TestGlReduct:
             bound = reduct_size_bound(program)
             for candidate in (frozenset(), frozenset("ab"), frozenset("abcd")):
                 assert len(gl_reduct(program, candidate).rules) <= bound
+
+    def test_size_bound_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(reduct_module, "reduct_size_bound", lambda program: 0)
+        with pytest.raises(InvariantError, match="size bound"):
+            gl_reduct(load_program(SUM_LOOP), FULL_SUM_INTERP)
+
+    def test_name_collision_is_detected(self, monkeypatch):
+        monkeypatch.setattr(CAtom, "digest", property(lambda self: "0" * 10))
+        program = Program((
+            Rule(("x",), (Literal.constraint(CAtom("ab", [{"a", "b"}])),)),
+            Rule(("y",), (Literal.constraint(CAtom("ab", [{"b"}, {"a", "b"}])),)),
+        ))
+        with pytest.raises(NameCollisionError, match="__theta_0000000000"):
+            gl_reduct(program, frozenset("ab"))
+
+    def test_shared_name_is_not_a_collision(self, monkeypatch):
+        # One c-atom in a body and a head: a theta and a beta atom, no clash.
+        monkeypatch.setattr(CAtom, "digest", property(lambda self: "0" * 10))
+        catom = CAtom("ab", [{"a"}, {"a", "b"}])
+        program = Program((
+            Rule(("x",), (Literal.constraint(catom),)),
+            Rule(("y",), (Literal.constraint(catom),)),
+            Rule((catom, "x")),
+        ))
+        reduct = gl_reduct(program, frozenset("axy"))
+        assert reduct.gamma == {"__theta_0000000000", "__beta_0000000000"}
 
 
 class TestModelEnumeration:
@@ -214,6 +247,24 @@ class TestStability:
             assert set(stable_models(program)) == oracles.standard_gl_stable_models(
                 program)
 
+    def test_pool_guard_counts_gamma(self):
+        # Each head constraint adds its beta atom to the candidate's atoms.
+        size = MINIMAL_MODELS_ATOM_LIMIT // 2 + 1
+        program = Program(tuple(
+            Rule((CAtom({f"a{i}"}, [{f"a{i}"}, ()]), f"b{i}")) for i in range(size)))
+        candidate = frozenset(f"a{i}" for i in range(size))
+        with pytest.raises(GuardError, match=f"over {2 * size} atoms"):
+            is_stable(program, candidate)
+
+    def test_negated_catoms_rejected_even_without_models(self):
+        catom = CAtom("a", [{"a"}])
+        program = Program((
+            Rule(("a",), (Literal.negated_constraint(catom),)),
+            Rule((CAtom(frozenset(), ()),)),
+        ))
+        with pytest.raises(ProgramClassError):
+            stable_models(program)
+
     def test_stable_models_are_models(self):
         rng = random.Random(23)
         for _ in range(60):
@@ -257,3 +308,40 @@ class TestAsReductProgram:
         program = load_program("a :- not b.")
         with pytest.raises(ProgramClassError):
             as_reduct_program(program)
+
+
+class TestWitnessSearchDifferential:
+    """``stable_models`` and ``is_stable`` against the exhaustive reference."""
+
+    def _programs(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            yield generators.random_disjunctive_constraint_program(rng)
+        for _ in range(40):
+            yield eliminate_negated_catoms(
+                generators.random_normal_constraint_program(rng, atoms="abcd"))
+        for _ in range(40):
+            yield generators.random_ordinary_program(
+                rng, atoms=("a", "b", "c", "d"), max_rules=5,
+                disjunctive=bool(rng.random() < 0.5))
+
+    def test_stable_models_match_brute_force(self):
+        for program in self._programs():
+            assert stable_models(program) == oracles.brute_stable_models(program)
+
+    def test_verdicts_match_on_every_candidate(self):
+        for program in self._programs():
+            for candidate in iter_subsets(program.language):
+                assert is_stable(program, candidate) == oracles.brute_is_stable(
+                    program, candidate), (program, candidate)
+
+    def test_generator_mixes_atoms_constraints_and_negation(self):
+        rng = random.Random(31)
+        programs = [generators.random_disjunctive_constraint_program(rng)
+                    for _ in range(60)]
+        rules = [r for p in programs for r in p.rules]
+        assert any(len(r.head) > 1 for r in rules)
+        assert any(isinstance(e, str) for r in rules for e in r.head)
+        assert any(isinstance(e, CAtom) for r in rules for e in r.head)
+        assert any(not lit.positive for r in rules for lit in r.body)
+        assert all(lit.positive or lit.is_atom for r in rules for lit in r.body)
