@@ -34,6 +34,7 @@ from .core import (
     Program,
     ProgramClass,
     Rule,
+    candidate_models,
     classify_program,
     complement,
     is_minimal_model,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import groupby, permutations
 from typing import Iterable, Iterator
 
 from .core import CAtom, iter_subsets, set_key
@@ -20,6 +20,10 @@ from .errors import GuardError
 
 #: ``build_abstract`` and ``expand`` refuse domains larger than this.
 ABSTRACT_DOMAIN_LIMIT = 20
+
+#: ``abstract_of`` keeps at most this many abstract forms (least recently
+#: used first out); a whole ``analyze`` pass meets about a hundred c-atoms.
+ABSTRACT_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -70,12 +74,19 @@ class AbstractCAtom:
     def __post_init__(self):
         object.__setattr__(self, "domain", frozenset(self.domain))
         object.__setattr__(self, "lattices", frozenset(self.lattices))
-        for member in self.lattices:
-            if not member.top <= self.domain:
-                raise ValueError("sublattice atoms must come from the domain")
-            for other in self.lattices:
-                if member != other and member.included_in(other):
+        # A member inside a distinct member has strictly fewer free atoms
+        # (equal free sets and nested bounds force equal bases), so each
+        # member is compared only with the strictly wider ones.
+        wider: list[PrefixedPowerSet] = []
+        by_width = sorted(self.lattices, key=lambda m: -len(m.free))
+        for _, group in groupby(by_width, key=lambda m: len(m.free)):
+            group = list(group)
+            for member in group:
+                if not member.top <= self.domain:
+                    raise ValueError("sublattice atoms must come from the domain")
+                if any(member.included_in(other) for other in wider):
                     raise ValueError("redundant sublattice in abstract form")
+            wider.extend(group)
 
     def members(self) -> tuple[PrefixedPowerSet, ...]:
         """The sublattices in canonical order."""
@@ -85,88 +96,49 @@ class AbstractCAtom:
 def build_abstract(catom: CAtom) -> AbstractCAtom:
     """Compute the unique abstract form of a constraint atom.
 
-    Every pair of solutions bounding a fully admissible interval yields a
-    candidate sublattice (a solution alone bounds the singleton interval);
-    candidates included in another candidate are then dropped, which leaves
-    exactly the maximal sublattices.
+    The maximal sublattices are the prime implicants of the solution family,
+    found by Quine-McCluskey merging.  A cube ``(base, free)`` is one integer,
+    ``base | free << n`` over the n sorted domain atoms.  Each level holds
+    every admissible cube with the same number of free atoms, starting from
+    the solutions themselves.  A cube and its neighbour ``(base ^ b, free)``
+    along an atom ``b`` outside ``free`` merge into ``(base & ~b, free | b)``
+    on the next level.  A cube with no neighbour in its level is maximal: any
+    larger admissible cube contains a one-step extension of it, and that
+    extension would have come from a neighbour.
     """
     if len(catom.domain) > ABSTRACT_DOMAIN_LIMIT:
         raise GuardError(
             f"abstract form over a {len(catom.domain)}-atom domain exceeds the "
             f"{ABSTRACT_DOMAIN_LIMIT}-atom guard")
     atoms = sorted(catom.domain)
+    n = len(atoms)
     bit = {a: 1 << i for i, a in enumerate(atoms)}
-    masks = set()
-    for sol in catom.solutions:
-        m = 0
-        for a in sol:
-            m |= bit[a]
-        masks.add(m)
+    steps = [(1 << i, 1 << (i + n)) for i in range(n)]  # (base bit, free bit)
+    level = {sum(bit[a] for a in sol) for sol in catom.solutions}
 
-    candidates = []
-    for q in masks:
-        p = q
-        while True:
-            if p in masks and _interval_admissible(p, q, masks):
-                candidates.append((p, q))
-            if p == 0:
-                break
-            p = (p - 1) & q
+    primes = []
+    while level:
+        merged = set()
+        for cube in level:
+            prime = True
+            for b, f in steps:
+                if not cube & f and cube ^ b in level:
+                    prime = False
+                    if not cube & b:  # the pair merges once, from its lower cube
+                        merged.add(cube | f)
+            if prime:
+                primes.append(cube)
+        level = merged
 
     def to_set(mask: int) -> frozenset[str]:
-        return frozenset(a for a in atoms if bit[a] & mask)
+        return frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
 
     lattices = frozenset(
-        PrefixedPowerSet(to_set(p), to_set(q & ~p)) for p, q in _drop_dominated(candidates))
+        PrefixedPowerSet(to_set(cube), to_set(cube >> n)) for cube in primes)
     return AbstractCAtom(catom.domain, lattices)
 
 
-def _interval_admissible(p: int, q: int, masks: set[int]) -> bool:
-    """Is every set between masks p and q (inclusive) admissible?"""
-    diff = q & ~p
-    sub = diff
-    while True:
-        if (p | sub) not in masks:
-            return False
-        if sub == 0:
-            return True
-        sub = (sub - 1) & diff
-
-
-def _drop_dominated(candidates: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Remove every (base, top) interval contained in another candidate.
-
-    (p1, q1) is dominated by (p2, q2) when p2 <= p1 and q1 <= q2.  Two cheap
-    grouped passes shrink the candidate list before the quadratic sweep.
-    """
-    by_base: dict[int, list[int]] = {}
-    for p, q in candidates:
-        by_base.setdefault(p, []).append(q)
-    pruned = []
-    for p, tops in by_base.items():
-        for q in tops:
-            if not any(q != other and q & other == q for other in tops):
-                pruned.append((p, q))
-
-    by_top: dict[int, list[int]] = {}
-    for p, q in pruned:
-        by_top.setdefault(q, []).append(p)
-    narrowed = []
-    for q, bases in by_top.items():
-        for p in bases:
-            if not any(p != other and p & other == other for other in bases):
-                narrowed.append((p, q))
-
-    return [
-        (p1, q1)
-        for p1, q1 in narrowed
-        if not any(
-            (p2, q2) != (p1, q1) and p2 & p1 == p2 and q1 | q2 == q2
-            for p2, q2 in narrowed)
-    ]
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ABSTRACT_CACHE_SIZE)
 def abstract_of(catom: CAtom) -> AbstractCAtom:
     """Memoized :func:`build_abstract`; c-atoms recur across transformations."""
     return build_abstract(catom)
@@ -216,10 +188,13 @@ def classify_catom(abstract: AbstractCAtom) -> CAtomClass:
     """Read the closure properties off the abstract form.
 
     Monotone: every sublattice spans the whole domain above its base.
-    Antimonotone: every base is empty.  Convex: between any member's base
-    and any other member's top, every set is covered.  (Pairwise antichain
-    bases and tops are necessary for convexity but not sufficient, so they
-    only serve as a fast rejection here.)
+    Antimonotone: every base is empty.  Convex: every member base ``b`` and
+    member top ``t`` with ``b <= t`` are themselves one member's bounds.  In
+    a convex family bases are minimal and tops maximal solutions, so
+    ``[b, t]`` is admissible and cannot be extended: it is a member.
+    Conversely, solutions ``S1 <= S3`` lie in members A and B with
+    ``A.base <= B.top``, and the member ``[A.base, B.top]`` covers every set
+    between them.
     """
     size = len(abstract.domain)
     members = abstract.lattices
@@ -231,25 +206,10 @@ def classify_catom(abstract: AbstractCAtom) -> CAtomClass:
 
 
 def _is_convex(members: frozenset[PrefixedPowerSet]) -> bool:
-    bases = [m.base for m in members]
-    tops = [m.top for m in members]
-    if _has_proper_pair(bases) or _has_proper_pair(tops):
-        return False
-    covered = set()
-    for member in members:
-        covered.update(member.covered_sets())
-    for low in members:
-        for high in members:
-            if not low.base <= high.top:
-                continue
-            for extra in iter_subsets(high.top - low.base):
-                if low.base | extra not in covered:
-                    return False
-    return True
-
-
-def _has_proper_pair(sets: list[frozenset[str]]) -> bool:
-    return any(a < b for a, b in permutations(sets, 2))
+    bounds = {(m.base, m.top) for m in members}
+    bases = {m.base for m in members}
+    tops = {m.top for m in members}
+    return all((b, t) in bounds for b in bases for t in tops if b <= t)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from .abstraction import abstract_of
 from .core import (
@@ -22,6 +21,7 @@ from .core import (
     Literal,
     Program,
     Rule,
+    candidate_models,
     complement,
     head_atom_name,
     is_false_head,
@@ -29,7 +29,7 @@ from .core import (
     set_key,
 )
 from .errors import ProgramClassError
-from .reduct import stable_models, theta_atom
+from .reduct import claim_name, stable_models, theta_atom
 
 #: Prefix of the fresh atoms standing in for always-false heads.
 FALSE_HEAD_PREFIX = "__f_"
@@ -82,12 +82,14 @@ def translate_normal(program: Program) -> Program:
     Each rule body becomes a conjunction of shared ``__theta_`` atoms; each
     sublattice of a constraint contributes one defining rule listing the
     sublattice base positively and the domain atoms outside the sublattice
-    under negation.
+    under negation.  Raises :class:`NameCollisionError` when two distinct
+    c-atoms would share a ``__theta_`` name.
     """
     basic = normalize_basic(program)
     main: list[Rule] = []
     definitions: dict[CAtom, list[Rule]] = {}
     order: list[CAtom] = []
+    owners: dict[str, CAtom] = {}
     for rule in basic.rules:
         head = rule.head[0]
         body: list[Literal] = []
@@ -95,6 +97,7 @@ def translate_normal(program: Program) -> Program:
             name = theta_atom(catom)
             body.append(Literal.atom(name))
             if catom not in definitions:
+                claim_name(owners, name, catom)
                 order.append(catom)
                 defs = []
                 for member in abstract_of(catom).members():
@@ -308,14 +311,9 @@ def check_dependency_theorem(program: Program) -> DependencyTheoremReport:
     basic = normalize_basic(program)
     cycles = cycle_report(dependency_graph(basic))
     stable = stable_models(basic)
-    vocabulary = sorted(basic.language)
-    supported = []
-    for size in range(len(vocabulary) + 1):
-        for combo in combinations(vocabulary, size):
-            candidate = frozenset(combo)
-            if is_supported_model(candidate, basic):
-                supported.append(candidate)
-    supported = tuple(sorted(supported, key=set_key))
+    supported = tuple(sorted(
+        (c for c in candidate_models(basic) if is_supported_model(c, basic)),
+        key=set_key))
 
     stable_set = set(stable)
     checks = (

@@ -24,6 +24,9 @@ RESERVED_PREFIXES = ("__theta_", "__beta_", "__bot", "__f_")
 #: ``complement`` refuses domains larger than this (power-set blowup guard).
 COMPLEMENT_DOMAIN_LIMIT = 20
 
+#: ``candidate_models`` refuses vocabularies larger than this.
+STABLE_LANGUAGE_LIMIT = 20
+
 
 def is_reserved(name: str) -> bool:
     """True for atom names only transformations are allowed to mint."""
@@ -221,6 +224,20 @@ def satisfies_rule(interpretation: Iterable[str], rule: Rule) -> bool:
 def is_model(interpretation: Iterable[str], program: Program) -> bool:
     model = frozenset(interpretation)
     return all(satisfies_rule(model, r) for r in program.rules)
+
+
+def candidate_models(program: Program) -> Iterator[frozenset[str]]:
+    """Every subset of the vocabulary that is a model, in ``iter_subsets`` order.
+
+    The vocabulary size is checked against ``STABLE_LANGUAGE_LIMIT`` when
+    this is called, before any subset is enumerated.
+    """
+    vocabulary = program.language
+    if len(vocabulary) > STABLE_LANGUAGE_LIMIT:
+        raise GuardError(
+            f"model enumeration over a {len(vocabulary)}-atom vocabulary "
+            f"exceeds the {STABLE_LANGUAGE_LIMIT}-atom guard")
+    return (c for c in iter_subsets(vocabulary) if is_model(c, program))
 
 
 def is_minimal_model(interpretation: Iterable[str], program: Program) -> bool:

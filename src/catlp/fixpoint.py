@@ -19,11 +19,13 @@ from .core import (
     Literal,
     Program,
     Rule,
+    candidate_models,
     complement,
     head_atom_name,
     is_model,
     iter_subsets,
     satisfies_catom,
+    set_key,
 )
 from .errors import GuardError, InvariantError, NotAModelError, ProgramClassError
 
@@ -146,10 +148,10 @@ def to_positive_basic(program: Program) -> Program:
 
 
 def fixpoint_stable_models(program: Program) -> tuple[frozenset[str], ...]:
-    """All stable models under the fixpoint oracle (models only, by definition)."""
-    vocabulary = sorted(program.language)
-    out = []
-    for candidate in iter_subsets(vocabulary):
-        if is_model(candidate, program) and fixpoint_stable(program, candidate):
-            out.append(candidate)
-    return tuple(sorted(out, key=lambda s: tuple(sorted(s))))
+    """All stable models under the fixpoint oracle (models only, by definition).
+
+    Vocabularies beyond ``STABLE_LANGUAGE_LIMIT`` raise ``GuardError`` before
+    any enumeration.
+    """
+    out = [c for c in candidate_models(program) if fixpoint_stable(program, c)]
+    return tuple(sorted(out, key=set_key))

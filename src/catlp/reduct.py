@@ -20,12 +20,12 @@ from typing import Iterable, Iterator
 
 from .abstraction import abstract_of, satisfiable_sets
 from .core import (
+    STABLE_LANGUAGE_LIMIT,  # the guard of stable_models, kept importable here
     CAtom,
     Literal,
     Program,
     Rule,
-    is_model,
-    iter_subsets,
+    candidate_models,
     satisfies_catom,
     set_key,
 )
@@ -37,9 +37,6 @@ BOT = "__bot"
 #: ``minimal_models`` refuses programs with more atoms than this, and
 #: ``is_stable`` refuses a witness search over a larger pool.
 MINIMAL_MODELS_ATOM_LIMIT = 22
-
-#: ``stable_models`` refuses vocabularies larger than this.
-STABLE_LANGUAGE_LIMIT = 20
 
 
 _NEGATED_CATOM = "negated c-atoms must be replaced by complements before the reduct"
@@ -116,7 +113,11 @@ def as_reduct_program(program: Program) -> ReductProgram:
     return ReductProgram(tuple(rules), frozenset())
 
 
-def _claim(owners: dict[str, CAtom], name: str, catom: CAtom) -> None:
+def claim_name(owners: dict[str, CAtom], name: str, catom: CAtom) -> None:
+    """Record ``catom`` as the owner of an introduced ``name``.
+
+    Raises :class:`NameCollisionError` when a distinct c-atom owns it already.
+    """
     if owners.setdefault(name, catom) != catom:
         raise NameCollisionError(
             f"distinct constraint atoms over {{{', '.join(sorted(catom.domain))}}} and "
@@ -151,7 +152,7 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
                 name = theta_atom(catom)
                 body.append(name)
                 if catom not in theta_defs:
-                    _claim(owners, name, catom)
+                    claim_name(owners, name, catom)
                     covers = sorted(
                         satisfiable_sets(abstract_of(catom), candidate), key=set_key)
                     theta_defs[catom] = [
@@ -169,7 +170,7 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
             name = beta_atom(catom)
             head.append(name)
             if catom not in beta_defs:
-                _claim(owners, name, catom)
+                claim_name(owners, name, catom)
                 true_part = sorted(candidate & catom.domain)
                 false_part = sorted(catom.domain - candidate)
                 defs = [ReductRule((atom,), (name,)) for atom in true_part]
@@ -345,19 +346,15 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
 def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     """All stable models, enumerated over subsets of the vocabulary.
 
-    Stable models are models, so candidates failing ``is_model`` are skipped
-    before any reduct is built.
+    Stable models are models, so only ``candidate_models`` are tried and no
+    reduct is built for a non-model.  Vocabularies beyond
+    ``STABLE_LANGUAGE_LIMIT`` raise ``GuardError`` before any enumeration.
     """
-    vocabulary = program.language
-    if len(vocabulary) > STABLE_LANGUAGE_LIMIT:
-        raise GuardError(
-            f"stable-model enumeration over a {len(vocabulary)}-atom vocabulary "
-            f"exceeds the {STABLE_LANGUAGE_LIMIT}-atom guard")
+    candidates = candidate_models(program)
     if any(lit.is_constraint and not lit.positive
            for rule in program.rules for lit in rule.body):
         raise ProgramClassError(_NEGATED_CATOM)
-    out = [candidate for candidate in iter_subsets(vocabulary)
-           if is_model(candidate, program) and is_stable(program, candidate)]
+    out = [candidate for candidate in candidates if is_stable(program, candidate)]
     return tuple(sorted(out, key=set_key))
 
 

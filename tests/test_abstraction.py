@@ -1,14 +1,17 @@
 import random
 import warnings
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from catlp.abstraction import (
+    ABSTRACT_CACHE_SIZE,
     AbstractCAtom,
     Dnf,
     Disjunct,
     PrefixedPowerSet,
+    abstract_of,
     abstract_satisfiable_sets,
     build_abstract,
     classify_catom,
@@ -115,6 +118,27 @@ class TestBuildAbstract:
     def test_redundant_members_rejected(self):
         with pytest.raises(ValueError):
             AbstractCAtom(frozenset("abc"), (pps("", "ab"), pps("a", "b")))
+        with pytest.raises(ValueError):  # same base, nested free atoms
+            AbstractCAtom(frozenset("abc"), (pps("a", "b"), pps("a", "bc")))
+
+    def test_cardinality_window_gives_every_two_to_four_interval(self):
+        atoms = [f"x{i}" for i in range(12)]
+        catom = CAtom(atoms, [c for k in (2, 3, 4) for c in combinations(atoms, k)])
+        expected = frozenset(
+            PrefixedPowerSet(frozenset(p), frozenset(q) - frozenset(p))
+            for q in combinations(atoms, 4) for p in combinations(q, 2))
+        abstract = build_abstract(catom)
+        assert len(expected) == 2970
+        assert abstract.lattices == expected
+        flags = classify_catom(abstract)
+        assert flags.convex and not flags.monotone and not flags.antimonotone
+
+    def test_full_power_set_is_one_member(self):
+        atoms = frozenset(f"x{i}" for i in range(12))
+        abstract = build_abstract(CAtom(atoms, iter_subsets(atoms)))
+        assert abstract.lattices == frozenset((PrefixedPowerSet(frozenset(), atoms),))
+        flags = classify_catom(abstract)
+        assert flags.monotone and flags.antimonotone and flags.convex
 
     def test_order_independent(self):
         rng = random.Random(7)
@@ -131,7 +155,7 @@ class TestBuildAbstract:
     def test_matches_definition_on_random_larger_instances(self):
         rng = random.Random(20240818)
         for _ in range(150):
-            catom = generators.random_catom(rng, max_domain=5)
+            catom = generators.random_catom(rng, max_domain=6)
             assert build_abstract(catom).lattices == oracles.brute_abstract(catom)
 
 
@@ -226,7 +250,7 @@ class TestClassification:
     def test_matches_definitions_on_random_instances(self):
         rng = random.Random(11)
         for _ in range(300):
-            catom = generators.random_catom(rng, max_domain=5)
+            catom = generators.random_catom(rng, max_domain=6)
             flags = classify_catom(build_abstract(catom))
             assert flags.monotone == oracles.brute_monotone(catom)
             assert flags.antimonotone == oracles.brute_antimonotone(catom)
@@ -244,6 +268,13 @@ class TestClassification:
             (pps("d", "af"), pps("f", "cd"), pps("ac", "")))
         assert not oracles.brute_convex(catom)
         assert not classify_catom(build_abstract(catom)).convex
+
+    def test_comparable_bases_are_not_convex(self):
+        # {} and {a,b} without the sets between them: base {} lies below
+        # base {a,b}, and the bounds criterion must still say non-convex.
+        abstract = build_abstract(CAtom("ab", [(), {"a", "b"}]))
+        assert abstract.lattices == frozenset((pps("", ""), pps("ab", "")))
+        assert not classify_catom(abstract).convex
 
 
 class TestDnf:
@@ -291,6 +322,14 @@ class TestDnf:
         assert str(formula) == "(a & not d) | (d & not a & not b & not c)"
         assert str(Dnf(())) == "false"
         assert str(Dnf((Disjunct((), ()),))) == "(true)"
+
+
+def test_abstract_of_cache_is_bounded():
+    assert abstract_of.cache_info().maxsize == ABSTRACT_CACHE_SIZE
+    for i in range(ABSTRACT_CACHE_SIZE + 10):
+        abstract_of(CAtom.elementary(f"cached{i}"))
+    info = abstract_of.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_conditional_satisfaction_bridge():

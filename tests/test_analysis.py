@@ -17,7 +17,7 @@ from catlp.core import (
     Program,
     Rule,
 )
-from catlp.errors import ProgramClassError
+from catlp.errors import NameCollisionError, ProgramClassError
 from catlp.golden import EVEN_LOOP, NEGATIVE_EDGE_RULE, SUM_LOOP, TAUTOLOGY_BODY
 from catlp.parser import load_program
 from catlp.reduct import stable_models
@@ -86,6 +86,25 @@ class TestTranslateNormal:
             direct = oracles.standard_gl_stable_models(program)
             lifted = oracles.standard_gl_stable_models(translated)
             assert {m & program.atoms for m in lifted} == direct
+
+    def test_name_collision_is_detected(self, monkeypatch):
+        monkeypatch.setattr(CAtom, "digest", property(lambda self: "0" * 10))
+        program = Program((
+            Rule(("x",), (Literal.constraint(CAtom("ab", [{"a", "b"}])),)),
+            Rule(("y",), (Literal.constraint(CAtom("ab", [{"b"}, {"a", "b"}])),)),
+        ))
+        with pytest.raises(NameCollisionError, match="__theta_0000000000"):
+            translate_normal(program)
+
+    def test_identical_catoms_share_a_name(self, monkeypatch):
+        monkeypatch.setattr(CAtom, "digest", property(lambda self: "0" * 10))
+        catom = CAtom("ab", [{"b"}, {"a", "b"}])
+        program = Program((
+            Rule(("x",), (Literal.constraint(catom),)),
+            Rule(("y",), (Literal.constraint(catom),)),
+        ))
+        heads = {r.head[0] for r in translate_normal(program).rules}
+        assert heads == {"x", "y", "__theta_0000000000"}
 
     def test_projection_identity_on_random_basic_programs(self):
         rng = random.Random(83)

@@ -9,6 +9,7 @@ from catlp.core import (
     Literal,
     Program,
     Rule,
+    candidate_models,
     classify_program,
     complement,
     is_minimal_model,
@@ -117,6 +118,16 @@ class TestModelChecks:
         program = load_program("a :- b. b :- a.")
         assert is_supported_model({"a", "b"}, program)
         assert not is_supported_model({"a"}, load_program("a :- b."))
+
+    def test_candidate_models_are_the_models_in_subset_order(self):
+        program = load_program("#atoms c.\na | b. c :- a.")
+        assert list(candidate_models(program)) == [
+            s for s in iter_subsets("abc") if is_model(s, program)]
+
+    def test_candidate_models_guard_fires_before_enumeration(self):
+        program = Program(tuple(Rule((f"x{i}",)) for i in range(21)))
+        with pytest.raises(GuardError, match="21-atom vocabulary"):
+            candidate_models(program)
 
 
 class TestComplement:

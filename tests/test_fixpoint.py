@@ -180,6 +180,12 @@ class TestFixpointStable:
                 rng, atoms=("a", "b", "c", "d"), max_rules=4, max_domain=3)
             assert set(fixpoint_stable_models(program)) == set(stable_models(program))
 
+    def test_fixpoint_stable_models_language_guard(self):
+        atoms = [f"x{i}" for i in range(21)]
+        program = Program(tuple(Rule((a,)) for a in atoms))
+        with pytest.raises(GuardError):
+            fixpoint_stable_models(program)
+
 
 class TestToPositiveBasic:
     def test_negative_atom_becomes_complement_constraint(self):
