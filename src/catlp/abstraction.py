@@ -16,10 +16,7 @@ from itertools import groupby, permutations
 from typing import Iterable, Iterator
 
 from .core import CAtom, iter_subsets, set_key
-from .errors import GuardError
-
-#: ``build_abstract`` and ``expand`` refuse domains larger than this.
-ABSTRACT_DOMAIN_LIMIT = 20
+from .errors import check_guard
 
 #: ``abstract_of`` keeps at most this many abstract forms (least recently
 #: used first out); a whole ``analyze`` pass meets about a hundred c-atoms.
@@ -106,10 +103,7 @@ def build_abstract(catom: CAtom) -> AbstractCAtom:
     larger admissible cube contains a one-step extension of it, and that
     extension would have come from a neighbour.
     """
-    if len(catom.domain) > ABSTRACT_DOMAIN_LIMIT:
-        raise GuardError(
-            f"abstract form over a {len(catom.domain)}-atom domain exceeds the "
-            f"{ABSTRACT_DOMAIN_LIMIT}-atom guard")
+    check_guard("abstract_domain", len(catom.domain))
     atoms = sorted(catom.domain)
     n = len(atoms)
     bit = {a: 1 << i for i, a in enumerate(atoms)}
@@ -146,10 +140,7 @@ def abstract_of(catom: CAtom) -> AbstractCAtom:
 
 def expand(abstract: AbstractCAtom) -> CAtom:
     """Back to explicit form: the union of all covered sets."""
-    if len(abstract.domain) > ABSTRACT_DOMAIN_LIMIT:
-        raise GuardError(
-            f"expansion over a {len(abstract.domain)}-atom domain exceeds the "
-            f"{ABSTRACT_DOMAIN_LIMIT}-atom guard")
+    check_guard("abstract_domain", len(abstract.domain))
     solutions: set[frozenset[str]] = set()
     for member in abstract.lattices:
         solutions.update(member.covered_sets())

@@ -25,7 +25,7 @@ from .core import (
     complement,
     head_atom_name,
     is_false_head,
-    is_supported_model,
+    is_supported,
     set_key,
 )
 from .errors import ProgramClassError
@@ -312,7 +312,7 @@ def check_dependency_theorem(program: Program) -> DependencyTheoremReport:
     cycles = cycle_report(dependency_graph(basic))
     stable = stable_models(basic)
     supported = tuple(sorted(
-        (c for c in candidate_models(basic) if is_supported_model(c, basic)),
+        (c for c in candidate_models(basic) if is_supported(c, basic)),
         key=set_key))
 
     stable_set = set(stable)

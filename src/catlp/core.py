@@ -16,16 +16,10 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Union
 
-from .errors import GuardError
+from .errors import check_guard
 
 #: Name prefixes reserved for atoms introduced by program transformations.
 RESERVED_PREFIXES = ("__theta_", "__beta_", "__bot", "__f_")
-
-#: ``complement`` refuses domains larger than this (power-set blowup guard).
-COMPLEMENT_DOMAIN_LIMIT = 20
-
-#: ``candidate_models`` refuses vocabularies larger than this.
-STABLE_LANGUAGE_LIMIT = 20
 
 
 def is_reserved(name: str) -> bool:
@@ -229,19 +223,19 @@ def is_model(interpretation: Iterable[str], program: Program) -> bool:
 def candidate_models(program: Program) -> Iterator[frozenset[str]]:
     """Every subset of the vocabulary that is a model, in ``iter_subsets`` order.
 
-    The vocabulary size is checked against ``STABLE_LANGUAGE_LIMIT`` when
-    this is called, before any subset is enumerated.
+    The vocabulary size is checked against the ``stable_language`` guard
+    when this is called, before any subset is enumerated.
     """
     vocabulary = program.language
-    if len(vocabulary) > STABLE_LANGUAGE_LIMIT:
-        raise GuardError(
-            f"model enumeration over a {len(vocabulary)}-atom vocabulary "
-            f"exceeds the {STABLE_LANGUAGE_LIMIT}-atom guard")
+    check_guard("stable_language", len(vocabulary))
     return (c for c in iter_subsets(vocabulary) if is_model(c, program))
 
 
 def is_minimal_model(interpretation: Iterable[str], program: Program) -> bool:
-    """Model with no proper sub-model, checked by exhausting subsets."""
+    """Model with no proper sub-model, checked by exhausting subsets.
+
+    The ``minimal_models`` guard is checked before any subset is tried.
+    """
     model = frozenset(interpretation)
     if not is_model(model, program):
         return False
@@ -249,30 +243,28 @@ def is_minimal_model(interpretation: Iterable[str], program: Program) -> bool:
         # Atoms outside the vocabulary never affect satisfaction, so dropping
         # them yields a smaller model.
         return False
+    check_guard("minimal_models", len(model))
     return not any(sub != model and is_model(sub, program) for sub in iter_subsets(model))
+
+
+def is_supported(model: frozenset[str], program: Program) -> bool:
+    """Every atom heads a rule whose body ``model`` satisfies (no model test)."""
+    return all(
+        any(any(head_atom_name(e) == atom for e in rule.head)
+            and satisfies_body(model, rule.body)
+            for rule in program.rules)
+        for atom in model)
 
 
 def is_supported_model(interpretation: Iterable[str], program: Program) -> bool:
     """Model in which every atom heads some rule whose body the model satisfies."""
     model = frozenset(interpretation)
-    if not is_model(model, program):
-        return False
-    for atom in model:
-        if not any(
-            any(head_atom_name(e) == atom for e in rule.head)
-            and satisfies_body(model, rule.body)
-            for rule in program.rules
-        ):
-            return False
-    return True
+    return is_model(model, program) and is_supported(model, program)
 
 
 def complement(catom: CAtom) -> CAtom:
     """The constraint interpreting ``not A``: same domain, complementary solutions."""
-    if len(catom.domain) > COMPLEMENT_DOMAIN_LIMIT:
-        raise GuardError(
-            f"complement over a {len(catom.domain)}-atom domain exceeds the "
-            f"{COMPLEMENT_DOMAIN_LIMIT}-atom guard")
+    check_guard("complement_domain", len(catom.domain))
     every = frozenset(iter_subsets(catom.domain))
     return CAtom(catom.domain, every - catom.solutions)
 

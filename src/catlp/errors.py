@@ -5,8 +5,33 @@ class CatlpError(Exception):
     """Base class for library-specific errors."""
 
 
+#: Desk-scale size limits, by guard name; each operation that would enumerate
+#: exponentially checks its input against one of these before it starts.
+GUARD_LIMITS = {
+    "complement_domain": 20,  # domain atoms of a complemented c-atom
+    "abstract_domain": 20,  # domain atoms of an abstract form built or expanded
+    "weight_entries": 16,  # entries of a weight constraint or aggregate
+    "cond_interval": 16,  # free atoms of a conditional-satisfaction interval
+    "minimal_models": 22,  # atoms of a minimal-model scan or witness pool
+    "stable_language": 20,  # vocabulary atoms of candidate-model enumeration
+}
+
+
 class GuardError(CatlpError):
     """A desk-scale resource guard was exceeded."""
+
+    def __init__(self, guard: str, limit: int, actual: int):
+        super().__init__(f"{guard} guard: {actual} exceeds the limit of {limit}")
+        self.guard = guard
+        self.limit = limit
+        self.actual = actual
+
+
+def check_guard(guard: str, actual: int) -> None:
+    """Raise ``GuardError`` when ``actual`` exceeds the limit of ``guard``."""
+    limit = GUARD_LIMITS[guard]
+    if actual > limit:
+        raise GuardError(guard, limit, actual)
 
 
 class ProgramClassError(CatlpError):

@@ -27,10 +27,7 @@ from .core import (
     satisfies_catom,
     set_key,
 )
-from .errors import GuardError, InvariantError, NotAModelError, ProgramClassError
-
-#: ``cond_satisfies`` enumerates at most this many free atoms (2**16 sets).
-COND_INTERVAL_LIMIT = 16
+from .errors import InvariantError, NotAModelError, ProgramClassError, check_guard
 
 
 def cond_satisfies(lower: Iterable[str], upper: Iterable[str], catom: CAtom) -> bool:
@@ -47,10 +44,7 @@ def cond_satisfies(lower: Iterable[str], upper: Iterable[str], catom: CAtom) -> 
     if not bottom <= top:
         return True  # no interpolants to check
     extra = top - bottom
-    if len(extra) > COND_INTERVAL_LIMIT:
-        raise GuardError(
-            f"conditional satisfaction over {len(extra)} free atoms exceeds the "
-            f"{COND_INTERVAL_LIMIT}-atom guard")
+    check_guard("cond_interval", len(extra))
     return all(bottom | sub in catom.solutions for sub in iter_subsets(extra))
 
 
@@ -150,8 +144,8 @@ def to_positive_basic(program: Program) -> Program:
 def fixpoint_stable_models(program: Program) -> tuple[frozenset[str], ...]:
     """All stable models under the fixpoint oracle (models only, by definition).
 
-    Vocabularies beyond ``STABLE_LANGUAGE_LIMIT`` raise ``GuardError`` before
-    any enumeration.
+    Vocabularies beyond the ``stable_language`` guard raise ``GuardError``
+    before any enumeration.
     """
     out = [c for c in candidate_models(program) if fixpoint_stable(program, c)]
     return tuple(sorted(out, key=set_key))

@@ -28,10 +28,7 @@ from .core import (
     is_reserved,
     iter_subsets,
 )
-from .errors import GuardError, ParseError
-
-#: Weight and aggregate desugaring enumerate at most this many entries.
-WEIGHT_ENTRY_LIMIT = 16
+from .errors import ParseError, check_guard
 
 _RELOPS = {">=": operator.ge, "<=": operator.le, "=": operator.eq,
            ">": operator.gt, "<": operator.lt}
@@ -179,10 +176,7 @@ def _lower_body_literal(lit: BodyLiteralSyntax) -> Literal:
 
 def desugar_weight(constraint: WeightConstraint) -> CAtom:
     """Enumerate the subsets whose satisfied-literal weight sum is in bounds."""
-    if len(constraint.entries) > WEIGHT_ENTRY_LIMIT:
-        raise GuardError(
-            f"a weight constraint with {len(constraint.entries)} entries exceeds "
-            f"the {WEIGHT_ENTRY_LIMIT}-entry guard")
+    check_guard("weight_entries", len(constraint.entries))
     domain = frozenset(e.atom for e in constraint.entries)
     solutions = []
     for candidate in iter_subsets(domain):
@@ -196,10 +190,7 @@ def desugar_weight(constraint: WeightConstraint) -> CAtom:
 
 def desugar_aggregate(aggregate: AggregateConstraint) -> CAtom:
     """Enumerate the subsets whose sum (or count) satisfies the relation."""
-    if len(aggregate.entries) > WEIGHT_ENTRY_LIMIT:
-        raise GuardError(
-            f"an aggregate with {len(aggregate.entries)} entries exceeds "
-            f"the {WEIGHT_ENTRY_LIMIT}-entry guard")
+    check_guard("weight_entries", len(aggregate.entries))
     domain = frozenset(a for a, _ in aggregate.entries)
     values = dict(aggregate.entries)
     relation = _RELOPS[aggregate.relation]

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator
 
 from .abstraction import abstract_of, satisfiable_sets
 from .core import (
-    STABLE_LANGUAGE_LIMIT,  # the guard of stable_models, kept importable here
     CAtom,
     Literal,
     Program,
@@ -29,14 +28,10 @@ from .core import (
     satisfies_catom,
     set_key,
 )
-from .errors import GuardError, InvariantError, NameCollisionError, ProgramClassError
+from .errors import InvariantError, NameCollisionError, ProgramClassError, check_guard
 
 #: The false atom produced for falsified head constraints.
 BOT = "__bot"
-
-#: ``minimal_models`` refuses programs with more atoms than this, and
-#: ``is_stable`` refuses a witness search over a larger pool.
-MINIMAL_MODELS_ATOM_LIMIT = 22
 
 
 _NEGATED_CATOM = "negated c-atoms must be replaced by complements before the reduct"
@@ -294,10 +289,7 @@ def _minimal_extensions(
 def minimal_models(reduct: ReductProgram) -> tuple[frozenset[str], ...]:
     """All subset-minimal models, enumerated over the program's atoms."""
     atoms = sorted(reduct.atoms)
-    if len(atoms) > MINIMAL_MODELS_ATOM_LIMIT:
-        raise GuardError(
-            f"minimal-model enumeration over {len(atoms)} atoms exceeds the "
-            f"{MINIMAL_MODELS_ATOM_LIMIT}-atom guard")
+    check_guard("minimal_models", len(atoms))
     compiled = _compile(reduct, {a: i for i, a in enumerate(atoms)})
     models = [
         frozenset(atoms[i] for i in range(len(atoms)) if mask >> i & 1)
@@ -309,11 +301,7 @@ def minimal_models(reduct: ReductProgram) -> tuple[frozenset[str], ...]:
 def _has_minimal_witness(reduct: ReductProgram, candidate: frozenset[str]) -> bool:
     """Is ``candidate | G`` a minimal model of the reduct for some G in gamma?"""
     gamma = sorted(reduct.gamma & reduct.atoms)
-    pool = len(candidate) + len(gamma)
-    if pool > MINIMAL_MODELS_ATOM_LIMIT:
-        raise GuardError(
-            f"minimal-model witness search over {pool} atoms (candidate plus "
-            f"introduced atoms) exceeds the {MINIMAL_MODELS_ATOM_LIMIT}-atom guard")
+    check_guard("minimal_models", len(candidate) + len(gamma))
     if candidate & reduct.gamma or not candidate <= reduct.atoms:
         return False  # no set of reduct atoms strips to the candidate
     atoms = sorted(candidate) + gamma
@@ -334,7 +322,7 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     is tested against all of its proper subsets, and the first minimal one
     ends the search.  Worst case: at most ``3**|gamma| * 2**|candidate|``
     model tests.  A ``GuardError`` is raised before any enumeration when
-    the pool ``|candidate| + |gamma|`` exceeds ``MINIMAL_MODELS_ATOM_LIMIT``.
+    the pool ``|candidate| + |gamma|`` exceeds the ``minimal_models`` guard.
     """
     candidate = frozenset(interpretation)
     reduct = gl_reduct(program, candidate)
@@ -347,8 +335,8 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     """All stable models, enumerated over subsets of the vocabulary.
 
     Stable models are models, so only ``candidate_models`` are tried and no
-    reduct is built for a non-model.  Vocabularies beyond
-    ``STABLE_LANGUAGE_LIMIT`` raise ``GuardError`` before any enumeration.
+    reduct is built for a non-model.  Vocabularies beyond the
+    ``stable_language`` guard raise ``GuardError`` before any enumeration.
     """
     candidates = candidate_models(program)
     if any(lit.is_constraint and not lit.positive

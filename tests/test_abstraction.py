@@ -112,8 +112,15 @@ class TestBuildAbstract:
 
     def test_domain_guard(self):
         wide = frozenset(f"x{i}" for i in range(21))
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError) as caught:
             build_abstract(CAtom(wide, ()))
+        assert (caught.value.guard, caught.value.actual) == ("abstract_domain", 21)
+
+    def test_expand_domain_guard(self):
+        wide = frozenset(f"x{i}" for i in range(21))
+        with pytest.raises(GuardError) as caught:
+            expand(AbstractCAtom(wide, frozenset()))
+        assert (caught.value.guard, caught.value.actual) == ("abstract_domain", 21)
 
     def test_redundant_members_rejected(self):
         with pytest.raises(ValueError):

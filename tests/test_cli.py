@@ -56,7 +56,8 @@ class TestSolve:
         wide = tmp_path / "wide.lp"
         wide.write_text("".join(f"x{i}.\n" for i in range(21)))
         assert cli.run(["solve", str(wide)]) == 2
-        assert "refused" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "refused: stable_language guard: 21 exceeds the limit of 20\n")
 
     def test_missing_file(self, capsys):
         assert cli.run(["solve", "/nonexistent/path.lp"]) == 1
@@ -205,4 +206,5 @@ class TestPoolGuard:
     def test_pool_over_limit_refused(self, tmp_path, capsys):
         candidate = ",".join(f"a{i}" for i in range(23))
         assert cli.run(["check", self._pairs(tmp_path, 23), "-I", candidate]) == 2
-        assert "refused" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "refused: minimal_models guard: 23 exceeds the limit of 22\n")

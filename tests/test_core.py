@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,12 +15,13 @@ from catlp.core import (
     complement,
     is_minimal_model,
     is_model,
+    is_supported,
     is_supported_model,
     iter_subsets,
     satisfies_catom,
     satisfies_rule,
 )
-from catlp.errors import GuardError
+from catlp.errors import GUARD_LIMITS, GuardError, check_guard
 from catlp.golden import LATTICE_FAMILY, SUM_LOOP, disjunctive_fact_program
 from catlp.parser import load_program
 from catlp.reduct import gl_reduct
@@ -119,6 +121,17 @@ class TestModelChecks:
         assert is_supported_model({"a", "b"}, program)
         assert not is_supported_model({"a"}, load_program("a :- b."))
 
+    def test_support_alone_does_not_test_the_model(self):
+        program = load_program("a. b :- a.")
+        assert is_supported(frozenset("a"), program)
+        assert not is_supported_model({"a"}, program)
+
+    def test_minimal_model_guard_fires_before_enumeration(self):
+        program = Program(tuple(Rule((f"x{i}",)) for i in range(23)))
+        with pytest.raises(GuardError) as caught:
+            is_minimal_model(program.language, program)
+        assert (caught.value.guard, caught.value.actual) == ("minimal_models", 23)
+
     def test_candidate_models_are_the_models_in_subset_order(self):
         program = load_program("#atoms c.\na | b. c :- a.")
         assert list(candidate_models(program)) == [
@@ -126,8 +139,27 @@ class TestModelChecks:
 
     def test_candidate_models_guard_fires_before_enumeration(self):
         program = Program(tuple(Rule((f"x{i}",)) for i in range(21)))
-        with pytest.raises(GuardError, match="21-atom vocabulary"):
+        with pytest.raises(GuardError) as caught:
             candidate_models(program)
+        assert (caught.value.guard, caught.value.actual) == ("stable_language", 21)
+
+
+class TestGuards:
+    def test_limit_admits_and_one_more_refuses(self):
+        check_guard("cond_interval", GUARD_LIMITS["cond_interval"])
+        with pytest.raises(GuardError) as caught:
+            check_guard("cond_interval", 17)
+        error = caught.value
+        assert (error.guard, error.limit, error.actual) == ("cond_interval", 16, 17)
+        assert str(error) == "cond_interval guard: 17 exceeds the limit of 16"
+
+    def test_readme_table_matches_the_limits(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text().split("## Guards\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1:3] for line in section.splitlines()
+                if line.startswith("| `")]
+        assert {name.strip(" `"): int(limit) for name, limit in rows} == GUARD_LIMITS
+        assert len(rows) == len(GUARD_LIMITS)
 
 
 class TestComplement:
@@ -143,8 +175,9 @@ class TestComplement:
 
     def test_domain_guard(self):
         wide = frozenset(f"x{i}" for i in range(21))
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError) as caught:
             complement(CAtom(wide, [set()]))
+        assert (caught.value.guard, caught.value.actual) == ("complement_domain", 21)
 
 
 class TestClassifyProgram:

@@ -56,8 +56,9 @@ class TestCondSatisfies:
     def test_guard(self):
         wide = frozenset(f"x{i}" for i in range(17))
         catom = CAtom(wide, [set()])
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError) as caught:
             cond_satisfies(set(), wide, catom)
+        assert (caught.value.guard, caught.value.actual) == ("cond_interval", 17)
 
     def test_matches_definition(self):
         rng = random.Random(53)
@@ -183,8 +184,9 @@ class TestFixpointStable:
     def test_fixpoint_stable_models_language_guard(self):
         atoms = [f"x{i}" for i in range(21)]
         program = Program(tuple(Rule((a,)) for a in atoms))
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError) as caught:
             fixpoint_stable_models(program)
+        assert (caught.value.guard, caught.value.actual) == ("stable_language", 21)
 
 
 class TestToPositiveBasic:

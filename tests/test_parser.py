@@ -132,8 +132,9 @@ class TestDesugarWeight:
 
     def test_entry_guard(self):
         entries = tuple(WeightEntry(f"x{i}") for i in range(17))
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError) as caught:
             desugar_weight(WeightConstraint(entries, 0, None))
+        assert (caught.value.guard, caught.value.actual) == ("weight_entries", 17)
 
     def test_agrees_with_direct_evaluation(self):
         rng = random.Random(103)
@@ -182,8 +183,9 @@ class TestDesugarAggregate:
 
     def test_entry_guard(self):
         entries = tuple((f"x{i}", 1) for i in range(17))
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError) as caught:
             desugar_aggregate(AggregateConstraint("count", entries, ">=", 1))
+        assert (caught.value.guard, caught.value.actual) == ("weight_entries", 17)
 
 
 class TestNegatedConstraints:

@@ -6,6 +6,7 @@ import pytest
 from catlp import reduct as reduct_module
 from catlp.core import CAtom, Literal, Program, Rule, is_model, iter_subsets
 from catlp.errors import (
+    GUARD_LIMITS,
     GuardError,
     InvariantError,
     NameCollisionError,
@@ -22,7 +23,6 @@ from catlp.golden import (
 from catlp.parser import eliminate_negated_catoms, load_program
 from catlp.reduct import (
     BOT,
-    MINIMAL_MODELS_ATOM_LIMIT,
     ReductProgram,
     ReductRule,
     as_reduct_program,
@@ -178,8 +178,9 @@ class TestModelEnumeration:
     def test_minimal_models_guard(self):
         atoms = [f"x{i}" for i in range(23)]
         rules = tuple(ReductRule((a,)) for a in atoms)
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError) as caught:
             minimal_models(ReductProgram(rules))
+        assert (caught.value.guard, caught.value.actual) == ("minimal_models", 23)
 
     def test_minimal_models_match_full_scan(self):
         rng = random.Random(17)
@@ -229,8 +230,9 @@ class TestStability:
     def test_language_guard(self):
         atoms = [f"x{i}" for i in range(21)]
         program = Program(tuple(Rule((a,)) for a in atoms))
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError) as caught:
             stable_models(program)
+        assert (caught.value.guard, caught.value.actual) == ("stable_language", 21)
 
     def test_declared_atoms_extend_candidates(self):
         bare = load_program("a :- [a,b : {a}, {a,b}].")
@@ -249,12 +251,13 @@ class TestStability:
 
     def test_pool_guard_counts_gamma(self):
         # Each head constraint adds its beta atom to the candidate's atoms.
-        size = MINIMAL_MODELS_ATOM_LIMIT // 2 + 1
+        size = GUARD_LIMITS["minimal_models"] // 2 + 1
         program = Program(tuple(
             Rule((CAtom({f"a{i}"}, [{f"a{i}"}, ()]), f"b{i}")) for i in range(size)))
         candidate = frozenset(f"a{i}" for i in range(size))
-        with pytest.raises(GuardError, match=f"over {2 * size} atoms"):
+        with pytest.raises(GuardError) as caught:
             is_stable(program, candidate)
+        assert (caught.value.guard, caught.value.actual) == ("minimal_models", 2 * size)
 
     def test_negated_catoms_rejected_even_without_models(self):
         catom = CAtom("a", [{"a"}])
