@@ -42,6 +42,7 @@ from .core import (
     is_reserved,
     is_supported_model,
     iter_subsets,
+    literal_catom,
     satisfies_catom,
     satisfies_rule,
 )

@@ -22,10 +22,10 @@ from .core import (
     Program,
     Rule,
     candidate_models,
-    complement,
     head_atom_name,
     is_false_head,
     is_supported,
+    literal_catom,
     set_key,
 )
 from .errors import ProgramClassError
@@ -62,20 +62,6 @@ def normalize_basic(program: Program) -> Program:
     return Program(tuple(rules), program.declared_atoms)
 
 
-def _constraint_body(rule: Rule) -> tuple[CAtom, ...]:
-    """The body as positive constraint atoms; negation via complements."""
-    items = []
-    for lit in rule.body:
-        if lit.is_atom:
-            base = CAtom.elementary(lit.item)
-            items.append(base if lit.positive else complement(base))
-        elif lit.positive:
-            items.append(lit.item)
-        else:
-            items.append(complement(lit.item))
-    return tuple(items)
-
-
 def translate_normal(program: Program) -> Program:
     """Compile a basic program into an ordinary normal program.
 
@@ -93,7 +79,7 @@ def translate_normal(program: Program) -> Program:
     for rule in basic.rules:
         head = rule.head[0]
         body: list[Literal] = []
-        for catom in _constraint_body(rule):
+        for catom in map(literal_catom, rule.body):
             name = theta_atom(catom)
             body.append(Literal.atom(name))
             if catom not in definitions:
@@ -134,7 +120,7 @@ def dependency_graph(program: Program) -> DependencyGraph:
     edges: set[tuple[str, str, str]] = set()
     for rule in basic.rules:
         head = rule.head[0]
-        for catom in _constraint_body(rule):
+        for catom in map(literal_catom, rule.body):
             for member in abstract_of(catom).lattices:
                 for atom in member.base:
                     edges.add((head, atom, "+"))

@@ -269,6 +269,12 @@ def complement(catom: CAtom) -> CAtom:
     return CAtom(catom.domain, every - catom.solutions)
 
 
+def literal_catom(literal: Literal) -> CAtom:
+    """The c-atom a body literal stands for: atoms are elementary, ``not`` complements."""
+    catom = CAtom.elementary(literal.item) if literal.is_atom else literal.item
+    return catom if literal.positive else complement(catom)
+
+
 @dataclass(frozen=True)
 class ProgramClass:
     """Syntactic class flags of a program."""

@@ -20,10 +20,10 @@ from .core import (
     Program,
     Rule,
     candidate_models,
-    complement,
     head_atom_name,
     is_model,
     iter_subsets,
+    literal_catom,
     satisfies_catom,
     set_key,
 )
@@ -129,15 +129,9 @@ def to_positive_basic(program: Program) -> Program:
             raise ProgramClassError("the rewrite requires non-disjunctive rules")
         if head_atom_name(rule.head[0]) is None:
             raise ProgramClassError("the rewrite requires elementary heads")
-        body = []
-        for lit in rule.body:
-            if lit.positive:
-                body.append(lit)
-            elif lit.is_atom:
-                body.append(Literal.constraint(complement(CAtom.elementary(lit.item))))
-            else:
-                body.append(Literal.constraint(complement(lit.item)))
-        rules.append(Rule(rule.head, tuple(body)))
+        body = tuple(lit if lit.positive else Literal.constraint(literal_catom(lit))
+                     for lit in rule.body)
+        rules.append(Rule(rule.head, body))
     return Program(tuple(rules), program.declared_atoms)
 
 

@@ -3,10 +3,17 @@
 The rule language is propositional.  Atoms are opaque identifiers which may
 carry a parenthesized constant list (``p(-1)`` is a single token).  Rule
 heads are disjunctions of atoms, constraint atoms written
-``[a,b : {}, {a}]``, weight/cardinality constraints (``1 {a, not b=2} 3``),
-aggregates (``#sum{a=1} >= 2``), or ``bot``; bodies are conjunctions of the
-same items, each optionally under ``not``.  ``#atoms`` declares extra
-vocabulary.  ``%`` starts a line comment.
+``[a,b : {}, {a}]`` (``[a,b : ]`` admits no set), weight/cardinality
+constraints (``1 {a, not b=2} 3``), aggregates (``#sum{a=1} >= 2``), or
+``bot``; bodies are conjunctions of the same items, each optionally under
+``not``.  ``#atoms`` declares extra vocabulary.  ``%`` starts a line comment.
+
+The parser builds core objects directly: weight constraints and aggregates
+are desugared into c-atoms as they are read, ``bot`` is ``FALSE_CATOM`` and
+elementary head constraints are flattened to their atom.  :func:`parse`
+keeps negated c-atoms; :func:`load_program` also replaces them by their
+complements.  :func:`format_program` prints a loaded program so that it
+loads back unchanged.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Union
 
 from .core import (
     CAtom,
@@ -23,10 +29,10 @@ from .core import (
     FALSE_CATOM,
     Program,
     Rule,
-    complement,
     head_atom_name,
     is_reserved,
     iter_subsets,
+    literal_catom,
 )
 from .errors import ParseError, check_guard
 
@@ -35,19 +41,7 @@ _RELOPS = {">=": operator.ge, "<=": operator.le, "=": operator.eq,
 
 
 # ---------------------------------------------------------------------------
-# syntax nodes
-
-
-@dataclass(frozen=True)
-class CAtomSyntax:
-    """A literal ``[domain : set, ...]`` expression."""
-
-    domain: tuple[str, ...]
-    sets: tuple[tuple[str, ...], ...]
-
-    def to_catom(self) -> CAtom:
-        return CAtom(frozenset(self.domain),
-                     frozenset(frozenset(s) for s in self.sets))
+# sugar
 
 
 @dataclass(frozen=True)
@@ -80,98 +74,6 @@ class AggregateConstraint:
     entries: tuple[tuple[str, int], ...]
     relation: str
     bound: int
-
-
-@dataclass(frozen=True)
-class BotSyntax:
-    pass
-
-
-BOT_SYNTAX = BotSyntax()
-
-ElementSyntax = Union[str, CAtomSyntax, WeightConstraint, AggregateConstraint, BotSyntax]
-
-
-@dataclass(frozen=True)
-class BodyLiteralSyntax:
-    negated: bool
-    item: ElementSyntax
-
-
-@dataclass(frozen=True)
-class RuleStatement:
-    head: tuple[ElementSyntax, ...]
-    body: tuple[BodyLiteralSyntax, ...]
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class AtomsDirective:
-    atoms: tuple[str, ...]
-    line: int
-    column: int
-
-
-Statement = Union[RuleStatement, AtomsDirective]
-
-
-@dataclass(frozen=True)
-class SourceProgram:
-    """Parsed statements; still carries sugar and source positions."""
-
-    statements: tuple[Statement, ...]
-
-    def to_program(self) -> Program:
-        """Desugar into a core program (negated constraints are kept)."""
-        rules = []
-        declared: set[str] = set()
-        for statement in self.statements:
-            if isinstance(statement, AtomsDirective):
-                declared.update(statement.atoms)
-                continue
-            head = tuple(_lower_head_element(e) for e in statement.head)
-            body = tuple(_lower_body_literal(lit) for lit in statement.body)
-            rules.append(Rule(head, body))
-        return Program(tuple(rules), frozenset(declared))
-
-    def text(self) -> str:
-        return "\n".join(format_statement(s) for s in self.statements) + "\n"
-
-
-def _lower_element(item: ElementSyntax) -> HeadElement:
-    if isinstance(item, str):
-        return item
-    if isinstance(item, BotSyntax):
-        return FALSE_CATOM
-    if isinstance(item, CAtomSyntax):
-        return item.to_catom()
-    if isinstance(item, WeightConstraint):
-        return desugar_weight(item)
-    return desugar_aggregate(item)
-
-
-def _lower_head_element(item: ElementSyntax) -> HeadElement:
-    lowered = _lower_element(item)
-    if isinstance(lowered, CAtom):
-        # Elementary constraints in heads are spelled as their atom.
-        name = head_atom_name(lowered)
-        if name is not None:
-            return name
-    return lowered
-
-
-def _lower_body_literal(lit: BodyLiteralSyntax) -> Literal:
-    lowered = _lower_element(lit.item)
-    if isinstance(lowered, str):
-        return Literal.atom(lowered) if not lit.negated else Literal.negated_atom(lowered)
-    if lit.negated:
-        return Literal.negated_constraint(lowered)
-    return Literal.constraint(lowered)
-
-
-# ---------------------------------------------------------------------------
-# desugaring
 
 
 def desugar_weight(constraint: WeightConstraint) -> CAtom:
@@ -210,7 +112,7 @@ def eliminate_negated_catoms(program: Program) -> Program:
     rules = []
     for rule in program.rules:
         body = tuple(
-            Literal.constraint(complement(lit.item))
+            Literal.constraint(literal_catom(lit))
             if lit.is_constraint and not lit.positive else lit
             for lit in rule.body)
         rules.append(Rule(rule.head, body))
@@ -309,62 +211,54 @@ class _Parser:
         token = self.peek()
         return token is not None and token.kind == kind
 
+    def separated(self, item, separator: str = ",") -> list:
+        """One ``item()`` or more, separated by ``separator`` tokens."""
+        items = [item()]
+        while self.at(separator):
+            self.next()
+            items.append(item())
+        return items
+
     # grammar ---------------------------------------------------------------
 
-    def program(self) -> SourceProgram:
-        statements = []
+    def program(self) -> Program:
+        rules = []
+        declared: set[str] = set()
         while self.peek() is not None:
-            statements.append(self.statement())
-        return SourceProgram(tuple(statements))
-
-    def statement(self) -> Statement:
-        token = self.peek()
-        if token.kind == "#atoms":
-            self.next()
-            atoms = [self.atom_name()]
-            while self.at(","):
+            if self.at("#atoms"):
                 self.next()
-                atoms.append(self.atom_name())
+                declared.update(self.separated(self.atom_name))
+            else:
+                rules.append(self.rule())
             self.expect(".")
-            return AtomsDirective(tuple(atoms), token.line, token.column)
-        statement = self.rule(token)
-        self.expect(".")
-        return statement
+        return Program(tuple(rules), frozenset(declared))
 
-    def rule(self, first: Token) -> RuleStatement:
-        head = [self.head_element()]
-        while self.at("|"):
-            self.next()
-            head.append(self.head_element())
-        body: list[BodyLiteralSyntax] = []
+    def rule(self) -> Rule:
+        head = self.separated(self.head_element, "|")
+        body: list[Literal] = []
         if self.at(":-"):
             self.next()
-            body.append(self.body_literal())
-            while self.at(","):
-                self.next()
-                body.append(self.body_literal())
-        return RuleStatement(tuple(head), tuple(body), first.line, first.column)
+            body = self.separated(self.body_literal)
+        return Rule(tuple(head), tuple(body))
 
-    def head_element(self) -> ElementSyntax:
-        if self.at("bot"):
-            self.next()
-            return BOT_SYNTAX
-        return self.constraint_or_atom()
+    def head_element(self) -> HeadElement:
+        # Elementary constraints in heads are spelled as their atom.
+        element = self.element()
+        return head_atom_name(element) or element
 
-    def body_literal(self) -> BodyLiteralSyntax:
-        negated = False
-        if self.at("not"):
+    def body_literal(self) -> Literal:
+        negated = self.at("not")
+        if negated:
             self.next()
-            negated = True
-        if self.at("bot"):
-            self.next()
-            return BodyLiteralSyntax(negated, BOT_SYNTAX)
-        return BodyLiteralSyntax(negated, self.constraint_or_atom())
+        return Literal(not negated, self.element())
 
-    def constraint_or_atom(self) -> ElementSyntax:
+    def element(self) -> HeadElement:
         token = self.peek()
         if token is None:
             raise ParseError("unexpected end of input", 1, 1)
+        if token.kind == "bot":
+            self.next()
+            return FALSE_CATOM
         if token.kind == "atom":
             return self.atom_name()
         if token.kind == "[":
@@ -383,57 +277,37 @@ class _Parser:
                              token.line, token.column)
         return token.value
 
-    def catom(self) -> CAtomSyntax:
+    def catom(self) -> CAtom:
         opening = self.expect("[")
-        domain: list[str] = []
-        if self.at("atom"):
-            domain.append(self.atom_name())
-            while self.at(","):
-                self.next()
-                domain.append(self.atom_name())
+        domain = frozenset(self.separated(self.atom_name) if self.at("atom") else ())
         self.expect(":")
-        sets = [self.atom_set(domain, opening)]
-        while self.at(","):
-            self.next()
-            sets.append(self.atom_set(domain, opening))
+        sets = (self.separated(lambda: self.atom_set(domain, opening))
+                if self.at("{") else ())
         self.expect("]")
-        return CAtomSyntax(tuple(domain), tuple(sets))
+        return CAtom(domain, frozenset(sets))
 
-    def atom_set(self, domain: list[str], opening: Token) -> tuple[str, ...]:
+    def atom_set(self, domain: frozenset[str], opening: Token) -> frozenset[str]:
         self.expect("{")
-        atoms: list[str] = []
-        if self.at("atom"):
-            atoms.append(self.atom_name())
-            while self.at(","):
-                self.next()
-                atoms.append(self.atom_name())
+        atoms = self.separated(self.atom_name) if self.at("atom") else []
         self.expect("}")
         for atom in atoms:
             if atom not in domain:
                 raise ParseError(f"set atom {atom!r} is outside the constraint domain",
                                  opening.line, opening.column)
-        return tuple(atoms)
+        return frozenset(atoms)
 
-    def weight(self) -> WeightConstraint:
-        lower = None
-        if self.at("int"):
-            lower = int(self.next().value)
+    def weight(self) -> CAtom:
+        lower = int(self.next().value) if self.at("int") else None
         self.expect("{")
-        entries = [self.weight_entry()]
-        while self.at(","):
-            self.next()
-            entries.append(self.weight_entry())
+        entries = self.separated(self.weight_entry)
         self.expect("}")
-        upper = None
-        if self.at("int"):
-            upper = int(self.next().value)
-        return WeightConstraint(tuple(entries), lower, upper)
+        upper = int(self.next().value) if self.at("int") else None
+        return desugar_weight(WeightConstraint(tuple(entries), lower, upper))
 
     def weight_entry(self) -> WeightEntry:
-        negated = False
-        if self.at("not"):
+        negated = self.at("not")
+        if negated:
             self.next()
-            negated = True
         atom = self.atom_name()
         weight = 1
         if self.at("="):
@@ -441,30 +315,30 @@ class _Parser:
             weight = int(self.expect("int").value)
         return WeightEntry(atom, weight, negated)
 
-    def aggregate(self) -> AggregateConstraint:
+    def aggregate(self) -> CAtom:
         kind = self.next().kind.lstrip("#")
         self.expect("{")
-        entries = [self.aggregate_entry()]
-        while self.at(","):
-            self.next()
-            entries.append(self.aggregate_entry())
+        entries = self.separated(self.aggregate_entry)
         self.expect("}")
         token = self.next()
         if token.kind not in _RELOPS:
             raise ParseError(f"expected a comparison, found {token.value!r}",
                              token.line, token.column)
         bound = int(self.expect("int").value)
-        return AggregateConstraint(kind, tuple(entries), token.kind, bound)
+        return desugar_aggregate(
+            AggregateConstraint(kind, tuple(entries), token.kind, bound))
 
     def aggregate_entry(self) -> tuple[str, int]:
         atom = self.atom_name()
         self.expect("=")
-        value = int(self.expect("int").value)
-        return (atom, value)
+        return (atom, int(self.expect("int").value))
 
 
-def parse(text: str) -> SourceProgram:
-    """Parse program text; raises :class:`ParseError` with line and column."""
+def parse(text: str) -> Program:
+    """Parse and desugar program text, keeping negated c-atoms.
+
+    Raises :class:`ParseError` with line and column.
+    """
     return _Parser(_tokenize(text)).program()
 
 
@@ -475,12 +349,7 @@ def parse_constraint(text: str) -> CAtom:
     if parser.peek() is not None:
         token = parser.peek()
         raise ParseError(f"trailing input {token.value!r}", token.line, token.column)
-    lowered = _lower_element(literal.item)
-    if isinstance(lowered, str):
-        lowered = CAtom.elementary(lowered)
-    if literal.negated:
-        lowered = complement(lowered)
-    return lowered
+    return literal_catom(literal)
 
 
 def parse_interpretation(text: str) -> frozenset[str]:
@@ -494,7 +363,7 @@ def parse_interpretation(text: str) -> frozenset[str]:
 
 def load_program(text: str) -> Program:
     """Parse, desugar, and clear negated constraints: the standard pipeline."""
-    return eliminate_negated_catoms(parse(text).to_program())
+    return eliminate_negated_catoms(parse(text))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +371,8 @@ def load_program(text: str) -> Program:
 
 
 def format_catom(catom: CAtom) -> str:
-    if catom.is_unsatisfiable:
+    """``bot`` for ``FALSE_CATOM``; otherwise ``[domain : sets]``, sets may be none."""
+    if catom == FALSE_CATOM:
         return "bot"
     domain = ",".join(sorted(catom.domain))
     sets = ", ".join(
@@ -534,48 +404,3 @@ def format_program(program: Program) -> str:
         lines.append("#atoms %s." % ", ".join(sorted(program.declared_atoms)))
     lines.extend(format_rule(r) for r in program.rules)
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _format_weight_entry(entry: WeightEntry) -> str:
-    text = f"not {entry.atom}" if entry.negated else entry.atom
-    if entry.weight != 1:
-        text += f"={entry.weight}"
-    return text
-
-
-def format_element_syntax(item: ElementSyntax) -> str:
-    if isinstance(item, str):
-        return item
-    if isinstance(item, BotSyntax):
-        return "bot"
-    if isinstance(item, CAtomSyntax):
-        domain = ",".join(sorted(item.domain))
-        sets = ", ".join(
-            "{%s}" % ",".join(s)
-            for s in sorted((tuple(sorted(s)) for s in item.sets),
-                            key=lambda t: (len(t), t)))
-        return f"[{domain} : {sets}]"
-    if isinstance(item, WeightConstraint):
-        entries = ", ".join(
-            _format_weight_entry(e)
-            for e in sorted(item.entries, key=lambda e: (e.negated, e.atom)))
-        text = "{%s}" % entries
-        if item.lower is not None:
-            text = f"{item.lower} {text}"
-        if item.upper is not None:
-            text = f"{text} {item.upper}"
-        return text
-    entries = ", ".join(f"{a}={v}" for a, v in sorted(item.entries))
-    return f"#{item.kind}{{{entries}}} {item.relation} {item.bound}"
-
-
-def format_statement(statement: Statement) -> str:
-    if isinstance(statement, AtomsDirective):
-        return "#atoms %s." % ", ".join(sorted(statement.atoms))
-    head = " | ".join(format_element_syntax(e) for e in statement.head)
-    if statement.body:
-        body = ", ".join(
-            ("not " if lit.negated else "") + format_element_syntax(lit.item)
-            for lit in statement.body)
-        return f"{head} :- {body}."
-    return f"{head}."

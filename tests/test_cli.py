@@ -1,10 +1,16 @@
+import ast
+import contextlib
+import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import catlp
 from catlp import cli
@@ -58,6 +64,13 @@ class TestSolve:
         assert cli.run(["solve", str(wide)]) == 2
         assert capsys.readouterr().err == (
             "refused: stable_language guard: 21 exceeds the limit of 20\n")
+
+    def test_weight_guard_exit_code(self, tmp_path, capsys):
+        wide = tmp_path / "weight.lp"
+        wide.write_text("y :- 1 {%s}." % ", ".join(f"x{i}" for i in range(17)))
+        assert cli.run(["solve", str(wide)]) == 2
+        assert capsys.readouterr().err == (
+            "refused: weight_entries guard: 17 exceeds the limit of 16\n")
 
     def test_missing_file(self, capsys):
         assert cli.run(["solve", "/nonexistent/path.lp"]) == 1
@@ -208,3 +221,48 @@ class TestPoolGuard:
         assert cli.run(["check", self._pairs(tmp_path, 23), "-I", candidate]) == 2
         assert capsys.readouterr().err == (
             "refused: minimal_models guard: 23 exceeds the limit of 22\n")
+
+
+#: Well-formed statements over atoms a, b, c, x.
+STATEMENTS = (
+    "a :- not b.", "b :- not a.", "1 {a, not b, c} 2.", "c :- #sum{a=1, b=-1} >= 0.",
+    "c :- [a,b : ].", "[a : {a}] | b.", "bot :- a, b.", "x :- not [a,b : {}, {b}].",
+    "#atoms x.", "a | [b,c : {b}, {c}] :- #count{a=1, c=1} < 2.",
+)
+
+#: Single tokens, stray characters and statements.
+SOUP = (
+    "a", "b", "c", "not", "bot", ":-", ",", ".", "|", "{", "}", "[", "]", ":",
+    "=", "1", "2", "-1", "#sum", "#count", "#atoms", "#min", ">=", "<", "%",
+    "\n", "$", "__theta_a") + STATEMENTS
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from(STATEMENTS), max_size=4),
+       st.lists(st.sampled_from(SOUP), max_size=12),
+       st.frozensets(st.sampled_from("abcx")))
+def test_malformed_input_never_raises(statements, soup, interpretation):
+    """Statements then token soup: exit codes 0, 1 or 2, never an exception."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "soup.lp")
+        Path(path).write_text(" ".join(statements + soup), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.run(["solve", path]) in (0, 1, 2)
+            checked = cli.run(["check", path, "-I", ",".join(sorted(interpretation))])
+            assert checked in (0, 1, 2)
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_traced_functions_exist():
+    """``perfbench/run.py --trace 1`` rebinds each name in ``tracer.LAYERS``."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "LAYERS" for target in node.targets))
+    for module, function in layers:
+        target = getattr(importlib.import_module(f"catlp.{module}"), function, None)
+        assert callable(target), f"catlp.{module}.{function} is gone"

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from catlp.core import CAtom, FALSE_CATOM, Literal, satisfies_catom
+from catlp.core import (
+    CAtom, FALSE_CATOM, Literal, Program, Rule, head_atom_name, satisfies_catom)
 from catlp.errors import GuardError, ParseError
 from catlp.golden import (
     BOT_CONSTRAINT,
@@ -29,6 +31,8 @@ from catlp.parser import (
     parse_constraint,
     parse_interpretation,
 )
+
+import generators
 
 GOLDEN_TEXTS = (
     SUM_LOOP, DISJUNCTIVE_FACT, SHIFT_GROUPING, SUM_COUNT_DISJUNCTION,
@@ -75,6 +79,11 @@ class TestGrammar:
     def test_empty_domain_catom(self):
         program = load_program("x :- [ : {}].")
         assert program.rules[0].body[0].item == CAtom((), [()])
+
+    def test_catom_without_sets(self):
+        program = load_program("x :- [a,b : ].")
+        assert program.rules[0].body[0].item == CAtom("ab", [])
+        assert load_program("x :- [ : ].").rules[0].body[0].item == FALSE_CATOM
 
 
 class TestParseErrors:
@@ -201,7 +210,7 @@ class TestNegatedConstraints:
         catom = CAtom("ab", [{"a"}, {"a", "b"}])
         once = parse_constraint("not [a,b : {a}, {a,b}]")
         twice = eliminate_negated_catoms(
-            parse("x :- not [a,b : {}, {b}].").to_program())
+            parse("x :- not [a,b : {}, {b}]."))
         assert once == CAtom("ab", [set(), {"b"}])
         assert twice.rules[0].body[0].item == catom
 
@@ -212,16 +221,40 @@ class TestNegatedConstraints:
 
 class TestRoundTrip:
     @pytest.mark.parametrize("text", GOLDEN_TEXTS)
-    def test_source_round_trip(self, text):
-        once = parse(text)
-        canonical = once.text()
-        assert parse(canonical).text() == canonical
-        assert parse(canonical).to_program() == once.to_program()
-
-    @pytest.mark.parametrize("text", GOLDEN_TEXTS)
     def test_core_print_round_trip(self, text):
         program = load_program(text)
         assert load_program(format_program(program)) == program
+
+    def test_unsatisfiable_catom_keeps_its_domain(self):
+        program = load_program("x :- 1 {a,b} 0.")
+        assert format_program(program) == "x :- [a,b : ].\n"
+        reloaded = load_program(format_program(program))
+        assert reloaded == program
+        assert reloaded.language == frozenset("abx")
+
+
+GENERATED_FAMILIES = (
+    generators.random_positive_basic_program,
+    generators.random_basic_program,
+    generators.random_ordinary_program,
+    generators.random_normal_constraint_program,
+    generators.random_disjunctive_constraint_program,
+)
+
+
+def _as_loaded(program: Program) -> Program:
+    """``program`` after the two rewrites loading performs."""
+    flattened = Program(
+        tuple(Rule(tuple(head_atom_name(e) or e for e in rule.head), rule.body)
+              for rule in program.rules),
+        program.declared_atoms)
+    return eliminate_negated_catoms(flattened)
+
+
+@given(st.sampled_from(GENERATED_FAMILIES), st.integers(0, 2**32 - 1))
+def test_generated_programs_print_and_reload_exactly(family, seed):
+    program = family(random.Random(seed))
+    assert load_program(format_program(program)) == _as_loaded(program)
 
 
 class TestInterpretationArgument:
