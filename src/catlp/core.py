@@ -162,10 +162,17 @@ class Program:
         """All atoms occurring in the rules, constraint domains included."""
         found: set[str] = set()
         for rule in self.rules:
-            for element in rule.head:
-                found.update((element,) if isinstance(element, str) else element.domain)
+            for item in rule.head:
+                if isinstance(item, str):
+                    found.add(item)
+                else:
+                    found.update(item.domain)
             for lit in rule.body:
-                found.update((lit.item,) if lit.is_atom else lit.item.domain)
+                item = lit.item
+                if isinstance(item, str):
+                    found.add(item)
+                else:
+                    found.update(item.domain)
         return frozenset(found)
 
     @cached_property
@@ -181,6 +188,93 @@ class Program:
             found.update((e, None) for e in rule.head if isinstance(e, CAtom))
             found.update((lit.item, None) for lit in rule.body if lit.is_constraint)
         return tuple(found)
+
+    @cached_property
+    def compiled(self) -> CompiledProgram:
+        """The program as bit masks over its sorted vocabulary, built once."""
+        return CompiledProgram(self)
+
+
+class CompiledCAtom:
+    """A c-atom over a program's vocabulary bits.
+
+    ``index`` is its position in ``Program.catoms``.  The solution masks
+    are built on first use: a caller that tests a single interpretation
+    does better with ``catom.solutions`` itself.
+    """
+
+    def __init__(self, catom: CAtom, index: int, bit: dict[str, int]):
+        self.catom = catom
+        self.index = index
+        self.domain = sum(map(bit.__getitem__, catom.domain))
+        self._bit = bit
+
+    @cached_property
+    def solutions(self) -> frozenset[int]:
+        bit = self._bit.__getitem__
+        return frozenset(sum(map(bit, s)) for s in self.catom.solutions)
+
+
+class CompiledProgram:
+    """A program as bit masks: atom ``atoms[i]`` is bit ``1 << i``.
+
+    Each rule becomes a tuple ``(head, pos, neg, heads, body, negated)``:
+    the masks of its head atoms, positive body atoms and negated body atoms,
+    then its head c-atoms, positive body c-atoms and negated body c-atoms
+    in literal order.  ``catoms`` lists the c-atoms as ``Program.catoms``
+    does; ``head_catoms``, ``body_catoms`` and ``negated_catoms`` list the
+    distinct ones in each role, in the same order.
+    """
+
+    def __init__(self, program: Program):
+        self.atoms = tuple(sorted(program.language))
+        bit = self.bit = {a: 1 << i for i, a in enumerate(self.atoms)}
+        found: dict[CAtom, CompiledCAtom] = {}
+        in_head: dict[CompiledCAtom, None] = {}
+        in_body: dict[CompiledCAtom, None] = {}
+        negated_in_body: dict[CompiledCAtom, None] = {}
+
+        def compiled(catom: CAtom, role: dict[CompiledCAtom, None]) -> CompiledCAtom:
+            c = found.get(catom)
+            if c is None:
+                c = found[catom] = CompiledCAtom(catom, len(found), bit)
+            role[c] = None
+            return c
+
+        rules = []
+        for rule in program.rules:
+            head = pos = neg = 0
+            heads = body = negated = ()
+            for element in rule.head:
+                if isinstance(element, str):
+                    head |= bit[element]
+                else:
+                    heads += (compiled(element, in_head),)
+            for lit in rule.body:
+                item = lit.item
+                if isinstance(item, str):
+                    if lit.positive:
+                        pos |= bit[item]
+                    else:
+                        neg |= bit[item]
+                elif lit.positive:
+                    body += (compiled(item, in_body),)
+                else:
+                    negated += (compiled(item, negated_in_body),)
+            rules.append((head, pos, neg, heads, body, negated))
+        self.rules = tuple(rules)
+        self.catoms = tuple(found.values())
+        self.head_catoms = tuple(in_head)
+        self.body_catoms = tuple(in_body)
+        self.negated_catoms = tuple(negated_in_body)
+
+    def mask(self, atoms: Iterable[str]) -> int:
+        """The bits of ``atoms``; ``KeyError`` for an atom outside the vocabulary."""
+        return sum(map(self.bit.__getitem__, atoms))
+
+    def atoms_of(self, mask: int) -> tuple[str, ...]:
+        """The atoms of ``mask`` in sorted order, so ``set_key`` of their set."""
+        return tuple(a for i, a in enumerate(self.atoms) if mask >> i & 1)
 
 
 def satisfies_catom(interpretation: Iterable[str], catom: CAtom) -> bool:
@@ -224,11 +318,35 @@ def candidate_models(program: Program) -> Iterator[frozenset[str]]:
     """Every subset of the vocabulary that is a model, in ``iter_subsets`` order.
 
     The vocabulary size is checked against the ``stable_language`` guard
-    when this is called, before any subset is enumerated.
+    when this is called, before any subset is enumerated.  Subsets are tested
+    as bit masks on ``Program.compiled``; ``is_model`` is the same test on
+    frozensets.
     """
-    vocabulary = program.language
-    check_guard("stable_language", len(vocabulary))
-    return (c for c in iter_subsets(vocabulary) if is_model(c, program))
+    check_guard("stable_language", len(program.language))
+    return _mask_models(program.compiled)
+
+
+def _mask_models(compiled: CompiledProgram) -> Iterator[frozenset[str]]:
+    def tests(catoms):
+        return tuple((c.domain, c.solutions) for c in catoms)
+
+    rules = [(pos, neg, head, tests(body), tests(negated), tests(heads))
+             for head, pos, neg, heads, body, negated in compiled.rules]
+    atoms, bits = compiled.atoms, [1 << i for i in range(len(compiled.atoms))]
+    for size in range(len(atoms) + 1):
+        for combo in combinations(range(len(atoms)), size):
+            m = sum(map(bits.__getitem__, combo))
+            for pos, neg, head, body, negated, heads in rules:
+                if m & pos != pos or m & neg or m & head:
+                    continue
+                if body and any(m & d not in s for d, s in body):
+                    continue
+                if negated and any(m & d in s for d, s in negated):
+                    continue
+                if not (heads and any(m & d in s for d, s in heads)):
+                    break  # the body holds and the head does not
+            else:
+                yield frozenset(map(atoms.__getitem__, combo))
 
 
 def is_minimal_model(interpretation: Iterable[str], program: Program) -> bool:

@@ -195,10 +195,14 @@ class _Parser:
     def next(self) -> Token:
         token = self.peek()
         if token is None:
-            last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.column)
+            raise self.end_of_input()
         self.pos += 1
         return token
+
+    def end_of_input(self) -> ParseError:
+        """The error for running out of tokens, placed at the last token."""
+        last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
+        return ParseError("unexpected end of input", last.line, last.column)
 
     def expect(self, kind: str) -> Token:
         token = self.next()
@@ -255,7 +259,7 @@ class _Parser:
     def element(self) -> HeadElement:
         token = self.peek()
         if token is None:
-            raise ParseError("unexpected end of input", 1, 1)
+            raise self.end_of_input()
         if token.kind == "bot":
             self.next()
             return FALSE_CATOM

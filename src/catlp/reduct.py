@@ -9,23 +9,28 @@ each head constraint becomes ``__bot`` when falsified, otherwise a
 positive program whose minimal models decide stability: the candidate is
 stable when stripping the introduced atoms from some minimal model gives the
 candidate back.
+
+The steps run on the bit masks of ``Program.compiled``.  A normal result is
+decided there by its least fixpoint; a disjunctive one is rendered with
+names by ``gl_reduct`` and searched for a minimal witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .abstraction import abstract_of, satisfiable_sets
 from .core import (
     CAtom,
+    CompiledCAtom,
+    CompiledProgram,
     Literal,
     Program,
     Rule,
     candidate_models,
-    satisfies_catom,
     set_key,
 )
 from .errors import InvariantError, NameCollisionError, ProgramClassError, check_guard
@@ -119,22 +124,192 @@ def claim_name(owners: dict[str, CAtom], name: str, catom: CAtom) -> None:
             f"{{{', '.join(sorted(owners[name].domain))}}} both map to {name}")
 
 
+#: ``_reducer`` keeps the reduct masks of at most this many programs (least
+#: recently used first out); ``stable_models`` works on one at a time.
+REDUCER_CACHE_SIZE = 8
+
+
+class _Reduction:
+    """The reduct of a program for one candidate, on masks."""
+
+    __slots__ = ("kept", "rules", "covers", "betas", "disjunctive")
+
+    def __init__(self, kept, rules, covers, betas, disjunctive):
+        self.kept: list[int] = kept  # indices of the kept rules
+        self.rules: list[tuple[int, int]] = rules  # (head bits, body bits) per kept rule
+        self.covers: dict[CompiledCAtom, list[int]] = covers  # bases per body c-atom met
+        self.betas: dict[CompiledCAtom, int] = betas  # true part per satisfied head c-atom
+        self.disjunctive: bool = disjunctive  # a kept rule keeps two head elements
+
+
+class _Reducer:
+    """A program ready for reducts on bit masks.
+
+    The vocabulary bits are those of ``Program.compiled``; the bits above
+    them stand for introduced atoms: bit n is ``__bot``, and the c-atom of
+    index i has its ``__theta_`` atom at bit n + 1 + 2i and its ``__beta_``
+    atom at bit n + 2 + 2i.  Every c-atom has bits of its own, so deciding
+    stability needs no names; ``names`` mints them for rendering.
+    """
+
+    def __init__(self, compiled: CompiledProgram):
+        if compiled.negated_catoms:
+            raise ProgramClassError(_NEGATED_CATOM)
+        n = len(compiled.atoms)
+        self.compiled = compiled
+        self.bot = 1 << n
+        self.visible = (1 << n + 1) - 1  # the vocabulary and ``__bot``
+        self.theta = [1 << n + 1 + 2 * c.index for c in compiled.catoms]
+        self.beta = [1 << n + 2 + 2 * c.index for c in compiled.catoms]
+        self._queried: set[CompiledCAtom] = set()
+        self._members: dict[CompiledCAtom, list[tuple[int, int]]] = {}
+
+    @cached_property
+    def names(self) -> tuple[dict[CompiledCAtom, str], dict[CompiledCAtom, str]]:
+        """The ``__theta_`` name of each body c-atom and the ``__beta_`` name
+        of each head c-atom, checked for clashes once per program."""
+        compiled = self.compiled
+        thetas = {c: theta_atom(c.catom) for c in compiled.body_catoms}
+        betas = {c: beta_atom(c.catom) for c in compiled.head_catoms}
+        owners: dict[str, CAtom] = {}
+        for role in (thetas, betas):
+            for c, name in role.items():
+                claim_name(owners, name, c.catom)
+        return thetas, betas
+
+    def covers(self, catom: CompiledCAtom, m: int) -> list[int]:
+        """Bases of the abstract-form members of ``catom`` that cover ``m``.
+
+        The list is empty exactly when ``m`` falsifies ``catom``.  The first
+        query for a c-atom is answered on sets, by its solutions and
+        ``satisfiable_sets``; later ones scan its (base, top) masks.  So a
+        single check converts no member, and a candidate loop converts each
+        one once.
+        """
+        restricted = m & catom.domain
+        members = self._members.get(catom)
+        if members is None:
+            if catom not in self._queried:
+                self._queried.add(catom)
+                compiled = self.compiled
+                atoms = frozenset(compiled.atoms_of(restricted))
+                if atoms not in catom.catom.solutions:
+                    return []
+                return [compiled.mask(base)
+                        for base in satisfiable_sets(abstract_of(catom.catom), atoms)]
+            bit = self.compiled.bit.__getitem__
+            members = []
+            for member in abstract_of(catom.catom).lattices:
+                base = sum(map(bit, member.base))
+                members.append((base, base | sum(map(bit, member.free))))
+            self._members[catom] = members  # only once complete: readers may share it
+        return [base for base, top in members
+                if restricted & base == base and restricted | top == top]
+
+    def reduce(self, m: int) -> _Reduction:
+        """The four transformation steps for the candidate ``m``.
+
+        A rule is kept when ``m`` has none of its negated atoms and satisfies
+        each body c-atom, that is, some abstract-form member covers ``m``.
+        Its body becomes the positive atoms plus the ``__theta_`` bits; its
+        head becomes the head atoms plus the ``__beta_`` bits of the
+        satisfied head c-atoms, or ``__bot`` when that leaves nothing.
+        """
+        kept: list[int] = []
+        rules: list[tuple[int, int]] = []
+        covers: dict[CompiledCAtom, list[int]] = {}
+        betas: dict[CompiledCAtom, int] = {}
+        disjunctive = False
+        theta, beta = self.theta, self.beta
+        for index, (head, pos, neg, head_catoms, body_catoms, _) in enumerate(
+                self.compiled.rules):
+            if m & neg:
+                continue
+            body = pos
+            for c in body_catoms:
+                bases = covers.get(c)
+                if bases is None:
+                    bases = covers[c] = self.covers(c, m)
+                if not bases:
+                    break
+                body |= theta[c.index]
+            else:
+                for c in head_catoms:
+                    true = m & c.domain
+                    if true in c.solutions:
+                        head |= beta[c.index]
+                        betas[c] = true
+                if head & head - 1:
+                    disjunctive = True
+                kept.append(index)
+                rules.append((head or self.bot, body))
+        return _Reduction(kept, rules, covers, betas, disjunctive)
+
+
+@lru_cache(maxsize=REDUCER_CACHE_SIZE)
+def _reducer(compiled: CompiledProgram) -> _Reducer:
+    return _Reducer(compiled)
+
+
+def _least_fixpoint(rules: list[tuple[int, int]]) -> int:
+    """Least model of definite rules ``(head bits, body bits)``.
+
+    A rule with several head bits stands for one rule per head bit.
+    """
+    derived = 0
+    while True:
+        waiting = []
+        for head, body in rules:
+            if body & derived == body:
+                derived |= head
+            else:
+                waiting.append((head, body))
+        if len(waiting) == len(rules):
+            return derived
+        rules = waiting
+
+
+def _is_least_model(reducer: _Reducer, reduction: _Reduction, m: int) -> bool:
+    """Is ``m`` the least model of a normal reduct, introduced atoms stripped?
+
+    The ``__theta_`` rules come from the covering bases, and each satisfied
+    head c-atom adds ``a :- __beta_`` for its true atoms and ``__beta_ :-``
+    its true part.  Its ``__bot :- a, __beta_`` rules, one per false atom a,
+    are left out: they fire only once an atom outside ``m`` is derived, and
+    then the least model differs from ``m`` already.
+    """
+    rules = reduction.rules.copy()
+    for c, bases in reduction.covers.items():
+        theta = reducer.theta[c.index]
+        rules += [(theta, base) for base in bases]
+    for c, true in reduction.betas.items():
+        beta = reducer.beta[c.index]
+        rules += ((true, beta), (beta, true))
+    return _least_fixpoint(rules) & reducer.visible == m
+
+
 def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
     """Apply the four transformation steps for the given candidate.
 
-    Raises :class:`NameCollisionError` when two distinct c-atoms would share
-    an introduced name, and :class:`InvariantError` when the result breaks
-    ``reduct_size_bound``.
+    The steps run on masks (``_Reducer.reduce``); this renders the result
+    with the introduced atom names, rule by rule in source order.  Raises
+    :class:`NameCollisionError` when two distinct c-atoms of the program
+    would share an introduced name, and :class:`InvariantError` when the
+    result breaks ``reduct_size_bound``.
     """
-    candidate = frozenset(interpretation)
+    reducer = _reducer(program.compiled)
+    theta_names, beta_names = reducer.names
+    compiled = reducer.compiled
+    m = compiled.mask(a for a in frozenset(interpretation) if a in compiled.bit)
+    reduction = reducer.reduce(m)
+    atoms_of = compiled.atoms_of
     emitted: list[ReductRule] = []
-    theta_defs: dict[CAtom, list[ReductRule]] = {}
-    beta_defs: dict[CAtom, list[ReductRule]] = {}
-    owners: dict[str, CAtom] = {}  # introduced name -> its c-atom; keys form gamma
+    gamma: set[str] = set()
 
-    for rule in program.rules:
-        if _rule_dropped(rule, candidate):
-            continue
+    for index in reduction.kept:
+        rule = program.rules[index]
+        _, _, _, heads, bodies, _ = compiled.rules[index]
+        head_catoms, body_catoms = iter(heads), iter(bodies)
         blocks: list[list[ReductRule]] = []
         body: list[str] = []
         for lit in rule.body:
@@ -142,36 +317,33 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
                 if lit.positive:
                     body.append(lit.item)
                 # Satisfied negative literals simply vanish.
-            else:
-                catom = lit.item
-                name = theta_atom(catom)
-                body.append(name)
-                if catom not in theta_defs:
-                    claim_name(owners, name, catom)
-                    covers = sorted(
-                        satisfiable_sets(abstract_of(catom), candidate), key=set_key)
-                    theta_defs[catom] = [
-                        ReductRule((name,), set_key(w)) for w in covers]
-                    blocks.append(theta_defs[catom])
+                continue
+            c = next(body_catoms)
+            name = theta_names[c]
+            body.append(name)
+            if name not in gamma:
+                gamma.add(name)
+                bases = sorted({atoms_of(base) for base in reduction.covers[c]})
+                blocks.append([ReductRule((name,), base) for base in bases])
         head: list[str] = []
         for element in rule.head:
             if isinstance(element, str):
                 head.append(element)
                 continue
-            catom = element
-            if not satisfies_catom(candidate, catom):
+            c = next(head_catoms)
+            true = reduction.betas.get(c)
+            if true is None:
                 head.append(BOT)
                 continue
-            name = beta_atom(catom)
+            name = beta_names[c]
             head.append(name)
-            if catom not in beta_defs:
-                claim_name(owners, name, catom)
-                true_part = sorted(candidate & catom.domain)
-                false_part = sorted(catom.domain - candidate)
+            if name not in gamma:
+                gamma.add(name)
+                true_part = atoms_of(true)
                 defs = [ReductRule((atom,), (name,)) for atom in true_part]
-                defs += [ReductRule((BOT,), (atom, name)) for atom in false_part]
-                defs.append(ReductRule((name,), tuple(true_part)))
-                beta_defs[catom] = defs
+                defs += [ReductRule((BOT,), (atom, name))
+                         for atom in atoms_of(c.domain & ~m)]
+                defs.append(ReductRule((name,), true_part))
                 blocks.append(defs)
         if len(head) > 1:
             # The false atom cannot decide a disjunction; drop it unless alone.
@@ -180,7 +352,7 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
         for block in blocks:
             emitted.extend(block)
 
-    result = ReductProgram(tuple(emitted), frozenset(owners))
+    result = ReductProgram(tuple(emitted), frozenset(gamma))
     bound = reduct_size_bound(program)
     if len(result.rules) > bound:
         raise InvariantError(
@@ -188,29 +360,19 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
     return result
 
 
-def _rule_dropped(rule: Rule, candidate: frozenset[str]) -> bool:
-    for lit in rule.body:
-        if not lit.positive:
-            if lit.is_constraint:
-                raise ProgramClassError(_NEGATED_CATOM)
-            if lit.item in candidate:
-                return True
-        elif lit.is_constraint and not satisfies_catom(candidate, lit.item):
-            return True
-    return False
-
-
 def reduct_size_bound(program: Program) -> int:
     """Rule-count bound for any reduct of the program.
 
     One transformed rule per source rule, plus per distinct c-atom at most
     its sublattice count (body role) and domain size plus one (head role).
+    Only body c-atoms are given an abstract form.
     """
-    catoms = program.catoms
+    catoms = program.compiled.catoms
     if not catoms:
         return len(program.rules)
-    widest = max(len(abstract_of(c).lattices) for c in catoms)
-    largest = max(len(c.domain) for c in catoms)
+    body = program.compiled.body_catoms + program.compiled.negated_catoms
+    widest = max((len(abstract_of(c.catom).lattices) for c in body), default=0)
+    largest = max(len(c.catom.domain) for c in catoms)
     return len(program.rules) + len(catoms) * (widest + largest + 1)
 
 
@@ -315,20 +477,28 @@ def _has_minimal_witness(reduct: ReductProgram, candidate: frozenset[str]) -> bo
 def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     """Does the candidate reproduce itself through its reduct?
 
-    A normal reduct is decided by its least model.  For a disjunctive one
-    the candidate is stable when some minimal model N has N - gamma equal
-    to it, so only the sets ``candidate | G`` with G drawn from gamma are
-    tried.  A set containing an earlier model is skipped; each other model
-    is tested against all of its proper subsets, and the first minimal one
-    ends the search.  Worst case: at most ``3**|gamma| * 2**|candidate|``
-    model tests.  A ``GuardError`` is raised before any enumeration when
-    the pool ``|candidate| + |gamma|`` exceeds the ``minimal_models`` guard.
+    A candidate with an atom outside the vocabulary is not stable.  The
+    reduct is computed on masks, and a normal one is decided there by its
+    least model; no introduced names are minted for it.  A disjunctive one
+    is built by ``gl_reduct``, and the candidate is stable when some
+    minimal model N has N - gamma equal to it, so only the sets
+    ``candidate | G`` with G drawn from gamma are tried.  A set containing
+    an earlier model is skipped; each other model is tested against all of
+    its proper subsets, and the first minimal one ends the search.  Worst
+    case: at most ``3**|gamma| * 2**|candidate|`` model tests.  A
+    ``GuardError`` is raised before any enumeration when the pool
+    ``|candidate| + |gamma|`` exceeds the ``minimal_models`` guard.
     """
+    reducer = _reducer(program.compiled)
     candidate = frozenset(interpretation)
-    reduct = gl_reduct(program, candidate)
-    if reduct.is_normal:
-        return least_model(reduct) - reduct.gamma == candidate
-    return _has_minimal_witness(reduct, candidate)
+    try:
+        m = reducer.compiled.mask(candidate)
+    except KeyError:
+        return False  # no set of reduct atoms strips to the candidate
+    reduction = reducer.reduce(m)
+    if reduction.disjunctive:
+        return _has_minimal_witness(gl_reduct(program, candidate), candidate)
+    return _is_least_model(reducer, reduction, m)
 
 
 def stable_models(program: Program) -> tuple[frozenset[str], ...]:
@@ -336,12 +506,12 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
 
     Stable models are models, so only ``candidate_models`` are tried and no
     reduct is built for a non-model.  Vocabularies beyond the
-    ``stable_language`` guard raise ``GuardError`` before any enumeration.
+    ``stable_language`` guard raise ``GuardError`` before any enumeration;
+    negated c-atoms and introduced-name clashes raise before any candidate
+    is tried, models or not.
     """
     candidates = candidate_models(program)
-    if any(lit.is_constraint and not lit.positive
-           for rule in program.rules for lit in rule.body):
-        raise ProgramClassError(_NEGATED_CATOM)
+    _reducer(program.compiled).names  # mints every introduced name: a clash raises
     out = [candidate for candidate in candidates if is_stable(program, candidate)]
     return tuple(sorted(out, key=set_key))
 

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -266,3 +267,28 @@ def test_traced_functions_exist():
     for module, function in layers:
         target = getattr(importlib.import_module(f"catlp.{module}"), function, None)
         assert callable(target), f"catlp.{module}.{function} is gone"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("workload, smoke", [
+    ("solve", False), ("check", True), ("analyze", True)])
+def test_benchmark_traffic_is_answered_right(workload, smoke, tmp_path, monkeypatch):
+    """One pass of a ``perfbench`` workload through ``cli.run``, each answer
+    checked against the command's own reference, as the benchmark runs it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import build_pass
+
+    commands = build_pass(workload, random.Random(f"{workload}:5"), smoke=smoke)
+    assert commands
+    program = tmp_path / "program.lp"
+    for number, command in enumerate(commands):
+        prefix = f"k{number}_"
+        program.write_text(command.text.replace("@", prefix), encoding="utf-8")
+        argv = [command.verb, str(program), *(a.replace("@", prefix) for a in command.args)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(argv)
+        assert code == 0, command.name
+        assert command.check(out.getvalue().replace(prefix, "@")), command.name

@@ -136,6 +136,30 @@ class TestModelChecks:
         program = load_program("#atoms c.\na | b. c :- a.")
         assert list(candidate_models(program)) == [
             s for s in iter_subsets("abc") if is_model(s, program)]
+        # The mask enumeration against ``is_model`` on every generator family,
+        # negated c-atoms and declared atoms included.
+        rng = random.Random(37)
+        families = [
+            generators.random_positive_basic_program,
+            generators.random_basic_program,
+            lambda rng: generators.random_ordinary_program(
+                rng, disjunctive=rng.random() < 0.5),
+            generators.random_normal_constraint_program,
+            generators.random_disjunctive_constraint_program,
+        ]
+        negated = declared = 0
+        for make in families:
+            for _ in range(30):
+                program = make(rng)
+                if rng.random() < 0.3:
+                    extra = frozenset(rng.sample(("e", "f", "z"), rng.randint(1, 2)))
+                    program = Program(program.rules, extra)
+                    declared += bool(extra - program.atoms)
+                negated += any(not lit.positive and lit.is_constraint
+                               for rule in program.rules for lit in rule.body)
+                assert list(candidate_models(program)) == [
+                    s for s in iter_subsets(program.language) if is_model(s, program)]
+        assert negated and declared
 
     def test_candidate_models_guard_fires_before_enumeration(self):
         program = Program(tuple(Rule((f"x{i}",)) for i in range(21)))

@@ -113,6 +113,15 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("a $ b.")
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("a :-", 1, 3),
+        ("x.\ny :- not", 2, 6),
+    ])
+    def test_end_of_input_at_last_token(self, text, line, column):
+        with pytest.raises(ParseError, match="unexpected end of input") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
 
 class TestDesugarWeight:
     def test_cardinality_window(self):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from catlp import abstraction as abstraction_module
 from catlp import reduct as reduct_module
 from catlp.core import CAtom, Literal, Program, Rule, is_model, iter_subsets
 from catlp.errors import (
@@ -132,6 +133,29 @@ class TestGlReduct:
         with pytest.raises(NameCollisionError, match="__theta_0000000000"):
             gl_reduct(program, frozenset("ab"))
 
+    def test_name_collision_is_detected_by_stable_models(self, monkeypatch):
+        # Names are minted once per program, before any candidate is tried.
+        monkeypatch.setattr(CAtom, "digest", property(lambda self: "0" * 10))
+        program = Program((
+            Rule(("x",), (Literal.constraint(CAtom("ab", [{"a", "b"}])),)),
+            Rule(("y",), (Literal.constraint(CAtom("ab", [{"b"}, {"a", "b"}])),)),
+        ))
+        with pytest.raises(NameCollisionError, match="__theta_0000000000"):
+            stable_models(program)
+
+    def test_size_bound_of_a_head_only_program(self, monkeypatch):
+        # A head c-atom adds at most |domain| + 1 rules and no abstract form.
+        built = []
+        monkeypatch.setattr(abstraction_module, "build_abstract", built.append)
+        atoms = [f"head_only{i}" for i in range(6)]
+        program = load_program("{%s}." % ", ".join(atoms))
+        bound = reduct_size_bound(program)
+        assert bound == 1 + 1 * (0 + 6 + 1)
+        # The empty candidate meets it: the rule, ``__bot`` per false atom, beta.
+        assert max(len(gl_reduct(program, c).rules) for c in iter_subsets(atoms)) == bound
+        assert len(stable_models(program)) == 2 ** 6
+        assert built == []
+
     def test_shared_name_is_not_a_collision(self, monkeypatch):
         # One c-atom in a body and a head: a theta and a beta atom, no clash.
         monkeypatch.setattr(CAtom, "digest", property(lambda self: "0" * 10))
@@ -143,6 +167,13 @@ class TestGlReduct:
         ))
         reduct = gl_reduct(program, frozenset("axy"))
         assert reduct.gamma == {"__theta_0000000000", "__beta_0000000000"}
+
+    def test_reducer_cache_is_bounded(self):
+        for i in range(reduct_module.REDUCER_CACHE_SIZE + 3):
+            assert is_stable(load_program(f"cached{i}."), {f"cached{i}"})
+        info = reduct_module._reducer.cache_info()
+        assert info.maxsize == reduct_module.REDUCER_CACHE_SIZE
+        assert info.currsize <= info.maxsize
 
 
 class TestModelEnumeration:
@@ -337,6 +368,26 @@ class TestWitnessSearchDifferential:
             for candidate in iter_subsets(program.language):
                 assert is_stable(program, candidate) == oracles.brute_is_stable(
                     program, candidate), (program, candidate)
+
+    def test_verdicts_match_with_atoms_outside_the_vocabulary(self):
+        rng = random.Random(41)
+        for program in self._programs():
+            candidates = list(iter_subsets(program.language))
+            for candidate in rng.sample(candidates, min(4, len(candidates))):
+                outside = candidate | {"zz"}
+                assert not is_stable(program, outside)
+                assert not oracles.brute_is_stable(program, outside), (program, outside)
+
+    def test_normal_reducts_are_decided_by_their_least_model(self):
+        normal = 0
+        for program in self._programs():
+            for candidate in iter_subsets(program.language):
+                reduct = gl_reduct(program, candidate)
+                if reduct.is_normal:
+                    normal += 1
+                    expected = least_model(reduct) - reduct.gamma == candidate
+                    assert is_stable(program, candidate) == expected, (program, candidate)
+        assert normal
 
     def test_generator_mixes_atoms_constraints_and_negation(self):
         rng = random.Random(31)
