@@ -10,9 +10,10 @@ positive program whose minimal models decide stability: the candidate is
 stable when stripping the introduced atoms from some minimal model gives the
 candidate back.
 
-The steps run on the bit masks of ``Program.compiled``.  A normal result is
-decided there by its least fixpoint; a disjunctive one is rendered with
-names by ``gl_reduct`` and searched for a minimal witness.
+The steps run on the bit masks of ``Program.compiled``, and stability is
+decided there: a normal result by its least fixpoint, a disjunctive one by
+a search for a minimal witness.  Introduced atoms are bits, not names;
+only ``gl_reduct``, which renders a reduct, mints their names.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .abstraction import abstract_of, satisfiable_sets
 from .core import (
@@ -149,7 +150,7 @@ class _Reducer:
     them stand for introduced atoms: bit n is ``__bot``, and the c-atom of
     index i has its ``__theta_`` atom at bit n + 1 + 2i and its ``__beta_``
     atom at bit n + 2 + 2i.  Every c-atom has bits of its own, so deciding
-    stability needs no names; ``names`` mints them for rendering.
+    stability needs no names.
     """
 
     def __init__(self, compiled: CompiledProgram):
@@ -163,19 +164,6 @@ class _Reducer:
         self.beta = [1 << n + 2 + 2 * c.index for c in compiled.catoms]
         self._queried: set[CompiledCAtom] = set()
         self._members: dict[CompiledCAtom, list[tuple[int, int]]] = {}
-
-    @cached_property
-    def names(self) -> tuple[dict[CompiledCAtom, str], dict[CompiledCAtom, str]]:
-        """The ``__theta_`` name of each body c-atom and the ``__beta_`` name
-        of each head c-atom, checked for clashes once per program."""
-        compiled = self.compiled
-        thetas = {c: theta_atom(c.catom) for c in compiled.body_catoms}
-        betas = {c: beta_atom(c.catom) for c in compiled.head_catoms}
-        owners: dict[str, CAtom] = {}
-        for role in (thetas, betas):
-            for c, name in role.items():
-                claim_name(owners, name, c.catom)
-        return thetas, betas
 
     def covers(self, catom: CompiledCAtom, m: int) -> list[int]:
         """Bases of the abstract-form members of ``catom`` that cover ``m``.
@@ -252,10 +240,7 @@ def _reducer(compiled: CompiledProgram) -> _Reducer:
 
 
 def _least_fixpoint(rules: list[tuple[int, int]]) -> int:
-    """Least model of definite rules ``(head bits, body bits)``.
-
-    A rule with several head bits stands for one rule per head bit.
-    """
+    """Least model of definite rules ``(head bit, body bits)``."""
     derived = 0
     while True:
         waiting = []
@@ -269,23 +254,29 @@ def _least_fixpoint(rules: list[tuple[int, int]]) -> int:
         rules = waiting
 
 
-def _is_least_model(reducer: _Reducer, reduction: _Reduction, m: int) -> bool:
-    """Is ``m`` the least model of a normal reduct, introduced atoms stripped?
+def _definitions(reducer: _Reducer, reduction: _Reduction) -> list[tuple[int, int]]:
+    """The rules of a reduct as ``(head bits, body bits)``.
 
-    The ``__theta_`` rules come from the covering bases, and each satisfied
-    head c-atom adds ``a :- __beta_`` for its true atoms and ``__beta_ :-``
-    its true part.  Its ``__bot :- a, __beta_`` rules, one per false atom a,
-    are left out: they fire only once an atom outside ``m`` is derived, and
-    then the least model differs from ``m`` already.
+    First the kept rules; then ``__theta_ :- base`` for each covering base
+    of a ``__theta_`` bit that some kept body holds; then, per satisfied
+    head c-atom, ``a :- __beta_`` for each true atom a and ``__beta_ :-``
+    its true part.  Its ``__bot :- a, __beta_`` rules, one per false atom
+    a, are left out: they fire only once an atom outside the candidate is
+    derived, and no set stripping to the candidate holds one.
     """
     rules = reduction.rules.copy()
+    bodies = 0
+    for _, body in rules:
+        bodies |= body
     for c, bases in reduction.covers.items():
         theta = reducer.theta[c.index]
-        rules += [(theta, base) for base in bases]
+        if bodies & theta:
+            rules += [(theta, base) for base in bases]
     for c, true in reduction.betas.items():
         beta = reducer.beta[c.index]
-        rules += ((true, beta), (beta, true))
-    return _least_fixpoint(rules) & reducer.visible == m
+        rules += [(1 << i, beta) for i in range(true.bit_length()) if true >> i & 1]
+        rules.append((beta, true))
+    return rules
 
 
 def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
@@ -298,8 +289,13 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
     result breaks ``reduct_size_bound``.
     """
     reducer = _reducer(program.compiled)
-    theta_names, beta_names = reducer.names
     compiled = reducer.compiled
+    theta_names = {c: theta_atom(c.catom) for c in compiled.body_catoms}
+    beta_names = {c: beta_atom(c.catom) for c in compiled.head_catoms}
+    owners: dict[str, CAtom] = {}
+    for role in (theta_names, beta_names):
+        for c, name in role.items():
+            claim_name(owners, name, c.catom)
     m = compiled.mask(a for a in frozenset(interpretation) if a in compiled.bit)
     reduction = reducer.reduce(m)
     atoms_of = compiled.atoms_of
@@ -380,33 +376,24 @@ def least_model(reduct: ReductProgram) -> frozenset[str]:
     """The least model of a non-disjunctive positive program."""
     if not reduct.is_normal:
         raise ProgramClassError("the least model requires single-atom heads")
-    derived: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for rule in reduct.rules:
-            if rule.head[0] not in derived and all(b in derived for b in rule.body):
-                derived.add(rule.head[0])
-                changed = True
-    return frozenset(derived)
+    atoms = tuple(reduct.atoms)
+    derived = _least_fixpoint(_compile(reduct, atoms))
+    return frozenset(a for i, a in enumerate(atoms) if derived >> i & 1)
 
 
-def _compile(reduct: ReductProgram, index: dict[str, int]) -> list[tuple[int, int]]:
-    """Rules as (head, body) bit masks over ``index``.
+def _compile(reduct: ReductProgram, atoms: Sequence[str]) -> list[tuple[int, int]]:
+    """Rules as (head, body) bit masks, atom ``atoms[i]`` at bit i.
 
-    Rules whose body leaves ``index`` are dropped and head atoms outside it
-    are ignored: neither matters for sets drawn from ``index`` alone.
+    ``atoms`` holds every atom of the reduct; an atom may repeat in a rule.
     """
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
     compiled = []
     for rule in reduct.rules:
-        if not all(a in index for a in rule.body):
-            continue
         head = body = 0
         for a in rule.head:
-            if a in index:
-                head |= 1 << index[a]
+            head |= bit[a]
         for a in rule.body:
-            body |= 1 << index[a]
+            body |= bit[a]
         compiled.append((head, body))
     return compiled
 
@@ -428,7 +415,7 @@ def _has_smaller_model(mask: int, compiled: list[tuple[int, int]]) -> bool:
 
 
 def _minimal_extensions(
-    compiled: list[tuple[int, int]], base: int, free: range
+    compiled: list[tuple[int, int]], base: int, free: Sequence[int]
 ) -> Iterator[int]:
     """Models ``base | G``, G a set of ``free`` bits, minimal among such sets.
 
@@ -439,8 +426,8 @@ def _minimal_extensions(
     for size in range(len(free) + 1):
         for combo in combinations(free, size):
             mask = base
-            for i in combo:
-                mask |= 1 << i
+            for bit in combo:
+                mask |= bit
             if any(prior & mask == prior for prior in found):
                 continue
             if _is_model_mask(mask, compiled):
@@ -452,53 +439,63 @@ def minimal_models(reduct: ReductProgram) -> tuple[frozenset[str], ...]:
     """All subset-minimal models, enumerated over the program's atoms."""
     atoms = sorted(reduct.atoms)
     check_guard("minimal_models", len(atoms))
-    compiled = _compile(reduct, {a: i for i, a in enumerate(atoms)})
+    compiled = _compile(reduct, atoms)
+    free = [1 << i for i in range(len(atoms))]
     models = [
         frozenset(atoms[i] for i in range(len(atoms)) if mask >> i & 1)
-        for mask in _minimal_extensions(compiled, 0, range(len(atoms)))
+        for mask in _minimal_extensions(compiled, 0, free)
     ]
     return tuple(sorted(models, key=set_key))
 
 
-def _has_minimal_witness(reduct: ReductProgram, candidate: frozenset[str]) -> bool:
-    """Is ``candidate | G`` a minimal model of the reduct for some G in gamma?"""
-    gamma = sorted(reduct.gamma & reduct.atoms)
-    check_guard("minimal_models", len(candidate) + len(gamma))
-    if candidate & reduct.gamma or not candidate <= reduct.atoms:
-        return False  # no set of reduct atoms strips to the candidate
-    atoms = sorted(candidate) + gamma
-    compiled = _compile(reduct, {a: i for i, a in enumerate(atoms)})
-    base = (1 << len(candidate)) - 1
-    return any(
-        not _has_smaller_model(mask, compiled)
-        for mask in _minimal_extensions(compiled, base, range(len(candidate), len(atoms))))
+def _has_minimal_witness(reducer: _Reducer, reduction: _Reduction, m: int) -> bool:
+    """Is ``m | G`` a minimal model of the reduct for some G drawn from gamma?
+
+    Gamma is the introduced bits of the kept rules.  Only sets inside the
+    pool ``m | gamma`` are tried, so a rule whose body leaves the pool never
+    fires and head bits outside it never help.
+    """
+    gamma = 0
+    for head, body in reduction.rules:
+        gamma |= head | body
+    gamma &= ~reducer.visible
+    check_guard("minimal_models", m.bit_count() + gamma.bit_count())
+    pool = m | gamma
+    rules = [(head & pool, body) for head, body in _definitions(reducer, reduction)
+             if body & pool == body]
+    heads = 0
+    for head, _ in rules:
+        heads |= head
+    if m & ~heads:
+        return False  # an atom in no head is in no minimal model
+    free = [1 << i for i in range(gamma.bit_length()) if gamma >> i & 1]
+    return any(not _has_smaller_model(mask, rules)
+               for mask in _minimal_extensions(rules, m, free))
 
 
 def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     """Does the candidate reproduce itself through its reduct?
 
     A candidate with an atom outside the vocabulary is not stable.  The
-    reduct is computed on masks, and a normal one is decided there by its
-    least model; no introduced names are minted for it.  A disjunctive one
-    is built by ``gl_reduct``, and the candidate is stable when some
-    minimal model N has N - gamma equal to it, so only the sets
-    ``candidate | G`` with G drawn from gamma are tried.  A set containing
-    an earlier model is skipped; each other model is tested against all of
-    its proper subsets, and the first minimal one ends the search.  Worst
-    case: at most ``3**|gamma| * 2**|candidate|`` model tests.  A
-    ``GuardError`` is raised before any enumeration when the pool
-    ``|candidate| + |gamma|`` exceeds the ``minimal_models`` guard.
+    reduct is computed and decided on masks, with no introduced names.  A
+    normal one is decided by its least model.  For a disjunctive one the
+    candidate is stable when some minimal model N has N - gamma equal to
+    it, so only the sets ``candidate | G`` with G drawn from gamma are
+    tried.  A set containing an earlier model is skipped; each other model
+    is tested against all of its proper subsets, and the first minimal one
+    ends the search.  Worst case: at most ``3**|gamma| * 2**|candidate|``
+    model tests.  A ``GuardError`` is raised before any enumeration when the
+    pool ``|candidate| + |gamma|`` exceeds the ``minimal_models`` guard.
     """
     reducer = _reducer(program.compiled)
-    candidate = frozenset(interpretation)
     try:
-        m = reducer.compiled.mask(candidate)
+        m = reducer.compiled.mask(frozenset(interpretation))
     except KeyError:
         return False  # no set of reduct atoms strips to the candidate
     reduction = reducer.reduce(m)
     if reduction.disjunctive:
-        return _has_minimal_witness(gl_reduct(program, candidate), candidate)
-    return _is_least_model(reducer, reduction, m)
+        return _has_minimal_witness(reducer, reduction, m)
+    return _least_fixpoint(_definitions(reducer, reduction)) & reducer.visible == m
 
 
 def stable_models(program: Program) -> tuple[frozenset[str], ...]:
@@ -507,11 +504,10 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     Stable models are models, so only ``candidate_models`` are tried and no
     reduct is built for a non-model.  Vocabularies beyond the
     ``stable_language`` guard raise ``GuardError`` before any enumeration;
-    negated c-atoms and introduced-name clashes raise before any candidate
-    is tried, models or not.
+    negated c-atoms raise before any candidate is tried, models or not.
     """
     candidates = candidate_models(program)
-    _reducer(program.compiled).names  # mints every introduced name: a clash raises
+    _reducer(program.compiled)  # rejects negated c-atoms
     out = [candidate for candidate in candidates if is_stable(program, candidate)]
     return tuple(sorted(out, key=set_key))
 

@@ -14,6 +14,7 @@ from catlp.errors import (
     ProgramClassError,
 )
 from catlp.golden import (
+    DISJUNCTIVE_FACT,
     PAIR_CHOICE_FACT,
     SHIFT_GROUPING,
     SUM_COUNT_DISJUNCTION,
@@ -43,6 +44,11 @@ import generators
 import oracles
 
 FULL_SUM_INTERP = frozenset(("p(-1)", "p(1)", "p(2)"))
+
+#: ``x :- [c : {}], [d : {d}].``: dropped for any candidate without d, although
+#: its first body c-atom holds whenever c is false.
+DROPPED_WITH_A_SATISFIED_THETA = Rule(("x",), (
+    Literal.constraint(CAtom("c", [()])), Literal.constraint(CAtom.elementary("d"))))
 
 
 class TestGlReduct:
@@ -133,15 +139,28 @@ class TestGlReduct:
         with pytest.raises(NameCollisionError, match="__theta_0000000000"):
             gl_reduct(program, frozenset("ab"))
 
-    def test_name_collision_is_detected_by_stable_models(self, monkeypatch):
-        # Names are minted once per program, before any candidate is tried.
-        monkeypatch.setattr(CAtom, "digest", property(lambda self: "0" * 10))
-        program = Program((
-            Rule(("x",), (Literal.constraint(CAtom("ab", [{"a", "b"}])),)),
-            Rule(("y",), (Literal.constraint(CAtom("ab", [{"b"}, {"a", "b"}])),)),
-        ))
-        with pytest.raises(NameCollisionError, match="__theta_0000000000"):
-            stable_models(program)
+    def test_stability_mints_no_names(self, monkeypatch):
+        # Introduced atoms are bits while stability is decided; only
+        # ``gl_reduct`` names them.
+        def refuse(catom):
+            raise AssertionError("an introduced name was minted")
+
+        monkeypatch.setattr(reduct_module, "theta_atom", refuse)
+        monkeypatch.setattr(reduct_module, "beta_atom", refuse)
+        assert stable_models(load_program(SHIFT_GROUPING)) == tuple(
+            frozenset(s) for s in (
+                (), ("a", "b"), ("a", "c"), ("a", "d", "e"), ("a", "d", "f"),
+                ("a", "e", "f")))
+        assert is_stable(load_program(SHIFT_GROUPING), frozenset("ade"))
+        assert not is_stable(load_program(SHIFT_GROUPING), frozenset("ad"))
+        for program in (load_program(DISJUNCTIVE_FACT), disjunctive_fact_program()):
+            assert stable_models(program) == (frozenset("a"),)
+            assert is_stable(program, frozenset("a"))
+            assert not is_stable(program, frozenset("ab"))
+        assert stable_models(load_program(SUM_LOOP)) == ()
+        assert not is_stable(load_program(SUM_LOOP), FULL_SUM_INTERP)
+        with pytest.raises(AssertionError, match="minted"):
+            gl_reduct(load_program(SUM_LOOP), FULL_SUM_INTERP)
 
     def test_size_bound_of_a_head_only_program(self, monkeypatch):
         # A head c-atom adds at most |domain| + 1 rules and no abstract form.
@@ -188,6 +207,26 @@ class TestModelEnumeration:
     def test_least_model_chain(self):
         reduct = ReductProgram((ReductRule(("a",)), ReductRule(("b",), ("a",))))
         assert least_model(reduct) == frozenset("ab")
+
+    def test_least_model_matches_full_scan(self):
+        # Atoms repeat in bodies, and heads recur in their own bodies.
+        rng = random.Random(37)
+        atoms = "abcde"
+        repeated = self_support = 0
+        for _ in range(200):
+            rules = []
+            for _ in range(rng.randint(0, 6)):
+                head = rng.choice(atoms)
+                body = rng.choices(atoms, k=rng.randint(0, 4))
+                repeated += len(set(body)) < len(body)
+                self_support += head in body
+                rules.append(ReductRule((head,), tuple(body)))
+            reduct = ReductProgram(tuple(rules))
+            (expected,) = oracles.brute_minimal_models(
+                [(frozenset(r.head), frozenset(r.body)) for r in reduct.rules],
+                reduct.atoms)
+            assert least_model(reduct) == expected, reduct
+        assert repeated and self_support
 
     def test_least_model_rejects_disjunction(self):
         with pytest.raises(ProgramClassError):
@@ -281,14 +320,24 @@ class TestStability:
                 program)
 
     def test_pool_guard_counts_gamma(self):
-        # Each head constraint adds its beta atom to the candidate's atoms.
+        # Each head constraint adds its beta atom to the candidate's atoms;
+        # the theta atom of a dropped rule does not count.
         size = GUARD_LIMITS["minimal_models"] // 2 + 1
-        program = Program(tuple(
-            Rule((CAtom({f"a{i}"}, [{f"a{i}"}, ()]), f"b{i}")) for i in range(size)))
+        rules = tuple(
+            Rule((CAtom({f"a{i}"}, [{f"a{i}"}, ()]), f"b{i}")) for i in range(size))
         candidate = frozenset(f"a{i}" for i in range(size))
-        with pytest.raises(GuardError) as caught:
-            is_stable(program, candidate)
-        assert (caught.value.guard, caught.value.actual) == ("minimal_models", 2 * size)
+        for program in (Program(rules), Program(rules + (DROPPED_WITH_A_SATISFIED_THETA,))):
+            with pytest.raises(GuardError) as caught:
+                is_stable(program, candidate)
+            assert (caught.value.guard, caught.value.actual) == ("minimal_models", 2 * size)
+
+    def test_theta_of_a_dropped_rule_stays_out_of_the_witness_search(self):
+        # ``[c : {}]`` holds for {a} but ``[d : {d}]`` does not, so the rule
+        # is dropped; its theta atom must not reach the disjunctive search.
+        program = Program((Rule(("a", "b")), DROPPED_WITH_A_SATISFIED_THETA))
+        assert is_stable(program, frozenset("a"))
+        assert stable_models(program) == (frozenset("a"), frozenset("b"))
+        assert stable_models(program) == oracles.brute_stable_models(program)
 
     def test_negated_catoms_rejected_even_without_models(self):
         catom = CAtom("a", [{"a"}])
@@ -358,6 +407,9 @@ class TestWitnessSearchDifferential:
             yield generators.random_ordinary_program(
                 rng, atoms=("a", "b", "c", "d"), max_rules=5,
                 disjunctive=bool(rng.random() < 0.5))
+        rng = random.Random(1)
+        for _ in range(160):
+            yield generators.random_disjunctive_constraint_program(rng)
 
     def test_stable_models_match_brute_force(self):
         for program in self._programs():
