@@ -131,11 +131,15 @@ def dependency_graph(program: Program) -> DependencyGraph:
 
 @dataclass(frozen=True, eq=False)
 class CycleReport:
-    """Cycle structure of a dependency graph.
+    """Cycle structure of a dependency graph, read off closed walks.
 
-    ``has_even_cycle`` demands at least two negative edges on the cycle;
-    ``has_even_cycle_literal`` also counts negative-edge-free cycles.
-    Witnesses map flag names to one closed vertex walk each.
+    A closed walk is positive when it has no negative edge, odd when it has
+    an odd number of them, even when it has an even number and at least two,
+    and even-literal when it has an even number, zero included.  The graph
+    is call-consistent when no walk is odd, and acyclic when it has no
+    closed walk at all.  ``witnesses`` maps each flag that holds, of
+    "cycle", "positive", "odd", "even" and "even_literal", to the shortest
+    such walk from the first vertex in sorted order that has one.
     """
 
     has_positive_cycle: bool
@@ -150,107 +154,70 @@ class CycleReport:
         return self.witnesses.get(flag)
 
 
+#: The end states (parity, any negative edge) of the closed walks of each flag.
+_FLAG_ENDS = {
+    "cycle": ((0, 0), (0, 1), (1, 1)),
+    "positive": ((0, 0),),
+    "odd": ((1, 1),),
+    "even": ((0, 1),),
+    "even_literal": ((0, 0), (0, 1)),
+}
+
+
 def cycle_report(graph: DependencyGraph) -> CycleReport:
+    """Decide every cycle flag with one breadth-first search per vertex.
+
+    The search from a start vertex runs over states (vertex, parity of the
+    negative edges so far, whether any was seen), so a walk back to the
+    start ends in (0, 0), (0, 1) or (1, 1); each flag is a set of these end
+    states (``_FLAG_ENDS``), and its witness is the first matching walk
+    in vertex order, shortest first.
+    """
     succ: dict[str, list[tuple[str, int]]] = {v: [] for v in graph.vertices}
     for u, v, sign in sorted(graph.edges):
         succ[u].append((v, 1 if sign == "-" else 0))
-    positive_succ = {
-        v: [(w, 0) for w, neg in nbrs if neg == 0] for v, nbrs in succ.items()}
-
+    walks = [item for v in sorted(graph.vertices)
+             for item in _closed_walks(succ, v).items()]
     witnesses: dict[str, tuple[str, ...]] = {}
-
-    def first(finder, *args):
-        for vertex in sorted(graph.vertices):
-            walk = finder(vertex, *args)
-            if walk is not None:
-                return walk
-        return None
-
-    any_cycle = first(lambda v: _closed_walk(succ, v, parity=None))
-    pos_cycle = first(lambda v: _closed_walk(positive_succ, v, parity=0))
-    odd_cycle = first(lambda v: _closed_walk(succ, v, parity=1))
-    even_literal = first(lambda v: _closed_walk(succ, v, parity=0))
-    even_strict = first(lambda v: _closed_walk_negative_even(succ, v))
-
-    if any_cycle:
-        witnesses["cycle"] = any_cycle
-    if pos_cycle:
-        witnesses["positive"] = pos_cycle
-    if odd_cycle:
-        witnesses["odd"] = odd_cycle
-    if even_strict:
-        witnesses["even"] = even_strict
-    if even_literal:
-        witnesses["even_literal"] = even_literal
-
+    for flag, ends in _FLAG_ENDS.items():
+        walk = next((w for end, w in walks if end in ends), None)
+        if walk is not None:
+            witnesses[flag] = walk
     return CycleReport(
-        has_positive_cycle=pos_cycle is not None,
-        has_odd_cycle=odd_cycle is not None,
-        has_even_cycle=even_strict is not None,
-        has_even_cycle_literal=even_literal is not None,
-        call_consistent=odd_cycle is None,
-        acyclic=any_cycle is None,
+        has_positive_cycle="positive" in witnesses,
+        has_odd_cycle="odd" in witnesses,
+        has_even_cycle="even" in witnesses,
+        has_even_cycle_literal="even_literal" in witnesses,
+        call_consistent="odd" not in witnesses,
+        acyclic="cycle" not in witnesses,
         witnesses=witnesses,
     )
 
 
-def _closed_walk(succ, start, parity):
-    """Shortest nonempty closed walk from ``start`` back to itself.
-
-    With ``parity`` 0 or 1 the walk must use an even or odd number of
-    negative edges; with ``parity`` None any walk closes.  Returns the vertex
-    sequence or None.
-    """
-    states = deque()
+def _closed_walks(succ, start):
+    """Map each end state of a walk back to ``start`` to its shortest walk."""
     parents: dict = {}
-    for w, neg in succ[start]:
-        state = (w, neg if parity is not None else 0)
-        if state not in parents:
-            parents[state] = None
-            states.append(state)
-    target = (start, parity if parity is not None else 0)
-    goal = (lambda s: s[0] == start) if parity is None else (lambda s: s == target)
-    while states:
-        state = states.popleft()
-        if goal(state):
-            return _reconstruct(parents, state, start)
-        vertex, par = state
-        for w, neg in succ[vertex]:
-            nxt = (w, (par ^ neg) if parity is not None else 0)
-            if nxt not in parents:
-                parents[nxt] = state
-                states.append(nxt)
-    return None
-
-
-def _closed_walk_negative_even(succ, start):
-    """Closed walk with an even, nonzero number of negative edges."""
     states = deque()
-    parents: dict = {}
     for w, neg in succ[start]:
         state = (w, neg, neg)
         if state not in parents:
             parents[state] = None
             states.append(state)
-    target = (start, 0, 1)
-    while states:
+    walks: dict[tuple[int, int], tuple[str, ...]] = {}
+    while states and len(walks) < 3:
         state = states.popleft()
-        if state == target:
-            return _reconstruct(parents, state, start)
         vertex, par, seen = state
+        if vertex == start:
+            path = [state]
+            while parents[path[-1]] is not None:
+                path.append(parents[path[-1]])
+            walks[par, seen] = (start, *(s[0] for s in reversed(path)))
         for w, neg in succ[vertex]:
             nxt = (w, par ^ neg, seen | neg)
             if nxt not in parents:
                 parents[nxt] = state
                 states.append(nxt)
-    return None
-
-
-def _reconstruct(parents, state, start):
-    path = [state]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])
-    return tuple([start] + [s[0] for s in reversed(path)])
+    return walks
 
 
 def to_dot(graph: DependencyGraph) -> str:

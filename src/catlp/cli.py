@@ -122,7 +122,8 @@ def _cmd_abstract(args) -> int:
         print(json.dumps(_abstract_json(parse_constraint(args.catom), args.classify)))
         return EXIT_OK
     program = _load_file(args.file)
-    print(json.dumps([_abstract_json(c, args.classify) for c in program.catoms]))
+    print(json.dumps([_abstract_json(c.catom, args.classify)
+                      for c in program.compiled.catoms]))
     return EXIT_OK
 
 

@@ -181,15 +181,6 @@ class Program:
         return self.atoms | self.declared_atoms
 
     @cached_property
-    def catoms(self) -> tuple[CAtom, ...]:
-        """Distinct constraint atoms, heads before bodies, in rule order."""
-        found: dict[CAtom, None] = {}
-        for rule in self.rules:
-            found.update((e, None) for e in rule.head if isinstance(e, CAtom))
-            found.update((lit.item, None) for lit in rule.body if lit.is_constraint)
-        return tuple(found)
-
-    @cached_property
     def compiled(self) -> CompiledProgram:
         """The program as bit masks over its sorted vocabulary, built once."""
         return CompiledProgram(self)
@@ -198,7 +189,7 @@ class Program:
 class CompiledCAtom:
     """A c-atom over a program's vocabulary bits.
 
-    ``index`` is its position in ``Program.catoms``.  The solution masks
+    ``index`` is its position in ``CompiledProgram.catoms``.  The solution masks
     are built on first use: a caller that tests a single interpretation
     does better with ``catom.solutions`` itself.
     """
@@ -221,9 +212,9 @@ class CompiledProgram:
     Each rule becomes a tuple ``(head, pos, neg, heads, body, negated)``:
     the masks of its head atoms, positive body atoms and negated body atoms,
     then its head c-atoms, positive body c-atoms and negated body c-atoms
-    in literal order.  ``catoms`` lists the c-atoms as ``Program.catoms``
-    does; ``head_catoms``, ``body_catoms`` and ``negated_catoms`` list the
-    distinct ones in each role, in the same order.
+    in literal order.  ``catoms`` lists the distinct c-atoms, heads before
+    bodies, in rule order; ``head_catoms``, ``body_catoms`` and
+    ``negated_catoms`` list the distinct ones in each role, in the same order.
     """
 
     def __init__(self, program: Program):

@@ -215,6 +215,12 @@ class _Parser:
         token = self.peek()
         return token is not None and token.kind == kind
 
+    def finish(self) -> None:
+        """Refuse any token left over after a complete parse."""
+        token = self.peek()
+        if token is not None:
+            raise ParseError(f"trailing input {token.value!r}", token.line, token.column)
+
     def separated(self, item, separator: str = ",") -> list:
         """One ``item()`` or more, separated by ``separator`` tokens."""
         items = [item()]
@@ -350,18 +356,15 @@ def parse_constraint(text: str) -> CAtom:
     """Parse a single (possibly negated or sugared) constraint expression."""
     parser = _Parser(_tokenize(text))
     literal = parser.body_literal()
-    if parser.peek() is not None:
-        token = parser.peek()
-        raise ParseError(f"trailing input {token.value!r}", token.line, token.column)
+    parser.finish()
     return literal_catom(literal)
 
 
 def parse_interpretation(text: str) -> frozenset[str]:
-    """Parse a comma-separated atom list (empty string allowed)."""
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    for name in names:
-        if is_reserved(name):
-            raise ParseError(f"atom name {name!r} uses a reserved prefix", 1, 1)
+    """Parse a comma-separated atom list as ``#atoms`` does; blank is the empty set."""
+    parser = _Parser(_tokenize(text))
+    names = parser.separated(parser.atom_name) if parser.peek() is not None else ()
+    parser.finish()
     return frozenset(names)
 
 

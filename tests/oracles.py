@@ -4,7 +4,8 @@ Everything here recomputes results straight from the definitions and stays
 away from the library's algorithms: sublattice inclusion enumerates covered
 sets, abstract forms scan every candidate per solution, stable models of
 ordinary programs go through the textbook two-step reduct, and closure
-properties of constraint atoms are checked by exhausting subsets.  Stable
+properties of constraint atoms are checked by exhausting subsets, and cycle
+flags come from a table of walks layered by length.  Stable
 models of constraint programs reuse the library's ``gl_reduct`` (the
 definition under test is the model search) and scan every subset of the
 reduct's atoms for its minimal models.
@@ -259,3 +260,35 @@ def ordinary_dependency_edges(program: Program) -> set[tuple[str, str, str]]:
             name = lit.item if lit.is_atom else next(iter(lit.item.domain))
             edges.add((head, name, "+" if lit.positive else "-"))
     return edges
+
+
+#: Each cycle flag, and whether a closed walk with ``n`` negative edges has it.
+CYCLE_CONDITIONS = {
+    "cycle": lambda n: True,
+    "positive": lambda n: n == 0,
+    "odd": lambda n: n % 2 == 1,
+    "even": lambda n: n % 2 == 0 and n >= 2,
+    "even_literal": lambda n: n % 2 == 0,
+}
+
+
+def brute_cycle_flags(vertices, edges) -> dict[str, tuple[str, int]]:
+    """Per cycle flag that holds: the first vertex in sorted order with such
+    a closed walk, and the length of its shortest one.
+
+    Layer k holds the (vertex, negative-edge count) pairs reached by the
+    walks of length k from the start; counts from 2 up are kept as 2 or 3 by
+    parity.  A shortest walk of a flag repeats no (vertex, parity, any
+    negative) state, so 3·|V| layers reach it.  No parent pointers.
+    """
+    succ = {v: [(w, sign == "-") for u, w, sign in edges if u == v] for v in vertices}
+    found: dict[str, tuple[str, int]] = {}
+    for start in sorted(vertices):
+        layer = {(start, 0)}
+        for length in range(1, 3 * len(succ) + 1):
+            layer = {(w, n + neg if n + neg < 4 else 2)
+                     for v, n in layer for w, neg in succ[v]}
+            for flag, holds in CYCLE_CONDITIONS.items():
+                if flag not in found and any(v == start and holds(n) for v, n in layer):
+                    found[flag] = (start, length)
+    return found

@@ -234,6 +234,35 @@ class TestCycleReport:
             if report.has_even_cycle:
                 assert report.has_even_cycle_literal
 
+    def test_matches_the_layered_oracle(self):
+        """Flags, witness starts and lengths against ``brute_cycle_flags``;
+        each witness is a closed walk over graph edges that meets its flag."""
+        rng = random.Random(93)
+        for _ in range(2000):
+            vertices = [f"v{i}" for i in range(rng.randint(1, 6))]
+            edges = {(rng.choice(vertices), rng.choice(vertices), rng.choice("+-"))
+                     for _ in range(rng.randint(0, 10))}
+            if rng.random() < 0.3:
+                u, v = rng.choice(vertices), rng.choice(vertices)
+                edges |= {(u, v, "+"), (u, v, "-")}
+            report = cycle_report(graph_of(edges, vertices))
+            expected = oracles.brute_cycle_flags(vertices, edges)
+            assert set(report.witnesses) == set(expected)
+            assert (report.has_positive_cycle, report.has_odd_cycle,
+                    report.has_even_cycle, report.has_even_cycle_literal,
+                    report.call_consistent, report.acyclic) == (
+                "positive" in expected, "odd" in expected, "even" in expected,
+                "even_literal" in expected, "odd" not in expected,
+                "cycle" not in expected)
+            for flag, walk in report.witnesses.items():
+                assert (walk[0], len(walk) - 1) == expected[flag], (flag, edges)
+                assert walk[-1] == walk[0]
+                negatives = {0}
+                for u, v in zip(walk, walk[1:]):
+                    negatives = {n + (sign == "-") for n in negatives
+                                 for sign in "+-" if (u, v, sign) in edges}
+                assert any(map(oracles.CYCLE_CONDITIONS[flag], negatives)), (flag, walk)
+
 
 class TestDependencyTheorem:
     def test_even_loop_report(self):

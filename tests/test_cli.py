@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import importlib
@@ -5,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -107,6 +109,29 @@ class TestCheck:
             ["check", sum_loop, "-I", "p(-1),p(1),p(2)", "--oracle", "both"])
         assert code == 3
         assert "divergence" in capsys.readouterr().err
+
+
+@pytest.fixture
+def commas(tmp_path):
+    path = tmp_path / "commas.lp"
+    path.write_text("p(1,2). q :- p(1,2). r :- not p(1,2).\n")
+    return str(path)
+
+
+class TestCommaAtoms:
+    """``-I`` reads ``p(1,2)`` as one atom, as the program text does."""
+
+    def test_check_and_reduct(self, commas, capsys):
+        assert cli.run(["solve", commas, "--all"]) == 0
+        assert capsys.readouterr().out == "{p(1,2), q}\n"
+        assert cli.run(["check", commas, "-I", "p(1,2),q", "--oracle", "both"]) == 0
+        assert capsys.readouterr().out == "stable\n"
+        assert cli.run(["reduct", commas, "-I", "p(1,2),q"]) == 0
+        assert capsys.readouterr().out == "p(1,2).\nq :- p(1,2).\n"
+
+    def test_malformed_list_is_an_input_error(self, commas, capsys):
+        assert cli.run(["check", commas, "-I", "p(1,2) q"]) == 1
+        assert "1:8" in capsys.readouterr().err
 
 
 class TestReduct:
@@ -252,6 +277,24 @@ def test_malformed_input_never_raises(statements, soup, interpretation):
             assert cli.run(["solve", path]) in (0, 1, 2)
             checked = cli.run(["check", path, "-I", ",".join(sorted(interpretation))])
             assert checked in (0, 1, 2)
+
+
+def test_readme_cli_block_matches_the_parser():
+    """Each README CLI line names a subcommand and only its options; every
+    option of a subcommand but ``-h`` appears on its line in some spelling."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI\n", 1)[1].split("```")[1]
+    lines = {line.split()[1]: set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", line))
+             for line in block.splitlines() if line.startswith("catlp ")}
+    subparsers = next(action for action in cli.build_arg_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert set(lines) == set(subparsers.choices)
+    for command, parser in subparsers.choices.items():
+        spellings = [set(a.option_strings) for a in parser._actions
+                     if a.option_strings and "-h" not in a.option_strings]
+        assert lines[command] <= set().union(*spellings), command
+        for options in spellings:
+            assert lines[command] & options, (command, options)
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -277,6 +277,15 @@ class TestInterpretationArgument:
         with pytest.raises(ParseError):
             parse_interpretation("a,__bot")
 
+    def test_atoms_with_commas_are_read_whole(self):
+        assert parse_interpretation("p(1,2), q") == frozenset(("p(1,2)", "q"))
+
+    @pytest.mark.parametrize("text, column", [("a b", 3), ("a,,b", 3), ("a,", 2)])
+    def test_malformed_list_rejected_with_position(self, text, column):
+        with pytest.raises(ParseError) as caught:
+            parse_interpretation(text)
+        assert (caught.value.line, caught.value.column) == (1, column)
+
 
 class TestParseConstraint:
     def test_weight_expression(self):
