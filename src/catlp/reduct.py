@@ -12,8 +12,8 @@ candidate back.
 
 The steps run on the bit masks of ``Program.compiled``, and stability is
 decided there: a normal result by its least fixpoint, a disjunctive one by
-a search for a minimal witness.  Introduced atoms are bits, not names;
-only ``gl_reduct``, which renders a reduct, mints their names.
+testing its only possible minimal witness.  Introduced atoms are bits, not
+names; only ``gl_reduct``, which renders a reduct, mints their names.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .abstraction import abstract_of, satisfiable_sets
 from .core import (
@@ -254,28 +254,38 @@ def _least_fixpoint(rules: list[tuple[int, int]]) -> int:
         rules = waiting
 
 
-def _definitions(reducer: _Reducer, reduction: _Reduction) -> list[tuple[int, int]]:
-    """The rules of a reduct as ``(head bits, body bits)``.
+def _gamma_rules(reducer: _Reducer, reduction: _Reduction) -> list[tuple[int, int]]:
+    """The defining rules of the introduced bits of the kept rules.
 
-    First the kept rules; then ``__theta_ :- base`` for each covering base
-    of a ``__theta_`` bit that some kept body holds; then, per satisfied
-    head c-atom, ``a :- __beta_`` for each true atom a and ``__beta_ :-``
-    its true part.  Its ``__bot :- a, __beta_`` rules, one per false atom
-    a, are left out: they fire only once an atom outside the candidate is
-    derived, and no set stripping to the candidate holds one.
+    ``__theta_ :- base`` for each covering base of a ``__theta_`` bit some
+    kept body holds, and ``__beta_ :-`` the true part of each satisfied head
+    c-atom, as ``(bit, body bits)``; every body lies inside the candidate.
     """
-    rules = reduction.rules.copy()
     bodies = 0
-    for _, body in rules:
+    for _, body in reduction.rules:
         bodies |= body
+    rules = []
     for c, bases in reduction.covers.items():
         theta = reducer.theta[c.index]
         if bodies & theta:
             rules += [(theta, base) for base in bases]
+    rules += [(reducer.beta[c.index], true) for c, true in reduction.betas.items()]
+    return rules
+
+
+def _definitions(reducer: _Reducer, reduction: _Reduction) -> list[tuple[int, int]]:
+    """The rules of a reduct as ``(head bits, body bits)``.
+
+    The kept rules, the ``_gamma_rules``, and per satisfied head c-atom
+    ``a :- __beta_`` for each true atom a.  Its ``__bot :- a, __beta_``
+    rules, one per false atom a, are left out: they fire only once an atom
+    outside the candidate is derived, and no set stripping to the candidate
+    holds one.
+    """
+    rules = reduction.rules + _gamma_rules(reducer, reduction)
     for c, true in reduction.betas.items():
         beta = reducer.beta[c.index]
         rules += [(1 << i, beta) for i in range(true.bit_length()) if true >> i & 1]
-        rules.append((beta, true))
     return rules
 
 
@@ -402,75 +412,63 @@ def _is_model_mask(mask: int, compiled: list[tuple[int, int]]) -> bool:
     return all(body & mask != body or head & mask for head, body in compiled)
 
 
-def _has_smaller_model(mask: int, compiled: list[tuple[int, int]]) -> bool:
-    """Is some proper subset of ``mask`` a model?"""
-    # Only rules whose body fits inside the mask can fail on a subset of it.
-    relevant = [(head & mask, body) for head, body in compiled if body & mask == body]
-    sub = mask
-    while sub:
-        sub = (sub - 1) & mask
-        if _is_model_mask(sub, relevant):
-            return True
-    return False
+def minimal_models(reduct: ReductProgram) -> tuple[frozenset[str], ...]:
+    """All subset-minimal models, enumerated over the program's atoms.
 
-
-def _minimal_extensions(
-    compiled: list[tuple[int, int]], base: int, free: Sequence[int]
-) -> Iterator[int]:
-    """Models ``base | G``, G a set of ``free`` bits, minimal among such sets.
-
-    Sets are tried by increasing size of G, and a set containing a model
-    already yielded is skipped, since that model sits inside it.
+    Sets are tried by increasing size, and a set containing a model already
+    found is skipped, since that model sits inside it.
     """
+    atoms = sorted(reduct.atoms)
+    check_guard("minimal_models", len(atoms))
+    compiled = _compile(reduct, atoms)
     found: list[int] = []
-    for size in range(len(free) + 1):
-        for combo in combinations(free, size):
-            mask = base
-            for bit in combo:
-                mask |= bit
+    for size in range(len(atoms) + 1):
+        for combo in combinations(range(len(atoms)), size):
+            mask = sum(1 << i for i in combo)
             if any(prior & mask == prior for prior in found):
                 continue
             if _is_model_mask(mask, compiled):
                 found.append(mask)
-                yield mask
-
-
-def minimal_models(reduct: ReductProgram) -> tuple[frozenset[str], ...]:
-    """All subset-minimal models, enumerated over the program's atoms."""
-    atoms = sorted(reduct.atoms)
-    check_guard("minimal_models", len(atoms))
-    compiled = _compile(reduct, atoms)
-    free = [1 << i for i in range(len(atoms))]
-    models = [
-        frozenset(atoms[i] for i in range(len(atoms)) if mask >> i & 1)
-        for mask in _minimal_extensions(compiled, 0, free)
-    ]
+    models = [frozenset(atoms[i] for i in range(len(atoms)) if mask >> i & 1)
+              for mask in found]
     return tuple(sorted(models, key=set_key))
 
 
 def _has_minimal_witness(reducer: _Reducer, reduction: _Reduction, m: int) -> bool:
-    """Is ``m | G`` a minimal model of the reduct for some G drawn from gamma?
+    """Is ``m | gamma`` a minimal model of the reduct?
 
-    Gamma is the introduced bits of the kept rules.  Only sets inside the
-    pool ``m | gamma`` are tried, so a rule whose body leaves the pool never
-    fires and head bits outside it never help.
+    Gamma is the introduced bits of the kept rules.  Each has defining rules
+    with bodies inside ``m`` (``_gamma_rules``), so every model holding ``m``
+    holds gamma, and ``m | gamma`` is the only possible witness.  A smaller
+    minimal model has a visible part V, a proper subset of ``m``, and its
+    gamma part is def(V), the bits with a defining body inside V: a
+    ``__theta_`` bit that no base in V forces heads no other rule, so it can
+    be dropped, and ``a :- __beta_`` puts the true part of a ``__beta_`` bit
+    into V.  So ``m`` is stable iff ``V | def(V)`` is a model for V = ``m``
+    and for no proper subset V of ``m``: at most ``2**|m|`` model tests.
+    These sets satisfy the defining rules and ``a :- __beta_`` by
+    construction, so only the kept rules are tested, restricted to the pool
+    ``m | gamma``: a rule whose body leaves it never fires.
     """
+    defining = _gamma_rules(reducer, reduction)
     gamma = 0
-    for head, body in reduction.rules:
-        gamma |= head | body
-    gamma &= ~reducer.visible
+    for bit, _ in defining:
+        gamma |= bit
     check_guard("minimal_models", m.bit_count() + gamma.bit_count())
     pool = m | gamma
-    rules = [(head & pool, body) for head, body in _definitions(reducer, reduction)
+    rules = [(head & pool, body) for head, body in reduction.rules
              if body & pool == body]
-    heads = 0
-    for head, _ in rules:
-        heads |= head
-    if m & ~heads:
-        return False  # an atom in no head is in no minimal model
-    free = [1 << i for i in range(gamma.bit_length()) if gamma >> i & 1]
-    return any(not _has_smaller_model(mask, rules)
-               for mask in _minimal_extensions(rules, m, free))
+    sub = m
+    while True:
+        closed = sub
+        for bit, body in defining:
+            if body & sub == body:
+                closed |= bit
+        if _is_model_mask(closed, rules) != (sub == m):
+            return False  # m | gamma is not a model, or not a minimal one
+        if not sub:
+            return True
+        sub = (sub - 1) & m
 
 
 def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
@@ -478,14 +476,11 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
 
     A candidate with an atom outside the vocabulary is not stable.  The
     reduct is computed and decided on masks, with no introduced names.  A
-    normal one is decided by its least model.  For a disjunctive one the
-    candidate is stable when some minimal model N has N - gamma equal to
-    it, so only the sets ``candidate | G`` with G drawn from gamma are
-    tried.  A set containing an earlier model is skipped; each other model
-    is tested against all of its proper subsets, and the first minimal one
-    ends the search.  Worst case: at most ``3**|gamma| * 2**|candidate|``
-    model tests.  A ``GuardError`` is raised before any enumeration when the
-    pool ``|candidate| + |gamma|`` exceeds the ``minimal_models`` guard.
+    normal one is decided by its least model, a disjunctive one by its only
+    possible witness, ``candidate | gamma`` (``_has_minimal_witness``), in
+    at most ``2**|candidate|`` model tests.  A ``GuardError`` is raised
+    before any enumeration when the pool ``|candidate| + |gamma|`` exceeds
+    the ``minimal_models`` guard.
     """
     reducer = _reducer(program.compiled)
     try:

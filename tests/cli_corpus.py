@@ -1,0 +1,118 @@
+"""Print the CLI's answers over a fixed corpus, so two checkouts can be diffed.
+
+For the golden program texts of ``catlp.golden`` and for seeded programs of
+the five ``tests/generators`` families, this runs ``solve --all --json``,
+``translate``, ``depgraph --report`` and ``abstract FILE --classify``, plus
+``check`` (the reduct oracle alone, since the fixpoint oracle refuses
+disjunctive programs), ``check --oracle both`` and ``reduct --json`` for
+the empty, the full and two seeded interpretations over the program's
+vocabulary.  For each command it prints the argv (with the program's label
+in place of its temporary file), the exit code, stdout, and stderr lines
+prefixed with ``stderr:``.
+
+Run it against the ``catlp`` on ``PYTHONPATH`` and compare the outputs::
+
+    PYTHONPATH=src python tests/cli_corpus.py > new.txt
+    PYTHONPATH=../other/src python tests/cli_corpus.py > old.txt
+    diff old.txt new.txt
+
+Only the standard library and ``catlp`` are used; pytest does not collect
+this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import random
+import shlex
+import sys
+import tempfile
+from typing import Iterator
+
+from catlp import cli, golden
+from catlp.core import Program, set_key
+from catlp.parser import format_program, load_program
+
+import generators
+
+FAMILIES = (
+    generators.random_positive_basic_program,
+    generators.random_basic_program,
+    generators.random_ordinary_program,
+    generators.random_normal_constraint_program,
+    generators.random_disjunctive_constraint_program,
+)
+
+
+def golden_texts() -> dict[str, str]:
+    """The program texts of ``catlp.golden``, by constant name."""
+    return {name: value for name, value in vars(golden).items()
+            if name.isupper() and isinstance(value, str)}
+
+
+def corpus(per_family: int) -> Iterator[tuple[str, str]]:
+    """``(label, program text)`` pairs: the golden texts, then each family."""
+    yield from golden_texts().items()
+    for family in FAMILIES:
+        rng = random.Random(family.__name__)
+        for index in range(per_family):
+            yield f"{family.__name__}#{index}", format_program(family(rng))
+
+
+def interpretations(program: Program, label: str) -> list[str]:
+    """The empty, the full and two seeded subsets of the vocabulary, as -I lists."""
+    atoms = list(set_key(program.language))
+    rng = random.Random(label)
+    chosen = [[], atoms] + [[a for a in atoms if rng.random() < 0.5] for _ in range(2)]
+    return [",".join(subset) for subset in chosen]
+
+
+def commands(text: str, label: str) -> list[list[str]]:
+    """The argv of every command run on one program, ``FILE`` for its path."""
+    argvs = [
+        ["solve", "FILE", "--all", "--json"],
+        ["translate", "FILE"],
+        ["depgraph", "FILE", "--report"],
+        ["abstract", "FILE", "--classify"],
+    ]
+    for listed in interpretations(load_program(text), label):
+        argvs.append(["check", "FILE", "-I", listed])
+        argvs.append(["check", "FILE", "-I", listed, "--oracle", "both"])
+        argvs.append(["reduct", "FILE", "-I", listed, "--json"])
+    return argvs
+
+
+def run(argv: list[str], path: str, label: str, out) -> None:
+    """Run one command in process and print what it did."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.run([path if arg == "FILE" else arg for arg in argv])
+    shown = shlex.join(label if arg == "FILE" else arg for arg in argv)
+    print(f"$ catlp {shown}", file=out)
+    print(f"exit {code}", file=out)
+    out.write(stdout.getvalue())
+    for line in stderr.getvalue().splitlines():
+        print(f"stderr: {line}", file=out)
+
+
+def main(argv: list[str] | None = None, out=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--per-family", type=int, default=25,
+                        help="seeded programs per generator family (default 25)")
+    args = parser.parse_args(argv)
+    out = out or sys.stdout
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "program.lp")
+        for label, text in corpus(args.per_family):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            for command in commands(text, label):
+                run(command, path, label, out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

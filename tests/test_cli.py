@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -335,3 +336,38 @@ def test_benchmark_traffic_is_answered_right(workload, smoke, tmp_path, monkeypa
             code = cli.run(argv)
         assert code == 0, command.name
         assert command.check(out.getvalue().replace(prefix, "@")), command.name
+
+
+CLI_CORPUS = Path(__file__).resolve().parent / "cli_corpus.py"
+
+
+def test_cli_corpus_slice_is_complete_and_reproducible():
+    """``tests/cli_corpus.py`` on one program per family: every command runs
+    on every program, and a separate process prints the same bytes."""
+    import cli_corpus
+
+    out = io.StringIO()
+    assert cli_corpus.main(["--per-family", "1"], out=out) == 0
+    text = out.getvalue()
+    labels = list(cli_corpus.golden_texts()) + [
+        f"{family.__name__}#0" for family in cli_corpus.FAMILIES]
+    assert len(labels) == 15
+    shown = [shlex.split(line)[2:4] for line in text.splitlines()
+             if line.startswith("$ catlp ")]
+    assert len(shown) == 15 * 16
+    for label in labels:
+        assert [verb for verb, name in shown if name == label] == (
+            ["solve", "translate", "depgraph", "abstract"]
+            + ["check", "check", "reduct"] * 4), label
+    assert (
+        "$ catlp solve SUM_COUNT_DISJUNCTION --all --json\nexit 0\n"
+        '{"models": [["p(-1)"], ["p(-1)", "p(1)"], ["p(1)", "p(2)"]]}\n') in text
+    assert "$ catlp check EVEN_LOOP -I '' --oracle both\nexit 0\n" in text
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, str(CLI_CORPUS), "--per-family", "1"], env=env,
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == text

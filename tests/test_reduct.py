@@ -339,6 +339,22 @@ class TestStability:
         assert stable_models(program) == (frozenset("a"), frozenset("b"))
         assert stable_models(program) == oracles.brute_stable_models(program)
 
+    def test_disjunctive_witness_costs_at_most_one_test_per_subset(self, monkeypatch):
+        # Sixteen atoms, the stable candidate holds eight of them and gamma
+        # eight more; a search over candidate | G and the subsets of each
+        # model made 65,791 model tests here.
+        text = " ".join(
+            f"[a{i},b{i} : {{a{i}}},{{a{i},b{i}}}] | c{i} :- [d{i} : {{}},{{d{i}}}]. "
+            f"d{i} :- c{i}." for i in range(4))
+        program = load_program(text)
+        candidate = frozenset(f"{x}{i}" for x in "ab" for i in range(4))
+        calls = []
+        counted = reduct_module._is_model_mask
+        monkeypatch.setattr(reduct_module, "_is_model_mask",
+                            lambda *args: calls.append(1) or counted(*args))
+        assert is_stable(program, candidate)
+        assert 0 < len(calls) <= 2 ** 8 + 1
+
     def test_negated_catoms_rejected_even_without_models(self):
         catom = CAtom("a", [{"a"}])
         program = Program((
@@ -410,6 +426,10 @@ class TestWitnessSearchDifferential:
         rng = random.Random(1)
         for _ in range(160):
             yield generators.random_disjunctive_constraint_program(rng)
+        rng = random.Random(5)
+        for _ in range(30):
+            yield generators.random_disjunctive_constraint_program(
+                rng, atoms=generators.POOL[:5])
 
     def test_stable_models_match_brute_force(self):
         for program in self._programs():
@@ -440,6 +460,28 @@ class TestWitnessSearchDifferential:
                     expected = least_model(reduct) - reduct.gamma == candidate
                     assert is_stable(program, candidate) == expected, (program, candidate)
         assert normal
+
+    def test_stable_iff_candidate_with_gamma_is_a_minimal_model(self):
+        # The disjunctive route tests only this witness; here both sides
+        # come from the exhaustive reference alone.
+        for program in self._programs():
+            for candidate in iter_subsets(program.language):
+                reduct = gl_reduct(program, candidate)
+                rules = [(frozenset(r.head), frozenset(r.body)) for r in reduct.rules]
+                minimal = oracles.brute_minimal_models(rules, reduct.atoms)
+                assert oracles.brute_is_stable(program, candidate) == (
+                    candidate | reduct.gamma in minimal), (program, candidate)
+
+    def test_feed_has_disjunctive_reducts_with_theta_and_beta_atoms(self):
+        verdicts = set()
+        for program in self._programs():
+            for candidate in iter_subsets(program.language):
+                reduct = gl_reduct(program, candidate)
+                if (not reduct.is_normal
+                        and any(g.startswith("__theta_") for g in reduct.gamma)
+                        and any(g.startswith("__beta_") for g in reduct.gamma)):
+                    verdicts.add(is_stable(program, candidate))
+        assert verdicts == {True, False}
 
     def test_generator_mixes_atoms_constraints_and_negation(self):
         rng = random.Random(31)
