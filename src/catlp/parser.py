@@ -91,10 +91,16 @@ def desugar_weight(constraint: WeightConstraint) -> CAtom:
 
 
 def desugar_aggregate(aggregate: AggregateConstraint) -> CAtom:
-    """Enumerate the subsets whose sum (or count) satisfies the relation."""
+    """Enumerate the subsets whose sum (or count) satisfies the relation.
+
+    Raises ``ValueError`` when an atom is listed twice: its value would be
+    ambiguous.
+    """
     check_guard("weight_entries", len(aggregate.entries))
-    domain = frozenset(a for a, _ in aggregate.entries)
     values = dict(aggregate.entries)
+    if len(values) < len(aggregate.entries):
+        raise ValueError("an aggregate lists each atom once")
+    domain = frozenset(values)
     relation = _RELOPS[aggregate.relation]
     solutions = []
     for candidate in iter_subsets(domain):
@@ -328,7 +334,12 @@ class _Parser:
     def aggregate(self) -> CAtom:
         kind = self.next().kind.lstrip("#")
         self.expect("{")
-        entries = self.separated(self.aggregate_entry)
+        entries: dict[str, int] = {}
+        for atom, value in self.separated(self.aggregate_entry):
+            if atom.value in entries:
+                raise ParseError(f"atom {atom.value!r} is listed twice in the aggregate",
+                                 atom.line, atom.column)
+            entries[atom.value] = value
         self.expect("}")
         token = self.next()
         if token.kind not in _RELOPS:
@@ -336,10 +347,11 @@ class _Parser:
                              token.line, token.column)
         bound = int(self.expect("int").value)
         return desugar_aggregate(
-            AggregateConstraint(kind, tuple(entries), token.kind, bound))
+            AggregateConstraint(kind, tuple(entries.items()), token.kind, bound))
 
-    def aggregate_entry(self) -> tuple[str, int]:
-        atom = self.atom_name()
+    def aggregate_entry(self) -> tuple[Token, int]:
+        atom = self.peek()
+        self.atom_name()
         self.expect("=")
         return (atom, int(self.expect("int").value))
 

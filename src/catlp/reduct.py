@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .abstraction import abstract_of, satisfiable_sets
+from .abstraction import abstract_of
 from .core import (
     CAtom,
     CompiledCAtom,
@@ -162,30 +162,23 @@ class _Reducer:
         self.visible = (1 << n + 1) - 1  # the vocabulary and ``__bot``
         self.theta = [1 << n + 1 + 2 * c.index for c in compiled.catoms]
         self.beta = [1 << n + 2 + 2 * c.index for c in compiled.catoms]
-        self._queried: set[CompiledCAtom] = set()
         self._members: dict[CompiledCAtom, list[tuple[int, int]]] = {}
 
     def covers(self, catom: CompiledCAtom, m: int) -> list[int]:
         """Bases of the abstract-form members of ``catom`` that cover ``m``.
 
-        The list is empty exactly when ``m`` falsifies ``catom``.  The first
-        query for a c-atom is answered on sets, by its solutions and
-        ``satisfiable_sets``; later ones scan its (base, top) masks.  So a
-        single check converts no member, and a candidate loop converts each
-        one once.
+        The list is empty exactly when ``m`` falsifies ``catom``.  The
+        (base, top) masks of its members are built at the first query that
+        satisfies it; until then a query is answered by its solutions alone,
+        so a c-atom that no query satisfies never gets an abstract form.
         """
         restricted = m & catom.domain
         members = self._members.get(catom)
         if members is None:
-            if catom not in self._queried:
-                self._queried.add(catom)
-                compiled = self.compiled
-                atoms = frozenset(compiled.atoms_of(restricted))
-                if atoms not in catom.catom.solutions:
-                    return []
-                return [compiled.mask(base)
-                        for base in satisfiable_sets(abstract_of(catom.catom), atoms)]
-            bit = self.compiled.bit.__getitem__
+            compiled = self.compiled
+            if frozenset(compiled.atoms_of(restricted)) not in catom.catom.solutions:
+                return []
+            bit = compiled.bit.__getitem__
             members = []
             for member in abstract_of(catom.catom).lattices:
                 base = sum(map(bit, member.base))
@@ -255,20 +248,16 @@ def _least_fixpoint(rules: list[tuple[int, int]]) -> int:
 
 
 def _gamma_rules(reducer: _Reducer, reduction: _Reduction) -> list[tuple[int, int]]:
-    """The defining rules of the introduced bits of the kept rules.
+    """The defining rules of the introduced bits of the reduct.
 
-    ``__theta_ :- base`` for each covering base of a ``__theta_`` bit some
-    kept body holds, and ``__beta_ :-`` the true part of each satisfied head
-    c-atom, as ``(bit, body bits)``; every body lies inside the candidate.
+    ``__theta_ :- base`` for each covering base of each body c-atom met,
+    and ``__beta_ :-`` the true part of each satisfied head c-atom, as
+    ``(bit, body bits)``; every body lies inside the candidate.  A
+    ``__theta_`` bit of a dropped rule may be defined too: no kept rule
+    holds it, so it derives nothing else.
     """
-    bodies = 0
-    for _, body in reduction.rules:
-        bodies |= body
-    rules = []
-    for c, bases in reduction.covers.items():
-        theta = reducer.theta[c.index]
-        if bodies & theta:
-            rules += [(theta, base) for base in bases]
+    rules = [(reducer.theta[c.index], base)
+             for c, bases in reduction.covers.items() for base in bases]
     rules += [(reducer.beta[c.index], true) for c, true in reduction.betas.items()]
     return rules
 
@@ -445,26 +434,23 @@ def _has_minimal_witness(reducer: _Reducer, reduction: _Reduction, m: int) -> bo
     ``__theta_`` bit that no base in V forces heads no other rule, so it can
     be dropped, and ``a :- __beta_`` puts the true part of a ``__beta_`` bit
     into V.  So ``m`` is stable iff ``V | def(V)`` is a model for V = ``m``
-    and for no proper subset V of ``m``: at most ``2**|m|`` model tests.
-    These sets satisfy the defining rules and ``a :- __beta_`` by
-    construction, so only the kept rules are tested, restricted to the pool
-    ``m | gamma``: a rule whose body leaves it never fires.
+    and for no proper subset V of ``m``: at most ``2**|m|`` model tests,
+    which is what the ``minimal_models`` guard counts.  These sets satisfy
+    the defining rules and ``a :- __beta_`` by construction, so only the
+    kept rules are tested, as they are: a rule whose body leaves ``m |
+    gamma`` never fires on a set inside it, a head atom outside it is in no
+    tested set, and a ``__theta_`` bit in def(V) that no kept body holds is
+    in no kept rule, so it changes no test.
     """
+    check_guard("minimal_models", m.bit_count())
     defining = _gamma_rules(reducer, reduction)
-    gamma = 0
-    for bit, _ in defining:
-        gamma |= bit
-    check_guard("minimal_models", m.bit_count() + gamma.bit_count())
-    pool = m | gamma
-    rules = [(head & pool, body) for head, body in reduction.rules
-             if body & pool == body]
     sub = m
     while True:
         closed = sub
         for bit, body in defining:
             if body & sub == body:
                 closed |= bit
-        if _is_model_mask(closed, rules) != (sub == m):
+        if _is_model_mask(closed, reduction.rules) != (sub == m):
             return False  # m | gamma is not a model, or not a minimal one
         if not sub:
             return True
@@ -479,8 +465,8 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     normal one is decided by its least model, a disjunctive one by its only
     possible witness, ``candidate | gamma`` (``_has_minimal_witness``), in
     at most ``2**|candidate|`` model tests.  A ``GuardError`` is raised
-    before any enumeration when the pool ``|candidate| + |gamma|`` exceeds
-    the ``minimal_models`` guard.
+    before that scan when ``|candidate|`` exceeds the ``minimal_models``
+    guard.
     """
     reducer = _reducer(program.compiled)
     try:

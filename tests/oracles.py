@@ -4,8 +4,9 @@ Everything here recomputes results straight from the definitions and stays
 away from the library's algorithms: sublattice inclusion enumerates covered
 sets, abstract forms scan every candidate per solution, stable models of
 ordinary programs go through the textbook two-step reduct, and closure
-properties of constraint atoms are checked by exhausting subsets, and cycle
-flags come from a table of walks layered by length.  Stable
+properties of constraint atoms are checked by exhausting subsets, cycle
+flags come from a table of walks layered by length, and head-cycle-freeness
+from plain reachability over a rendered reduct.  Stable
 models of constraint programs reuse the library's ``gl_reduct`` (the
 definition under test is the model search) and scan every subset of the
 reduct's atoms for its minimal models.
@@ -220,6 +221,30 @@ def brute_is_stable(program: Program, candidate) -> bool:
     rules = [(frozenset(r.head), frozenset(r.body)) for r in reduct.rules]
     return any(m - reduct.gamma == candidate
                for m in brute_minimal_models(rules, reduct.atoms))
+
+
+def is_head_cycle_free(reduct) -> bool:
+    """No rule of the reduct has two distinct head atoms that reach each
+    other in its positive dependency graph (head atom -> body atom)."""
+    edges: dict[str, set[str]] = {}
+    for rule in reduct.rules:
+        for head in rule.head:
+            edges.setdefault(head, set()).update(rule.body)
+
+    def reached(start: str) -> set[str]:
+        seen: set[str] = set()
+        todo = [start]
+        while todo:
+            for atom in edges.get(todo.pop(), ()):
+                if atom not in seen:
+                    seen.add(atom)
+                    todo.append(atom)
+        return seen
+
+    reach = {atom: reached(atom) for atom in edges}
+    return not any(b in reach[a] and a in reach[b]
+                   for rule in reduct.rules for a in rule.head for b in rule.head
+                   if a != b)
 
 
 def brute_stable_models(program: Program) -> tuple[frozenset[str], ...]:

@@ -62,6 +62,14 @@ class TestSolve:
         assert cli.run(["solve", str(bad)]) == 1
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", ["1, a=2", "2, a=1"])
+    def test_aggregate_atom_listed_twice_exit_code(self, values, tmp_path, capsys):
+        bad = tmp_path / "twice.lp"
+        bad.write_text("a :- #sum{a=%s} >= 2." % values)
+        assert cli.run(["solve", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "parse error: 1:16: atom 'a' is listed twice in the aggregate\n")
+
     def test_guard_exit_code(self, tmp_path, capsys):
         wide = tmp_path / "wide.lp"
         wide.write_text("".join(f"x{i}.\n" for i in range(21)))
@@ -229,6 +237,16 @@ class TestSelftestUnderOptimize:
         result = _run_optimized("-c", script)
         assert result.returncode == 1, result.stdout + result.stderr
         assert "9/14 cases passed" in result.stdout
+
+
+def test_library_has_no_assert_statements():
+    """``python -O`` strips ``assert``, so no library check may be one."""
+    sources = sorted(Path(catlp.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 class TestPoolGuard:

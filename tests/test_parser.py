@@ -122,6 +122,17 @@ class TestParseErrors:
             parse(text)
         assert (err.value.line, err.value.column) == (line, column)
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("a :- #sum{a=1, a=2} >= 2.", 1, 16),
+        ("a :- #sum{a=2, a=1} >= 2.", 1, 16),
+        ("x.\ny :- #count{b=1,\n c=1, b=3} >= 2.", 3, 7),
+    ])
+    def test_aggregate_atom_listed_twice(self, text, line, column):
+        # Whichever value comes last, the aggregate is refused, not resolved.
+        with pytest.raises(ParseError, match="'[ab]' is listed twice") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
 
 class TestDesugarWeight:
     def test_cardinality_window(self):
@@ -204,6 +215,15 @@ class TestDesugarAggregate:
         with pytest.raises(GuardError) as caught:
             desugar_aggregate(AggregateConstraint("count", entries, ">=", 1))
         assert (caught.value.guard, caught.value.actual) == ("weight_entries", 17)
+
+    @pytest.mark.parametrize("kind, entries", [
+        ("sum", (("a", 1), ("a", 2))),
+        ("sum", (("a", 2), ("a", 1))),
+        ("count", (("a", 1), ("b", 1), ("a", 1))),
+    ])
+    def test_atom_listed_twice(self, kind, entries):
+        with pytest.raises(ValueError, match="each atom once"):
+            desugar_aggregate(AggregateConstraint(kind, entries, ">=", 2))
 
 
 class TestNegatedConstraints:

@@ -319,17 +319,43 @@ class TestStability:
             assert set(stable_models(program)) == oracles.standard_gl_stable_models(
                 program)
 
-    def test_pool_guard_counts_gamma(self):
-        # Each head constraint adds its beta atom to the candidate's atoms;
-        # the theta atom of a dropped rule does not count.
-        size = GUARD_LIMITS["minimal_models"] // 2 + 1
+    def test_witness_guard_counts_the_candidate(self, monkeypatch):
+        # The scan walks the subsets of the candidate, whatever gamma holds:
+        # twelve candidate atoms and twelve beta atoms are admitted, and the
+        # theta atom of a dropped rule adds no test.
+        size = 12
         rules = tuple(
             Rule((CAtom({f"a{i}"}, [{f"a{i}"}, ()]), f"b{i}")) for i in range(size))
         candidate = frozenset(f"a{i}" for i in range(size))
+        calls = []
+        counted = reduct_module._is_model_mask
+        monkeypatch.setattr(reduct_module, "_is_model_mask",
+                            lambda *args: calls.append(1) or counted(*args))
         for program in (Program(rules), Program(rules + (DROPPED_WITH_A_SATISFIED_THETA,))):
-            with pytest.raises(GuardError) as caught:
-                is_stable(program, candidate)
-            assert (caught.value.guard, caught.value.actual) == ("minimal_models", 2 * size)
+            calls.clear()
+            assert is_stable(program, candidate)
+            assert 0 < len(calls) <= 2 ** size + 1
+        wide = GUARD_LIMITS["minimal_models"] + 1
+        pairs = Program(tuple(Rule((f"a{i}", f"b{i}")) for i in range(wide)))
+        with pytest.raises(GuardError) as caught:
+            is_stable(pairs, frozenset(f"a{i}" for i in range(wide)))
+        assert (caught.value.guard, caught.value.actual) == ("minimal_models", 23)
+
+    def test_falsified_body_catom_builds_no_abstract_form(self, monkeypatch):
+        # Its solutions answer a falsifying query; the members are built at
+        # the first query that satisfies it.
+        built = []
+        counted = abstraction_module.build_abstract
+        monkeypatch.setattr(abstraction_module, "build_abstract",
+                            lambda catom: built.append(catom) or counted(catom))
+        abstraction_module.abstract_of.cache_clear()
+        program = load_program("y :- 1{x0, x1, x2, x3, x4, x5}.")
+        assert not is_stable(program, frozenset("y"))
+        assert is_stable(program, frozenset())
+        assert built == []
+        assert not is_stable(program, frozenset(("x0", "y")))
+        assert not is_stable(program, frozenset(("x1",)))
+        assert len(built) == 1
 
     def test_theta_of_a_dropped_rule_stays_out_of_the_witness_search(self):
         # ``[c : {}]`` holds for {a} but ``[d : {d}]`` does not, so the rule
@@ -482,6 +508,28 @@ class TestWitnessSearchDifferential:
                         and any(g.startswith("__beta_") for g in reduct.gamma)):
                     verdicts.add(is_stable(program, candidate))
         assert verdicts == {True, False}
+
+    def test_feed_has_head_cycle_free_and_other_disjunctive_reducts(self):
+        # Each kind of disjunctive reduct meets stable and unstable candidates.
+        verdicts = {True: set(), False: set()}
+        for program in self._programs():
+            for candidate in iter_subsets(program.language):
+                reduct = gl_reduct(program, candidate)
+                if not reduct.is_normal:
+                    verdicts[oracles.is_head_cycle_free(reduct)].add(
+                        is_stable(program, candidate))
+        assert verdicts == {True: {True, False}, False: {True, False}}
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a | b.", True),
+        ("a | b. a :- b. b :- a.", False),
+        ("a | b :- c. c :- a.", True),
+        ("a | b :- c. c :- a. d :- b. c :- d.", False),
+        ("a | a :- a.", True),
+    ])
+    def test_head_cycle_free_reference(self, text, expected):
+        reduct = as_reduct_program(load_program(text))
+        assert oracles.is_head_cycle_free(reduct) is expected
 
     def test_generator_mixes_atoms_constraints_and_negation(self):
         rng = random.Random(31)
