@@ -11,7 +11,7 @@ yields the minimal disjunctive normal form of the atom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import groupby, permutations
 from typing import Iterable, Iterator
 
@@ -124,11 +124,15 @@ def build_abstract(catom: CAtom) -> AbstractCAtom:
                 primes.append(cube)
         level = merged
 
+    # Primes share few distinct bases and free sets (2{x0..x7}4: 420 primes,
+    # 28 of each), so each distinct n-bit mask becomes a set once per build.
+    @cache
     def to_set(mask: int) -> frozenset[str]:
         return frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
 
+    low = (1 << n) - 1
     lattices = frozenset(
-        PrefixedPowerSet(to_set(cube), to_set(cube >> n)) for cube in primes)
+        PrefixedPowerSet(to_set(cube & low), to_set(cube >> n)) for cube in primes)
     return AbstractCAtom(catom.domain, lattices)
 
 

@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 parse or input errors, 2 guard or program-class
-violations, 3 oracle divergence.
+Exit codes: 0 success, 1 usage, parse or input errors, 2 guard or
+program-class violations, 3 oracle divergence.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Iterable
 
 from . import golden
@@ -215,9 +216,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The parser ``run`` reuses, built at its first call, not at import."""
+    return build_arg_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    May be called repeatedly in one process; the parser is built once, at
+    the first call.  A usage error leaves argparse's message on stderr and
+    gives 1; ``-h``/``--help`` prints help and gives 0.
+    """
+    try:
+        args = _arg_parser().parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ParseError as exc:

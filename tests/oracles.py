@@ -7,9 +7,10 @@ ordinary programs go through the textbook two-step reduct, and closure
 properties of constraint atoms are checked by exhausting subsets, cycle
 flags come from a table of walks layered by length, and head-cycle-freeness
 from plain reachability over a rendered reduct.  Stable
-models of constraint programs reuse the library's ``gl_reduct`` (the
-definition under test is the model search) and scan every subset of the
-reduct's atoms for its minimal models.
+models of constraint programs go through ``brute_reduct``, the four
+transformation steps written on sets with ``brute_abstract`` for the
+covering bases, and scan every subset of the reduct's atoms for its
+minimal models.  Only the introduced names come from ``catlp.reduct``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from catlp.core import (
     iter_subsets,
     set_key,
 )
-from catlp.reduct import gl_reduct
+from catlp.reduct import BOT, beta_atom, theta_atom
 
 
 def covered_sets(member: PrefixedPowerSet) -> frozenset[frozenset[str]]:
@@ -212,15 +213,75 @@ def brute_minimal_models(rules: list[tuple[frozenset[str], frozenset[str]]],
     return {m for m in models if not any(o < m for o in models)}
 
 
+def brute_reduct(program: Program, candidate):
+    """The reduct by definition, as (rules, gamma): a set of (head-set,
+    body-set) rules and the set of introduced atoms.
+
+    1. A rule is dropped when the candidate holds one of its negated atoms
+       or falsifies one of its body c-atoms.
+    2. The negated atoms of the rules left are removed.
+    3. Each body c-atom A becomes ``theta(A)``, with ``theta(A) :- B`` for
+       the base B of each abstract-form member covering the candidate on A.
+    4. Each head c-atom A becomes ``__bot`` when the candidate falsifies it.
+       Otherwise it becomes ``beta(A)``, with ``a :- beta(A)`` for each true
+       atom a of A, ``__bot :- a, beta(A)`` for each false one, and
+       ``beta(A) :-`` the true atoms.  ``__bot`` is false, so a head with
+       another element drops it.
+    """
+    candidate = frozenset(candidate)
+    rules: set[tuple[frozenset[str], frozenset[str]]] = set()
+    gamma: set[str] = set()
+    for rule in program.rules:
+        assert all(lit.positive or lit.is_atom for lit in rule.body), \
+            "negated c-atoms have no reduct"
+        if any(lit.item in candidate for lit in rule.body if not lit.positive):
+            continue
+        if any(candidate & lit.item.domain not in lit.item.solutions
+               for lit in rule.body if lit.is_constraint):
+            continue
+        body: set[str] = set()
+        for lit in rule.body:
+            if lit.is_atom:
+                if lit.positive:
+                    body.add(lit.item)
+                continue
+            name = theta_atom(lit.item)
+            body.add(name)
+            gamma.add(name)
+            rules.update(
+                (frozenset((name,)), member.base)
+                for member in brute_abstract(lit.item)
+                if brute_covers(member, candidate & lit.item.domain))
+        head: set[str] = set()
+        for element in rule.head:
+            if isinstance(element, str):
+                head.add(element)
+                continue
+            true = candidate & element.domain
+            if true not in element.solutions:
+                head.add(BOT)
+                continue
+            name = beta_atom(element)
+            head.add(name)
+            gamma.add(name)
+            rules.add((frozenset((name,)), true))
+            rules.update((frozenset((a,)), frozenset((name,))) for a in true)
+            rules.update((frozenset((BOT,)), frozenset((a, name)))
+                         for a in element.domain - candidate)
+        if len(head) > 1:
+            head.discard(BOT)
+        rules.add((frozenset(head), frozenset(body)))
+    return frozenset(rules), frozenset(gamma)
+
+
 def brute_is_stable(program: Program, candidate) -> bool:
-    """Stability by definition: some minimal model of the reduct, found by a
-    full scan over the reduct's atoms, equals the candidate once the
+    """Stability by definition: some minimal model of ``brute_reduct``,
+    found by a full scan over its atoms, equals the candidate once the
     introduced atoms are stripped."""
     candidate = frozenset(candidate)
-    reduct = gl_reduct(program, candidate)
-    rules = [(frozenset(r.head), frozenset(r.body)) for r in reduct.rules]
-    return any(m - reduct.gamma == candidate
-               for m in brute_minimal_models(rules, reduct.atoms))
+    rules, gamma = brute_reduct(program, candidate)
+    atoms = frozenset().union(*(head | body for head, body in rules))
+    return any(m - gamma == candidate for m in brute_minimal_models(list(rules), atoms))
 
 
 def is_head_cycle_free(reduct) -> bool:

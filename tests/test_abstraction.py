@@ -1,6 +1,7 @@
 import random
 import warnings
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +23,7 @@ from catlp.abstraction import (
     satisfies_abstract,
     simplified_dnf,
 )
-from catlp.core import CAtom, iter_subsets, satisfies_catom
+from catlp.core import CAtom, complement, iter_subsets, satisfies_catom
 from catlp.errors import GuardError
 from catlp.fixpoint import cond_satisfies
 from catlp.golden import (
@@ -32,6 +33,7 @@ from catlp.golden import (
     PUNCTURED_CUBE,
     pps,
 )
+from catlp.parser import parse_constraint
 
 import generators
 import oracles
@@ -139,6 +141,24 @@ class TestBuildAbstract:
         assert abstract.lattices == expected
         flags = classify_catom(abstract)
         assert flags.convex and not flags.monotone and not flags.antimonotone
+
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("lo, hi", [(2, 4), (3, 6)])
+    def test_cardinality_window_member_count(self, n, lo, hi):
+        # Every member is [P, Q] with |P| = lo, |Q| = hi: 420 for 2..4 of 8.
+        atoms = ",".join(f"x{i}" for i in range(n))
+        members = build_abstract(parse_constraint(f"{lo}{{{atoms}}}{hi}")).lattices
+        assert len(members) == comb(n, lo) * comb(n - lo, hi - lo)
+        assert all(len(m.base) == lo and len(m.top) == hi for m in members)
+
+    @pytest.mark.parametrize("n, lo", [(8, 4), (9, 3), (9, 5)])
+    def test_complemented_lower_bound_member_count(self, n, lo):
+        # Below lo of n: every member is [{}, Q] with |Q| = lo - 1.
+        atoms = ",".join(f"y{i}" for i in range(n))
+        members = build_abstract(
+            complement(parse_constraint(f"{lo}{{{atoms}}}{n}"))).lattices
+        assert len(members) == comb(n, lo - 1)
+        assert all(not m.base and len(m.top) == lo - 1 for m in members)
 
     def test_full_power_set_is_one_member(self):
         atoms = frozenset(f"x{i}" for i in range(12))

@@ -202,6 +202,56 @@ class TestTranslateAndDepgraph:
         assert "call_consistent=True" in out
 
 
+class TestUsageErrors:
+    """An argparse refusal exits 1 with its message on stderr, and never
+    raises ``SystemExit``; help exits 0."""
+
+    def test_usage_errors_exit_1(self, sum_loop, capsys):
+        for argv in (["check", sum_loop], ["solve"], ["nosuch"]):
+            assert cli.run(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("usage: catlp") and "error:" in err, argv
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["check", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: catlp")
+
+
+class TestParserReuse:
+    """``run`` reuses one parser; an option of one call must not reach the
+    next call of the same command."""
+
+    def test_solve_json_then_text(self, disjunction, capsys):
+        assert cli.run(["solve", disjunction, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)
+        assert cli.run(["solve", disjunction]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "{p(-1)}"
+
+    def test_depgraph_report_then_plain(self, tmp_path, capsys):
+        path = tmp_path / "loop.lp"
+        path.write_text(EVEN_LOOP)
+        assert cli.run(["depgraph", str(path), "--report"]) == 0
+        assert "acyclic=" in capsys.readouterr().out
+        assert cli.run(["depgraph", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "a ---> b" in out and "=" not in out
+
+    def test_abstract_classify_then_plain(self, capsys):
+        expression = "[a,b : {a}, {b}, {a,b}]"
+        assert cli.run(["abstract", "--catom", expression, "--classify"]) == 0
+        assert "monotone" in json.loads(capsys.readouterr().out)
+        assert cli.run(["abstract", "--catom", expression]) == 0
+        assert "monotone" not in json.loads(capsys.readouterr().out)
+
+    def test_check_oracle_returns_to_its_default(self, disjunction, capsys):
+        # The fixpoint oracle refuses a disjunctive program; the reduct does not.
+        argv = ["check", disjunction, "-I", "p(-1)"]
+        assert cli.run(argv + ["--oracle", "both"]) == 2
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out.strip() == "stable"
+
+
 def test_selftest(capsys):
     assert cli.run(["selftest"]) == 0
     out = capsys.readouterr().out
@@ -212,13 +262,40 @@ def test_selftest(capsys):
 SRC = str(Path(catlp.__file__).resolve().parents[1])
 
 
-def _run_optimized(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python -O`` with catlp importable, capturing text output."""
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with catlp importable, capturing text output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-O", *args], env=env, capture_output=True, text=True,
+        [sys.executable, *args], env=env, capture_output=True, text=True,
         timeout=120)
+
+
+def _run_optimized(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -O`` with catlp importable, capturing text output."""
+    return _run_python("-O", *args)
+
+
+def test_parser_is_built_at_the_first_run_not_at_import():
+    """Importing ``catlp.cli`` builds no ``ArgumentParser``; the first ``run``
+    builds the parsers and later calls build none."""
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = (\n"
+        "    lambda self, *a, **k: built.append(1) or init(self, *a, **k))\n"
+        "from catlp import cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(2):\n"
+        "    cli.run(['nosuch'])\n"
+        "    counts.append(len(built))\n"
+        "print(*counts)\n")
+    result = _run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    at_import, first, second = map(int, result.stdout.split())
+    assert at_import == 0
+    assert first == second > 0
 
 
 class TestSelftestUnderOptimize:

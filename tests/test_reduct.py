@@ -462,10 +462,21 @@ class TestWitnessSearchDifferential:
             assert stable_models(program) == oracles.brute_stable_models(program)
 
     def test_verdicts_match_on_every_candidate(self):
+        counts = {True: 0, False: 0}
         for program in self._programs():
             for candidate in iter_subsets(program.language):
-                assert is_stable(program, candidate) == oracles.brute_is_stable(
-                    program, candidate), (program, candidate)
+                verdict = oracles.brute_is_stable(program, candidate)
+                assert is_stable(program, candidate) == verdict, (program, candidate)
+                counts[verdict] += 1
+        assert counts == {True: 497, False: 3789}
+
+    def test_reduct_rules_match_the_definition(self):
+        for program in self._programs():
+            for candidate in iter_subsets(program.language):
+                reduct = gl_reduct(program, candidate)
+                rules = {(frozenset(r.head), frozenset(r.body)) for r in reduct.rules}
+                assert oracles.brute_reduct(program, candidate) == (
+                    rules, reduct.gamma), (program, candidate)
 
     def test_verdicts_match_with_atoms_outside_the_vocabulary(self):
         rng = random.Random(41)
