@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from typing import Iterable
 
 from . import golden
 from .abstraction import abstract_of, classify_catom
@@ -37,15 +36,11 @@ def _load_file(path: str) -> Program:
         return load_program(handle.read())
 
 
-def _model_lists(models: Iterable[frozenset[str]]) -> list[list[str]]:
-    return [list(set_key(m)) for m in sorted(models, key=set_key)]
-
-
 def _cmd_solve(args) -> int:
     program = _load_file(args.file)
     models = stable_models(program)
     if args.json:
-        print(json.dumps({"models": _model_lists(models)}))
+        print(json.dumps({"models": [list(set_key(m)) for m in models]}))
         return EXIT_OK
     if not models:
         print("no stable models")

@@ -11,6 +11,7 @@ interpretations can be shared freely across threads.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -309,35 +310,137 @@ def candidate_models(program: Program) -> Iterator[frozenset[str]]:
     """Every subset of the vocabulary that is a model, in ``iter_subsets`` order.
 
     The vocabulary size is checked against the ``stable_language`` guard
-    when this is called, before any subset is enumerated.  Subsets are tested
-    as bit masks on ``Program.compiled``; ``is_model`` is the same test on
-    frozensets.
+    when this is called, before any bitset is built.  All subsets are
+    tested at once (``CandidateBits.models``); ``is_model`` is the same test
+    on frozensets, one interpretation at a time.
     """
     check_guard("stable_language", len(program.language))
-    return _mask_models(program.compiled)
+    space = CandidateBits(program.compiled)
+    return space.sets(space.models())
 
 
-def _mask_models(compiled: CompiledProgram) -> Iterator[frozenset[str]]:
-    def tests(catoms):
-        return tuple((c.domain, c.solutions) for c in catoms)
+def _spread(bits: int, period: int, size: int) -> int:
+    """Repeat the first ``period`` bits of ``bits`` up to ``size`` bits (powers of two)."""
+    while period < size:
+        bits |= bits << period
+        period <<= 1
+    return bits
 
-    rules = [(pos, neg, head, tests(body), tests(negated), tests(heads))
-             for head, pos, neg, heads, body, negated in compiled.rules]
-    atoms, bits = compiled.atoms, [1 << i for i in range(len(compiled.atoms))]
-    for size in range(len(atoms) + 1):
-        for combo in combinations(range(len(atoms)), size):
-            m = sum(map(bits.__getitem__, combo))
-            for pos, neg, head, body, negated, heads in rules:
-                if m & pos != pos or m & neg or m & head:
-                    continue
-                if body and any(m & d not in s for d, s in body):
-                    continue
-                if negated and any(m & d in s for d, s in negated):
-                    continue
-                if not (heads and any(m & d in s for d, s in heads)):
-                    break  # the body holds and the head does not
+
+def _table(cubes: list[tuple[int, int]], n: int, disjoint: bool) -> tuple[int, int]:
+    """The candidates inside some cube ``(ones, zeros)``, as ``(bits, period)``.
+
+    A cube holds the candidates with every atom of ``ones`` and none of
+    ``zeros`` (vocabulary masks).  The bits repeat with ``period``, a power
+    of two.  The family is split on the lowest atom any cube fixes, which is
+    the highest candidate bit left, so both halves span fewer bits.  The
+    split stops at an empty family, at a cube that fixes nothing more, and,
+    when the cubes are ``disjoint`` minterms of one domain, at a complete
+    family.
+    """
+    if not cubes:
+        return 0, 1
+    fixed = 0
+    for ones, zeros in cubes:
+        if not ones | zeros:
+            return 1, 1
+        fixed |= ones | zeros
+    if disjoint and len(cubes) == 1 << fixed.bit_count():
+        return 1, 1
+    low = fixed & -fixed
+    half = 1 << n - low.bit_length()
+    bits = 0
+    without = [(o, z & ~low) for o, z in cubes if not o & low]
+    if without:
+        bits = _spread(*_table(without, n, disjoint), half)
+    with_low = [(o & ~low, z) for o, z in cubes if not z & low]
+    if with_low:
+        bits |= _spread(*_table(with_low, n, disjoint), half) << half
+    return bits, half << 1
+
+
+class CandidateBits:
+    """All ``2**n`` candidates of a compiled program at once, one bit each.
+
+    Bit k stands for the candidate whose vocabulary mask is k reversed over
+    n bits: atom ``atoms[i]`` is bit ``n - 1 - i`` of k.  So ``format(k,
+    "0nb")`` spells the candidate in atom order, and among candidates of one
+    size, ``iter_subsets`` order is descending k.  A set of candidates is
+    one ``2**n``-bit integer, built per call and never cached.
+    """
+
+    def __init__(self, compiled: CompiledProgram):
+        self.compiled = compiled
+        self.n = len(compiled.atoms)
+        self.full = (1 << (1 << self.n)) - 1
+        self._satisfied: dict[CompiledCAtom, int] = {}
+
+    def cubes(self, cubes: list[tuple[int, int]], disjoint: bool = False) -> int:
+        """The candidates inside some cube ``(ones, zeros)`` of vocabulary masks."""
+        return _spread(*_table(cubes, self.n, disjoint), 1 << self.n)
+
+    @cached_property
+    def holds(self) -> list[int]:
+        """Per atom, by vocabulary bit, the candidates that hold it."""
+        return [self.cubes([(1 << i, 0)]) for i in range(self.n)]
+
+    def satisfied(self, catom: CompiledCAtom) -> int:
+        """The candidates that satisfy ``catom``, split from its solutions.
+
+        A complete family, such as a choice head's, is read off its size.
+        """
+        bits = self._satisfied.get(catom)
+        if bits is None:
+            domain = catom.domain
+            if len(catom.catom.solutions) == 1 << domain.bit_count():
+                bits = self.full
             else:
-                yield frozenset(map(atoms.__getitem__, combo))
+                bits = self.cubes([(s, domain ^ s) for s in catom.solutions], disjoint=True)
+            self._satisfied[catom] = bits
+        return bits
+
+    def models(self) -> int:
+        """The candidates no rule is violated by: body true and head false."""
+        satisfied = self.satisfied
+        violated = 0
+        for head, pos, neg, heads, body, negated in self.compiled.rules:
+            bits = self.cubes([(pos, neg | head)])
+            for c in body:
+                bits &= satisfied(c)
+            for c in negated + heads:
+                bits &= ~satisfied(c)
+            violated |= bits
+        return self.full ^ violated
+
+    def mask(self, k: int) -> int:
+        """The vocabulary mask of candidate ``k``."""
+        return int(format(k, "0%db" % self.n)[::-1], 2)
+
+    def indices(self, bits: int) -> list[int]:
+        """The candidates of ``bits``, by descending index."""
+        text = format(bits, "b")
+        top = len(text) - 1
+        return [top - found.start() for found in re.finditer("1", text)]
+
+    def sets(self, bits: int) -> Iterator[frozenset[str]]:
+        """The candidates of ``bits`` as atom sets, in ``iter_subsets`` order.
+
+        Each index is split into its low and high half, and each half is
+        looked up in a table of atom tuples.
+        """
+        n, atoms = self.n, self.compiled.atoms
+        by_size: list[list[int]] = [[] for _ in range(n + 1)]
+        for k in self.indices(bits):
+            by_size[k.bit_count()].append(k)
+        half = n // 2
+        low = [tuple(atoms[n - 1 - j] for j in range(half) if k >> j & 1)
+               for k in range(1 << half)]
+        high = [tuple(atoms[n - 1 - half - j] for j in range(n - half) if k >> j & 1)
+                for k in range(1 << n - half)]
+        low_bits = (1 << half) - 1
+        for size in by_size:
+            for k in size:
+                yield frozenset(low[k & low_bits] + high[k >> half])
 
 
 def is_minimal_model(interpretation: Iterable[str], program: Program) -> bool:

@@ -27,14 +27,17 @@ from .core import (
     satisfies_catom,
     set_key,
 )
-from .errors import InvariantError, NotAModelError, ProgramClassError, check_guard
+from .errors import InvariantError, NotAModelError, ProgramClassError
 
 
 def cond_satisfies(lower: Iterable[str], upper: Iterable[str], catom: CAtom) -> bool:
     """Conditional satisfaction of a constraint atom.
 
     ``lower`` must satisfy the atom and every set between ``lower`` and
-    ``upper`` (within the domain) must be admissible.
+    ``upper`` (within the domain) must be admissible.  The solutions are
+    distinct subsets of the domain, so an interval of ``2**k`` sets fits in
+    them only when they number at least ``2**k``; otherwise the answer is
+    False with nothing enumerated, so at most ``|solutions|`` sets are tried.
     """
     low = frozenset(lower)
     if not satisfies_catom(low, catom):
@@ -44,7 +47,8 @@ def cond_satisfies(lower: Iterable[str], upper: Iterable[str], catom: CAtom) -> 
     if not bottom <= top:
         return True  # no interpolants to check
     extra = top - bottom
-    check_guard("cond_interval", len(extra))
+    if 1 << len(extra) > len(catom.solutions):
+        return False
     return all(bottom | sub in catom.solutions for sub in iter_subsets(extra))
 
 

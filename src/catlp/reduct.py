@@ -14,6 +14,8 @@ The steps run on the bit masks of ``Program.compiled``, and stability is
 decided there: a normal result by its least fixpoint, a disjunctive one by
 testing its only possible minimal witness.  Introduced atoms are bits, not
 names; only ``gl_reduct``, which renders a reduct, mints their names.
+``stable_models`` runs the least fixpoint for every candidate at once, one
+bit per candidate (``core.CandidateBits``).
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ from typing import Iterable, Sequence
 from .abstraction import abstract_of
 from .core import (
     CAtom,
+    CandidateBits,
     CompiledCAtom,
     CompiledProgram,
     Literal,
     Program,
     Rule,
-    candidate_models,
     set_key,
 )
 from .errors import InvariantError, NameCollisionError, ProgramClassError, check_guard
@@ -164,27 +166,31 @@ class _Reducer:
         self.beta = [1 << n + 2 + 2 * c.index for c in compiled.catoms]
         self._members: dict[CompiledCAtom, list[tuple[int, int]]] = {}
 
-    def covers(self, catom: CompiledCAtom, m: int) -> list[int]:
-        """Bases of the abstract-form members of ``catom`` that cover ``m``.
-
-        The list is empty exactly when ``m`` falsifies ``catom``.  The
-        (base, top) masks of its members are built at the first query that
-        satisfies it; until then a query is answered by its solutions alone,
-        so a c-atom that no query satisfies never gets an abstract form.
-        """
-        restricted = m & catom.domain
+    def members(self, catom: CompiledCAtom) -> list[tuple[int, int]]:
+        """The (base, top) masks of the abstract-form members of ``catom``, built once."""
         members = self._members.get(catom)
         if members is None:
-            compiled = self.compiled
-            if frozenset(compiled.atoms_of(restricted)) not in catom.catom.solutions:
-                return []
-            bit = compiled.bit.__getitem__
+            bit = self.compiled.bit.__getitem__
             members = []
             for member in abstract_of(catom.catom).lattices:
                 base = sum(map(bit, member.base))
                 members.append((base, base | sum(map(bit, member.free))))
             self._members[catom] = members  # only once complete: readers may share it
-        return [base for base, top in members
+        return members
+
+    def covers(self, catom: CompiledCAtom, m: int) -> list[int]:
+        """Bases of the abstract-form members of ``catom`` that cover ``m``.
+
+        The list is empty exactly when ``m`` falsifies ``catom``.  The
+        members are built at the first query that satisfies it; until then
+        a query is answered by its solutions alone, so a c-atom that no
+        query satisfies never gets an abstract form.
+        """
+        restricted = m & catom.domain
+        if (catom not in self._members and frozenset(
+                self.compiled.atoms_of(restricted)) not in catom.catom.solutions):
+            return []
+        return [base for base, top in self.members(catom)
                 if restricted & base == base and restricted | top == top]
 
     def reduce(self, m: int) -> _Reduction:
@@ -460,13 +466,15 @@ def _has_minimal_witness(reducer: _Reducer, reduction: _Reduction, m: int) -> bo
 def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     """Does the candidate reproduce itself through its reduct?
 
-    A candidate with an atom outside the vocabulary is not stable.  The
-    reduct is computed and decided on masks, with no introduced names.  A
-    normal one is decided by its least model, a disjunctive one by its only
-    possible witness, ``candidate | gamma`` (``_has_minimal_witness``), in
-    at most ``2**|candidate|`` model tests.  A ``GuardError`` is raised
-    before that scan when ``|candidate|`` exceeds the ``minimal_models``
-    guard.
+    This decides one candidate, for the ``check`` command and the golden
+    checks, and is the reference for ``stable_models``, which decides all
+    candidates at once.  A candidate with an atom outside the
+    vocabulary is not stable.  The reduct is computed and decided on masks,
+    with no introduced names.  A normal one is decided by its least model, a
+    disjunctive one by its only possible witness, ``candidate | gamma``
+    (``_has_minimal_witness``), in at most ``2**|candidate|`` model tests.
+    A ``GuardError`` is raised before that scan when ``|candidate|`` exceeds
+    the ``minimal_models`` guard.
     """
     reducer = _reducer(program.compiled)
     try:
@@ -480,17 +488,113 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
 
 
 def stable_models(program: Program) -> tuple[frozenset[str], ...]:
-    """All stable models, enumerated over subsets of the vocabulary.
+    """All stable models, decided for every candidate at once.
 
-    Stable models are models, so only ``candidate_models`` are tried and no
-    reduct is built for a non-model.  Vocabularies beyond the
-    ``stable_language`` guard raise ``GuardError`` before any enumeration;
-    negated c-atoms raise before any candidate is tried, models or not.
+    Vocabularies beyond the ``stable_language`` guard raise ``GuardError``
+    before any bitset is built; negated c-atoms raise before any candidate
+    is tried, models or not.  Every subset of the vocabulary is a bit of
+    one integer (``CandidateBits``), and the reduct's least fixpoint runs
+    on those integers for all models at once (``_normal_stable_bits``).  A
+    model whose reduct keeps a rule with two head elements is decided alone,
+    by ``_has_minimal_witness`` on its reduct, as ``is_stable`` does.
     """
-    candidates = candidate_models(program)
-    _reducer(program.compiled)  # rejects negated c-atoms
-    out = [candidate for candidate in candidates if is_stable(program, candidate)]
+    check_guard("stable_language", len(program.language))
+    reducer = _reducer(program.compiled)  # rejects negated c-atoms
+    space = CandidateBits(reducer.compiled)
+    models = space.models()
+    stable, disjunctive = _normal_stable_bits(reducer, space, models)
+    out = list(space.sets(stable))
+    for k in space.indices(models & disjunctive):
+        m = space.mask(k)
+        if _has_minimal_witness(reducer, reducer.reduce(m), m):
+            out.append(frozenset(reducer.compiled.atoms_of(m)))
     return tuple(sorted(out, key=set_key))
+
+
+def _normal_stable_bits(reducer: _Reducer, space: CandidateBits, models: int) -> tuple[int, int]:
+    """The models stable through a normal reduct, and those with a disjunctive one.
+
+    A rule is kept by the candidates with none of its negated atoms that
+    satisfy each body c-atom.  Its active head elements are its head atoms
+    and its satisfied head c-atoms: two or more make the reduct
+    disjunctive, none make the head ``__bot``.  Bitset ``derived[i]`` holds
+    the candidates whose reduct derives atom i so far, and ``derived[n]``
+    those that derive ``__bot``.  A body c-atom is derived once some base of
+    a member that covers the candidate is derived: per distinct base, one
+    coverage bitset ANDed with the derived bitsets of its atoms.  A head
+    c-atom that is the only active element derives the candidate's true
+    part of its domain.  Candidates do not interact, so what a rule derives
+    for a disjunctive candidate is harmless; such candidates are dropped at
+    the end.  The ``__bot :- a, __beta_`` rules are left out, as in
+    ``_definitions``.  A candidate is stable when it derives itself and
+    not ``__bot``.
+    """
+    n, satisfied, holds = space.n, space.satisfied, space.holds
+    disjunctive = 0
+    rules = []  # (kept, positive body atoms, body c-atoms, [(target, mask or None)])
+    for head, pos, neg, heads, body, _ in space.compiled.rules:
+        kept = models & space.cubes([(0, neg)])
+        for c in body:
+            kept &= satisfied(c)
+        if not kept:
+            continue
+        atoms = [i for i in range(n) if head >> i & 1]
+        positive = [i for i in range(n) if pos >> i & 1]
+        heads = tuple(dict.fromkeys(heads))
+        one = two = 0  # candidates satisfying at least one, two head c-atoms
+        for c in heads:
+            two |= one & satisfied(c)
+            one |= satisfied(c)
+        if len(atoms) > 1:
+            disjunctive |= kept
+        elif atoms:
+            disjunctive |= kept & one
+            rules.append((kept, positive, body, [(atoms[0], None)]))
+        else:
+            disjunctive |= kept & two
+            rules.append((kept & ~one, positive, body, [(n, None)]))
+            for c in heads:
+                true = [(i, holds[i]) for i in range(n) if c.domain >> i & 1]
+                rules.append((kept & satisfied(c), positive, body, true))
+
+    covers = {}  # body c-atom -> [(base atoms, candidates a member of that base covers)]
+    for c in dict.fromkeys(c for _, _, body, _ in rules for c in body):
+        by_base: dict[int, list[tuple[int, int]]] = {}
+        for base, top in reducer.members(c):
+            by_base.setdefault(base, []).append((base, c.domain & ~top))
+        covers[c] = [([i for i in range(n) if base >> i & 1], space.cubes(cubes))
+                     for base, cubes in by_base.items()]
+
+    derived = [0] * (n + 1)
+    changed = True
+    while changed:
+        changed = False
+        theta = {}
+        for c, bases in covers.items():
+            bits = 0
+            for atoms, covered in bases:
+                for i in atoms:
+                    covered &= derived[i]
+                bits |= covered
+            theta[c] = bits
+        for kept, pos, body, targets in rules:
+            fired = kept
+            for i in pos:
+                fired &= derived[i]
+            for c in body:
+                fired &= theta[c]
+            if not fired:
+                continue
+            for i, mask in targets:
+                new = derived[i] | (fired if mask is None else fired & mask)
+                if new != derived[i]:
+                    derived[i] = new
+                    changed = True
+
+    stable = models & ~disjunctive & ~derived[n]
+    for i in range(n):
+        stable &= ~(derived[i] ^ holds[i])
+    return stable, disjunctive
 
 
 def format_reduct(reduct: ReductProgram) -> str:

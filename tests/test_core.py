@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from catlp.core import (
     CAtom,
+    CandidateBits,
+    CompiledCAtom,
     FALSE_CATOM,
     Literal,
     Program,
@@ -161,6 +163,27 @@ class TestModelChecks:
                     s for s in iter_subsets(program.language) if is_model(s, program)]
         assert negated and declared
 
+    def test_candidate_bits_match_a_scan_of_every_candidate(self):
+        # Overlapping and repeated cubes, and random solution families,
+        # against a direct test of each candidate's mask.
+        rng = random.Random(71)
+        for _ in range(300):
+            n = rng.randint(0, 6)
+            space = CandidateBits(Program((), frozenset(f"a{i}" for i in range(n))).compiled)
+            cubes = []
+            for _ in range(rng.randint(0, 6)):
+                ones = rng.getrandbits(n)
+                zeros = rng.getrandbits(n) & ~ones
+                cubes += [(ones, zeros)] * rng.randint(1, 2)
+            catom = generators.random_catom(rng, pool=space.compiled.atoms, max_domain=n)
+            c = CompiledCAtom(catom, 0, space.compiled.bit)
+            bits, satisfied = space.cubes(cubes), space.satisfied(c)
+            for k in range(1 << n):
+                m = space.mask(k)
+                assert list(space.sets(1 << k)) == [frozenset(space.compiled.atoms_of(m))]
+                assert bits >> k & 1 == any(m & o == o and not m & z for o, z in cubes)
+                assert satisfied >> k & 1 == (m & c.domain in c.solutions)
+
     def test_candidate_models_guard_fires_before_enumeration(self):
         program = Program(tuple(Rule((f"x{i}",)) for i in range(21)))
         with pytest.raises(GuardError) as caught:
@@ -170,12 +193,12 @@ class TestModelChecks:
 
 class TestGuards:
     def test_limit_admits_and_one_more_refuses(self):
-        check_guard("cond_interval", GUARD_LIMITS["cond_interval"])
+        check_guard("weight_entries", GUARD_LIMITS["weight_entries"])
         with pytest.raises(GuardError) as caught:
-            check_guard("cond_interval", 17)
+            check_guard("weight_entries", 17)
         error = caught.value
-        assert (error.guard, error.limit, error.actual) == ("cond_interval", 16, 17)
-        assert str(error) == "cond_interval guard: 17 exceeds the limit of 16"
+        assert (error.guard, error.limit, error.actual) == ("weight_entries", 16, 17)
+        assert str(error) == "weight_entries guard: 17 exceeds the limit of 16"
 
     def test_readme_table_matches_the_limits(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"

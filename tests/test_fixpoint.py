@@ -53,12 +53,20 @@ class TestCondSatisfies:
         catom = CAtom("ab", [{"a"}])
         assert cond_satisfies({"a"}, set(), catom)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        # No guard: an interval of 2**17 sets cannot fit in two solutions,
+        # so it is refused before any interpolant is enumerated, and an
+        # interval no larger than the family is enumerated.
+        tried = []
+        monkeypatch.setattr(fixpoint_module, "iter_subsets",
+                            lambda atoms: tried.append(len(atoms)) or iter_subsets(atoms))
         wide = frozenset(f"x{i}" for i in range(17))
-        catom = CAtom(wide, [set()])
-        with pytest.raises(GuardError) as caught:
-            cond_satisfies(set(), wide, catom)
-        assert (caught.value.guard, caught.value.actual) == ("cond_interval", 17)
+        catom = CAtom(wide, [set(), {"x0"}])
+        assert not cond_satisfies(set(), wide, catom)
+        assert not cond_satisfies(set(), {"x0", "x1"}, catom)
+        assert tried == []
+        assert cond_satisfies(set(), {"x0"}, catom)
+        assert tried == [1]
 
     def test_matches_definition(self):
         rng = random.Random(53)

@@ -1,11 +1,22 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from catlp import abstraction as abstraction_module
 from catlp import reduct as reduct_module
-from catlp.core import CAtom, Literal, Program, Rule, is_model, iter_subsets
+from catlp.core import (
+    FALSE_CATOM,
+    CAtom,
+    Literal,
+    Program,
+    Rule,
+    candidate_models,
+    is_model,
+    iter_subsets,
+    set_key,
+)
 from catlp.errors import (
     GUARD_LIMITS,
     GuardError,
@@ -397,6 +408,84 @@ class TestStability:
                 rng, atoms=("a", "b", "c", "d"), max_rules=4, max_domain=3)
             for model in stable_models(program):
                 assert is_model(model, program)
+
+
+class TestAllCandidatesAtOnce:
+    """``stable_models`` decides every candidate at once on bitsets;
+    ``is_stable`` decides one candidate and is its reference."""
+
+    FAMILIES = (
+        generators.random_positive_basic_program,
+        generators.random_basic_program,
+        lambda rng: generators.random_ordinary_program(rng, disjunctive=rng.random() < 0.5),
+        generators.random_normal_constraint_program,
+        generators.random_disjunctive_constraint_program,
+    )
+
+    def _programs(self):
+        """Each family with negated c-atoms eliminated, some programs with a
+        ``bot`` rule whose body may negate atoms, some with declared atoms."""
+        rng = random.Random(47)
+        for make in self.FAMILIES:
+            for _ in range(50):
+                program = eliminate_negated_catoms(make(rng))
+                rules, declared = program.rules, program.declared_atoms
+                if rng.random() < 0.3:
+                    body = tuple(Literal.negated_atom(a) if rng.random() < 0.5
+                                 else Literal.atom(a) for a in rng.sample("abcd", 2))
+                    rules += (Rule((FALSE_CATOM,), body),)
+                if rng.random() < 0.3:
+                    declared = frozenset(rng.sample(("e", "f", "z"), rng.randint(1, 2)))
+                yield Program(rules, declared)
+
+    def test_matches_the_single_candidate_route_and_brute_force(self):
+        programs = stable = 0
+        for program in self._programs():
+            expected = tuple(sorted(
+                (c for c in candidate_models(program) if is_stable(program, c)), key=set_key))
+            assert stable_models(program) == expected, program
+            assert expected == oracles.brute_stable_models(program), program
+            programs += 1
+            stable += len(expected)
+        assert (programs, stable) == (250, 243)
+
+    def test_feed_covers_each_kind_of_rule(self):
+        programs = list(self._programs())
+        rules = [r for p in programs for r in p.rules]
+        assert any(r.head == (FALSE_CATOM,) and any(not lit.positive for lit in r.body)
+                   for r in rules)
+        assert any(isinstance(e, CAtom) and e != FALSE_CATOM for r in rules for e in r.head)
+        assert any(len(r.head) > 1 for r in rules)
+        assert any(p.declared_atoms - p.atoms for p in programs)
+        assert all(lit.positive or lit.is_atom for r in rules for lit in r.body)
+
+    def test_memory_at_the_guard_limit(self):
+        # One coverage bitset per distinct base of 3{x0..x8}6 (84), never one
+        # cube per member (1,680): cubes took this program to 255 MB RSS.
+        loops = " ".join(f"x{i} :- not y{i}. y{i} :- not x{i}." for i in range(9))
+        window = ", ".join(f"x{i}" for i in range(9))
+        program = load_program(loops + f" v :- 3{{{window}}}6. w :- not v.")
+        assert len(program.language) == GUARD_LIMITS["stable_language"]
+        tracemalloc.start()
+        try:
+            models = stable_models(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert len(models) == 512
+
+    def test_refusals_come_before_any_bitset(self, monkeypatch):
+        def refuse(compiled):
+            raise AssertionError("a bitset was built")
+
+        monkeypatch.setattr(reduct_module, "CandidateBits", refuse)
+        wide = Program(tuple(Rule((f"x{i}",)) for i in range(21)))
+        with pytest.raises(GuardError):
+            stable_models(wide)
+        negated = Program((Rule(("a",), (Literal.negated_constraint(CAtom("a", [{"a"}])),)),))
+        with pytest.raises(ProgramClassError):
+            stable_models(negated)
 
 
 class TestRendering:
