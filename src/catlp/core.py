@@ -367,33 +367,51 @@ class CandidateBits:
     "0nb")`` spells the candidate in atom order, and among candidates of one
     size, ``iter_subsets`` order is descending k.  A set of candidates is
     one ``2**n``-bit integer, built per call and never cached.
+
+    Given a ``point`` (a vocabulary mask), the space holds that one
+    candidate: ``full`` is 1 and each test reads the point directly, so no
+    ``2**n``-bit integer is made and the vocabulary size is unbounded.
     """
 
-    def __init__(self, compiled: CompiledProgram):
+    def __init__(self, compiled: CompiledProgram, point: int | None = None):
         self.compiled = compiled
         self.n = len(compiled.atoms)
-        self.full = (1 << (1 << self.n)) - 1
+        self._point = point
+        self.full = 1 if point is not None else (1 << (1 << self.n)) - 1
         self._satisfied: dict[CompiledCAtom, int] = {}
 
     def cubes(self, cubes: list[tuple[int, int]], disjoint: bool = False) -> int:
         """The candidates inside some cube ``(ones, zeros)`` of vocabulary masks."""
-        return _spread(*_table(cubes, self.n, disjoint), 1 << self.n)
+        point = self._point
+        if point is None:
+            return _spread(*_table(cubes, self.n, disjoint), 1 << self.n)
+        for ones, zeros in cubes:
+            if point & ones == ones and not point & zeros:
+                return 1
+        return 0
 
     @cached_property
     def holds(self) -> list[int]:
         """Per atom, by vocabulary bit, the candidates that hold it."""
+        if self._point is not None:
+            return [self._point >> i & 1 for i in range(self.n)]
         return [self.cubes([(1 << i, 0)]) for i in range(self.n)]
 
     def satisfied(self, catom: CompiledCAtom) -> int:
         """The candidates that satisfy ``catom``, split from its solutions.
 
         A complete family, such as a choice head's, is read off its size.
+        A point is looked up among the solutions as an atom set, so no
+        solution masks are built.
         """
         bits = self._satisfied.get(catom)
         if bits is None:
             domain = catom.domain
             if len(catom.catom.solutions) == 1 << domain.bit_count():
                 bits = self.full
+            elif self._point is not None:
+                bits = int(frozenset(self.compiled.atoms_of(self._point & domain))
+                           in catom.catom.solutions)
             else:
                 bits = self.cubes([(s, domain ^ s) for s in catom.solutions], disjoint=True)
             self._satisfied[catom] = bits

@@ -11,7 +11,7 @@ GUARD_LIMITS = {
     "complement_domain": 20,  # domain atoms of a complemented c-atom
     "abstract_domain": 20,  # domain atoms of an abstract form built or expanded
     "weight_entries": 16,  # entries of a weight constraint or aggregate
-    "minimal_models": 22,  # atoms of a minimal-model scan or witness pool
+    "minimal_models": 22,  # atoms of a minimal-model scan or of a disjunctive candidate
     "stable_language": 20,  # vocabulary atoms of candidate-model enumeration
 }
 

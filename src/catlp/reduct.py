@@ -10,12 +10,13 @@ positive program whose minimal models decide stability: the candidate is
 stable when stripping the introduced atoms from some minimal model gives the
 candidate back.
 
-The steps run on the bit masks of ``Program.compiled``, and stability is
-decided there: a normal result by its least fixpoint, a disjunctive one by
-testing its only possible minimal witness.  Introduced atoms are bits, not
-names; only ``gl_reduct``, which renders a reduct, mints their names.
-``stable_models`` runs the least fixpoint for every candidate at once, one
-bit per candidate (``core.CandidateBits``).
+The steps and the reduct's least fixpoint are written once, on bitsets of
+candidates (``core.CandidateBits``): ``stable_models`` runs them on a space
+of every candidate, one bit each, and ``is_stable`` and ``gl_reduct`` on a
+space of one.  A normal reduct is decided by its least fixpoint, a
+disjunctive one by testing its only possible minimal witness, one candidate
+at a time.  Introduced atoms are bits, not names; only ``gl_reduct``, which
+renders a reduct, mints their names.
 """
 
 from __future__ import annotations
@@ -98,24 +99,6 @@ class ReductProgram:
             Rule(r.head, tuple(Literal.atom(b) for b in r.body)) for r in self.rules))
 
 
-def as_reduct_program(program: Program) -> ReductProgram:
-    """Convert a positive ordinary program for the model enumerators."""
-    rules = []
-    for rule in program.rules:
-        head = []
-        for element in rule.head:
-            if not isinstance(element, str):
-                raise ProgramClassError("constraint atoms are not allowed here")
-            head.append(element)
-        body = []
-        for lit in rule.body:
-            if not (lit.positive and lit.is_atom):
-                raise ProgramClassError("only positive atom bodies are allowed here")
-            body.append(lit.item)
-        rules.append(ReductRule(tuple(head), tuple(body)))
-    return ReductProgram(tuple(rules), frozenset())
-
-
 def claim_name(owners: dict[str, CAtom], name: str, catom: CAtom) -> None:
     """Record ``catom`` as the owner of an introduced ``name``.
 
@@ -131,18 +114,8 @@ def claim_name(owners: dict[str, CAtom], name: str, catom: CAtom) -> None:
 #: recently used first out); ``stable_models`` works on one at a time.
 REDUCER_CACHE_SIZE = 8
 
-
-class _Reduction:
-    """The reduct of a program for one candidate, on masks."""
-
-    __slots__ = ("kept", "rules", "covers", "betas", "disjunctive")
-
-    def __init__(self, kept, rules, covers, betas, disjunctive):
-        self.kept: list[int] = kept  # indices of the kept rules
-        self.rules: list[tuple[int, int]] = rules  # (head bits, body bits) per kept rule
-        self.covers: dict[CompiledCAtom, list[int]] = covers  # bases per body c-atom met
-        self.betas: dict[CompiledCAtom, int] = betas  # true part per satisfied head c-atom
-        self.disjunctive: bool = disjunctive  # a kept rule keeps two head elements
+#: Abstract-form members by distinct base: ``(base, base atom indices, cubes)``.
+_Members = list[tuple[int, list[int], list[tuple[int, int]]]]
 
 
 class _Reducer:
@@ -161,76 +134,29 @@ class _Reducer:
         n = len(compiled.atoms)
         self.compiled = compiled
         self.bot = 1 << n
-        self.visible = (1 << n + 1) - 1  # the vocabulary and ``__bot``
         self.theta = [1 << n + 1 + 2 * c.index for c in compiled.catoms]
         self.beta = [1 << n + 2 + 2 * c.index for c in compiled.catoms]
-        self._members: dict[CompiledCAtom, list[tuple[int, int]]] = {}
+        self._members: dict[CompiledCAtom, _Members] = {}
 
-    def members(self, catom: CompiledCAtom) -> list[tuple[int, int]]:
-        """The (base, top) masks of the abstract-form members of ``catom``, built once."""
+    def members(self, catom: CompiledCAtom) -> _Members:
+        """The abstract-form members of ``catom`` by distinct base, built once.
+
+        Each entry is ``(base, base atom indices, cubes)`` with one cube
+        ``(base, domain outside the top)`` per member of that base: the
+        member covers exactly the candidates inside its cube.
+        """
         members = self._members.get(catom)
         if members is None:
             bit = self.compiled.bit.__getitem__
-            members = []
+            by_base: dict[int, list[tuple[int, int]]] = {}
             for member in abstract_of(catom.catom).lattices:
                 base = sum(map(bit, member.base))
-                members.append((base, base | sum(map(bit, member.free))))
+                top = base | sum(map(bit, member.free))
+                by_base.setdefault(base, []).append((base, catom.domain & ~top))
+            members = [(base, [i for i in range(base.bit_length()) if base >> i & 1], cubes)
+                       for base, cubes in by_base.items()]
             self._members[catom] = members  # only once complete: readers may share it
         return members
-
-    def covers(self, catom: CompiledCAtom, m: int) -> list[int]:
-        """Bases of the abstract-form members of ``catom`` that cover ``m``.
-
-        The list is empty exactly when ``m`` falsifies ``catom``.  The
-        members are built at the first query that satisfies it; until then
-        a query is answered by its solutions alone, so a c-atom that no
-        query satisfies never gets an abstract form.
-        """
-        restricted = m & catom.domain
-        if (catom not in self._members and frozenset(
-                self.compiled.atoms_of(restricted)) not in catom.catom.solutions):
-            return []
-        return [base for base, top in self.members(catom)
-                if restricted & base == base and restricted | top == top]
-
-    def reduce(self, m: int) -> _Reduction:
-        """The four transformation steps for the candidate ``m``.
-
-        A rule is kept when ``m`` has none of its negated atoms and satisfies
-        each body c-atom, that is, some abstract-form member covers ``m``.
-        Its body becomes the positive atoms plus the ``__theta_`` bits; its
-        head becomes the head atoms plus the ``__beta_`` bits of the
-        satisfied head c-atoms, or ``__bot`` when that leaves nothing.
-        """
-        kept: list[int] = []
-        rules: list[tuple[int, int]] = []
-        covers: dict[CompiledCAtom, list[int]] = {}
-        betas: dict[CompiledCAtom, int] = {}
-        disjunctive = False
-        theta, beta = self.theta, self.beta
-        for index, (head, pos, neg, head_catoms, body_catoms, _) in enumerate(
-                self.compiled.rules):
-            if m & neg:
-                continue
-            body = pos
-            for c in body_catoms:
-                bases = covers.get(c)
-                if bases is None:
-                    bases = covers[c] = self.covers(c, m)
-                if not bases:
-                    break
-                body |= theta[c.index]
-            else:
-                for c in head_catoms:
-                    true = m & c.domain
-                    if true in c.solutions:
-                        head |= beta[c.index]
-                        betas[c] = true
-                if head & head - 1:
-                    disjunctive = True
-                kept.append(index)
-                rules.append((head or self.bot, body))
-        return _Reduction(kept, rules, covers, betas, disjunctive)
 
 
 @lru_cache(maxsize=REDUCER_CACHE_SIZE)
@@ -238,60 +164,152 @@ def _reducer(compiled: CompiledProgram) -> _Reducer:
     return _Reducer(compiled)
 
 
-def _least_fixpoint(rules: list[tuple[int, int]]) -> int:
-    """Least model of definite rules ``(head bit, body bits)``."""
-    derived = 0
-    while True:
-        waiting = []
-        for head, body in rules:
-            if body & derived == body:
-                derived |= head
-            else:
-                waiting.append((head, body))
-        if len(waiting) == len(rules):
-            return derived
-        rules = waiting
+class _Reduct:
+    """The four transformation steps for every candidate of ``space`` at once.
 
-
-def _gamma_rules(reducer: _Reducer, reduction: _Reduction) -> list[tuple[int, int]]:
-    """The defining rules of the introduced bits of the reduct.
-
-    ``__theta_ :- base`` for each covering base of each body c-atom met,
-    and ``__beta_ :-`` the true part of each satisfied head c-atom, as
-    ``(bit, body bits)``; every body lies inside the candidate.  A
-    ``__theta_`` bit of a dropped rule may be defined too: no kept rule
-    holds it, so it derives nothing else.
+    A rule is kept by the candidates with none of its negated atoms that
+    satisfy each body c-atom.  ``rules`` holds ``(index, kept, head, pos,
+    body, heads)`` per rule some candidate keeps: its index in the program,
+    the candidates keeping it, its head-atom and positive-body masks, its
+    body c-atoms, and its distinct head c-atoms paired with the candidates
+    satisfying each.  The active head elements of a kept rule are its head
+    atoms and its satisfied head c-atoms; ``disjunctive`` holds the
+    candidates for which some kept rule has two.
+    ``covers`` maps each body c-atom of a kept rule to ``(base, base atom
+    indices, candidates a member of that base covers)`` per distinct base
+    covering some candidate.  So a body c-atom that every candidate
+    falsifies, or that sits only in rules no candidate keeps, never gets an
+    abstract form.
     """
-    rules = [(reducer.theta[c.index], base)
-             for c, bases in reduction.covers.items() for base in bases]
-    rules += [(reducer.beta[c.index], true) for c, true in reduction.betas.items()]
-    return rules
+
+    def __init__(self, reducer: _Reducer, space: CandidateBits, candidates: int):
+        self.space = space
+        satisfied = space.satisfied
+        self.rules: list[tuple[int, int, int, int, tuple, tuple]] = []
+        self.disjunctive = 0
+        for index, (head, pos, neg, heads, body, _) in enumerate(space.compiled.rules):
+            kept = candidates & space.cubes([(0, neg)]) if neg else candidates
+            for c in body:
+                kept &= satisfied(c)
+            if not kept:
+                continue
+            if heads:
+                heads = tuple((c, satisfied(c)) for c in dict.fromkeys(heads))
+                one = two = 0  # candidates satisfying at least one, two head c-atoms
+                for _, bits in heads:
+                    two |= one & bits
+                    one |= bits
+                self.disjunctive |= kept & (one if head else two)
+            if head & head - 1:
+                self.disjunctive |= kept
+            self.rules.append((index, kept, head, pos, body, heads))
+        self.covers: dict[CompiledCAtom, list[tuple[int, list[int], int]]] = {}
+        for c in dict.fromkeys(c for rule in self.rules for c in rule[4]):
+            covers = [(base, atoms, space.cubes(cubes))
+                      for base, atoms, cubes in reducer.members(c)]
+            self.covers[c] = [entry for entry in covers if entry[2]]
 
 
-def _definitions(reducer: _Reducer, reduction: _Reduction) -> list[tuple[int, int]]:
-    """The rules of a reduct as ``(head bits, body bits)``.
+def _stable_bits(reduct: _Reduct, candidates: int) -> int:
+    """The candidates stable through a normal reduct; disjunctive ones are left out.
 
-    The kept rules, the ``_gamma_rules``, and per satisfied head c-atom
-    ``a :- __beta_`` for each true atom a.  Its ``__bot :- a, __beta_``
-    rules, one per false atom a, are left out: they fire only once an atom
-    outside the candidate is derived, and no set stripping to the candidate
-    holds one.
+    Bitset ``derived[i]`` holds the candidates whose reduct derives atom i
+    so far, and ``derived[n]`` those that derive ``__bot``.  A kept rule
+    with one head atom derives it.  One with no head atom derives, per
+    satisfied head c-atom, the candidate's true part of its domain, and
+    ``__bot`` where none is satisfied.  A body c-atom is derived once some
+    base of a member that covers the candidate is derived: per distinct
+    base, its coverage bitset ANDed with the derived bitsets of its atoms.
+    Candidates do not interact, so what a rule derives for a disjunctive
+    candidate is harmless; such candidates are dropped at the end.  The
+    ``__bot :- a, __beta_`` rules are left out: they fire only once an atom
+    outside the candidate is derived, which already rules it out.  A
+    candidate is stable when it derives itself and not ``__bot``.
     """
-    rules = reduction.rules + _gamma_rules(reducer, reduction)
-    for c, true in reduction.betas.items():
-        beta = reducer.beta[c.index]
-        rules += [(1 << i, beta) for i in range(true.bit_length()) if true >> i & 1]
-    return rules
+    space = reduct.space
+    n, holds = space.n, space.holds
+    rules = []  # (kept, positive body atoms, body c-atoms, [(target, mask or None)])
+    for _, kept, head, pos, body, heads in reduct.rules:
+        if head & head - 1:
+            continue  # every candidate keeping it is disjunctive
+        positive = [i for i in range(pos.bit_length()) if pos >> i & 1]
+        if head:
+            rules.append((kept, positive, body, [(head.bit_length() - 1, None)]))
+            continue
+        one = 0
+        for c, bits in heads:
+            one |= bits
+            true = [(i, holds[i]) for i in range(n) if c.domain >> i & 1]
+            rules.append((kept & bits, positive, body, true))
+        rules.append((kept & ~one, positive, body, [(n, None)]))
+
+    derived = [0] * (n + 1)
+    changed = True
+    while changed:
+        changed = False
+        theta = {}
+        for c, bases in reduct.covers.items():
+            bits = 0
+            for _, atoms, covered in bases:
+                for i in atoms:
+                    covered &= derived[i]
+                bits |= covered
+            theta[c] = bits
+        for kept, pos, body, targets in rules:
+            fired = kept
+            for i in pos:
+                fired &= derived[i]
+            for c in body:
+                fired &= theta[c]
+            if not fired:
+                continue
+            for i, mask in targets:
+                new = derived[i] | (fired if mask is None else fired & mask)
+                if new != derived[i]:
+                    derived[i] = new
+                    changed = True
+
+    stable = candidates & ~reduct.disjunctive & ~derived[n]
+    for i in range(n):
+        stable &= ~(derived[i] ^ holds[i])
+    return stable
+
+
+def _point_rules(reducer: _Reducer, reduct: _Reduct, m: int) -> tuple[list, list]:
+    """The reduct of the one candidate ``m`` as kept and defining rules.
+
+    Both are lists of ``(head bits, body bits)``.  A kept rule's body is
+    its positive atoms plus the ``__theta_`` bits of its body c-atoms; its
+    head is its head atoms plus the ``__beta_`` bits of its satisfied head
+    c-atoms, or ``__bot`` when that leaves nothing.  The defining rules are
+    ``__theta_ :- base`` for each covering base of each body c-atom of a
+    kept rule, and ``__beta_ :-`` the true part of each satisfied head
+    c-atom; every body lies inside ``m``.
+    """
+    theta, beta = reducer.theta, reducer.beta
+    kept: list[tuple[int, int]] = []
+    betas: dict[int, int] = {}
+    for _, _, head, body, body_catoms, heads in reduct.rules:
+        for c in body_catoms:
+            body |= theta[c.index]
+        for c, bits in heads:
+            if bits:
+                head |= beta[c.index]
+                betas[beta[c.index]] = m & c.domain
+        kept.append((head or reducer.bot, body))
+    defining = [(theta[c.index], base)
+                for c, bases in reduct.covers.items() for base, _, _ in bases]
+    return kept, defining + list(betas.items())
 
 
 def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
     """Apply the four transformation steps for the given candidate.
 
-    The steps run on masks (``_Reducer.reduce``); this renders the result
-    with the introduced atom names, rule by rule in source order.  Raises
-    :class:`NameCollisionError` when two distinct c-atoms of the program
-    would share an introduced name, and :class:`InvariantError` when the
-    result breaks ``reduct_size_bound``.
+    The steps run on masks (``_Reduct`` over a one-candidate space); this
+    renders the result with the introduced atom names, rule by rule in
+    source order.  Raises :class:`NameCollisionError` when two distinct
+    c-atoms of the program would share an introduced name, and
+    :class:`InvariantError` when the result breaks ``reduct_size_bound``.
     """
     reducer = _reducer(program.compiled)
     compiled = reducer.compiled
@@ -302,12 +320,13 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
         for c, name in role.items():
             claim_name(owners, name, c.catom)
     m = compiled.mask(a for a in frozenset(interpretation) if a in compiled.bit)
-    reduction = reducer.reduce(m)
+    space = CandidateBits(compiled, m)
+    reduct = _Reduct(reducer, space, space.full)
     atoms_of = compiled.atoms_of
     emitted: list[ReductRule] = []
     gamma: set[str] = set()
 
-    for index in reduction.kept:
+    for index, *_ in reduct.rules:
         rule = program.rules[index]
         _, _, _, heads, bodies, _ = compiled.rules[index]
         head_catoms, body_catoms = iter(heads), iter(bodies)
@@ -324,7 +343,7 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
             body.append(name)
             if name not in gamma:
                 gamma.add(name)
-                bases = sorted({atoms_of(base) for base in reduction.covers[c]})
+                bases = sorted(atoms_of(base) for base, _, _ in reduct.covers[c])
                 blocks.append([ReductRule((name,), base) for base in bases])
         head: list[str] = []
         for element in rule.head:
@@ -332,15 +351,14 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
                 head.append(element)
                 continue
             c = next(head_catoms)
-            true = reduction.betas.get(c)
-            if true is None:
+            if not space.satisfied(c):
                 head.append(BOT)
                 continue
             name = beta_names[c]
             head.append(name)
             if name not in gamma:
                 gamma.add(name)
-                true_part = atoms_of(true)
+                true_part = atoms_of(m & c.domain)
                 defs = [ReductRule((atom,), (name,)) for atom in true_part]
                 defs += [ReductRule((BOT,), (atom, name))
                          for atom in atoms_of(c.domain & ~m)]
@@ -382,7 +400,18 @@ def least_model(reduct: ReductProgram) -> frozenset[str]:
     if not reduct.is_normal:
         raise ProgramClassError("the least model requires single-atom heads")
     atoms = tuple(reduct.atoms)
-    derived = _least_fixpoint(_compile(reduct, atoms))
+    rules = _compile(reduct, atoms)
+    derived = 0
+    while True:
+        waiting = []
+        for head, body in rules:
+            if body & derived == body:
+                derived |= head
+            else:
+                waiting.append((head, body))
+        if len(waiting) == len(rules):
+            break
+        rules = waiting
     return frozenset(a for i, a in enumerate(atoms) if derived >> i & 1)
 
 
@@ -429,11 +458,11 @@ def minimal_models(reduct: ReductProgram) -> tuple[frozenset[str], ...]:
     return tuple(sorted(models, key=set_key))
 
 
-def _has_minimal_witness(reducer: _Reducer, reduction: _Reduction, m: int) -> bool:
+def _has_minimal_witness(reducer: _Reducer, reduct: _Reduct, m: int) -> bool:
     """Is ``m | gamma`` a minimal model of the reduct?
 
     Gamma is the introduced bits of the kept rules.  Each has defining rules
-    with bodies inside ``m`` (``_gamma_rules``), so every model holding ``m``
+    with bodies inside ``m`` (``_point_rules``), so every model holding ``m``
     holds gamma, and ``m | gamma`` is the only possible witness.  A smaller
     minimal model has a visible part V, a proper subset of ``m``, and its
     gamma part is def(V), the bits with a defining body inside V: a
@@ -444,19 +473,18 @@ def _has_minimal_witness(reducer: _Reducer, reduction: _Reduction, m: int) -> bo
     which is what the ``minimal_models`` guard counts.  These sets satisfy
     the defining rules and ``a :- __beta_`` by construction, so only the
     kept rules are tested, as they are: a rule whose body leaves ``m |
-    gamma`` never fires on a set inside it, a head atom outside it is in no
-    tested set, and a ``__theta_`` bit in def(V) that no kept body holds is
-    in no kept rule, so it changes no test.
+    gamma`` never fires on a set inside it, and a head atom outside it is
+    in no tested set.
     """
     check_guard("minimal_models", m.bit_count())
-    defining = _gamma_rules(reducer, reduction)
+    rules, defining = _point_rules(reducer, reduct, m)
     sub = m
     while True:
         closed = sub
         for bit, body in defining:
             if body & sub == body:
                 closed |= bit
-        if _is_model_mask(closed, reduction.rules) != (sub == m):
+        if _is_model_mask(closed, rules) != (sub == m):
             return False  # m | gamma is not a model, or not a minimal one
         if not sub:
             return True
@@ -467,24 +495,26 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     """Does the candidate reproduce itself through its reduct?
 
     This decides one candidate, for the ``check`` command and the golden
-    checks, and is the reference for ``stable_models``, which decides all
-    candidates at once.  A candidate with an atom outside the
+    checks, on the code ``stable_models`` runs for all candidates, over a
+    space of this candidate alone, so no ``2**n``-bit integer is made and
+    the vocabulary is not guarded.  A candidate with an atom outside the
     vocabulary is not stable.  The reduct is computed and decided on masks,
-    with no introduced names.  A normal one is decided by its least model, a
-    disjunctive one by its only possible witness, ``candidate | gamma``
-    (``_has_minimal_witness``), in at most ``2**|candidate|`` model tests.
-    A ``GuardError`` is raised before that scan when ``|candidate|`` exceeds
-    the ``minimal_models`` guard.
+    with no introduced names.  A normal one is decided by its least
+    fixpoint (``_stable_bits``), a disjunctive one by its only possible
+    witness, ``candidate | gamma`` (``_has_minimal_witness``), in at most
+    ``2**|candidate|`` model tests.  A ``GuardError`` is raised before that
+    scan when ``|candidate|`` exceeds the ``minimal_models`` guard.
     """
     reducer = _reducer(program.compiled)
     try:
         m = reducer.compiled.mask(frozenset(interpretation))
     except KeyError:
         return False  # no set of reduct atoms strips to the candidate
-    reduction = reducer.reduce(m)
-    if reduction.disjunctive:
-        return _has_minimal_witness(reducer, reduction, m)
-    return _least_fixpoint(_definitions(reducer, reduction)) & reducer.visible == m
+    space = CandidateBits(reducer.compiled, m)
+    reduct = _Reduct(reducer, space, space.full)
+    if reduct.disjunctive:
+        return _has_minimal_witness(reducer, reduct, m)
+    return bool(_stable_bits(reduct, space.full))
 
 
 def stable_models(program: Program) -> tuple[frozenset[str], ...]:
@@ -493,108 +523,25 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     Vocabularies beyond the ``stable_language`` guard raise ``GuardError``
     before any bitset is built; negated c-atoms raise before any candidate
     is tried, models or not.  Every subset of the vocabulary is a bit of
-    one integer (``CandidateBits``), and the reduct's least fixpoint runs
-    on those integers for all models at once (``_normal_stable_bits``).  A
-    model whose reduct keeps a rule with two head elements is decided alone,
-    by ``_has_minimal_witness`` on its reduct, as ``is_stable`` does.
+    one integer (``CandidateBits``), and the reduct and its least fixpoint
+    run on those integers for all models at once (``_Reduct``,
+    ``_stable_bits``).  A model whose reduct keeps a rule with two head
+    elements is decided alone, by ``_has_minimal_witness`` on its
+    one-candidate reduct, as ``is_stable`` does.
     """
     check_guard("stable_language", len(program.language))
     reducer = _reducer(program.compiled)  # rejects negated c-atoms
-    space = CandidateBits(reducer.compiled)
+    compiled = reducer.compiled
+    space = CandidateBits(compiled)
     models = space.models()
-    stable, disjunctive = _normal_stable_bits(reducer, space, models)
-    out = list(space.sets(stable))
-    for k in space.indices(models & disjunctive):
+    reduct = _Reduct(reducer, space, models)
+    out = list(space.sets(_stable_bits(reduct, models)))
+    for k in space.indices(reduct.disjunctive):
         m = space.mask(k)
-        if _has_minimal_witness(reducer, reducer.reduce(m), m):
-            out.append(frozenset(reducer.compiled.atoms_of(m)))
+        point = CandidateBits(compiled, m)
+        if _has_minimal_witness(reducer, _Reduct(reducer, point, point.full), m):
+            out.append(frozenset(compiled.atoms_of(m)))
     return tuple(sorted(out, key=set_key))
-
-
-def _normal_stable_bits(reducer: _Reducer, space: CandidateBits, models: int) -> tuple[int, int]:
-    """The models stable through a normal reduct, and those with a disjunctive one.
-
-    A rule is kept by the candidates with none of its negated atoms that
-    satisfy each body c-atom.  Its active head elements are its head atoms
-    and its satisfied head c-atoms: two or more make the reduct
-    disjunctive, none make the head ``__bot``.  Bitset ``derived[i]`` holds
-    the candidates whose reduct derives atom i so far, and ``derived[n]``
-    those that derive ``__bot``.  A body c-atom is derived once some base of
-    a member that covers the candidate is derived: per distinct base, one
-    coverage bitset ANDed with the derived bitsets of its atoms.  A head
-    c-atom that is the only active element derives the candidate's true
-    part of its domain.  Candidates do not interact, so what a rule derives
-    for a disjunctive candidate is harmless; such candidates are dropped at
-    the end.  The ``__bot :- a, __beta_`` rules are left out, as in
-    ``_definitions``.  A candidate is stable when it derives itself and
-    not ``__bot``.
-    """
-    n, satisfied, holds = space.n, space.satisfied, space.holds
-    disjunctive = 0
-    rules = []  # (kept, positive body atoms, body c-atoms, [(target, mask or None)])
-    for head, pos, neg, heads, body, _ in space.compiled.rules:
-        kept = models & space.cubes([(0, neg)])
-        for c in body:
-            kept &= satisfied(c)
-        if not kept:
-            continue
-        atoms = [i for i in range(n) if head >> i & 1]
-        positive = [i for i in range(n) if pos >> i & 1]
-        heads = tuple(dict.fromkeys(heads))
-        one = two = 0  # candidates satisfying at least one, two head c-atoms
-        for c in heads:
-            two |= one & satisfied(c)
-            one |= satisfied(c)
-        if len(atoms) > 1:
-            disjunctive |= kept
-        elif atoms:
-            disjunctive |= kept & one
-            rules.append((kept, positive, body, [(atoms[0], None)]))
-        else:
-            disjunctive |= kept & two
-            rules.append((kept & ~one, positive, body, [(n, None)]))
-            for c in heads:
-                true = [(i, holds[i]) for i in range(n) if c.domain >> i & 1]
-                rules.append((kept & satisfied(c), positive, body, true))
-
-    covers = {}  # body c-atom -> [(base atoms, candidates a member of that base covers)]
-    for c in dict.fromkeys(c for _, _, body, _ in rules for c in body):
-        by_base: dict[int, list[tuple[int, int]]] = {}
-        for base, top in reducer.members(c):
-            by_base.setdefault(base, []).append((base, c.domain & ~top))
-        covers[c] = [([i for i in range(n) if base >> i & 1], space.cubes(cubes))
-                     for base, cubes in by_base.items()]
-
-    derived = [0] * (n + 1)
-    changed = True
-    while changed:
-        changed = False
-        theta = {}
-        for c, bases in covers.items():
-            bits = 0
-            for atoms, covered in bases:
-                for i in atoms:
-                    covered &= derived[i]
-                bits |= covered
-            theta[c] = bits
-        for kept, pos, body, targets in rules:
-            fired = kept
-            for i in pos:
-                fired &= derived[i]
-            for c in body:
-                fired &= theta[c]
-            if not fired:
-                continue
-            for i, mask in targets:
-                new = derived[i] | (fired if mask is None else fired & mask)
-                if new != derived[i]:
-                    derived[i] = new
-                    changed = True
-
-    stable = models & ~disjunctive & ~derived[n]
-    for i in range(n):
-        stable &= ~(derived[i] ^ holds[i])
-    return stable, disjunctive
 
 
 def format_reduct(reduct: ReductProgram) -> str:

@@ -10,7 +10,9 @@ from plain reachability over a rendered reduct.  Stable
 models of constraint programs go through ``brute_reduct``, the four
 transformation steps written on sets with ``brute_abstract`` for the
 covering bases, and scan every subset of the reduct's atoms for its
-minimal models.  Only the introduced names come from ``catlp.reduct``.
+minimal models.  Only the introduced names and the reduct types come from
+``catlp.reduct``; ``as_reduct_program`` builds the latter from a positive
+ordinary program.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from catlp.core import (
     iter_subsets,
     set_key,
 )
-from catlp.reduct import BOT, beta_atom, theta_atom
+from catlp.errors import ProgramClassError
+from catlp.reduct import BOT, ReductProgram, ReductRule, beta_atom, theta_atom
 
 
 def covered_sets(member: PrefixedPowerSet) -> frozenset[frozenset[str]]:
@@ -282,6 +285,24 @@ def brute_is_stable(program: Program, candidate) -> bool:
     rules, gamma = brute_reduct(program, candidate)
     atoms = frozenset().union(*(head | body for head, body in rules))
     return any(m - gamma == candidate for m in brute_minimal_models(list(rules), atoms))
+
+
+def as_reduct_program(program: Program) -> ReductProgram:
+    """Convert a positive ordinary program for the model enumerators."""
+    rules = []
+    for rule in program.rules:
+        head = []
+        for element in rule.head:
+            if not isinstance(element, str):
+                raise ProgramClassError("constraint atoms are not allowed here")
+            head.append(element)
+        body = []
+        for lit in rule.body:
+            if not (lit.positive and lit.is_atom):
+                raise ProgramClassError("only positive atom bodies are allowed here")
+            body.append(lit.item)
+        rules.append(ReductRule(tuple(head), tuple(body)))
+    return ReductProgram(tuple(rules), frozenset())
 
 
 def is_head_cycle_free(reduct) -> bool:

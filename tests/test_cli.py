@@ -98,6 +98,15 @@ class TestCheck:
         assert cli.run(["check", disjunction, "-I", "p(-1)"]) == 0
         assert capsys.readouterr().out.strip() == "stable"
 
+    def test_vocabulary_beyond_the_language_guard(self, tmp_path, capsys):
+        # Forty atoms: ``check`` decides one candidate, so only ``solve``
+        # is bound by the ``stable_language`` guard.
+        loops = tmp_path / "loops.lp"
+        loops.write_text(" ".join(f"x{i} :- not y{i}. y{i} :- not x{i}." for i in range(20)))
+        xs = ",".join(f"x{i}" for i in range(20))
+        assert cli.run(["check", str(loops), "-I", xs]) == 0
+        assert capsys.readouterr().out == "stable\n"
+
     def test_both_oracles_agree(self, sum_loop, capsys):
         code = cli.run(
             ["check", sum_loop, "-I", "p(-1),p(1),p(2)", "--oracle", "both"])

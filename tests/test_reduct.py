@@ -1,10 +1,12 @@
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
 
 from catlp import abstraction as abstraction_module
+from catlp import core as core_module
 from catlp import reduct as reduct_module
 from catlp.core import (
     FALSE_CATOM,
@@ -38,7 +40,6 @@ from catlp.reduct import (
     BOT,
     ReductProgram,
     ReductRule,
-    as_reduct_program,
     beta_atom,
     format_reduct,
     gl_reduct,
@@ -53,6 +54,7 @@ from catlp.reduct import (
 
 import generators
 import oracles
+from oracles import as_reduct_program
 
 FULL_SUM_INTERP = frozenset(("p(-1)", "p(1)", "p(2)"))
 
@@ -368,6 +370,17 @@ class TestStability:
         assert not is_stable(program, frozenset(("x1",)))
         assert len(built) == 1
 
+    def test_satisfied_catom_of_a_dropped_rule_builds_no_abstract_form(self, monkeypatch):
+        # ``[c : {}]`` holds for the empty candidate, but ``[d : {d}]`` drops
+        # the rule, so no member of ``[c : {}]`` is ever read.
+        built = []
+        counted = abstraction_module.build_abstract
+        monkeypatch.setattr(abstraction_module, "build_abstract",
+                            lambda catom: built.append(catom) or counted(catom))
+        abstraction_module.abstract_of.cache_clear()
+        assert is_stable(Program((DROPPED_WITH_A_SATISFIED_THETA,)), frozenset())
+        assert built == []
+
     def test_theta_of_a_dropped_rule_stays_out_of_the_witness_search(self):
         # ``[c : {}]`` holds for {a} but ``[d : {d}]`` does not, so the rule
         # is dropped; its theta atom must not reach the disjunctive search.
@@ -411,8 +424,10 @@ class TestStability:
 
 
 class TestAllCandidatesAtOnce:
-    """``stable_models`` decides every candidate at once on bitsets;
-    ``is_stable`` decides one candidate and is its reference."""
+    """``stable_models`` decides every candidate at once on bitsets, and
+    ``is_stable`` runs the same reduct on a space of one candidate; both
+    are checked against ``oracles.brute_is_stable``, which shares none of
+    that code."""
 
     FAMILIES = (
         generators.random_positive_basic_program,
@@ -448,6 +463,34 @@ class TestAllCandidatesAtOnce:
             programs += 1
             stable += len(expected)
         assert (programs, stable) == (250, 243)
+
+    def test_single_candidate_matches_brute_force_on_every_subset(self):
+        # Non-models included: the one-candidate reduct must reject them.
+        counts = {True: 0, False: 0}
+        non_models = 0
+        for program in self._programs():
+            for candidate in iter_subsets(program.language):
+                verdict = oracles.brute_is_stable(program, candidate)
+                assert is_stable(program, candidate) == verdict, (program, candidate)
+                counts[verdict] += 1
+                non_models += not is_model(candidate, program)
+        assert (counts, non_models) == ({True: 243, False: 5715}, 3387)
+
+    def test_one_candidate_never_builds_a_bitset_of_every_candidate(self, monkeypatch):
+        # Forty atoms, twice the ``stable_language`` guard: a space of every
+        # candidate would take 2**40 bits.
+        def refuse(*args):
+            raise AssertionError("a bitset of every candidate was built")
+
+        monkeypatch.setattr(core_module, "_table", refuse)
+        program = load_program(
+            " ".join(f"x{i} :- not y{i}. y{i} :- not x{i}." for i in range(20)))
+        xs = frozenset(f"x{i}" for i in range(20))
+        start = time.perf_counter()
+        assert is_stable(program, xs)
+        assert not is_stable(program, xs - {"x0"})
+        assert not is_stable(program, xs | {"y0"})
+        assert time.perf_counter() - start < 0.1
 
     def test_feed_covers_each_kind_of_rule(self):
         programs = list(self._programs())
