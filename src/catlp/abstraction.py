@@ -6,13 +6,20 @@ all admissible.  Each sublattice is stored as its bottom (``base``) together
 with the atoms that may be added freely (``free``).  The collection is unique,
 determines satisfaction, exposes monotonicity properties syntactically, and
 yields the minimal disjunctive normal form of the atom.
+
+The sublattices are the prime cubes of the family, computed by one
+bit-parallel kernel on its truth table (:func:`prime_cubes`), as integer
+masks over the sorted domain.  :func:`build_abstract` turns them into
+objects; the reduct reads the masks directly.  Both routes test the result
+with :func:`check_irredundant`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import groupby, permutations
+from itertools import permutations
 from typing import Iterable, Iterator
 
 from .core import CAtom, iter_subsets, set_key
@@ -69,70 +76,134 @@ class AbstractCAtom:
     lattices: frozenset[PrefixedPowerSet]
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", frozenset(self.domain))
+        domain = frozenset(self.domain)
+        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "lattices", frozenset(self.lattices))
-        # A member inside a distinct member has strictly fewer free atoms
-        # (equal free sets and nested bounds force equal bases), so each
-        # member is compared only with the strictly wider ones.
-        wider: list[PrefixedPowerSet] = []
-        by_width = sorted(self.lattices, key=lambda m: -len(m.free))
-        for _, group in groupby(by_width, key=lambda m: len(m.free)):
-            group = list(group)
-            for member in group:
-                if not member.top <= self.domain:
+        bit = {a: 1 << i for i, a in enumerate(sorted(domain))}
+        masks: dict[frozenset[str], int] = {}
+
+        def mask(atoms: frozenset[str]) -> int:
+            found = masks.get(atoms)
+            if found is None:
+                if not atoms <= domain:
                     raise ValueError("sublattice atoms must come from the domain")
-                if any(member.included_in(other) for other in wider):
-                    raise ValueError("redundant sublattice in abstract form")
-            wider.extend(group)
+                found = masks[atoms] = sum(map(bit.__getitem__, atoms))
+            return found
+
+        check_irredundant([(mask(m.base), mask(m.free)) for m in self.lattices])
 
     def members(self) -> tuple[PrefixedPowerSet, ...]:
         """The sublattices in canonical order."""
         return tuple(sorted(self.lattices, key=PrefixedPowerSet.key))
 
 
+def check_irredundant(cubes: Iterable[tuple[int, int]]) -> None:
+    """Raise ``ValueError`` when a cube ``(base, free)`` lies inside a distinct one.
+
+    ``(b, F)`` lies inside ``(b2, G)`` iff ``b2 <= b`` and ``b | F <= b2 |
+    G``.  Bases are disjoint from their free sets, so this forces ``F <=
+    G`` and ``b2 == b & ~G``, and ``G == F`` gives the cube itself.  So each
+    cube costs one lookup per strictly wider free set of the collection.
+    """
+    cubes = set(cubes)
+    frees = sorted({free for _, free in cubes}, key=int.bit_count)
+    wider = {free: [g for g in frees[k + 1:] if g & free == free]
+             for k, free in enumerate(frees)}
+    for base, free in cubes:
+        for g in wider[free]:
+            if (base & ~g, g) in cubes:
+                raise ValueError("redundant sublattice in abstract form")
+
+
+def _zeros(b: int, n: int) -> int:
+    """The positions below ``max(2**n, 8)`` whose bit ``b`` is clear."""
+    if b < 3:
+        unit = bytes(((0x55, 0x33, 0x0F)[b],))
+    else:
+        half = 1 << b - 3
+        unit = b"\xff" * half + bytes(half)
+    return int.from_bytes(unit * max(1, (1 << n) // (8 * len(unit))), "little")
+
+
+def _ones(bits: int) -> list[int]:
+    """The positions of the set bits of ``bits``."""
+    text = format(bits, "b")
+    top = len(text) - 1
+    return [top - found.start() for found in re.finditer("1", text)]
+
+
+def _primes(n: int, table: int) -> list[tuple[int, int]]:
+    """The prime cubes ``(base, free)`` of the ``2**n``-bit truth table ``table``.
+
+    For a free set F, bit x of ``C_F`` (with ``x & F == 0``) is set when the
+    cube ``(x, F)`` is admissible: every ``x | S`` with ``S <= F`` is a
+    solution.  ``C_0`` is the table, and ``C_{F|b}`` is ``C_F & C_F >> 2**b``
+    on the positions whose bit b is clear: ``(x, F | b)`` is admissible iff
+    ``(x, F)`` and ``(x | b, F)`` are.  The one-atom extensions of ``(x, F)``
+    are ``(x & ~b, F | b)`` for b outside F, so ``(x, F)`` is prime when it
+    is admissible and bit x of no ``C_{F|b} | C_{F|b} << 2**b`` is set; any
+    larger admissible cube contains a one-atom extension, so these are
+    exactly the maximal cubes.  Free sets are walked depth first, each grown
+    only by atoms above its highest, and a branch stops where ``C_F`` is 0,
+    since ``C_{F|b}`` lies inside ``C_F``.  A free set visited costs one
+    step per atom it may grow by, and one per smaller atom outside it only
+    while some cube of ``C_F`` may still be prime.
+    """
+    zeros = [_zeros(b, n) for b in range(n)]
+    primes: list[tuple[int, int]] = []
+    stack = [(0, table, 0)] if table else []  # (free set, C_F, lowest atom to add)
+    while stack:
+        free, admissible, first = stack.pop()
+        prime = admissible
+        for b in range(n - 1, -1, -1):  # the atoms a child may add come first
+            if b < first and not prime:
+                break
+            shift = 1 << b
+            if free & shift:
+                continue
+            wider = admissible & admissible >> shift & zeros[b]
+            if wider:
+                if prime:
+                    prime &= ~(wider | wider << shift)
+                if b >= first:
+                    stack.append((free | shift, wider, b + 1))
+        if prime:
+            primes.extend((base, free) for base in _ones(prime))
+    return primes
+
+
+def prime_cubes(catom: CAtom) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
+    """The sorted domain and the maximal sublattices of ``catom`` as masks.
+
+    Atom ``atoms[i]`` is bit i, and each sublattice is ``(base, free)``.
+    The solutions are read in one pass into a ``2**n``-bit truth table, one
+    byte per eight sets, and the primes come from :func:`_primes`.
+    """
+    check_guard("abstract_domain", len(catom.domain))
+    atoms = tuple(sorted(catom.domain))
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    table = bytearray(max(1, (1 << len(atoms)) >> 3))
+    for sol in catom.solutions:
+        x = sum(map(bit.__getitem__, sol))
+        table[x >> 3] |= 1 << (x & 7)
+    return atoms, _primes(len(atoms), int.from_bytes(table, "little"))
+
+
 def build_abstract(catom: CAtom) -> AbstractCAtom:
     """Compute the unique abstract form of a constraint atom.
 
     The maximal sublattices are the prime implicants of the solution family,
-    found by Quine-McCluskey merging.  A cube ``(base, free)`` is one integer,
-    ``base | free << n`` over the n sorted domain atoms.  Each level holds
-    every admissible cube with the same number of free atoms, starting from
-    the solutions themselves.  A cube and its neighbour ``(base ^ b, free)``
-    along an atom ``b`` outside ``free`` merge into ``(base & ~b, free | b)``
-    on the next level.  A cube with no neighbour in its level is maximal: any
-    larger admissible cube contains a one-step extension of it, and that
-    extension would have come from a neighbour.
+    computed on a truth table by :func:`prime_cubes`.
     """
-    check_guard("abstract_domain", len(catom.domain))
-    atoms = sorted(catom.domain)
-    n = len(atoms)
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-    steps = [(1 << i, 1 << (i + n)) for i in range(n)]  # (base bit, free bit)
-    level = {sum(bit[a] for a in sol) for sol in catom.solutions}
-
-    primes = []
-    while level:
-        merged = set()
-        for cube in level:
-            prime = True
-            for b, f in steps:
-                if not cube & f and cube ^ b in level:
-                    prime = False
-                    if not cube & b:  # the pair merges once, from its lower cube
-                        merged.add(cube | f)
-            if prime:
-                primes.append(cube)
-        level = merged
+    atoms, cubes = prime_cubes(catom)
 
     # Primes share few distinct bases and free sets (2{x0..x7}4: 420 primes,
-    # 28 of each), so each distinct n-bit mask becomes a set once per build.
+    # 28 of each), so each distinct mask becomes a set once per build.
     @cache
     def to_set(mask: int) -> frozenset[str]:
         return frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
 
-    low = (1 << n) - 1
-    lattices = frozenset(
-        PrefixedPowerSet(to_set(cube & low), to_set(cube >> n)) for cube in primes)
+    lattices = frozenset(PrefixedPowerSet(to_set(b), to_set(f)) for b, f in cubes)
     return AbstractCAtom(catom.domain, lattices)
 
 

@@ -376,13 +376,13 @@ class CandidateBits:
     def __init__(self, compiled: CompiledProgram, point: int | None = None):
         self.compiled = compiled
         self.n = len(compiled.atoms)
-        self._point = point
+        self.point = point
         self.full = 1 if point is not None else (1 << (1 << self.n)) - 1
         self._satisfied: dict[CompiledCAtom, int] = {}
 
     def cubes(self, cubes: list[tuple[int, int]], disjoint: bool = False) -> int:
         """The candidates inside some cube ``(ones, zeros)`` of vocabulary masks."""
-        point = self._point
+        point = self.point
         if point is None:
             return _spread(*_table(cubes, self.n, disjoint), 1 << self.n)
         for ones, zeros in cubes:
@@ -393,8 +393,8 @@ class CandidateBits:
     @cached_property
     def holds(self) -> list[int]:
         """Per atom, by vocabulary bit, the candidates that hold it."""
-        if self._point is not None:
-            return [self._point >> i & 1 for i in range(self.n)]
+        if self.point is not None:
+            return [self.point >> i & 1 for i in range(self.n)]
         return [self.cubes([(1 << i, 0)]) for i in range(self.n)]
 
     def satisfied(self, catom: CompiledCAtom) -> int:
@@ -409,8 +409,8 @@ class CandidateBits:
             domain = catom.domain
             if len(catom.catom.solutions) == 1 << domain.bit_count():
                 bits = self.full
-            elif self._point is not None:
-                bits = int(frozenset(self.compiled.atoms_of(self._point & domain))
+            elif self.point is not None:
+                bits = int(frozenset(self.compiled.atoms_of(self.point & domain))
                            in catom.catom.solutions)
             else:
                 bits = self.cubes([(s, domain ^ s) for s in catom.solutions], disjoint=True)

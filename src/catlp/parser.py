@@ -31,7 +31,6 @@ from .core import (
     Rule,
     head_atom_name,
     is_reserved,
-    iter_subsets,
     literal_catom,
 )
 from .errors import ParseError, check_guard
@@ -76,22 +75,50 @@ class AggregateConstraint:
     bound: int
 
 
+def _linear_catom(atoms: list[str], const: int, delta: list[int], accept) -> CAtom:
+    """The subsets of ``atoms`` whose total passes ``accept``.
+
+    Subset mask k (atom ``atoms[i]`` at bit i) totals ``const`` plus
+    ``delta[i]`` per atom in it.  Totals are built by doubling, one
+    addition per subset; only the accepted masks become atom sets.
+    """
+    totals = [const]
+    for d in delta:
+        totals += [t + d for t in totals]
+    half = len(atoms) // 2
+    low = [tuple(a for i, a in enumerate(atoms[:half]) if k >> i & 1)
+           for k in range(1 << half)]
+    high = [tuple(a for i, a in enumerate(atoms[half:]) if k >> i & 1)
+            for k in range(1 << len(atoms) - half)]
+    low_bits = (1 << half) - 1
+    return CAtom(frozenset(atoms), frozenset(
+        frozenset(low[k & low_bits] + high[k >> half])
+        for k, total in enumerate(totals) if accept(total)))
+
+
 def desugar_weight(constraint: WeightConstraint) -> CAtom:
-    """Enumerate the subsets whose satisfied-literal weight sum is in bounds."""
+    """The subsets whose satisfied-literal weight sum is in bounds.
+
+    A negated entry counts when its atom is absent: its weight goes into
+    the empty set's total and is taken off when the atom is added.
+    """
     check_guard("weight_entries", len(constraint.entries))
-    domain = frozenset(e.atom for e in constraint.entries)
-    solutions = []
-    for candidate in iter_subsets(domain):
-        total = sum(e.weight for e in constraint.entries
-                    if (e.atom in candidate) != e.negated)
-        if ((constraint.lower is None or constraint.lower <= total)
-                and (constraint.upper is None or total <= constraint.upper)):
-            solutions.append(candidate)
-    return CAtom(domain, frozenset(solutions))
+    atoms = sorted({e.atom for e in constraint.entries})
+    index = {a: i for i, a in enumerate(atoms)}
+    const, delta = 0, [0] * len(atoms)
+    for e in constraint.entries:
+        if e.negated:
+            const += e.weight
+            delta[index[e.atom]] -= e.weight
+        else:
+            delta[index[e.atom]] += e.weight
+    lower, upper = constraint.lower, constraint.upper
+    return _linear_catom(atoms, const, delta, lambda total: (
+        (lower is None or lower <= total) and (upper is None or total <= upper)))
 
 
 def desugar_aggregate(aggregate: AggregateConstraint) -> CAtom:
-    """Enumerate the subsets whose sum (or count) satisfies the relation.
+    """The subsets whose sum (or count) satisfies the relation.
 
     Raises ``ValueError`` when an atom is listed twice: its value would be
     ambiguous.
@@ -100,17 +127,10 @@ def desugar_aggregate(aggregate: AggregateConstraint) -> CAtom:
     values = dict(aggregate.entries)
     if len(values) < len(aggregate.entries):
         raise ValueError("an aggregate lists each atom once")
-    domain = frozenset(values)
-    relation = _RELOPS[aggregate.relation]
-    solutions = []
-    for candidate in iter_subsets(domain):
-        if aggregate.kind == "sum":
-            value = sum(values[a] for a in candidate)
-        else:
-            value = len(candidate)
-        if relation(value, aggregate.bound):
-            solutions.append(candidate)
-    return CAtom(domain, frozenset(solutions))
+    atoms = sorted(values)
+    delta = [values[a] if aggregate.kind == "sum" else 1 for a in atoms]
+    relation, bound = _RELOPS[aggregate.relation], aggregate.bound
+    return _linear_catom(atoms, 0, delta, lambda total: relation(total, bound))
 
 
 def eliminate_negated_catoms(program: Program) -> Program:

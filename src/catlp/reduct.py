@@ -17,6 +17,12 @@ space of one.  A normal reduct is decided by its least fixpoint, a
 disjunctive one by testing its only possible minimal witness, one candidate
 at a time.  Introduced atoms are bits, not names; only ``gl_reduct``, which
 renders a reduct, mints their names.
+
+A body c-atom's satisfiable sets are the bases of its prime cubes that hold
+the candidate.  The reducer keeps each c-atom's primes as small integers,
+bases by free set, straight from ``abstraction.prime_cubes``: a space of
+one candidate looks up one base per free set, and a space of every
+candidate groups all primes by base.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .abstraction import abstract_of
+from .abstraction import check_irredundant, prime_cubes
 from .core import (
     CAtom,
     CandidateBits,
@@ -114,8 +120,21 @@ def claim_name(owners: dict[str, CAtom], name: str, catom: CAtom) -> None:
 #: recently used first out); ``stable_models`` works on one at a time.
 REDUCER_CACHE_SIZE = 8
 
-#: Abstract-form members by distinct base: ``(base, base atom indices, cubes)``.
+#: The prime cubes of a c-atom over its sorted domain: the vocabulary bit of
+#: each domain atom, and the bases (domain masks) by free set.
+_Primes = tuple[list[int], dict[int, set[int]]]
+
+#: Prime cubes of a c-atom by distinct base: ``(base, base atom indices, cubes)``.
 _Members = list[tuple[int, list[int], list[tuple[int, int]]]]
+
+
+def _indices(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _lift(bits: list[int], mask: int) -> int:
+    """A domain mask on vocabulary bits, domain atom i at ``bits[i]``."""
+    return sum(bits[i] for i in _indices(mask))
 
 
 class _Reducer:
@@ -136,26 +155,56 @@ class _Reducer:
         self.bot = 1 << n
         self.theta = [1 << n + 1 + 2 * c.index for c in compiled.catoms]
         self.beta = [1 << n + 2 + 2 * c.index for c in compiled.catoms]
+        self._primes: dict[CompiledCAtom, _Primes] = {}
         self._members: dict[CompiledCAtom, _Members] = {}
 
+    def primes(self, catom: CompiledCAtom) -> _Primes:
+        """The prime cubes (abstract-form members) of ``catom``, built once.
+
+        They come from ``prime_cubes`` and are checked by
+        ``check_irredundant``, as ``abstract_of`` checks its members.
+        """
+        primes = self._primes.get(catom)
+        if primes is None:
+            atoms, cubes = prime_cubes(catom.catom)
+            check_irredundant(cubes)
+            by_free: dict[int, set[int]] = {}
+            for base, free in cubes:
+                by_free.setdefault(free, set()).add(base)
+            primes = [self.compiled.bit[a] for a in atoms], by_free
+            self._primes[catom] = primes  # only once complete: readers may share it
+        return primes
+
+    def covering(self, catom: CompiledCAtom, point: int) -> list[tuple[int, int]]:
+        """The prime cubes ``(base, free)`` of ``catom`` that hold the candidate ``point``.
+
+        A cube with free set F holds the point iff its base is the point's
+        domain part outside F, so this is one lookup per free set, and only
+        the cubes found are moved onto vocabulary bits.
+        """
+        bits, by_free = self.primes(catom)
+        p = sum(1 << i for i, b in enumerate(bits) if point & b)
+        return [(_lift(bits, p & ~free), _lift(bits, free))
+                for free, bases in by_free.items() if p & ~free in bases]
+
     def members(self, catom: CompiledCAtom) -> _Members:
-        """The abstract-form members of ``catom`` by distinct base, built once.
+        """The prime cubes of ``catom`` on vocabulary bits by distinct base, built once.
 
         Each entry is ``(base, base atom indices, cubes)`` with one cube
-        ``(base, domain outside the top)`` per member of that base: the
-        member covers exactly the candidates inside its cube.
+        ``(base, domain outside the top)`` per prime of that base: the
+        prime covers exactly the candidates inside its cube.
         """
         members = self._members.get(catom)
         if members is None:
-            bit = self.compiled.bit.__getitem__
+            bits, by_free = self.primes(catom)
             by_base: dict[int, list[tuple[int, int]]] = {}
-            for member in abstract_of(catom.catom).lattices:
-                base = sum(map(bit, member.base))
-                top = base | sum(map(bit, member.free))
-                by_base.setdefault(base, []).append((base, catom.domain & ~top))
-            members = [(base, [i for i in range(base.bit_length()) if base >> i & 1], cubes)
-                       for base, cubes in by_base.items()]
-            self._members[catom] = members  # only once complete: readers may share it
+            for free, bases in by_free.items():
+                outside = catom.domain & ~_lift(bits, free)
+                for base in bases:
+                    base = _lift(bits, base)
+                    by_base.setdefault(base, []).append((base, outside & ~base))
+            members = [(base, _indices(base), cubes) for base, cubes in by_base.items()]
+            self._members[catom] = members
         return members
 
 
@@ -176,10 +225,11 @@ class _Reduct:
     atoms and its satisfied head c-atoms; ``disjunctive`` holds the
     candidates for which some kept rule has two.
     ``covers`` maps each body c-atom of a kept rule to ``(base, base atom
-    indices, candidates a member of that base covers)`` per distinct base
-    covering some candidate.  So a body c-atom that every candidate
-    falsifies, or that sits only in rules no candidate keeps, never gets an
-    abstract form.
+    indices, candidates a prime of that base covers)`` per distinct base
+    covering some candidate; a space of one candidate reads only the primes
+    that hold it (``_Reducer.covering``).  So a body c-atom that every
+    candidate falsifies, or that sits only in rules no candidate keeps,
+    never gets its prime cubes.
     """
 
     def __init__(self, reducer: _Reducer, space: CandidateBits, candidates: int):
@@ -204,10 +254,15 @@ class _Reduct:
                 self.disjunctive |= kept
             self.rules.append((index, kept, head, pos, body, heads))
         self.covers: dict[CompiledCAtom, list[tuple[int, list[int], int]]] = {}
+        point = space.point
         for c in dict.fromkeys(c for rule in self.rules for c in rule[4]):
-            covers = [(base, atoms, space.cubes(cubes))
-                      for base, atoms, cubes in reducer.members(c)]
-            self.covers[c] = [entry for entry in covers if entry[2]]
+            if point is None:
+                covers = [(base, atoms, space.cubes(cubes))
+                          for base, atoms, cubes in reducer.members(c)]
+                self.covers[c] = [entry for entry in covers if entry[2]]
+            else:
+                bases = dict.fromkeys(base for base, _ in reducer.covering(c, point))
+                self.covers[c] = [(base, _indices(base), 1) for base in bases]
 
 
 def _stable_bits(reduct: _Reduct, candidates: int) -> int:
@@ -383,16 +438,22 @@ def reduct_size_bound(program: Program) -> int:
     """Rule-count bound for any reduct of the program.
 
     One transformed rule per source rule, plus per distinct c-atom at most
-    its sublattice count (body role) and domain size plus one (head role).
-    Only body c-atoms are given an abstract form.
+    its prime-cube count (body role) and domain size plus one (head role).
+    Only body c-atoms are given prime cubes, shared with the reducts of the
+    program.
     """
-    catoms = program.compiled.catoms
-    if not catoms:
+    compiled = program.compiled
+    if not compiled.catoms:
         return len(program.rules)
-    body = program.compiled.body_catoms + program.compiled.negated_catoms
-    widest = max((len(abstract_of(c.catom).lattices) for c in body), default=0)
-    largest = max(len(c.catom.domain) for c in catoms)
-    return len(program.rules) + len(catoms) * (widest + largest + 1)
+    body = compiled.body_catoms + compiled.negated_catoms
+    if compiled.negated_catoms:  # no reduct exists to share the primes with
+        counts = [len(prime_cubes(c.catom)[1]) for c in body]
+    else:
+        primes = _reducer(compiled).primes
+        counts = [sum(map(len, primes(c)[1].values())) for c in body]
+    widest = max(counts, default=0)
+    largest = max(len(c.catom.domain) for c in compiled.catoms)
+    return len(program.rules) + len(compiled.catoms) * (widest + largest + 1)
 
 
 def least_model(reduct: ReductProgram) -> frozenset[str]:

@@ -73,6 +73,39 @@ def _mask_family(catom: CAtom) -> tuple[int, set[int]]:
     return (1 << len(atoms)) - 1, family
 
 
+def offset_abstract(catom: CAtom) -> frozenset[PrefixedPowerSet]:
+    """Abstract form through the non-solutions, for families that have few.
+
+    Every cube ``(base, free)`` of disjoint masks is tried: it is
+    admissible when it holds no non-solution, and a member when no cube one
+    atom wider that contains it, ``(base - x, free + x)``, is admissible
+    (a cube inside a larger admissible cube lies inside one of these).  The
+    cost is 3^n cubes times the non-solution count, against 4^n sets for
+    ``brute_abstract`` on a dense family.
+    """
+    full, family = _mask_family(catom)
+    off = [x for x in range(full + 1) if x not in family]
+    admissible = set()
+    for base in range(full + 1):
+        rest = full & ~base
+        free = rest
+        while True:
+            if not any(o & ~free == base for o in off):
+                admissible.add((base, free))
+            if free == 0:
+                break
+            free = (free - 1) & rest
+    atoms = sorted(catom.domain)
+
+    def names(mask):
+        return frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
+
+    return frozenset(
+        PrefixedPowerSet(names(base), names(free)) for base, free in admissible
+        if not any((base & ~(1 << i), free | 1 << i) in admissible
+                   for i in range(len(atoms)) if not free >> i & 1))
+
+
 def brute_monotone(catom: CAtom) -> bool:
     full, family = _mask_family(catom)
     for mask in family:

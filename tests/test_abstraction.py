@@ -15,6 +15,7 @@ from catlp.abstraction import (
     abstract_of,
     abstract_satisfiable_sets,
     build_abstract,
+    check_irredundant,
     classify_catom,
     dnf,
     expand,
@@ -130,6 +131,19 @@ class TestBuildAbstract:
         with pytest.raises(ValueError):  # same base, nested free atoms
             AbstractCAtom(frozenset("abc"), (pps("a", "b"), pps("a", "bc")))
 
+    def test_mask_check_rejects_a_redundant_prime_list(self):
+        # The cubes over atoms a = bit 0, b = bit 1, c = bit 2 of the two
+        # cases above, fed to the helper that both routes call.
+        with pytest.raises(ValueError, match="redundant"):
+            check_irredundant([(0b000, 0b011), (0b001, 0b010)])
+        with pytest.raises(ValueError, match="redundant"):
+            check_irredundant([(0b001, 0b010), (0b001, 0b110)])
+        with pytest.raises(ValueError, match="redundant"):  # two atoms wider
+            check_irredundant([(0b011, 0b000), (0b000, 0b111), (0b100, 0b000)])
+        # Equal free sets, or a wider free set at another base, are no inclusion.
+        check_irredundant([(0b001, 0b010), (0b100, 0b010), (0b010, 0b101)])
+        check_irredundant([(0b001, 0b000), (0b010, 0b001), (0b000, 0b100)])
+
     def test_cardinality_window_gives_every_two_to_four_interval(self):
         atoms = [f"x{i}" for i in range(12)]
         catom = CAtom(atoms, [c for k in (2, 3, 4) for c in combinations(atoms, k)])
@@ -184,6 +198,30 @@ class TestBuildAbstract:
         for _ in range(150):
             catom = generators.random_catom(rng, max_domain=6)
             assert build_abstract(catom).lattices == oracles.brute_abstract(catom)
+
+    def test_matches_definition_on_random_families_up_to_seven_atoms(self):
+        rng = random.Random(1984)
+        for _ in range(40):
+            catom = generators.random_catom(rng, tuple("abcdefg"), max_domain=7)
+            assert build_abstract(catom).lattices == oracles.brute_abstract(catom)
+
+    def test_offset_reference_matches_definition(self):
+        rng = random.Random(1985)
+        for _ in range(200):
+            catom = generators.random_catom(rng, max_domain=5)
+            assert oracles.offset_abstract(catom) == oracles.brute_abstract(catom)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_matches_offset_reference_on_small_offsets(self, n):
+        # Dense families, where the cost of merging used to follow the 3^n
+        # admissible cubes: the full power set, one or a few non-solutions.
+        rng = random.Random(n)
+        atoms = [f"x{i}" for i in range(n)]
+        subsets = list(iter_subsets(atoms))
+        for size in (0, 1, 1, 2, 3, 5):
+            off = rng.sample(subsets, size)
+            catom = CAtom(atoms, [s for s in subsets if s not in off])
+            assert build_abstract(catom).lattices == oracles.offset_abstract(catom)
 
 
 class TestExpandAndSatisfaction:

@@ -1,10 +1,12 @@
+import operator
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from catlp.core import (
-    CAtom, FALSE_CATOM, Literal, Program, Rule, head_atom_name, satisfies_catom)
+    CAtom, FALSE_CATOM, Literal, Program, Rule, head_atom_name, iter_subsets,
+    satisfies_catom)
 from catlp.errors import GuardError, ParseError
 from catlp.golden import (
     BOT_CONSTRAINT,
@@ -33,6 +35,10 @@ from catlp.parser import (
 )
 
 import generators
+
+#: The aggregate relations, spelled out apart from the parser's table.
+RELATIONS = {">=": operator.ge, "<=": operator.le, "=": operator.eq,
+             ">": operator.gt, "<": operator.lt}
 
 GOLDEN_TEXTS = (
     SUM_LOOP, DISJUNCTIVE_FACT, SHIFT_GROUPING, SUM_COUNT_DISJUNCTION,
@@ -184,8 +190,46 @@ class TestDesugarWeight:
                             and (upper is None or total <= upper))
                 assert satisfies_catom(interp, catom) == expected
 
+    def test_repeated_and_negated_entries_agree_with_the_definition(self):
+        # Entries drawn with replacement, so an atom may come back plain,
+        # negated or both, as in ``1 {s, not s} 1``.
+        rng = random.Random(104)
+        for _ in range(120):
+            entries = tuple(
+                WeightEntry(rng.choice("abcde"), rng.randint(-3, 3), rng.random() < 0.4)
+                for _ in range(rng.randint(1, 7)))
+            lower = rng.choice((None, rng.randint(-4, 4)))
+            upper = rng.choice((None, rng.randint(-3, 6)))
+            catom = desugar_weight(WeightConstraint(entries, lower, upper))
+            assert catom.domain == {e.atom for e in entries}
+            expected = frozenset(
+                s for s in iter_subsets(catom.domain)
+                if (lower is None or lower <= weight_total(entries, s))
+                and (upper is None or weight_total(entries, s) <= upper))
+            assert catom.solutions == expected
+
+
+def weight_total(entries, interpretation) -> int:
+    return sum(e.weight for e in entries if (e.atom in interpretation) != e.negated)
+
 
 class TestDesugarAggregate:
+    @pytest.mark.parametrize("relation", sorted(RELATIONS))
+    def test_agrees_with_the_definition_under_every_relation(self, relation):
+        rng = random.Random(relation)
+        for _ in range(40):
+            atoms = rng.sample("abcdefg", rng.randint(0, 7))
+            kind = rng.choice(("sum", "count"))
+            entries = tuple((a, rng.randint(-3, 4)) for a in atoms)
+            bound = rng.randint(-3, 6)
+            catom = desugar_aggregate(AggregateConstraint(kind, entries, relation, bound))
+            values = dict(entries)
+            expected = frozenset(
+                s for s in iter_subsets(atoms)
+                if RELATIONS[relation](
+                    sum(values[a] for a in s) if kind == "sum" else len(s), bound))
+            assert catom == CAtom(atoms, expected)
+
     def test_signed_sum(self):
         aggregate = AggregateConstraint(
             "sum", (("p(-1)", -1), ("p(1)", 1), ("p(2)", 2)), ">=", 1)

@@ -8,6 +8,7 @@ import pytest
 from catlp import abstraction as abstraction_module
 from catlp import core as core_module
 from catlp import reduct as reduct_module
+from catlp.abstraction import PrefixedPowerSet, abstract_satisfiable_sets, build_abstract
 from catlp.core import (
     FALSE_CATOM,
     CAtom,
@@ -62,6 +63,21 @@ FULL_SUM_INTERP = frozenset(("p(-1)", "p(1)", "p(2)"))
 #: its first body c-atom holds whenever c is false.
 DROPPED_WITH_A_SATISFIED_THETA = Rule(("x",), (
     Literal.constraint(CAtom("c", [()])), Literal.constraint(CAtom.elementary("d"))))
+
+
+def count_kernel_calls(monkeypatch) -> list[CAtom]:
+    """Record each c-atom whose prime cubes are computed, on every route."""
+    built: list[CAtom] = []
+    kernel = abstraction_module.prime_cubes
+
+    def counted(catom):
+        built.append(catom)
+        return kernel(catom)
+
+    for module in (abstraction_module, reduct_module):
+        monkeypatch.setattr(module, "prime_cubes", counted)
+    abstraction_module.abstract_of.cache_clear()
+    return built
 
 
 class TestGlReduct:
@@ -137,6 +153,25 @@ class TestGlReduct:
             bound = reduct_size_bound(program)
             for candidate in (frozenset(), frozenset("ab"), frozenset("abcd")):
                 assert len(gl_reduct(program, candidate).rules) <= bound
+
+    def test_size_bound_counts_the_abstract_form_members(self):
+        # The bound counts prime cubes from the reducer; its value is the
+        # formula on ``build_abstract`` member counts.
+        rng = random.Random(31)
+        makers = (generators.random_basic_program,
+                  generators.random_normal_constraint_program,  # negated c-atoms
+                  generators.random_disjunctive_constraint_program)  # head c-atoms
+        for k in range(150):
+            program = makers[k % 3](rng, max_domain=4)
+            compiled = program.compiled
+            expected = len(program.rules)
+            if compiled.catoms:
+                body = compiled.body_catoms + compiled.negated_catoms
+                widest = max((len(build_abstract(c.catom).lattices) for c in body),
+                             default=0)
+                largest = max(len(c.catom.domain) for c in compiled.catoms)
+                expected += len(compiled.catoms) * (widest + largest + 1)
+            assert reduct_size_bound(program) == expected
 
     def test_size_bound_is_enforced(self, monkeypatch):
         monkeypatch.setattr(reduct_module, "reduct_size_bound", lambda program: 0)
@@ -355,13 +390,9 @@ class TestStability:
         assert (caught.value.guard, caught.value.actual) == ("minimal_models", 23)
 
     def test_falsified_body_catom_builds_no_abstract_form(self, monkeypatch):
-        # Its solutions answer a falsifying query; the members are built at
-        # the first query that satisfies it.
-        built = []
-        counted = abstraction_module.build_abstract
-        monkeypatch.setattr(abstraction_module, "build_abstract",
-                            lambda catom: built.append(catom) or counted(catom))
-        abstraction_module.abstract_of.cache_clear()
+        # Its solutions answer a falsifying query; the prime cubes are built
+        # at the first query that satisfies it.
+        built = count_kernel_calls(monkeypatch)
         program = load_program("y :- 1{x0, x1, x2, x3, x4, x5}.")
         assert not is_stable(program, frozenset("y"))
         assert is_stable(program, frozenset())
@@ -370,14 +401,24 @@ class TestStability:
         assert not is_stable(program, frozenset(("x1",)))
         assert len(built) == 1
 
+    def test_one_candidate_reads_the_primes_that_cover_it(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            catom = generators.random_catom(rng, max_domain=6)
+            program = Program((Rule(("y",), (Literal.constraint(catom),)),))
+            reducer = reduct_module._reducer(program.compiled)
+            c = program.compiled.body_catoms[0]
+            names = program.compiled.atoms_of
+            for subset in iter_subsets(catom.domain | {"y"}):
+                covering = reducer.covering(c, program.compiled.mask(subset))
+                assert frozenset(
+                    PrefixedPowerSet(names(base), names(free)) for base, free in covering
+                ) == abstract_satisfiable_sets(build_abstract(catom), subset)
+
     def test_satisfied_catom_of_a_dropped_rule_builds_no_abstract_form(self, monkeypatch):
         # ``[c : {}]`` holds for the empty candidate, but ``[d : {d}]`` drops
-        # the rule, so no member of ``[c : {}]`` is ever read.
-        built = []
-        counted = abstraction_module.build_abstract
-        monkeypatch.setattr(abstraction_module, "build_abstract",
-                            lambda catom: built.append(catom) or counted(catom))
-        abstraction_module.abstract_of.cache_clear()
+        # the rule, so no prime cube of ``[c : {}]`` is ever read.
+        built = count_kernel_calls(monkeypatch)
         assert is_stable(Program((DROPPED_WITH_A_SATISFIED_THETA,)), frozenset())
         assert built == []
 
