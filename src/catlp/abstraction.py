@@ -9,24 +9,26 @@ yields the minimal disjunctive normal form of the atom.
 
 The sublattices are the prime cubes of the family, computed by one
 bit-parallel kernel on its truth table (:func:`prime_cubes`), as integer
-masks over the sorted domain.  :func:`build_abstract` turns them into
-objects; the reduct reads the masks directly.  Both routes test the result
-with :func:`check_irredundant`.
+masks over the sorted domain.  :func:`checked_primes` tests them with
+:func:`check_irredundant` and puts them in canonical order; every route
+takes them from there.  The reduct, the ordinary translation, the
+dependency graph and the CLI's ``abstract`` command read the masks
+directly, and :func:`classify_cubes` classifies on them;
+:func:`build_abstract` turns them into objects for library callers.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .core import CAtom, iter_subsets, set_key
+from .core import CAtom, iter_subsets, set_bits, set_key
 from .errors import check_guard
 
 #: ``abstract_of`` keeps at most this many abstract forms (least recently
-#: used first out); a whole ``analyze`` pass meets about a hundred c-atoms.
+#: used first out) for library callers; no command builds abstract forms.
 ABSTRACT_CACHE_SIZE = 256
 
 
@@ -76,9 +78,13 @@ class AbstractCAtom:
     lattices: frozenset[PrefixedPowerSet]
 
     def __post_init__(self):
-        domain = frozenset(self.domain)
-        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "domain", frozenset(self.domain))
         object.__setattr__(self, "lattices", frozenset(self.lattices))
+        check_irredundant(self.cubes())
+
+    def cubes(self) -> list[tuple[int, int]]:
+        """The sublattices as masks ``(base, free)``; domain atom i in sorted order is bit i."""
+        domain = self.domain
         bit = {a: 1 << i for i, a in enumerate(sorted(domain))}
         masks: dict[frozenset[str], int] = {}
 
@@ -90,7 +96,7 @@ class AbstractCAtom:
                 found = masks[atoms] = sum(map(bit.__getitem__, atoms))
             return found
 
-        check_irredundant([(mask(m.base), mask(m.free)) for m in self.lattices])
+        return [(mask(m.base), mask(m.free)) for m in self.lattices]
 
     def members(self) -> tuple[PrefixedPowerSet, ...]:
         """The sublattices in canonical order."""
@@ -125,13 +131,6 @@ def _zeros(b: int, n: int) -> int:
     return int.from_bytes(unit * max(1, (1 << n) // (8 * len(unit))), "little")
 
 
-def _ones(bits: int) -> list[int]:
-    """The positions of the set bits of ``bits``."""
-    text = format(bits, "b")
-    top = len(text) - 1
-    return [top - found.start() for found in re.finditer("1", text)]
-
-
 def _primes(n: int, table: int) -> list[tuple[int, int]]:
     """The prime cubes ``(base, free)`` of the ``2**n``-bit truth table ``table``.
 
@@ -144,10 +143,12 @@ def _primes(n: int, table: int) -> list[tuple[int, int]]:
     is admissible and bit x of no ``C_{F|b} | C_{F|b} << 2**b`` is set; any
     larger admissible cube contains a one-atom extension, so these are
     exactly the maximal cubes.  Free sets are walked depth first, each grown
-    only by atoms above its highest, and a branch stops where ``C_F`` is 0,
-    since ``C_{F|b}`` lies inside ``C_F``.  A free set visited costs one
-    step per atom it may grow by, and one per smaller atom outside it only
-    while some cube of ``C_F`` may still be prime.
+    only by atoms above its highest, lowest first, and a branch stops where
+    ``C_F`` is 0, since ``C_{F|b}`` lies inside ``C_F``.  So free sets are
+    visited, and their primes listed, in the order of their sorted atoms.
+    A free set visited costs one step per atom it may grow by, and one per
+    smaller atom outside it only while some cube of ``C_F`` may still be
+    prime.
     """
     zeros = [_zeros(b, n) for b in range(n)]
     primes: list[tuple[int, int]] = []
@@ -168,15 +169,15 @@ def _primes(n: int, table: int) -> list[tuple[int, int]]:
                 if b >= first:
                     stack.append((free | shift, wider, b + 1))
         if prime:
-            primes.extend((base, free) for base in _ones(prime))
+            primes.extend((base, free) for base in set_bits(prime))
     return primes
 
 
 def prime_cubes(catom: CAtom) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
     """The sorted domain and the maximal sublattices of ``catom`` as masks.
 
-    Atom ``atoms[i]`` is bit i, and each sublattice is ``(base, free)``.
-    The solutions are read in one pass into a ``2**n``-bit truth table, one
+    Atom ``atoms[i]`` is bit i, and each sublattice is ``(base, free)``,
+    listed by free set in the order of its sorted atoms.  The solutions are read in one pass into a ``2**n``-bit truth table, one
     byte per eight sets, and the primes come from :func:`_primes`.
     """
     check_guard("abstract_domain", len(catom.domain))
@@ -189,20 +190,48 @@ def prime_cubes(catom: CAtom) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
     return atoms, _primes(len(atoms), int.from_bytes(table, "little"))
 
 
+def checked_primes(catom: CAtom) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
+    """The sorted domain and the maximal sublattices of ``catom``, checked.
+
+    The cubes of :func:`prime_cubes` pass :func:`check_irredundant` and come
+    in the canonical order of :meth:`AbstractCAtom.members`: by sorted base
+    atoms, then sorted free atoms.
+    """
+    atoms, cubes = prime_cubes(catom)
+    check_irredundant(cubes)
+    # The kernel yields free sets in canonical order already, so only the
+    # bases are sorted; primes share few of them (2{x0..x7}4: 420 primes,
+    # 28 bases), so each gets its key once.
+    frees: dict[int, list[int]] = {}
+    for base, free in cubes:
+        frees.setdefault(base, []).append(free)
+    bases = sorted(frees, key=partial(select, atoms))
+    return atoms, [(base, free) for base in bases for free in frees[base]]
+
+
+def select(items: Sequence, mask: int) -> tuple:
+    """``items[i]`` for each set bit i of ``mask``, lowest first.
+
+    With the sorted domain as ``items``, these are the mask's atoms in
+    sorted order.  One step per set bit: a domain mask is at most 20 bits
+    wide, where :func:`set_bits`' scan of the whole binary text costs more.
+    """
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(items[low.bit_length() - 1])
+        mask ^= low
+    return tuple(found)
+
+
 def build_abstract(catom: CAtom) -> AbstractCAtom:
     """Compute the unique abstract form of a constraint atom.
 
     The maximal sublattices are the prime implicants of the solution family,
-    computed on a truth table by :func:`prime_cubes`.
+    computed on a truth table by :func:`checked_primes`.
     """
-    atoms, cubes = prime_cubes(catom)
-
-    # Primes share few distinct bases and free sets (2{x0..x7}4: 420 primes,
-    # 28 of each), so each distinct mask becomes a set once per build.
-    @cache
-    def to_set(mask: int) -> frozenset[str]:
-        return frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-
+    atoms, cubes = checked_primes(catom)
+    to_set = cache(lambda mask: frozenset(select(atoms, mask)))
     lattices = frozenset(PrefixedPowerSet(to_set(b), to_set(f)) for b, f in cubes)
     return AbstractCAtom(catom.domain, lattices)
 
@@ -250,8 +279,8 @@ class CAtomClass:
     convex: bool
 
 
-def classify_catom(abstract: AbstractCAtom) -> CAtomClass:
-    """Read the closure properties off the abstract form.
+def classify_cubes(size: int, cubes: Iterable[tuple[int, int]]) -> CAtomClass:
+    """Read the closure properties off the members ``(base, free)`` over ``size`` atoms.
 
     Monotone: every sublattice spans the whole domain above its base.
     Antimonotone: every base is empty.  Convex: every member base ``b`` and
@@ -262,20 +291,20 @@ def classify_catom(abstract: AbstractCAtom) -> CAtomClass:
     ``A.base <= B.top``, and the member ``[A.base, B.top]`` covers every set
     between them.
     """
-    size = len(abstract.domain)
-    members = abstract.lattices
+    domain = (1 << size) - 1
+    bounds = {(base, base | free) for base, free in cubes}
+    bases = {b for b, _ in bounds}
+    tops = {t for _, t in bounds}
     return CAtomClass(
-        monotone=all(len(m.base) + len(m.free) == size for m in members),
-        antimonotone=all(not m.base for m in members),
-        convex=_is_convex(members),
+        monotone=all(t == domain for t in tops),
+        antimonotone=not any(bases),
+        convex=all((b, t) in bounds for b in bases for t in tops if b & t == b),
     )
 
 
-def _is_convex(members: frozenset[PrefixedPowerSet]) -> bool:
-    bounds = {(m.base, m.top) for m in members}
-    bases = {m.base for m in members}
-    tops = {m.top for m in members}
-    return all((b, t) in bounds for b in bases for t in tops if b <= t)
+def classify_catom(abstract: AbstractCAtom) -> CAtomClass:
+    """:func:`classify_cubes` on the abstract form's members."""
+    return classify_cubes(len(abstract.domain), abstract.cubes())
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 
-from .abstraction import abstract_of
+from .abstraction import checked_primes, select
 from .core import (
     CAtom,
     Literal,
@@ -85,16 +86,26 @@ def translate_normal(program: Program) -> Program:
             if catom not in definitions:
                 claim_name(owners, name, catom)
                 order.append(catom)
-                defs = []
-                for member in abstract_of(catom).members():
-                    lits = [Literal.atom(a) for a in sorted(member.base)]
-                    lits += [Literal.negated_atom(a)
-                             for a in sorted(catom.domain - member.top)]
-                    defs.append(Rule((name,), tuple(lits)))
-                definitions[catom] = defs
+                definitions[catom] = _defining_rules(name, catom)
         main.append(Rule((head,), tuple(body)))
     rules = main + [r for catom in order for r in definitions[catom]]
     return Program(tuple(rules), basic.declared_atoms)
+
+
+def _defining_rules(name: str, catom: CAtom) -> list[Rule]:
+    """``name :- base, not (domain outside the top).`` per sublattice, in canonical order.
+
+    Each domain atom becomes its two literals once, and each distinct mask
+    its literal tuple once.
+    """
+    atoms, cubes = checked_primes(catom)
+    domain = (1 << len(atoms)) - 1
+    positive = tuple(map(Literal.atom, atoms))
+    negated = tuple(map(Literal.negated_atom, atoms))
+    pos = cache(lambda mask: select(positive, mask))
+    neg = cache(lambda mask: select(negated, mask))
+    return [Rule((name,), pos(base) + neg(domain ^ (base | free)))
+            for base, free in cubes]
 
 
 @dataclass(frozen=True)
@@ -115,17 +126,29 @@ class DependencyGraph:
 
 
 def dependency_graph(program: Program) -> DependencyGraph:
-    """Signed atom dependencies of a basic program."""
+    """Signed atom dependencies of a basic program.
+
+    The head of a rule depends positively on the atoms of every sublattice
+    base of a body c-atom, and negatively on its domain atoms outside some
+    sublattice top: one OR of masks over the sublattices each.
+    """
     basic = normalize_basic(program)
+    signed: dict[CAtom, tuple[tuple[str, ...], tuple[str, ...]]] = {}
     edges: set[tuple[str, str, str]] = set()
     for rule in basic.rules:
         head = rule.head[0]
         for catom in map(literal_catom, rule.body):
-            for member in abstract_of(catom).lattices:
-                for atom in member.base:
-                    edges.add((head, atom, "+"))
-                for atom in catom.domain - member.top:
-                    edges.add((head, atom, "-"))
+            found = signed.get(catom)
+            if found is None:
+                atoms, cubes = checked_primes(catom)
+                domain = (1 << len(atoms)) - 1
+                pos = neg = 0
+                for base, free in cubes:
+                    pos |= base
+                    neg |= domain ^ (base | free)
+                found = signed[catom] = select(atoms, pos), select(atoms, neg)
+            edges.update((head, atom, "+") for atom in found[0])
+            edges.update((head, atom, "-") for atom in found[1])
     return DependencyGraph(basic.atoms, frozenset(edges))
 
 

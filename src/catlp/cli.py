@@ -12,7 +12,7 @@ import sys
 from functools import cache
 
 from . import golden
-from .abstraction import abstract_of, classify_catom
+from .abstraction import checked_primes, classify_cubes, select
 from .analysis import cycle_report, dependency_graph, to_dot, translate_normal
 from .core import CAtom, Program, is_model, set_key
 from .errors import CatlpError, GuardError, NotAModelError, ParseError, ProgramClassError
@@ -94,16 +94,14 @@ def _cmd_reduct(args) -> int:
 
 
 def _abstract_json(catom: CAtom, classify: bool) -> dict:
-    abstract = abstract_of(catom)
+    atoms, cubes = checked_primes(catom)
+    names = cache(lambda mask: list(select(atoms, mask)))
     data = {
-        "domain": list(set_key(abstract.domain)),
-        "lattices": [
-            {"base": list(set_key(m.base)), "free": list(set_key(m.free))}
-            for m in abstract.members()
-        ],
+        "domain": list(atoms),
+        "lattices": [{"base": names(base), "free": names(free)} for base, free in cubes],
     }
     if classify:
-        flags = classify_catom(abstract)
+        flags = classify_cubes(len(atoms), cubes)
         data["monotone"] = flags.monotone
         data["antimonotone"] = flags.antimonotone
         data["convex"] = flags.convex

@@ -41,6 +41,13 @@ def set_key(atoms: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(atoms))
 
 
+def set_bits(bits: int) -> list[int]:
+    """The positions of the set bits of ``bits``, highest first."""
+    text = format(bits, "b")
+    top = len(text) - 1
+    return [top - found.start() for found in re.finditer("1", text)]
+
+
 @dataclass(frozen=True)
 class CAtom:
     """A constraint atom: a finite domain plus its admissible solutions."""
@@ -434,12 +441,6 @@ class CandidateBits:
         """The vocabulary mask of candidate ``k``."""
         return int(format(k, "0%db" % self.n)[::-1], 2)
 
-    def indices(self, bits: int) -> list[int]:
-        """The candidates of ``bits``, by descending index."""
-        text = format(bits, "b")
-        top = len(text) - 1
-        return [top - found.start() for found in re.finditer("1", text)]
-
     def sets(self, bits: int) -> Iterator[frozenset[str]]:
         """The candidates of ``bits`` as atom sets, in ``iter_subsets`` order.
 
@@ -448,7 +449,7 @@ class CandidateBits:
         """
         n, atoms = self.n, self.compiled.atoms
         by_size: list[list[int]] = [[] for _ in range(n + 1)]
-        for k in self.indices(bits):
+        for k in set_bits(bits):
             by_size[k.bit_count()].append(k)
         half = n // 2
         low = [tuple(atoms[n - 1 - j] for j in range(half) if k >> j & 1)

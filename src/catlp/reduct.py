@@ -20,7 +20,7 @@ renders a reduct, mints their names.
 
 A body c-atom's satisfiable sets are the bases of its prime cubes that hold
 the candidate.  The reducer keeps each c-atom's primes as small integers,
-bases by free set, straight from ``abstraction.prime_cubes``: a space of
+bases by free set, straight from ``abstraction.checked_primes``: a space of
 one candidate looks up one base per free set, and a space of every
 candidate groups all primes by base.
 """
@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .abstraction import check_irredundant, prime_cubes
+from .abstraction import checked_primes
 from .core import (
     CAtom,
     CandidateBits,
@@ -41,6 +41,7 @@ from .core import (
     Literal,
     Program,
     Rule,
+    set_bits,
     set_key,
 )
 from .errors import InvariantError, NameCollisionError, ProgramClassError, check_guard
@@ -161,13 +162,11 @@ class _Reducer:
     def primes(self, catom: CompiledCAtom) -> _Primes:
         """The prime cubes (abstract-form members) of ``catom``, built once.
 
-        They come from ``prime_cubes`` and are checked by
-        ``check_irredundant``, as ``abstract_of`` checks its members.
+        They come from ``checked_primes``, checked for redundancy.
         """
         primes = self._primes.get(catom)
         if primes is None:
-            atoms, cubes = prime_cubes(catom.catom)
-            check_irredundant(cubes)
+            atoms, cubes = checked_primes(catom.catom)
             by_free: dict[int, set[int]] = {}
             for base, free in cubes:
                 by_free.setdefault(free, set()).add(base)
@@ -447,7 +446,7 @@ def reduct_size_bound(program: Program) -> int:
         return len(program.rules)
     body = compiled.body_catoms + compiled.negated_catoms
     if compiled.negated_catoms:  # no reduct exists to share the primes with
-        counts = [len(prime_cubes(c.catom)[1]) for c in body]
+        counts = [len(checked_primes(c.catom)[1]) for c in body]
     else:
         primes = _reducer(compiled).primes
         counts = [sum(map(len, primes(c)[1].values())) for c in body]
@@ -597,7 +596,7 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     models = space.models()
     reduct = _Reduct(reducer, space, models)
     out = list(space.sets(_stable_bits(reduct, models)))
-    for k in space.indices(reduct.disjunctive):
+    for k in set_bits(reduct.disjunctive):
         m = space.mask(k)
         point = CandidateBits(compiled, m)
         if _has_minimal_witness(reducer, _Reduct(reducer, point, point.full), m):

@@ -2,13 +2,16 @@
 
 For the golden program texts of ``catlp.golden`` and for seeded programs of
 the five ``tests/generators`` families, this runs ``solve --all --json``,
-``translate``, ``depgraph --report`` and ``abstract FILE --classify``, plus
-``check`` (the reduct oracle alone, since the fixpoint oracle refuses
-disjunctive programs), ``check --oracle both`` and ``reduct --json`` for
-the empty, the full and two seeded interpretations over the program's
-vocabulary.  For each command it prints the argv (with the program's label
-in place of its temporary file), the exit code, stdout, and stderr lines
-prefixed with ``stderr:``.
+``translate``, ``depgraph --report``, ``depgraph --dot`` and ``abstract FILE
+--classify``, plus ``check`` (the reduct oracle alone, since the fixpoint
+oracle refuses disjunctive programs), ``check --oracle both`` and ``reduct
+--json`` for the empty, the full and two seeded interpretations over the
+program's vocabulary.  Then it runs ``abstract --catom EXPR --classify`` on
+each distinct body c-atom of the golden programs (a body atom as its
+one-atom c-atom) and on the golden c-atoms, written out by
+``format_catom``.  For each command it prints the argv (with the program's
+label in place of its temporary file), the exit code, stdout, and stderr
+lines prefixed with ``stderr:``.
 
 Run it against the ``catlp`` on ``PYTHONPATH`` and compare the outputs::
 
@@ -33,8 +36,8 @@ import tempfile
 from typing import Iterator
 
 from catlp import cli, golden
-from catlp.core import Program, set_key
-from catlp.parser import format_program, load_program
+from catlp.core import CAtom, Program, literal_catom, set_key
+from catlp.parser import format_catom, format_program, load_program
 
 import generators
 
@@ -76,6 +79,7 @@ def commands(text: str, label: str) -> list[list[str]]:
         ["solve", "FILE", "--all", "--json"],
         ["translate", "FILE"],
         ["depgraph", "FILE", "--report"],
+        ["depgraph", "FILE", "--dot"],
         ["abstract", "FILE", "--classify"],
     ]
     for listed in interpretations(load_program(text), label):
@@ -83,6 +87,16 @@ def commands(text: str, label: str) -> list[list[str]]:
         argvs.append(["check", "FILE", "-I", listed, "--oracle", "both"])
         argvs.append(["reduct", "FILE", "-I", listed, "--json"])
     return argvs
+
+
+def golden_catoms() -> list[str]:
+    """The distinct body c-atoms of the golden programs, then the golden
+    c-atoms, as ``--catom`` texts."""
+    catoms = [literal_catom(literal)
+              for text in golden_texts().values()
+              for rule in load_program(text).rules for literal in rule.body]
+    catoms += [value for value in vars(golden).values() if isinstance(value, CAtom)]
+    return list(dict.fromkeys(map(format_catom, catoms)))
 
 
 def run(argv: list[str], path: str, label: str, out) -> None:
@@ -111,6 +125,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
                 handle.write(text)
             for command in commands(text, label):
                 run(command, path, label, out)
+    for text in golden_catoms():
+        run(["abstract", "--catom", text, "--classify"], "", "", out)
     return 0
 
 

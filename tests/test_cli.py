@@ -17,8 +17,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catlp
-from catlp import cli
+from catlp import abstraction, cli
+from catlp.abstraction import PrefixedPowerSet
+from catlp.analysis import dependency_graph, translate_normal
+from catlp.core import CAtom, iter_subsets
 from catlp.golden import EVEN_LOOP, SUM_COUNT_DISJUNCTION, SUM_LOOP
+from catlp.parser import format_catom, load_program
+from catlp.reduct import theta_atom
+
+import generators
+import oracles
 
 
 @pytest.fixture
@@ -209,6 +217,146 @@ class TestTranslateAndDepgraph:
         assert "digraph dependencies {" in out
         assert "even_cycle=True" in out
         assert "call_consistent=True" in out
+
+
+#: ``h :- C. a :- not h. b :- h.``: the analysis commands' output on C is
+#: checked against brute force; C's atoms avoid h, a and b.
+ANALYZED = "h :- {catom}. a :- not h. b :- h.\n"
+C_POOL = ("c", "d", "e", "f", "g", "i", "j")
+
+
+def analyzed_catoms() -> list[CAtom]:
+    """Random explicit c-atoms over 0-7 atoms, every family over two atoms,
+    then the edge cases: the empty domain (with and without its one set), an
+    empty and a complete family, and the pinned family with 15 solutions and
+    16 maximal sublattices."""
+    rng = random.Random(1515)
+    catoms = [generators.random_catom(rng, C_POOL, max_domain=7) for _ in range(60)]
+    pairs = list(iter_subsets("cd"))
+    catoms += [CAtom("cd", [s for i, s in enumerate(pairs) if k >> i & 1])
+               for k in range(16)]
+    pinned = [{"c", "d"}, {"c", "d", "e"}, {"c", "d", "f"}, {"c", "d", "g"},
+              {"c", "e"}, {"c", "e", "f", "g"}, {"c", "f"}, {"c", "f", "g"},
+              {"d", "e", "f"}, {"d", "e", "g"}, {"e"}, {"e", "f"},
+              {"e", "f", "g"}, {"f"}, {"g"}]
+    return catoms + [
+        CAtom((), [()]), CAtom((), ()), CAtom("cdef", ()),
+        CAtom("cdefgij", iter_subsets("cdefgij")), CAtom("cdefg", pinned)]
+
+
+def run_cli(argv: list[str]) -> str:
+    """``cli.run(argv)``'s stdout; the command must succeed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(argv) == 0, argv
+    return out.getvalue()
+
+
+class TestAnalysisAgainstBruteForce:
+    """``translate``, ``depgraph --report`` and ``abstract --classify`` on
+    ``ANALYZED``, against ``oracles.brute_abstract`` and the brute-force
+    closure properties."""
+
+    def test_outputs_match_the_definitions(self, tmp_path):
+        path = str(tmp_path / "analyzed.lp")
+        catoms = analyzed_catoms()
+        assert len(catoms[-1].solutions) == 15
+        assert len(oracles.brute_abstract(catoms[-1])) == 16
+        for catom in catoms:
+            text = format_catom(catom)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(ANALYZED.format(catom=text))
+            members = sorted(oracles.brute_abstract(catom), key=PrefixedPowerSet.key)
+
+            name = theta_atom(catom)
+            bodies = [sorted(m.base) + [f"not {a}" for a in sorted(catom.domain - m.top)]
+                      for m in members]
+            defining = [f"{name} :- {', '.join(body)}." if body else f"{name}."
+                        for body in bodies]
+            lines = run_cli(["translate", path]).splitlines()
+            assert [line for line in lines if line.startswith((f"{name} ", f"{name}."))
+                    ] == defining, text
+            assert len(lines) == 3 + len(members) + 2  # the rules and the other thetas
+
+            edges = {("h", a, "+") for m in members for a in m.base}
+            edges |= {("h", a, "-") for m in members for a in catom.domain - m.top}
+            edges |= {("a", "h", "-"), ("b", "h", "+")}
+            flags = oracles.brute_cycle_flags(catom.domain | {"h", "a", "b"}, edges)
+            assert run_cli(["depgraph", path, "--report"]).splitlines() == [
+                f"{u} -{sign}-> {v}" for u, v, sign in sorted(edges)] + [
+                f"positive_cycle={'positive' in flags}",
+                f"odd_cycle={'odd' in flags}",
+                f"even_cycle={'even' in flags}",
+                f"even_cycle_literal={'even_literal' in flags}",
+                f"call_consistent={'odd' not in flags}",
+                f"acyclic={'cycle' not in flags}"], text
+
+            expected = {
+                "domain": sorted(catom.domain),
+                "lattices": [{"base": sorted(m.base), "free": sorted(m.free)}
+                             for m in members],
+                "monotone": oracles.brute_monotone(catom),
+                "antimonotone": oracles.brute_antimonotone(catom),
+                "convex": oracles.brute_convex(catom),
+            }
+            assert json.loads(run_cli(["abstract", path, "--classify"])) == [expected], text
+            assert json.loads(run_cli(["abstract", "--catom", text, "--classify"])) == expected
+
+
+class TestMaskRoute:
+    """The analysis passes read the checked prime-cube masks: they build no
+    abstract-form object, and they keep the irredundancy check."""
+
+    PROGRAM = "h :- 2 {c, d, e, not f} 3. a :- not h. b :- h, [c,d : {}, {c}, {c,d}].\n"
+
+    def answers(self, path: str) -> list:
+        program = load_program(self.PROGRAM)
+        return [
+            translate_normal(program),
+            dependency_graph(program),
+            run_cli(["translate", path]),
+            run_cli(["depgraph", path, "--report"]),
+            run_cli(["abstract", path, "--classify"]),
+            run_cli(["abstract", "--catom", "[c,d : {}, {c}, {c,d}]", "--classify"]),
+        ]
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "route.lp"
+        path.write_text(self.PROGRAM)
+        return str(path)
+
+    def test_no_abstract_form_object_is_built(self, path, monkeypatch):
+        expected = self.answers(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an abstract-form object was built")
+
+        abstraction.abstract_of.cache_clear()  # so a call to it would build
+        monkeypatch.setattr(abstraction, "build_abstract", refuse)
+        monkeypatch.setattr(abstraction.AbstractCAtom, "__post_init__", refuse)
+        monkeypatch.setattr(abstraction.PrefixedPowerSet, "__post_init__", refuse)
+        assert self.answers(path) == expected
+
+    def test_a_redundant_cube_list_is_refused(self, path, monkeypatch):
+        kernel = abstraction.prime_cubes
+
+        def redundant(catom):
+            # The cube of the empty set lies inside that of {} and {atoms[0]}.
+            atoms, cubes = kernel(catom)
+            return atoms, cubes + [(0, 0), (0, 1)]
+
+        monkeypatch.setattr(abstraction, "prime_cubes", redundant)
+        abstraction.abstract_of.cache_clear()
+        program = load_program(self.PROGRAM)
+        for call in (lambda: translate_normal(program),
+                     lambda: dependency_graph(program),
+                     lambda: cli.run(["translate", path]),
+                     lambda: cli.run(["depgraph", path, "--report"]),
+                     lambda: cli.run(["abstract", path, "--classify"]),
+                     lambda: cli.run(["abstract", "--catom", "[c : {c}]"])):
+            with pytest.raises(ValueError, match="redundant"):
+                call()
 
 
 class TestUsageErrors:
@@ -456,13 +604,16 @@ def test_cli_corpus_slice_is_complete_and_reproducible():
     labels = list(cli_corpus.golden_texts()) + [
         f"{family.__name__}#0" for family in cli_corpus.FAMILIES]
     assert len(labels) == 15
-    shown = [shlex.split(line)[2:4] for line in text.splitlines()
+    shown = [shlex.split(line)[2:] for line in text.splitlines()
              if line.startswith("$ catlp ")]
-    assert len(shown) == 15 * 16
+    catoms = cli_corpus.golden_catoms()
+    assert len(catoms) == 16
+    assert len(shown) == 15 * 17 + 16
     for label in labels:
-        assert [verb for verb, name in shown if name == label] == (
-            ["solve", "translate", "depgraph", "abstract"]
+        assert [argv[0] for argv in shown if argv[1] == label] == (
+            ["solve", "translate", "depgraph", "depgraph", "abstract"]
             + ["check", "check", "reduct"] * 4), label
+    assert shown[15 * 17:] == [["abstract", "--catom", c, "--classify"] for c in catoms]
     assert (
         "$ catlp solve SUM_COUNT_DISJUNCTION --all --json\nexit 0\n"
         '{"models": [["p(-1)"], ["p(-1)", "p(1)"], ["p(1)", "p(2)"]]}\n') in text
