@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .core import CAtom, iter_subsets, set_bits, set_key
+from .core import CAtom, iter_subsets, select, set_bits, set_key
 from .errors import check_guard
 
 #: ``abstract_of`` keeps at most this many abstract forms (least recently
@@ -84,19 +84,11 @@ class AbstractCAtom:
 
     def cubes(self) -> list[tuple[int, int]]:
         """The sublattices as masks ``(base, free)``; domain atom i in sorted order is bit i."""
-        domain = self.domain
-        bit = {a: 1 << i for i, a in enumerate(sorted(domain))}
-        masks: dict[frozenset[str], int] = {}
-
-        def mask(atoms: frozenset[str]) -> int:
-            found = masks.get(atoms)
-            if found is None:
-                if not atoms <= domain:
-                    raise ValueError("sublattice atoms must come from the domain")
-                found = masks[atoms] = sum(map(bit.__getitem__, atoms))
-            return found
-
-        return [(mask(m.base), mask(m.free)) for m in self.lattices]
+        bit = {a: 1 << i for i, a in enumerate(sorted(self.domain))}.__getitem__
+        try:
+            return [(sum(map(bit, m.base)), sum(map(bit, m.free))) for m in self.lattices]
+        except KeyError:
+            raise ValueError("sublattice atoms must come from the domain") from None
 
     def members(self) -> tuple[PrefixedPowerSet, ...]:
         """The sublattices in canonical order."""
@@ -177,17 +169,11 @@ def prime_cubes(catom: CAtom) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
     """The sorted domain and the maximal sublattices of ``catom`` as masks.
 
     Atom ``atoms[i]`` is bit i, and each sublattice is ``(base, free)``,
-    listed by free set in the order of its sorted atoms.  The solutions are read in one pass into a ``2**n``-bit truth table, one
-    byte per eight sets, and the primes come from :func:`_primes`.
+    listed by free set in the order of its sorted atoms.  The primes come
+    from :func:`_primes` on the c-atom's truth table.
     """
     check_guard("abstract_domain", len(catom.domain))
-    atoms = tuple(sorted(catom.domain))
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-    table = bytearray(max(1, (1 << len(atoms)) >> 3))
-    for sol in catom.solutions:
-        x = sum(map(bit.__getitem__, sol))
-        table[x >> 3] |= 1 << (x & 7)
-    return atoms, _primes(len(atoms), int.from_bytes(table, "little"))
+    return catom.atoms, _primes(len(catom.atoms), catom.table)
 
 
 def checked_primes(catom: CAtom) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
@@ -209,31 +195,21 @@ def checked_primes(catom: CAtom) -> tuple[tuple[str, ...], list[tuple[int, int]]
     return atoms, [(base, free) for base in bases for free in frees[base]]
 
 
-def select(items: Sequence, mask: int) -> tuple:
-    """``items[i]`` for each set bit i of ``mask``, lowest first.
-
-    With the sorted domain as ``items``, these are the mask's atoms in
-    sorted order.  One step per set bit: a domain mask is at most 20 bits
-    wide, where :func:`set_bits`' scan of the whole binary text costs more.
-    """
-    found = []
-    while mask:
-        low = mask & -mask
-        found.append(items[low.bit_length() - 1])
-        mask ^= low
-    return tuple(found)
-
-
 def build_abstract(catom: CAtom) -> AbstractCAtom:
     """Compute the unique abstract form of a constraint atom.
 
     The maximal sublattices are the prime implicants of the solution family,
-    computed on a truth table by :func:`checked_primes`.
+    computed on a truth table by :func:`checked_primes`.  They passed its
+    redundancy check, so the form is built without the one in
+    ``AbstractCAtom.__post_init__``.
     """
     atoms, cubes = checked_primes(catom)
     to_set = cache(lambda mask: frozenset(select(atoms, mask)))
-    lattices = frozenset(PrefixedPowerSet(to_set(b), to_set(f)) for b, f in cubes)
-    return AbstractCAtom(catom.domain, lattices)
+    abstract = object.__new__(AbstractCAtom)
+    object.__setattr__(abstract, "domain", catom.domain)
+    object.__setattr__(abstract, "lattices", frozenset(
+        PrefixedPowerSet(to_set(b), to_set(f)) for b, f in cubes))
+    return abstract
 
 
 @lru_cache(maxsize=ABSTRACT_CACHE_SIZE)
@@ -245,10 +221,7 @@ def abstract_of(catom: CAtom) -> AbstractCAtom:
 def expand(abstract: AbstractCAtom) -> CAtom:
     """Back to explicit form: the union of all covered sets."""
     check_guard("abstract_domain", len(abstract.domain))
-    solutions: set[frozenset[str]] = set()
-    for member in abstract.lattices:
-        solutions.update(member.covered_sets())
-    return CAtom(abstract.domain, frozenset(solutions))
+    return CAtom(abstract.domain, (s for m in abstract.lattices for s in m.covered_sets()))
 
 
 def satisfies_abstract(interpretation: Iterable[str], abstract: AbstractCAtom) -> bool:

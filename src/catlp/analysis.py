@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache
 
-from .abstraction import checked_primes, select
+from .abstraction import checked_primes
 from .core import (
     CAtom,
     Literal,
@@ -27,6 +27,7 @@ from .core import (
     is_false_head,
     is_supported,
     literal_catom,
+    select,
     set_key,
 )
 from .errors import ProgramClassError

@@ -12,9 +12,9 @@ import sys
 from functools import cache
 
 from . import golden
-from .abstraction import checked_primes, classify_cubes, select
+from .abstraction import checked_primes, classify_cubes
 from .analysis import cycle_report, dependency_graph, to_dot, translate_normal
-from .core import CAtom, Program, is_model, set_key
+from .core import CAtom, Program, is_model, select, set_key
 from .errors import CatlpError, GuardError, NotAModelError, ParseError, ProgramClassError
 from .fixpoint import fixpoint_stable, to_positive_basic
 from .parser import (

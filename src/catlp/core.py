@@ -1,21 +1,22 @@
 """Core types for propositional logic programs with constraint atoms.
 
-Atoms are plain strings.  A constraint atom couples a finite domain with an
-explicitly enumerated family of admissible solutions; an interpretation
-satisfies it when the interpretation restricted to the domain is one of the
-admissible solutions.  Rules may carry constraint atoms in bodies and in
-(disjunctive) heads.  Every value is immutable and hashable, so programs and
-interpretations can be shared freely across threads.
+Atoms are plain strings.  A constraint atom couples a finite domain with a
+family of admissible solutions, held as one truth table over the subsets of
+the domain; an interpretation satisfies it when the interpretation
+restricted to the domain is one of the admissible solutions.  Rules may
+carry constraint atoms in bodies and in (disjunctive) heads.  Every value
+is immutable and hashable, so programs and interpretations can be shared
+freely across threads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import check_guard
 
@@ -48,38 +49,83 @@ def set_bits(bits: int) -> list[int]:
     return [top - found.start() for found in re.finditer("1", text)]
 
 
-@dataclass(frozen=True)
+def select(items: Sequence, mask: int) -> tuple:
+    """``items[i]`` for each set bit i of ``mask``, lowest first.
+
+    With a sorted domain or vocabulary as ``items``, these are the mask's
+    atoms in sorted order.  One step per set bit: a mask here is at most
+    a few dozen bits wide, where :func:`set_bits`' scan of the whole binary
+    text costs more.
+    """
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(items[low.bit_length() - 1])
+        mask ^= low
+    return tuple(found)
+
+
+@dataclass(frozen=True, init=False)
 class CAtom:
-    """A constraint atom: a finite domain plus its admissible solutions."""
+    """A constraint atom: a finite domain plus its admissible solutions.
+
+    The solutions are one truth table: over the sorted domain ``atoms``,
+    atom ``atoms[i]`` is bit i of a subset's mask, and bit x of ``table`` is
+    set when the subset with mask x is a solution.  Equality and hashing
+    are on the domain and the table.
+    """
 
     domain: frozenset[str]
-    solutions: frozenset[frozenset[str]]
+    table: int
+    atoms: tuple[str, ...] = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "domain", frozenset(self.domain))
-        object.__setattr__(
-            self, "solutions", frozenset(frozenset(s) for s in self.solutions))
-        for sol in self.solutions:
-            if not sol <= self.domain:
+    def __init__(self, domain: Iterable[str], solutions: Iterable[Iterable[str]]):
+        domain = frozenset(domain)
+        check_guard("catom_domain", len(domain))
+        atoms = tuple(sorted(domain))
+        bit = {a: 1 << i for i, a in enumerate(atoms)}
+        table = bytearray(max(1, (1 << len(domain)) >> 3))
+        for sol in map(frozenset, solutions):
+            if not sol <= domain:
                 raise ValueError(
                     "solution {%s} is not a subset of the domain" % ", ".join(sorted(sol)))
+            x = sum(map(bit.__getitem__, sol))
+            table[x >> 3] |= 1 << (x & 7)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "table", int.from_bytes(table, "little"))
+
+    @classmethod
+    def from_table(cls, domain: Iterable[str], table: int) -> "CAtom":
+        """The c-atom over ``domain`` whose solutions are the set bits of ``table``."""
+        catom = cls(domain, ())
+        if table < 0 or table >> (1 << len(catom.domain)):
+            raise ValueError("the table has bits beyond the subsets of the domain")
+        object.__setattr__(catom, "table", table)
+        return catom
 
     @classmethod
     def elementary(cls, atom: str) -> "CAtom":
         """The one-atom constraint interchangeable with the atom itself."""
-        return cls(frozenset((atom,)), frozenset((frozenset((atom,)),)))
+        return cls((atom,), [(atom,)])
+
+    @cached_property
+    def solutions(self) -> frozenset[frozenset[str]]:
+        """The admissible solutions as atom sets, read off ``table`` once."""
+        return frozenset(frozenset(select(self.atoms, x)) for x in set_bits(self.table))
 
     @property
     def is_elementary(self) -> bool:
-        return len(self.domain) == 1 and self.solutions == frozenset((self.domain,))
+        return len(self.domain) == 1 and self.table == 0b10
 
     @property
     def is_unsatisfiable(self) -> bool:
         """True when the solution family is empty (the ``bot`` constraint)."""
-        return not self.solutions
+        return not self.table
 
     def canonical_key(self) -> tuple:
-        return (set_key(self.domain), tuple(sorted(set_key(s) for s in self.solutions)))
+        """The sorted domain and the sorted family of sorted solutions."""
+        return (self.atoms, tuple(sorted(select(self.atoms, x) for x in set_bits(self.table))))
 
     @cached_property
     def digest(self) -> str:
@@ -197,21 +243,25 @@ class Program:
 class CompiledCAtom:
     """A c-atom over a program's vocabulary bits.
 
-    ``index`` is its position in ``CompiledProgram.catoms``.  The solution masks
-    are built on first use: a caller that tests a single interpretation
-    does better with ``catom.solutions`` itself.
+    ``index`` is its position in ``CompiledProgram.catoms``, ``bits[i]`` the
+    vocabulary bit of domain atom ``catom.atoms[i]`` and ``domain`` their
+    mask.  :meth:`position` and :meth:`lift` move masks between the
+    vocabulary and the c-atom's table.
     """
 
     def __init__(self, catom: CAtom, index: int, bit: dict[str, int]):
         self.catom = catom
         self.index = index
-        self.domain = sum(map(bit.__getitem__, catom.domain))
-        self._bit = bit
+        self.bits = [bit[a] for a in catom.atoms]
+        self.domain = sum(self.bits)
 
-    @cached_property
-    def solutions(self) -> frozenset[int]:
-        bit = self._bit.__getitem__
-        return frozenset(sum(map(bit, s)) for s in self.catom.solutions)
+    def position(self, mask: int) -> int:
+        """The table index of the domain part of the vocabulary mask ``mask``."""
+        return sum(1 << i for i, b in enumerate(self.bits) if mask & b)
+
+    def lift(self, x: int) -> int:
+        """The vocabulary mask of the table index ``x``."""
+        return sum(select(self.bits, x))
 
 
 class CompiledProgram:
@@ -273,12 +323,13 @@ class CompiledProgram:
 
     def atoms_of(self, mask: int) -> tuple[str, ...]:
         """The atoms of ``mask`` in sorted order, so ``set_key`` of their set."""
-        return tuple(a for i, a in enumerate(self.atoms) if mask >> i & 1)
+        return select(self.atoms, mask)
 
 
 def satisfies_catom(interpretation: Iterable[str], catom: CAtom) -> bool:
     """Classical satisfaction: the domain restriction must be admissible."""
-    return frozenset(interpretation) & catom.domain in catom.solutions
+    model = frozenset(interpretation)
+    return bool(catom.table >> sum(1 << i for i, a in enumerate(catom.atoms) if a in model) & 1)
 
 
 def satisfies_literal(interpretation: Iterable[str], literal: Literal) -> bool:
@@ -405,22 +456,22 @@ class CandidateBits:
         return [self.cubes([(1 << i, 0)]) for i in range(self.n)]
 
     def satisfied(self, catom: CompiledCAtom) -> int:
-        """The candidates that satisfy ``catom``, split from its solutions.
+        """The candidates that satisfy ``catom``, read off its table.
 
-        A complete family, such as a choice head's, is read off its size.
-        A point is looked up among the solutions as an atom set, so no
-        solution masks are built.
+        A point is one table bit.  Otherwise each solution is a minterm cube
+        on vocabulary bits, and a complete family, such as a choice head's,
+        is every candidate.
         """
         bits = self._satisfied.get(catom)
         if bits is None:
-            domain = catom.domain
-            if len(catom.catom.solutions) == 1 << domain.bit_count():
+            table, domain = catom.catom.table, catom.domain
+            if self.point is not None:
+                bits = table >> catom.position(self.point) & 1
+            elif table.bit_count() == 1 << domain.bit_count():
                 bits = self.full
-            elif self.point is not None:
-                bits = int(frozenset(self.compiled.atoms_of(self.point & domain))
-                           in catom.catom.solutions)
             else:
-                bits = self.cubes([(s, domain ^ s) for s in catom.solutions], disjoint=True)
+                minterms = map(catom.lift, set_bits(table))
+                bits = self.cubes([(s, domain ^ s) for s in minterms], disjoint=True)
             self._satisfied[catom] = bits
         return bits
 
@@ -447,15 +498,13 @@ class CandidateBits:
         Each index is split into its low and high half, and each half is
         looked up in a table of atom tuples.
         """
-        n, atoms = self.n, self.compiled.atoms
+        n = self.n
         by_size: list[list[int]] = [[] for _ in range(n + 1)]
         for k in set_bits(bits):
             by_size[k.bit_count()].append(k)
-        half = n // 2
-        low = [tuple(atoms[n - 1 - j] for j in range(half) if k >> j & 1)
-               for k in range(1 << half)]
-        high = [tuple(atoms[n - 1 - half - j] for j in range(n - half) if k >> j & 1)
-                for k in range(1 << n - half)]
+        atoms, half = self.compiled.atoms[::-1], n // 2  # index bit j is atoms[n - 1 - j]
+        low = [select(atoms, k) for k in range(1 << half)]
+        high = [select(atoms[half:], k) for k in range(1 << n - half)]
         low_bits = (1 << half) - 1
         for size in by_size:
             for k in size:
@@ -494,10 +543,9 @@ def is_supported_model(interpretation: Iterable[str], program: Program) -> bool:
 
 
 def complement(catom: CAtom) -> CAtom:
-    """The constraint interpreting ``not A``: same domain, complementary solutions."""
+    """The constraint interpreting ``not A``: same domain, complementary table."""
     check_guard("complement_domain", len(catom.domain))
-    every = frozenset(iter_subsets(catom.domain))
-    return CAtom(catom.domain, every - catom.solutions)
+    return CAtom.from_table(catom.domain, catom.table ^ (1 << (1 << len(catom.domain))) - 1)
 
 
 def literal_catom(literal: Literal) -> CAtom:

@@ -8,6 +8,7 @@ class CatlpError(Exception):
 #: Desk-scale size limits, by guard name; each operation that would enumerate
 #: exponentially checks its input against one of these before it starts.
 GUARD_LIMITS = {
+    "catom_domain": 24,  # domain atoms of a c-atom, whose truth table has 2**n bits
     "complement_domain": 20,  # domain atoms of a complemented c-atom
     "abstract_domain": 20,  # domain atoms of an abstract form built or expanded
     "weight_entries": 16,  # entries of a weight constraint or aggregate

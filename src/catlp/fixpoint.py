@@ -34,10 +34,10 @@ def cond_satisfies(lower: Iterable[str], upper: Iterable[str], catom: CAtom) -> 
     """Conditional satisfaction of a constraint atom.
 
     ``lower`` must satisfy the atom and every set between ``lower`` and
-    ``upper`` (within the domain) must be admissible.  The solutions are
-    distinct subsets of the domain, so an interval of ``2**k`` sets fits in
-    them only when they number at least ``2**k``; otherwise the answer is
-    False with nothing enumerated, so at most ``|solutions|`` sets are tried.
+    ``upper`` (within the domain) must be admissible: one table bit each.  An
+    interval of ``2**k`` sets fits in the solutions only when the table has
+    at least ``2**k`` set bits; otherwise the answer is False with nothing
+    enumerated, so at most ``|solutions|`` sets are tried.
     """
     low = frozenset(lower)
     if not satisfies_catom(low, catom):
@@ -47,9 +47,9 @@ def cond_satisfies(lower: Iterable[str], upper: Iterable[str], catom: CAtom) -> 
     if not bottom <= top:
         return True  # no interpolants to check
     extra = top - bottom
-    if 1 << len(extra) > len(catom.solutions):
+    if 1 << len(extra) > catom.table.bit_count():
         return False
-    return all(bottom | sub in catom.solutions for sub in iter_subsets(extra))
+    return all(satisfies_catom(bottom | sub, catom) for sub in iter_subsets(extra))
 
 
 def cond_satisfies_abstract(

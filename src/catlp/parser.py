@@ -78,22 +78,15 @@ class AggregateConstraint:
 def _linear_catom(atoms: list[str], const: int, delta: list[int], accept) -> CAtom:
     """The subsets of ``atoms`` whose total passes ``accept``.
 
-    Subset mask k (atom ``atoms[i]`` at bit i) totals ``const`` plus
-    ``delta[i]`` per atom in it.  Totals are built by doubling, one
-    addition per subset; only the accepted masks become atom sets.
+    Subset mask k (``atoms`` sorted, atom ``atoms[i]`` at bit i) totals
+    ``const`` plus ``delta[i]`` per atom in it.  Totals are built by
+    doubling, one addition per subset, and bit k of the c-atom's table is
+    whether ``accept`` takes total k.
     """
     totals = [const]
     for d in delta:
         totals += [t + d for t in totals]
-    half = len(atoms) // 2
-    low = [tuple(a for i, a in enumerate(atoms[:half]) if k >> i & 1)
-           for k in range(1 << half)]
-    high = [tuple(a for i, a in enumerate(atoms[half:]) if k >> i & 1)
-            for k in range(1 << len(atoms) - half)]
-    low_bits = (1 << half) - 1
-    return CAtom(frozenset(atoms), frozenset(
-        frozenset(low[k & low_bits] + high[k >> half])
-        for k, total in enumerate(totals) if accept(total)))
+    return CAtom.from_table(atoms, int("".join("01"[accept(t)] for t in reversed(totals)), 2))
 
 
 def desugar_weight(constraint: WeightConstraint) -> CAtom:

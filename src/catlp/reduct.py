@@ -15,12 +15,14 @@ candidates (``core.CandidateBits``): ``stable_models`` runs them on a space
 of every candidate, one bit each, and ``is_stable`` and ``gl_reduct`` on a
 space of one.  A normal reduct is decided by its least fixpoint, a
 disjunctive one by testing its only possible minimal witness, one candidate
-at a time.  Introduced atoms are bits, not names; only ``gl_reduct``, which
-renders a reduct, mints their names.
+at a time, at that candidate's bit of the same reduct.  Introduced atoms
+are bits, not names; only ``gl_reduct``, which renders a reduct, mints
+their names.
 
 A body c-atom's satisfiable sets are the bases of its prime cubes that hold
-the candidate.  The reducer keeps each c-atom's primes as small integers,
-bases by free set, straight from ``abstraction.checked_primes``: a space of
+the candidate.  The reducer keeps each c-atom's primes as masks over its
+truth table, bases by free set, straight from ``abstraction.checked_primes``,
+and lifts them onto vocabulary bits (``CompiledCAtom.lift``): a space of
 one candidate looks up one base per free set, and a space of every
 candidate groups all primes by base.
 """
@@ -121,21 +123,13 @@ def claim_name(owners: dict[str, CAtom], name: str, catom: CAtom) -> None:
 #: recently used first out); ``stable_models`` works on one at a time.
 REDUCER_CACHE_SIZE = 8
 
-#: The prime cubes of a c-atom over its sorted domain: the vocabulary bit of
-#: each domain atom, and the bases (domain masks) by free set.
-_Primes = tuple[list[int], dict[int, set[int]]]
-
 #: Prime cubes of a c-atom by distinct base: ``(base, base atom indices, cubes)``.
 _Members = list[tuple[int, list[int], list[tuple[int, int]]]]
 
 
 def _indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _lift(bits: list[int], mask: int) -> int:
-    """A domain mask on vocabulary bits, domain atom i at ``bits[i]``."""
-    return sum(bits[i] for i in _indices(mask))
 
 
 class _Reducer:
@@ -156,21 +150,20 @@ class _Reducer:
         self.bot = 1 << n
         self.theta = [1 << n + 1 + 2 * c.index for c in compiled.catoms]
         self.beta = [1 << n + 2 + 2 * c.index for c in compiled.catoms]
-        self._primes: dict[CompiledCAtom, _Primes] = {}
+        self._primes: dict[CompiledCAtom, dict[int, set[int]]] = {}
         self._members: dict[CompiledCAtom, _Members] = {}
 
-    def primes(self, catom: CompiledCAtom) -> _Primes:
+    def primes(self, catom: CompiledCAtom) -> dict[int, set[int]]:
         """The prime cubes (abstract-form members) of ``catom``, built once.
 
-        They come from ``checked_primes``, checked for redundancy.
+        They come from ``checked_primes``, checked for redundancy, as bases
+        by free set, both table masks.
         """
         primes = self._primes.get(catom)
         if primes is None:
-            atoms, cubes = checked_primes(catom.catom)
-            by_free: dict[int, set[int]] = {}
-            for base, free in cubes:
-                by_free.setdefault(free, set()).add(base)
-            primes = [self.compiled.bit[a] for a in atoms], by_free
+            primes = {}
+            for base, free in checked_primes(catom.catom)[1]:
+                primes.setdefault(free, set()).add(base)
             self._primes[catom] = primes  # only once complete: readers may share it
         return primes
 
@@ -181,10 +174,9 @@ class _Reducer:
         domain part outside F, so this is one lookup per free set, and only
         the cubes found are moved onto vocabulary bits.
         """
-        bits, by_free = self.primes(catom)
-        p = sum(1 << i for i, b in enumerate(bits) if point & b)
-        return [(_lift(bits, p & ~free), _lift(bits, free))
-                for free, bases in by_free.items() if p & ~free in bases]
+        p, lift = catom.position(point), catom.lift
+        return [(lift(p & ~free), lift(free))
+                for free, bases in self.primes(catom).items() if p & ~free in bases]
 
     def members(self, catom: CompiledCAtom) -> _Members:
         """The prime cubes of ``catom`` on vocabulary bits by distinct base, built once.
@@ -195,12 +187,11 @@ class _Reducer:
         """
         members = self._members.get(catom)
         if members is None:
-            bits, by_free = self.primes(catom)
             by_base: dict[int, list[tuple[int, int]]] = {}
-            for free, bases in by_free.items():
-                outside = catom.domain & ~_lift(bits, free)
+            for free, bases in self.primes(catom).items():
+                outside = catom.domain & ~catom.lift(free)
                 for base in bases:
-                    base = _lift(bits, base)
+                    base = catom.lift(base)
                     by_base.setdefault(base, []).append((base, outside & ~base))
             members = [(base, _indices(base), cubes) for base, cubes in by_base.items()]
             self._members[catom] = members
@@ -286,14 +277,14 @@ def _stable_bits(reduct: _Reduct, candidates: int) -> int:
     for _, kept, head, pos, body, heads in reduct.rules:
         if head & head - 1:
             continue  # every candidate keeping it is disjunctive
-        positive = [i for i in range(pos.bit_length()) if pos >> i & 1]
+        positive = _indices(pos)
         if head:
             rules.append((kept, positive, body, [(head.bit_length() - 1, None)]))
             continue
         one = 0
         for c, bits in heads:
             one |= bits
-            true = [(i, holds[i]) for i in range(n) if c.domain >> i & 1]
+            true = [(i, holds[i]) for i in _indices(c.domain)]
             rules.append((kept & bits, positive, body, true))
         rules.append((kept & ~one, positive, body, [(n, None)]))
 
@@ -327,33 +318,6 @@ def _stable_bits(reduct: _Reduct, candidates: int) -> int:
     for i in range(n):
         stable &= ~(derived[i] ^ holds[i])
     return stable
-
-
-def _point_rules(reducer: _Reducer, reduct: _Reduct, m: int) -> tuple[list, list]:
-    """The reduct of the one candidate ``m`` as kept and defining rules.
-
-    Both are lists of ``(head bits, body bits)``.  A kept rule's body is
-    its positive atoms plus the ``__theta_`` bits of its body c-atoms; its
-    head is its head atoms plus the ``__beta_`` bits of its satisfied head
-    c-atoms, or ``__bot`` when that leaves nothing.  The defining rules are
-    ``__theta_ :- base`` for each covering base of each body c-atom of a
-    kept rule, and ``__beta_ :-`` the true part of each satisfied head
-    c-atom; every body lies inside ``m``.
-    """
-    theta, beta = reducer.theta, reducer.beta
-    kept: list[tuple[int, int]] = []
-    betas: dict[int, int] = {}
-    for _, _, head, body, body_catoms, heads in reduct.rules:
-        for c in body_catoms:
-            body |= theta[c.index]
-        for c, bits in heads:
-            if bits:
-                head |= beta[c.index]
-                betas[beta[c.index]] = m & c.domain
-        kept.append((head or reducer.bot, body))
-    defining = [(theta[c.index], base)
-                for c, bases in reduct.covers.items() for base, _, _ in bases]
-    return kept, defining + list(betas.items())
 
 
 def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
@@ -449,7 +413,7 @@ def reduct_size_bound(program: Program) -> int:
         counts = [len(checked_primes(c.catom)[1]) for c in body]
     else:
         primes = _reducer(compiled).primes
-        counts = [sum(map(len, primes(c)[1].values())) for c in body]
+        counts = [sum(map(len, primes(c).values())) for c in body]
     widest = max(counts, default=0)
     largest = max(len(c.catom.domain) for c in compiled.catoms)
     return len(program.rules) + len(compiled.catoms) * (widest + largest + 1)
@@ -518,12 +482,20 @@ def minimal_models(reduct: ReductProgram) -> tuple[frozenset[str], ...]:
     return tuple(sorted(models, key=set_key))
 
 
-def _has_minimal_witness(reducer: _Reducer, reduct: _Reduct, m: int) -> bool:
-    """Is ``m | gamma`` a minimal model of the reduct?
+def _has_minimal_witness(reducer: _Reducer, reduct: _Reduct, m: int, k: int) -> bool:
+    """Is ``m | gamma`` a minimal model of the reduct of ``m``, bit ``k`` of ``reduct``?
+
+    That reduct is its kept and defining rules, as ``(head bits, body
+    bits)``.  A kept rule's body is its positive atoms plus the
+    ``__theta_`` bits of its body c-atoms; its head is its head atoms plus
+    the ``__beta_`` bits of its satisfied head c-atoms, or ``__bot`` when
+    that leaves nothing.  The defining rules are ``__theta_ :- base`` for
+    each base covering ``m`` of each body c-atom of a rule some candidate
+    keeps, and ``__beta_ :-`` the true part of each satisfied head c-atom.
 
     Gamma is the introduced bits of the kept rules.  Each has defining rules
-    with bodies inside ``m`` (``_point_rules``), so every model holding ``m``
-    holds gamma, and ``m | gamma`` is the only possible witness.  A smaller
+    with bodies inside ``m``, so every model holding ``m`` holds gamma, and
+    ``m | gamma`` is the only possible witness.  A smaller
     minimal model has a visible part V, a proper subset of ``m``, and its
     gamma part is def(V), the bits with a defining body inside V: a
     ``__theta_`` bit that no base in V forces heads no other rule, so it can
@@ -537,7 +509,21 @@ def _has_minimal_witness(reducer: _Reducer, reduct: _Reduct, m: int) -> bool:
     in no tested set.
     """
     check_guard("minimal_models", m.bit_count())
-    rules, defining = _point_rules(reducer, reduct, m)
+    theta, beta = reducer.theta, reducer.beta
+    rules: list[tuple[int, int]] = []
+    betas: dict[int, int] = {}
+    for _, kept, head, body, body_catoms, heads in reduct.rules:
+        if not kept >> k & 1:
+            continue
+        for c in body_catoms:
+            body |= theta[c.index]
+        for c, bits in heads:
+            if bits >> k & 1:
+                head |= beta[c.index]
+                betas[beta[c.index]] = m & c.domain
+        rules.append((head or reducer.bot, body))
+    defining = [(theta[c.index], base) for c, bases in reduct.covers.items()
+                for base, _, covered in bases if covered >> k & 1] + list(betas.items())
     sub = m
     while True:
         closed = sub
@@ -573,7 +559,7 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     space = CandidateBits(reducer.compiled, m)
     reduct = _Reduct(reducer, space, space.full)
     if reduct.disjunctive:
-        return _has_minimal_witness(reducer, reduct, m)
+        return _has_minimal_witness(reducer, reduct, m, 0)
     return bool(_stable_bits(reduct, space.full))
 
 
@@ -586,21 +572,19 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     one integer (``CandidateBits``), and the reduct and its least fixpoint
     run on those integers for all models at once (``_Reduct``,
     ``_stable_bits``).  A model whose reduct keeps a rule with two head
-    elements is decided alone, by ``_has_minimal_witness`` on its
-    one-candidate reduct, as ``is_stable`` does.
+    elements is decided alone, by ``_has_minimal_witness`` at its bit of
+    the same reduct, as ``is_stable`` does at the one bit of its own.
     """
     check_guard("stable_language", len(program.language))
     reducer = _reducer(program.compiled)  # rejects negated c-atoms
-    compiled = reducer.compiled
-    space = CandidateBits(compiled)
+    space = CandidateBits(reducer.compiled)
     models = space.models()
     reduct = _Reduct(reducer, space, models)
     out = list(space.sets(_stable_bits(reduct, models)))
     for k in set_bits(reduct.disjunctive):
         m = space.mask(k)
-        point = CandidateBits(compiled, m)
-        if _has_minimal_witness(reducer, _Reduct(reducer, point, point.full), m):
-            out.append(frozenset(compiled.atoms_of(m)))
+        if _has_minimal_witness(reducer, reduct, m, k):
+            out.append(frozenset(space.compiled.atoms_of(m)))
     return tuple(sorted(out, key=set_key))
 
 

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from catlp import abstraction as abstraction_module
 from catlp.abstraction import (
     ABSTRACT_CACHE_SIZE,
     AbstractCAtom,
@@ -130,6 +131,28 @@ class TestBuildAbstract:
             AbstractCAtom(frozenset("abc"), (pps("", "ab"), pps("a", "b")))
         with pytest.raises(ValueError):  # same base, nested free atoms
             AbstractCAtom(frozenset("abc"), (pps("a", "b"), pps("a", "bc")))
+
+    def test_members_outside_the_domain_rejected(self):
+        with pytest.raises(ValueError, match="domain"):
+            AbstractCAtom(frozenset("ab"), (pps("c", ""),))
+        with pytest.raises(ValueError, match="domain"):
+            AbstractCAtom(frozenset("ab"), (pps("a", "bc"),))
+
+    def test_built_forms_are_checked_once(self, monkeypatch):
+        # checked_primes runs the redundancy check on the masks; the form
+        # built from them does not run it again.
+        calls = []
+        kernel_check = abstraction_module.check_irredundant
+
+        def counted(cubes):
+            calls.append(1)
+            return kernel_check(cubes)
+
+        monkeypatch.setattr(abstraction_module, "check_irredundant", counted)
+        for catom in (LATTICE_FAMILY, PUNCTURED_CUBE, parse_constraint("2 {a, b, c, d} 3")):
+            calls.clear()
+            assert build_abstract(catom).lattices == oracles.brute_abstract(catom)
+            assert len(calls) == 1
 
     def test_mask_check_rejects_a_redundant_prime_list(self):
         # The cubes over atoms a = bit 0, b = bit 1, c = bit 2 of the two

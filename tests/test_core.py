@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,8 +26,9 @@ from catlp.core import (
     satisfies_rule,
 )
 from catlp.errors import GUARD_LIMITS, GuardError, check_guard
+from catlp import golden
 from catlp.golden import LATTICE_FAMILY, SUM_LOOP, disjunctive_fact_program
-from catlp.parser import load_program
+from catlp.parser import load_program, parse_constraint
 from catlp.reduct import gl_reduct
 
 import generators
@@ -60,6 +63,59 @@ class TestCAtom:
     def test_false_catom(self):
         assert FALSE_CATOM.is_unsatisfiable
         assert not satisfies_catom(frozenset(), FALSE_CATOM)
+
+    def test_table_bit_x_is_the_subset_with_mask_x(self):
+        catom = CAtom("cab", [set(), {"b"}, {"a", "c"}])
+        assert catom.atoms == ("a", "b", "c")
+        assert catom.table == 1 << 0b000 | 1 << 0b010 | 1 << 0b101
+        assert CAtom.elementary("a").table == 0b10
+
+    @given(catoms())
+    def test_rebuilt_from_its_solutions(self, catom):
+        again = CAtom(catom.domain, catom.solutions)
+        assert again == catom and hash(again) == hash(catom)
+        assert again.solutions == catom.solutions
+
+    def test_from_table_agrees_with_the_family_constructor(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            catom = generators.random_catom(rng, max_domain=6)
+            family = list(catom.solutions)
+            rng.shuffle(family)
+            explicit = CAtom(catom.domain, family + family[:2])  # repeats are one solution
+            built = CAtom.from_table(sorted(catom.domain), catom.table)
+            assert built == explicit and hash(built) == hash(explicit)
+            assert built.digest == explicit.digest
+            assert built.solutions == explicit.solutions == catom.solutions
+            assert CAtom.from_table(catom.domain, catom.table ^ 1) != catom
+
+    def test_from_table_rejects_bits_past_the_subsets(self):
+        assert CAtom.from_table("ab", 0b1111).solutions == frozenset(iter_subsets("ab"))
+        for table in (1 << 4, -1):
+            with pytest.raises(ValueError):
+                CAtom.from_table("ab", table)
+
+    def test_digests_of_the_golden_catoms_are_pinned(self):
+        # The __theta_/__beta_ names are "__theta_" + digest; these strings
+        # were computed when the solutions were stored as a frozenset family.
+        assert {name: getattr(golden, name).digest for name in (
+            "LATTICE_FAMILY", "AT_LEAST_ONE", "MIXED_FAMILY", "PUNCTURED_CUBE")} == {
+            "LATTICE_FAMILY": "9a269f15e8", "AT_LEAST_ONE": "c3a5aba0e0",
+            "MIXED_FAMILY": "8555bdf0a6", "PUNCTURED_CUBE": "85ff7ae9fb"}
+        assert FALSE_CATOM.digest == "56546d2909"
+        assert {text: parse_constraint(text).digest for text in (
+            "2 {a, b, not c=2} 3", "#sum{p(-1)=-1, p(1)=1, p(2)=2} >= 1",
+            "not [a,b : {a}]", "[ : {}]", "[a : ]")} == {
+            "2 {a, b, not c=2} 3": "1e044cab7a",
+            "#sum{p(-1)=-1, p(1)=1, p(2)=2} >= 1": "59fcc30a8c",
+            "not [a,b : {a}]": "fc8a0eb34e", "[ : {}]": "ad3be6ea11", "[a : ]": "8ff3c560bf"}
+
+    def test_domain_guard(self):
+        wide = [f"x{i}" for i in range(GUARD_LIMITS["catom_domain"] + 1)]
+        for build in (lambda: CAtom(wide, [()]), lambda: CAtom.from_table(wide, 1)):
+            with pytest.raises(GuardError) as caught:
+                build()
+            assert (caught.value.guard, caught.value.actual) == ("catom_domain", len(wide))
 
 
 class TestSatisfaction:
@@ -182,7 +238,8 @@ class TestModelChecks:
                 m = space.mask(k)
                 assert list(space.sets(1 << k)) == [frozenset(space.compiled.atoms_of(m))]
                 assert bits >> k & 1 == any(m & o == o and not m & z for o, z in cubes)
-                assert satisfied >> k & 1 == (m & c.domain in c.solutions)
+                assert satisfied >> k & 1 == (
+                    frozenset(space.compiled.atoms_of(m)) & catom.domain in catom.solutions)
 
     def test_candidate_models_guard_fires_before_enumeration(self):
         program = Program(tuple(Rule((f"x{i}",)) for i in range(21)))
@@ -225,6 +282,24 @@ class TestComplement:
         with pytest.raises(GuardError) as caught:
             complement(CAtom(wide, [set()]))
         assert (caught.value.guard, caught.value.actual) == ("complement_domain", 21)
+
+    def test_twenty_atoms_in_milliseconds_and_little_memory(self):
+        # The complement is an XOR of the 2**20-bit table (128 KB); a family
+        # of frozensets would hold about a million sets here.
+        domain = [f"x{i}" for i in range(GUARD_LIMITS["complement_domain"])]
+        catom = CAtom(domain, [{"x0"}])
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            result = complement(catom)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.table.bit_count() == (1 << 20) - 1
+        assert not satisfies_catom({"x0"}, result) and satisfies_catom({"x1"}, result)
+        assert complement(result) == catom
+        assert peak < 2_000_000 and elapsed < 1.0
 
 
 class TestClassifyProgram:

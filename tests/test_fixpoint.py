@@ -68,6 +68,15 @@ class TestCondSatisfies:
         assert cond_satisfies(set(), {"x0"}, catom)
         assert tried == [1]
 
+    def test_reads_the_table_not_the_family(self):
+        # The complement of one set over 12 atoms: the interval below the
+        # other 11 atoms is admissible, the one below all 12 is not.
+        atoms = [f"x{i}" for i in range(12)]
+        catom = complement(CAtom(atoms, [{"x0"}]))
+        assert cond_satisfies(set(), atoms[1:], catom)
+        assert not cond_satisfies(set(), atoms, catom)
+        assert "solutions" not in vars(catom)  # no frozenset view was built
+
     def test_matches_definition(self):
         rng = random.Random(53)
         for _ in range(400):

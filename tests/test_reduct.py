@@ -535,6 +535,26 @@ class TestAllCandidatesAtOnce:
         assert not is_stable(program, xs | {"y0"})
         assert time.perf_counter() - start < 0.1
 
+    def test_disjunctive_models_are_decided_on_the_one_reduct(self, monkeypatch):
+        # Each model whose reduct keeps a two-element head is decided at its
+        # bit of the reduct of every model; no second reduct is built.
+        built = []
+        reduct_class = reduct_module._Reduct
+
+        def counted(reducer, space, candidates):
+            built.append(reduct_class(reducer, space, candidates))
+            return built[-1]
+
+        monkeypatch.setattr(reduct_module, "_Reduct", counted)
+        disjunctive = 0
+        for program in self._programs():
+            built.clear()
+            models = stable_models(program)
+            assert [r.space.point for r in built] == [None], program
+            disjunctive += built[0].disjunctive.bit_count()
+            assert models == oracles.brute_stable_models(program), program
+        assert disjunctive > 100
+
     def test_feed_covers_each_kind_of_rule(self):
         programs = list(self._programs())
         rules = [r for p in programs for r in p.rules]
