@@ -98,9 +98,13 @@ class CAtom:
     @classmethod
     def from_table(cls, domain: Iterable[str], table: int) -> "CAtom":
         """The c-atom over ``domain`` whose solutions are the set bits of ``table``."""
-        catom = cls(domain, ())
-        if table < 0 or table >> (1 << len(catom.domain)):
+        domain = frozenset(domain)
+        check_guard("catom_domain", len(domain))
+        if table < 0 or table >> (1 << len(domain)):
             raise ValueError("the table has bits beyond the subsets of the domain")
+        catom = object.__new__(cls)
+        object.__setattr__(catom, "domain", domain)
+        object.__setattr__(catom, "atoms", tuple(sorted(domain)))
         object.__setattr__(catom, "table", table)
         return catom
 

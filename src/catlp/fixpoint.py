@@ -22,7 +22,6 @@ from .core import (
     candidate_models,
     head_atom_name,
     is_model,
-    iter_subsets,
     literal_catom,
     satisfies_catom,
     set_key,
@@ -34,10 +33,11 @@ def cond_satisfies(lower: Iterable[str], upper: Iterable[str], catom: CAtom) -> 
     """Conditional satisfaction of a constraint atom.
 
     ``lower`` must satisfy the atom and every set between ``lower`` and
-    ``upper`` (within the domain) must be admissible: one table bit each.  An
-    interval of ``2**k`` sets fits in the solutions only when the table has
-    at least ``2**k`` set bits; otherwise the answer is False with nothing
-    enumerated, so at most ``|solutions|`` sets are tried.
+    ``upper`` (within the domain) must be admissible.  Folding the table
+    once per atom i of the interval, ``t &= t >> 2**i``, leaves bit x set
+    when the sets x and x + {i} both are; after every fold, the bit of the
+    interval's bottom says whether the whole interval is admissible.  That
+    is one big-integer step per interval atom, and no set is enumerated.
     """
     low = frozenset(lower)
     if not satisfies_catom(low, catom):
@@ -46,10 +46,13 @@ def cond_satisfies(lower: Iterable[str], upper: Iterable[str], catom: CAtom) -> 
     top = frozenset(upper) & catom.domain
     if not bottom <= top:
         return True  # no interpolants to check
-    extra = top - bottom
-    if 1 << len(extra) > catom.table.bit_count():
-        return False
-    return all(satisfies_catom(bottom | sub, catom) for sub in iter_subsets(extra))
+    table, base = catom.table, 0
+    for i, atom in enumerate(catom.atoms):
+        if atom in bottom:
+            base |= 1 << i
+        elif atom in top:
+            table &= table >> (1 << i)
+    return bool(table >> base & 1)
 
 
 def cond_satisfies_abstract(

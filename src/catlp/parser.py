@@ -14,13 +14,18 @@ elementary head constraints are flattened to their atom.  :func:`parse`
 keeps negated c-atoms; :func:`load_program` also replaces them by their
 complements.  :func:`format_program` prints a loaded program so that it
 loads back unchanged.
+
+The lexer is one ``findall`` of one pattern, which skips whitespace and
+comments itself, and the parser reads the token kinds and values by
+index.  A ``ParseError`` finds its token's line and column only when it is
+raised, by scanning the text again.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import (
     CAtom,
@@ -34,10 +39,6 @@ from .core import (
     literal_catom,
 )
 from .errors import ParseError, check_guard
-
-_RELOPS = {">=": operator.ge, "<=": operator.le, "=": operator.eq,
-           ">": operator.gt, "<": operator.lt}
-
 
 # ---------------------------------------------------------------------------
 # sugar
@@ -75,18 +76,28 @@ class AggregateConstraint:
     bound: int
 
 
-def _linear_catom(atoms: list[str], const: int, delta: list[int], accept) -> CAtom:
-    """The subsets of ``atoms`` whose total passes ``accept``.
+#: Each aggregate relation as the interval of totals it admits, given the
+#: bound; None leaves a side open.
+_INTERVALS = {">=": lambda b: (b, None), "<=": lambda b: (None, b), "=": lambda b: (b, b),
+              ">": lambda b: (b + 1, None), "<": lambda b: (None, b - 1)}
+
+
+def _linear_catom(atoms: list[str], const: int, delta: list[int],
+                  low: int | None, high: int | None) -> CAtom:
+    """The subsets of ``atoms`` whose total lies in ``[low, high]``.
 
     Subset mask k (``atoms`` sorted, atom ``atoms[i]`` at bit i) totals
     ``const`` plus ``delta[i]`` per atom in it.  Totals are built by
     doubling, one addition per subset, and bit k of the c-atom's table is
-    whether ``accept`` takes total k.
+    whether total k is in the interval; a bound of None is open.
     """
     totals = [const]
     for d in delta:
         totals += [t + d for t in totals]
-    return CAtom.from_table(atoms, int("".join("01"[accept(t)] for t in reversed(totals)), 2))
+    low = min(totals) if low is None else low
+    high = max(totals) if high is None else high
+    bits = "".join(["01"[low <= t <= high] for t in reversed(totals)])
+    return CAtom.from_table(atoms, int(bits, 2))
 
 
 def desugar_weight(constraint: WeightConstraint) -> CAtom:
@@ -105,9 +116,7 @@ def desugar_weight(constraint: WeightConstraint) -> CAtom:
             delta[index[e.atom]] -= e.weight
         else:
             delta[index[e.atom]] += e.weight
-    lower, upper = constraint.lower, constraint.upper
-    return _linear_catom(atoms, const, delta, lambda total: (
-        (lower is None or lower <= total) and (upper is None or total <= upper)))
+    return _linear_catom(atoms, const, delta, constraint.lower, constraint.upper)
 
 
 def desugar_aggregate(aggregate: AggregateConstraint) -> CAtom:
@@ -122,8 +131,7 @@ def desugar_aggregate(aggregate: AggregateConstraint) -> CAtom:
         raise ValueError("an aggregate lists each atom once")
     atoms = sorted(values)
     delta = [values[a] if aggregate.kind == "sum" else 1 for a in atoms]
-    relation, bound = _RELOPS[aggregate.relation], aggregate.bound
-    return _linear_catom(atoms, 0, delta, lambda total: relation(total, bound))
+    return _linear_catom(atoms, 0, delta, *_INTERVALS[aggregate.relation](aggregate.bound))
 
 
 def eliminate_negated_catoms(program: Program) -> Program:
@@ -141,15 +149,18 @@ def eliminate_negated_catoms(program: Program) -> Program:
 # ---------------------------------------------------------------------------
 # lexer
 
+#: One token per match, with the whitespace and comments in front of it
+#: skipped.  The groups are an operator or directive (its own kind), a word
+#: (an atom or a keyword), an integer, and the rest: an unknown directive,
+#: a stray character, or the empty end of input.  The last group matches
+#: wherever the others fail, so the skip never backtracks into a comment.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<directive>\#(?:atoms|sum|count)\b)
-  | (?P<baddirective>\#[A-Za-z_]*)
-  | (?P<atom>[A-Za-z_][A-Za-z0-9_]*(?:\([A-Za-z0-9_,\-]*\))?)
-  | (?P<int>-?\d+)
-  | (?P<op>:-|>=|<=|[.,|:{}\[\]=><])
+    (?:\s+|%[^\n]*)*
+    (?: (\#(?:atoms|sum|count)\b|:-|>=|<=|[.,|:{}\[\]=><])
+      | ([A-Za-z_][A-Za-z0-9_]*(?:\([A-Za-z0-9_,\-]*\))?)
+      | (-?\d+)
+      | (\#[A-Za-z_]*|.|\Z) )
     """,
     re.VERBOSE,
 )
@@ -157,46 +168,40 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"not": "not", "bot": "bot"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "atom", "int", "not", "bot", "#atoms", "#sum", "#count", or the operator itself
-    value: str
-    line: int
-    column: int
+def _error(text: str, message: str, index: int) -> ParseError:
+    """``message`` at token ``index`` of ``text`` (at 1:1 for index -1).
+
+    The token's offset comes from scanning the text again; every newline
+    lies in whitespace, so the newlines before that offset give its line.
+    """
+    offset = 0
+    if index >= 0:
+        match = next(islice(_TOKEN_RE.finditer(text), index, None))
+        offset = match.start(match.lastindex)
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - line_start + 1)
-        column = match.start() - line_start + 1
-        group = match.lastgroup
-        value = match.group()
-        if group == "ws":
-            newlines = value.count("\n")
-            if newlines:
-                line += newlines
-                line_start = match.start() + value.rfind("\n") + 1
-        elif group == "comment":
-            pass
-        elif group == "baddirective":
-            raise ParseError(f"unknown directive {value!r}", line, column)
-        elif group == "atom":
-            tokens.append(Token(_KEYWORDS.get(value, "atom"), value, line, column))
-        elif group == "int":
-            tokens.append(Token("int", value, line, column))
-        elif group == "directive":
-            tokens.append(Token(value, value, line, column))
-        else:
-            tokens.append(Token(value, value, line, column))
-        pos = match.end()
-    return tokens
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and values of the tokens, ending in one token of kind ``""``.
+
+    A kind is ``"atom"``, ``"int"``, ``"not"``, ``"bot"``, or the operator or
+    directive itself.
+    """
+    kinds: list[str] = []
+    values: list[str] = []
+    for op, word, number, rest in _TOKEN_RE.findall(text):
+        value = op or word or number
+        if not value:
+            if rest:
+                problem = "unknown directive" if rest[0] == "#" else "unexpected character"
+                raise _error(text, f"{problem} {rest!r}", len(kinds))
+            break
+        kinds.append(op or ("int" if number else _KEYWORDS.get(word, "atom")))
+        values.append(value)
+    kinds.append("")
+    values.append("")
+    return kinds, values
 
 
 # ---------------------------------------------------------------------------
@@ -204,47 +209,40 @@ def _tokenize(text: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Recursive descent over the token lists, read at index ``pos``."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.kinds, self.values = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def unexpected(self, expected: str) -> ParseError:
+        """The error for the current token; at the end, placed at the last token."""
+        pos = self.pos
+        if not self.kinds[pos]:
+            return _error(self.text, "unexpected end of input", pos - 1)
+        return _error(self.text, f"expected {expected}, found {self.values[pos]!r}", pos)
 
-    def next(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise self.end_of_input()
-        self.pos += 1
-        return token
-
-    def end_of_input(self) -> ParseError:
-        """The error for running out of tokens, placed at the last token."""
-        last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
-        return ParseError("unexpected end of input", last.line, last.column)
-
-    def expect(self, kind: str) -> Token:
-        token = self.next()
-        if token.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {token.value!r}",
-                             token.line, token.column)
-        return token
-
-    def at(self, kind: str) -> bool:
-        token = self.peek()
-        return token is not None and token.kind == kind
+    def expect(self, kind: str) -> str:
+        """The value of the current token, which must be of ``kind``; moves past it."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.unexpected(repr(kind))
+        self.pos = pos + 1
+        return self.values[pos]
 
     def finish(self) -> None:
         """Refuse any token left over after a complete parse."""
-        token = self.peek()
-        if token is not None:
-            raise ParseError(f"trailing input {token.value!r}", token.line, token.column)
+        pos = self.pos
+        if self.kinds[pos]:
+            raise _error(self.text, f"trailing input {self.values[pos]!r}", pos)
 
     def separated(self, item, separator: str = ",") -> list:
         """One ``item()`` or more, separated by ``separator`` tokens."""
         items = [item()]
-        while self.at(separator):
-            self.next()
+        kinds = self.kinds
+        while kinds[self.pos] == separator:
+            self.pos += 1
             items.append(item())
         return items
 
@@ -253,9 +251,10 @@ class _Parser:
     def program(self) -> Program:
         rules = []
         declared: set[str] = set()
-        while self.peek() is not None:
-            if self.at("#atoms"):
-                self.next()
+        kinds = self.kinds
+        while kinds[self.pos]:
+            if kinds[self.pos] == "#atoms":
+                self.pos += 1
                 declared.update(self.separated(self.atom_name))
             else:
                 rules.append(self.rule())
@@ -265,8 +264,8 @@ class _Parser:
     def rule(self) -> Rule:
         head = self.separated(self.head_element, "|")
         body: list[Literal] = []
-        if self.at(":-"):
-            self.next()
+        if self.kinds[self.pos] == ":-":
+            self.pos += 1
             body = self.separated(self.body_literal)
         return Rule(tuple(head), tuple(body))
 
@@ -276,97 +275,96 @@ class _Parser:
         return head_atom_name(element) or element
 
     def body_literal(self) -> Literal:
-        negated = self.at("not")
-        if negated:
-            self.next()
+        negated = self.kinds[self.pos] == "not"
+        self.pos += negated
         return Literal(not negated, self.element())
 
     def element(self) -> HeadElement:
-        token = self.peek()
-        if token is None:
-            raise self.end_of_input()
-        if token.kind == "bot":
-            self.next()
-            return FALSE_CATOM
-        if token.kind == "atom":
+        kind = self.kinds[self.pos]
+        if kind == "atom":
             return self.atom_name()
-        if token.kind == "[":
+        if kind == "bot":
+            self.pos += 1
+            return FALSE_CATOM
+        if kind == "[":
             return self.catom()
-        if token.kind in ("int", "{"):
+        if kind == "int" or kind == "{":
             return self.weight()
-        if token.kind in ("#sum", "#count"):
+        if kind == "#sum" or kind == "#count":
             return self.aggregate()
-        raise ParseError(f"expected an atom or constraint, found {token.value!r}",
-                         token.line, token.column)
+        raise self.unexpected("an atom or constraint")
 
     def atom_name(self) -> str:
-        token = self.expect("atom")
-        if is_reserved(token.value):
-            raise ParseError(f"atom name {token.value!r} uses a reserved prefix",
-                             token.line, token.column)
-        return token.value
+        name = self.expect("atom")
+        if is_reserved(name):
+            raise _error(self.text, f"atom name {name!r} uses a reserved prefix",
+                         self.pos - 1)
+        return name
 
     def catom(self) -> CAtom:
-        opening = self.expect("[")
-        domain = frozenset(self.separated(self.atom_name) if self.at("atom") else ())
+        opening = self.pos
+        self.pos += 1
+        domain = frozenset(
+            self.separated(self.atom_name) if self.kinds[self.pos] == "atom" else ())
         self.expect(":")
         sets = (self.separated(lambda: self.atom_set(domain, opening))
-                if self.at("{") else ())
+                if self.kinds[self.pos] == "{" else ())
         self.expect("]")
         return CAtom(domain, frozenset(sets))
 
-    def atom_set(self, domain: frozenset[str], opening: Token) -> frozenset[str]:
+    def atom_set(self, domain: frozenset[str], opening: int) -> frozenset[str]:
         self.expect("{")
-        atoms = self.separated(self.atom_name) if self.at("atom") else []
+        atoms = self.separated(self.atom_name) if self.kinds[self.pos] == "atom" else []
         self.expect("}")
         for atom in atoms:
             if atom not in domain:
-                raise ParseError(f"set atom {atom!r} is outside the constraint domain",
-                                 opening.line, opening.column)
+                raise _error(self.text,
+                             f"set atom {atom!r} is outside the constraint domain", opening)
         return frozenset(atoms)
 
     def weight(self) -> CAtom:
-        lower = int(self.next().value) if self.at("int") else None
+        lower = int(self.expect("int")) if self.kinds[self.pos] == "int" else None
         self.expect("{")
         entries = self.separated(self.weight_entry)
         self.expect("}")
-        upper = int(self.next().value) if self.at("int") else None
+        upper = int(self.expect("int")) if self.kinds[self.pos] == "int" else None
         return desugar_weight(WeightConstraint(tuple(entries), lower, upper))
 
     def weight_entry(self) -> WeightEntry:
-        negated = self.at("not")
-        if negated:
-            self.next()
+        negated = self.kinds[self.pos] == "not"
+        self.pos += negated
         atom = self.atom_name()
         weight = 1
-        if self.at("="):
-            self.next()
-            weight = int(self.expect("int").value)
+        if self.kinds[self.pos] == "=":
+            self.pos += 1
+            weight = int(self.expect("int"))
         return WeightEntry(atom, weight, negated)
 
     def aggregate(self) -> CAtom:
-        kind = self.next().kind.lstrip("#")
+        kind = self.values[self.pos][1:]
+        self.pos += 1
         self.expect("{")
         entries: dict[str, int] = {}
-        for atom, value in self.separated(self.aggregate_entry):
-            if atom.value in entries:
-                raise ParseError(f"atom {atom.value!r} is listed twice in the aggregate",
-                                 atom.line, atom.column)
-            entries[atom.value] = value
+        for index, value in self.separated(self.aggregate_entry):
+            atom = self.values[index]
+            if atom in entries:
+                raise _error(self.text, f"atom {atom!r} is listed twice in the aggregate", index)
+            entries[atom] = value
         self.expect("}")
-        token = self.next()
-        if token.kind not in _RELOPS:
-            raise ParseError(f"expected a comparison, found {token.value!r}",
-                             token.line, token.column)
-        bound = int(self.expect("int").value)
+        relation = self.kinds[self.pos]
+        if relation not in _INTERVALS:
+            raise self.unexpected("a comparison")
+        self.pos += 1
+        bound = int(self.expect("int"))
         return desugar_aggregate(
-            AggregateConstraint(kind, tuple(entries.items()), token.kind, bound))
+            AggregateConstraint(kind, tuple(entries.items()), relation, bound))
 
-    def aggregate_entry(self) -> tuple[Token, int]:
-        atom = self.peek()
+    def aggregate_entry(self) -> tuple[int, int]:
+        """The entry's atom token index and its value."""
+        index = self.pos
         self.atom_name()
         self.expect("=")
-        return (atom, int(self.expect("int").value))
+        return (index, int(self.expect("int")))
 
 
 def parse(text: str) -> Program:
@@ -374,12 +372,12 @@ def parse(text: str) -> Program:
 
     Raises :class:`ParseError` with line and column.
     """
-    return _Parser(_tokenize(text)).program()
+    return _Parser(text).program()
 
 
 def parse_constraint(text: str) -> CAtom:
     """Parse a single (possibly negated or sugared) constraint expression."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     literal = parser.body_literal()
     parser.finish()
     return literal_catom(literal)
@@ -387,8 +385,8 @@ def parse_constraint(text: str) -> CAtom:
 
 def parse_interpretation(text: str) -> frozenset[str]:
     """Parse a comma-separated atom list as ``#atoms`` does; blank is the empty set."""
-    parser = _Parser(_tokenize(text))
-    names = parser.separated(parser.atom_name) if parser.peek() is not None else ()
+    parser = _Parser(text)
+    names = parser.separated(parser.atom_name) if parser.kinds[0] else ()
     parser.finish()
     return frozenset(names)
 

@@ -9,7 +9,11 @@ oracle refuses disjunctive programs), ``check --oracle both`` and ``reduct
 program's vocabulary.  Then it runs ``abstract --catom EXPR --classify`` on
 each distinct body c-atom of the golden programs (a body atom as its
 one-atom c-atom) and on the golden c-atoms, written out by
-``format_catom``.  For each command it prints the argv (with the program's
+``format_catom``.  Last come malformed inputs, one per kind of parse
+error: each malformed program through ``solve``, each malformed ``-I``
+list through ``check`` on a golden program, and each malformed expression
+through ``abstract --catom``, so the ``parse error: LINE:COLUMN: ...``
+lines and exit codes are compared too.  For each command it prints the argv (with the program's
 label in place of its temporary file), the exit code, stdout, and stderr
 lines prefixed with ``stderr:``.
 
@@ -48,6 +52,30 @@ FAMILIES = (
     generators.random_normal_constraint_program,
     generators.random_disjunctive_constraint_program,
 )
+
+
+#: One malformed program per kind of parse error, with comments, tabs and
+#: both line endings around the fault.
+MALFORMED_PROGRAMS = (
+    "a :-\r\n\tb,\r\n\t$ c.",
+    "% head\n\ta. % tail\n  #minimize b.",
+    "a :- b\r\n% c.\r\n\tc.",
+    "x.\n\ty :- not\t:- z.",
+    "p :- #sum{a=1,\r\n\tb=2} % >=\r\n\t 3.",
+    "a.\n% __beta_b.\n\tb :- c, __theta_c.",
+    "x :-\r\n\t[a,b :\r\n {a}, {c}].",
+    "x.\ny :- #count{b=1,\n c=1, b=3} >= 2.",
+    "a.\n\tb :- % open\n",
+)
+
+#: Malformed ``-I`` lists: missing, doubled and trailing separators, a
+#: stray character, a reserved name and a keyword.
+MALFORMED_INTERPRETATIONS = ("a b", "a,,b", "a,", "a,\t$", "a, __bot", "not")
+
+#: Malformed ``--catom`` expressions, each on one line so that its argv
+#: prints on one line: trailing input, a second literal, an unfinished
+#: aggregate, a set outside the domain and an unknown directive.
+MALFORMED_CATOMS = ("1 {a,\tb} 2\tx", "a, b", "#sum{a=1} >=", "[a : {b}]", "not #max{a}")
 
 
 def golden_texts() -> dict[str, str]:
@@ -112,6 +140,20 @@ def run(argv: list[str], path: str, label: str, out) -> None:
         print(f"stderr: {line}", file=out)
 
 
+def run_malformed(path: str, out) -> None:
+    """Run the malformed inputs, writing programs to ``path``."""
+    for index, text in enumerate(MALFORMED_PROGRAMS):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        run(["solve", "FILE", "--all", "--json"], path, f"malformed#{index}", out)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(golden.EVEN_LOOP)
+    for listed in MALFORMED_INTERPRETATIONS:
+        run(["check", "FILE", "-I", listed], path, "EVEN_LOOP", out)
+    for text in MALFORMED_CATOMS:
+        run(["abstract", "--catom", text], "", "", out)
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--per-family", type=int, default=25,
@@ -125,8 +167,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
                 handle.write(text)
             for command in commands(text, label):
                 run(command, path, label, out)
-    for text in golden_catoms():
-        run(["abstract", "--catom", text, "--classify"], "", "", out)
+        for text in golden_catoms():
+            run(["abstract", "--catom", text, "--classify"], "", "", out)
+        run_malformed(path, out)
     return 0
 
 

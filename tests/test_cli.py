@@ -608,12 +608,17 @@ def test_cli_corpus_slice_is_complete_and_reproducible():
              if line.startswith("$ catlp ")]
     catoms = cli_corpus.golden_catoms()
     assert len(catoms) == 16
-    assert len(shown) == 15 * 17 + 16
+    malformed = (len(cli_corpus.MALFORMED_PROGRAMS) + len(cli_corpus.MALFORMED_INTERPRETATIONS)
+                 + len(cli_corpus.MALFORMED_CATOMS))
+    assert len(shown) == 15 * 17 + 16 + malformed
     for label in labels:
-        assert [argv[0] for argv in shown if argv[1] == label] == (
+        assert [argv[0] for argv in shown[:15 * 17] if argv[1] == label] == (
             ["solve", "translate", "depgraph", "depgraph", "abstract"]
             + ["check", "check", "reduct"] * 4), label
-    assert shown[15 * 17:] == [["abstract", "--catom", c, "--classify"] for c in catoms]
+    assert shown[15 * 17:15 * 17 + 16] == [
+        ["abstract", "--catom", c, "--classify"] for c in catoms]
+    # Every malformed input is refused with a positioned parse error, exit 1.
+    assert text.count("\nexit 1\nstderr: parse error: ") == malformed
     assert (
         "$ catlp solve SUM_COUNT_DISJUNCTION --all --json\nexit 0\n"
         '{"models": [["p(-1)"], ["p(-1)", "p(1)"], ["p(1)", "p(2)"]]}\n') in text

@@ -95,6 +95,21 @@ class TestCAtom:
             with pytest.raises(ValueError):
                 CAtom.from_table("ab", table)
 
+    def test_from_table_at_the_domain_limit_allocates_no_empty_table(self):
+        # An empty table over 24 atoms is 2 MB of bytes and 2 MB as an int;
+        # a one-bit table needs neither.
+        domain = [f"x{i}" for i in range(GUARD_LIMITS["catom_domain"])]
+        tracemalloc.start()
+        try:
+            catom = CAtom.from_table(domain, 1 << 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        atoms = sorted(domain)
+        assert catom.atoms == tuple(atoms)
+        assert catom == CAtom(domain, [{atoms[0], atoms[2]}])  # subset mask 5
+
     def test_digests_of_the_golden_catoms_are_pinned(self):
         # The __theta_/__beta_ names are "__theta_" + digest; these strings
         # were computed when the solutions were stored as a frozenset family.

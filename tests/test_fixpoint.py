@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from catlp.core import (
     complement,
     is_model,
     iter_subsets,
+    satisfies_catom,
 )
 from catlp.errors import GuardError, InvariantError, NotAModelError, ProgramClassError
 from catlp.fixpoint import (
@@ -54,19 +56,25 @@ class TestCondSatisfies:
         assert cond_satisfies({"a"}, set(), catom)
 
     def test_guard(self, monkeypatch):
-        # No guard: an interval of 2**17 sets cannot fit in two solutions,
-        # so it is refused before any interpolant is enumerated, and an
-        # interval no larger than the family is enumerated.
-        tried = []
-        monkeypatch.setattr(fixpoint_module, "iter_subsets",
-                            lambda atoms: tried.append(len(atoms)) or iter_subsets(atoms))
+        # No guard and no enumeration: a verdict costs one plain satisfaction
+        # test, of ``lower``, and one table fold per interval atom, so an
+        # interval of 2**20 sets is answered at once.
+        tested = []
+        monkeypatch.setattr(fixpoint_module, "satisfies_catom",
+                            lambda low, catom: tested.append(low) or satisfies_catom(low, catom))
         wide = frozenset(f"x{i}" for i in range(17))
         catom = CAtom(wide, [set(), {"x0"}])
         assert not cond_satisfies(set(), wide, catom)
         assert not cond_satisfies(set(), {"x0", "x1"}, catom)
-        assert tried == []
         assert cond_satisfies(set(), {"x0"}, catom)
-        assert tried == [1]
+        assert len(tested) == 3
+        atoms = [f"x{i}" for i in range(20)]
+        punctured = complement(CAtom(atoms, [{"x0"}]))
+        started = time.perf_counter()
+        assert cond_satisfies(set(), atoms[1:], punctured)
+        assert not cond_satisfies(set(), atoms, punctured)
+        assert time.perf_counter() - started < 1.0
+        assert len(tested) == 5
 
     def test_reads_the_table_not_the_family(self):
         # The complement of one set over 12 atoms: the interval below the

@@ -139,6 +139,28 @@ class TestParseErrors:
             parse(text)
         assert (err.value.line, err.value.column) == (line, column)
 
+    @pytest.mark.parametrize("entry, text, message, line, column", [
+        (parse, "a :-\r\n\tb,\r\n\t$ c.", "unexpected character '$'", 3, 2),
+        (parse, "% head\n\ta. % tail\n  #minimize b.", "unknown directive '#minimize'", 3, 3),
+        (parse, "a :- b\r\n% c.\r\n\tc.", "expected '.', found 'c'", 3, 2),
+        (parse, "x.\n\ty :- not\t:- z.", "expected an atom or constraint, found ':-'", 2, 11),
+        (parse, "p :- #sum{a=1,\r\n\tb=2} % >=\r\n\t 3.",
+         "expected a comparison, found '3'", 3, 3),
+        (parse, "a.\n% __beta_b.\n\tb :- c, __theta_c.",
+         "atom name '__theta_c' uses a reserved prefix", 3, 10),
+        (parse, "x :-\r\n\t[a,b :\r\n {a}, {c}].", "set atom 'c' is outside the constraint domain",
+         2, 2),
+        (parse_constraint, "1 {a, b}\r\n\t% c\r\n 2 x", "trailing input 'x'", 3, 4),
+        (parse_interpretation, "a,\r\n\tb % c\n c", "trailing input 'c'", 3, 2),
+    ])
+    def test_every_site_reports_its_position(self, entry, text, message, line, column):
+        # Newlines come as \n and \r\n, after comments and before tabs; a
+        # tab is one column.
+        with pytest.raises(ParseError) as err:
+            entry(text)
+        assert str(err.value) == f"{line}:{column}: {message}"
+        assert (err.value.line, err.value.column) == (line, column)
+
 
 class TestDesugarWeight:
     def test_cardinality_window(self):
