@@ -32,7 +32,8 @@ EXIT_DIVERGENCE = 3
 
 
 def _load_file(path: str) -> Program:
-    with open(path, encoding="utf-8") as handle:
+    # No newline translation: a lone "\r" is whitespace, as for ``load_program``.
+    with open(path, encoding="utf-8", newline="") as handle:
         return load_program(handle.read())
 
 

@@ -65,6 +65,11 @@ def select(items: Sequence, mask: int) -> tuple:
     return tuple(found)
 
 
+def indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 @dataclass(frozen=True, init=False)
 class CAtom:
     """A constraint atom: a finite domain plus its admissible solutions.
@@ -250,7 +255,9 @@ class CompiledCAtom:
     ``index`` is its position in ``CompiledProgram.catoms``, ``bits[i]`` the
     vocabulary bit of domain atom ``catom.atoms[i]`` and ``domain`` their
     mask.  :meth:`position` and :meth:`lift` move masks between the
-    vocabulary and the c-atom's table.
+    vocabulary and the c-atom's table.  Its prime cubes (:attr:`primes`,
+    :attr:`members`) are built at first use and live as long as the
+    compiled program, so every reduct of the program shares them.
     """
 
     def __init__(self, catom: CAtom, index: int, bit: dict[str, int]):
@@ -266,6 +273,46 @@ class CompiledCAtom:
     def lift(self, x: int) -> int:
         """The vocabulary mask of the table index ``x``."""
         return sum(select(self.bits, x))
+
+    @cached_property
+    def primes(self) -> dict[int, set[int]]:
+        """The prime cubes (abstract-form members) as table masks, bases by free set.
+
+        They come from ``abstraction.checked_primes``, checked for redundancy.
+        """
+        from .abstraction import checked_primes  # abstraction imports core
+
+        primes: dict[int, set[int]] = {}
+        for base, free in checked_primes(self.catom)[1]:
+            primes.setdefault(free, set()).add(base)
+        return primes
+
+    def covering(self, point: int) -> list[tuple[int, int]]:
+        """The prime cubes ``(base, free)`` that hold the candidate ``point``.
+
+        A cube with free set F holds the point iff its base is the point's
+        domain part outside F, so this is one lookup per free set, and only
+        the cubes found are moved onto vocabulary bits.
+        """
+        p, lift = self.position(point), self.lift
+        return [(lift(p & ~free), lift(free))
+                for free, bases in self.primes.items() if p & ~free in bases]
+
+    @cached_property
+    def members(self) -> list[tuple[int, list[int], list[tuple[int, int]]]]:
+        """The prime cubes on vocabulary bits by distinct base.
+
+        Each entry is ``(base, base atom indices, cubes)`` with one cube
+        ``(base, domain outside the top)`` per prime of that base: the
+        prime covers exactly the candidates inside its cube.
+        """
+        by_base: dict[int, list[tuple[int, int]]] = {}
+        for free, bases in self.primes.items():
+            outside = self.domain & ~self.lift(free)
+            for base in bases:
+                base = self.lift(base)
+                by_base.setdefault(base, []).append((base, outside & ~base))
+        return [(base, indices(base), cubes) for base, cubes in by_base.items()]
 
 
 class CompiledProgram:

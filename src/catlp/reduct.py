@@ -20,21 +20,23 @@ are bits, not names; only ``gl_reduct``, which renders a reduct, mints
 their names.
 
 A body c-atom's satisfiable sets are the bases of its prime cubes that hold
-the candidate.  The reducer keeps each c-atom's primes as masks over its
-truth table, bases by free set, straight from ``abstraction.checked_primes``,
-and lifts them onto vocabulary bits (``CompiledCAtom.lift``): a space of
-one candidate looks up one base per free set, and a space of every
-candidate groups all primes by base.
+the candidate.  Each ``core.CompiledCAtom`` of ``Program.compiled`` keeps
+its primes, built once from ``abstraction.checked_primes``, so they live
+exactly as long as the compiled program: a space of one candidate looks up
+one base per free set (``CompiledCAtom.covering``), and a space of every
+candidate reads all primes grouped by base (``CompiledCAtom.members``).
+
+A rendered reduct is decided on its own ``Program.compiled`` masks:
+``least_model`` runs the fixpoint on them, and ``minimal_models`` keeps
+the models of its ``CandidateBits`` that strictly hold no other model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable
 
-from .abstraction import checked_primes
 from .core import (
     CAtom,
     CandidateBits,
@@ -43,6 +45,7 @@ from .core import (
     Literal,
     Program,
     Rule,
+    indices,
     set_bits,
     set_key,
 )
@@ -119,88 +122,11 @@ def claim_name(owners: dict[str, CAtom], name: str, catom: CAtom) -> None:
             f"{{{', '.join(sorted(owners[name].domain))}}} both map to {name}")
 
 
-#: ``_reducer`` keeps the reduct masks of at most this many programs (least
-#: recently used first out); ``stable_models`` works on one at a time.
-REDUCER_CACHE_SIZE = 8
-
-#: Prime cubes of a c-atom by distinct base: ``(base, base atom indices, cubes)``.
-_Members = list[tuple[int, list[int], list[tuple[int, int]]]]
-
-
-def _indices(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-class _Reducer:
-    """A program ready for reducts on bit masks.
-
-    The vocabulary bits are those of ``Program.compiled``; the bits above
-    them stand for introduced atoms: bit n is ``__bot``, and the c-atom of
-    index i has its ``__theta_`` atom at bit n + 1 + 2i and its ``__beta_``
-    atom at bit n + 2 + 2i.  Every c-atom has bits of its own, so deciding
-    stability needs no names.
-    """
-
-    def __init__(self, compiled: CompiledProgram):
-        if compiled.negated_catoms:
-            raise ProgramClassError(_NEGATED_CATOM)
-        n = len(compiled.atoms)
-        self.compiled = compiled
-        self.bot = 1 << n
-        self.theta = [1 << n + 1 + 2 * c.index for c in compiled.catoms]
-        self.beta = [1 << n + 2 + 2 * c.index for c in compiled.catoms]
-        self._primes: dict[CompiledCAtom, dict[int, set[int]]] = {}
-        self._members: dict[CompiledCAtom, _Members] = {}
-
-    def primes(self, catom: CompiledCAtom) -> dict[int, set[int]]:
-        """The prime cubes (abstract-form members) of ``catom``, built once.
-
-        They come from ``checked_primes``, checked for redundancy, as bases
-        by free set, both table masks.
-        """
-        primes = self._primes.get(catom)
-        if primes is None:
-            primes = {}
-            for base, free in checked_primes(catom.catom)[1]:
-                primes.setdefault(free, set()).add(base)
-            self._primes[catom] = primes  # only once complete: readers may share it
-        return primes
-
-    def covering(self, catom: CompiledCAtom, point: int) -> list[tuple[int, int]]:
-        """The prime cubes ``(base, free)`` of ``catom`` that hold the candidate ``point``.
-
-        A cube with free set F holds the point iff its base is the point's
-        domain part outside F, so this is one lookup per free set, and only
-        the cubes found are moved onto vocabulary bits.
-        """
-        p, lift = catom.position(point), catom.lift
-        return [(lift(p & ~free), lift(free))
-                for free, bases in self.primes(catom).items() if p & ~free in bases]
-
-    def members(self, catom: CompiledCAtom) -> _Members:
-        """The prime cubes of ``catom`` on vocabulary bits by distinct base, built once.
-
-        Each entry is ``(base, base atom indices, cubes)`` with one cube
-        ``(base, domain outside the top)`` per prime of that base: the
-        prime covers exactly the candidates inside its cube.
-        """
-        members = self._members.get(catom)
-        if members is None:
-            by_base: dict[int, list[tuple[int, int]]] = {}
-            for free, bases in self.primes(catom).items():
-                outside = catom.domain & ~catom.lift(free)
-                for base in bases:
-                    base = catom.lift(base)
-                    by_base.setdefault(base, []).append((base, outside & ~base))
-            members = [(base, _indices(base), cubes) for base, cubes in by_base.items()]
-            self._members[catom] = members
-        return members
-
-
-@lru_cache(maxsize=REDUCER_CACHE_SIZE)
-def _reducer(compiled: CompiledProgram) -> _Reducer:
-    return _Reducer(compiled)
+def _compiled(program: Program) -> CompiledProgram:
+    """``program.compiled``, refused before any bitset when a c-atom is negated."""
+    if program.compiled.negated_catoms:
+        raise ProgramClassError(_NEGATED_CATOM)
+    return program.compiled
 
 
 class _Reduct:
@@ -217,12 +143,12 @@ class _Reduct:
     ``covers`` maps each body c-atom of a kept rule to ``(base, base atom
     indices, candidates a prime of that base covers)`` per distinct base
     covering some candidate; a space of one candidate reads only the primes
-    that hold it (``_Reducer.covering``).  So a body c-atom that every
+    that hold it (``CompiledCAtom.covering``).  So a body c-atom that every
     candidate falsifies, or that sits only in rules no candidate keeps,
     never gets its prime cubes.
     """
 
-    def __init__(self, reducer: _Reducer, space: CandidateBits, candidates: int):
+    def __init__(self, space: CandidateBits, candidates: int):
         self.space = space
         satisfied = space.satisfied
         self.rules: list[tuple[int, int, int, int, tuple, tuple]] = []
@@ -248,11 +174,11 @@ class _Reduct:
         for c in dict.fromkeys(c for rule in self.rules for c in rule[4]):
             if point is None:
                 covers = [(base, atoms, space.cubes(cubes))
-                          for base, atoms, cubes in reducer.members(c)]
+                          for base, atoms, cubes in c.members]
                 self.covers[c] = [entry for entry in covers if entry[2]]
             else:
-                bases = dict.fromkeys(base for base, _ in reducer.covering(c, point))
-                self.covers[c] = [(base, _indices(base), 1) for base in bases]
+                bases = dict.fromkeys(base for base, _ in c.covering(point))
+                self.covers[c] = [(base, indices(base), 1) for base in bases]
 
 
 def _stable_bits(reduct: _Reduct, candidates: int) -> int:
@@ -277,14 +203,14 @@ def _stable_bits(reduct: _Reduct, candidates: int) -> int:
     for _, kept, head, pos, body, heads in reduct.rules:
         if head & head - 1:
             continue  # every candidate keeping it is disjunctive
-        positive = _indices(pos)
+        positive = indices(pos)
         if head:
             rules.append((kept, positive, body, [(head.bit_length() - 1, None)]))
             continue
         one = 0
         for c, bits in heads:
             one |= bits
-            true = [(i, holds[i]) for i in _indices(c.domain)]
+            true = [(i, holds[i]) for i in indices(c.domain)]
             rules.append((kept & bits, positive, body, true))
         rules.append((kept & ~one, positive, body, [(n, None)]))
 
@@ -329,8 +255,7 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
     c-atoms of the program would share an introduced name, and
     :class:`InvariantError` when the result breaks ``reduct_size_bound``.
     """
-    reducer = _reducer(program.compiled)
-    compiled = reducer.compiled
+    compiled = _compiled(program)
     theta_names = {c: theta_atom(c.catom) for c in compiled.body_catoms}
     beta_names = {c: beta_atom(c.catom) for c in compiled.head_catoms}
     owners: dict[str, CAtom] = {}
@@ -339,7 +264,7 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
             claim_name(owners, name, c.catom)
     m = compiled.mask(a for a in frozenset(interpretation) if a in compiled.bit)
     space = CandidateBits(compiled, m)
-    reduct = _Reduct(reducer, space, space.full)
+    reduct = _Reduct(space, space.full)
     atoms_of = compiled.atoms_of
     emitted: list[ReductRule] = []
     gamma: set[str] = set()
@@ -402,19 +327,14 @@ def reduct_size_bound(program: Program) -> int:
 
     One transformed rule per source rule, plus per distinct c-atom at most
     its prime-cube count (body role) and domain size plus one (head role).
-    Only body c-atoms are given prime cubes, shared with the reducts of the
-    program.
+    Only body c-atoms, negated or not, are given prime cubes; they are kept
+    on ``program.compiled``, so its reducts share them.
     """
     compiled = program.compiled
     if not compiled.catoms:
         return len(program.rules)
     body = compiled.body_catoms + compiled.negated_catoms
-    if compiled.negated_catoms:  # no reduct exists to share the primes with
-        counts = [len(checked_primes(c.catom)[1]) for c in body]
-    else:
-        primes = _reducer(compiled).primes
-        counts = [sum(map(len, primes(c).values())) for c in body]
-    widest = max(counts, default=0)
+    widest = max((sum(map(len, c.primes.values())) for c in body), default=0)
     largest = max(len(c.catom.domain) for c in compiled.catoms)
     return len(program.rules) + len(compiled.catoms) * (widest + largest + 1)
 
@@ -423,8 +343,8 @@ def least_model(reduct: ReductProgram) -> frozenset[str]:
     """The least model of a non-disjunctive positive program."""
     if not reduct.is_normal:
         raise ProgramClassError("the least model requires single-atom heads")
-    atoms = tuple(reduct.atoms)
-    rules = _compile(reduct, atoms)
+    compiled = reduct.to_program().compiled
+    rules = [(head, pos) for head, pos, *_ in compiled.rules]
     derived = 0
     while True:
         waiting = []
@@ -436,24 +356,7 @@ def least_model(reduct: ReductProgram) -> frozenset[str]:
         if len(waiting) == len(rules):
             break
         rules = waiting
-    return frozenset(a for i, a in enumerate(atoms) if derived >> i & 1)
-
-
-def _compile(reduct: ReductProgram, atoms: Sequence[str]) -> list[tuple[int, int]]:
-    """Rules as (head, body) bit masks, atom ``atoms[i]`` at bit i.
-
-    ``atoms`` holds every atom of the reduct; an atom may repeat in a rule.
-    """
-    bit = {a: 1 << i for i, a in enumerate(atoms)}
-    compiled = []
-    for rule in reduct.rules:
-        head = body = 0
-        for a in rule.head:
-            head |= bit[a]
-        for a in rule.body:
-            body |= bit[a]
-        compiled.append((head, body))
-    return compiled
+    return frozenset(compiled.atoms_of(derived))
 
 
 def _is_model_mask(mask: int, compiled: list[tuple[int, int]]) -> bool:
@@ -461,37 +364,39 @@ def _is_model_mask(mask: int, compiled: list[tuple[int, int]]) -> bool:
 
 
 def minimal_models(reduct: ReductProgram) -> tuple[frozenset[str], ...]:
-    """All subset-minimal models, enumerated over the program's atoms.
+    """All subset-minimal models, decided over every set of the program's atoms at once.
 
-    Sets are tried by increasing size, and a set containing a model already
-    found is skipped, since that model sits inside it.
+    The models are one ``CandidateBits`` integer.  A model is minimal when
+    it strictly holds no other model: the sets one atom above some model,
+    closed upwards atom by atom, are exactly those, and are dropped.
     """
-    atoms = sorted(reduct.atoms)
-    check_guard("minimal_models", len(atoms))
-    compiled = _compile(reduct, atoms)
-    found: list[int] = []
-    for size in range(len(atoms) + 1):
-        for combo in combinations(range(len(atoms)), size):
-            mask = sum(1 << i for i in combo)
-            if any(prior & mask == prior for prior in found):
-                continue
-            if _is_model_mask(mask, compiled):
-                found.append(mask)
-    models = [frozenset(atoms[i] for i in range(len(atoms)) if mask >> i & 1)
-              for mask in found]
-    return tuple(sorted(models, key=set_key))
+    check_guard("minimal_models", len(reduct.atoms))
+    space = CandidateBits(reduct.to_program().compiled)
+    models = space.models()
+    n = space.n
+    # Candidate k + 2**(n-1-i) holds atom i iff k does not: then it is k plus i.
+    shifts = [(held, 1 << n - 1 - i) for i, held in enumerate(space.holds)]
+    above = 0
+    for held, shift in shifts:
+        above |= models << shift & held
+    for held, shift in shifts:
+        above |= above << shift & held
+    return tuple(sorted(space.sets(models & ~above), key=set_key))
 
 
-def _has_minimal_witness(reducer: _Reducer, reduct: _Reduct, m: int, k: int) -> bool:
+def _has_minimal_witness(reduct: _Reduct, m: int, k: int) -> bool:
     """Is ``m | gamma`` a minimal model of the reduct of ``m``, bit ``k`` of ``reduct``?
 
     That reduct is its kept and defining rules, as ``(head bits, body
-    bits)``.  A kept rule's body is its positive atoms plus the
-    ``__theta_`` bits of its body c-atoms; its head is its head atoms plus
-    the ``__beta_`` bits of its satisfied head c-atoms, or ``__bot`` when
-    that leaves nothing.  The defining rules are ``__theta_ :- base`` for
-    each base covering ``m`` of each body c-atom of a rule some candidate
-    keeps, and ``__beta_ :-`` the true part of each satisfied head c-atom.
+    bits)``.  Above the n vocabulary bits, bit n is ``__bot``, and the
+    c-atom of index i has its ``__theta_`` bit at n + 1 + 2i and its
+    ``__beta_`` bit at n + 2 + 2i, so deciding needs no names.  A kept
+    rule's body is its positive atoms plus the ``__theta_`` bits of its
+    body c-atoms; its head is its head atoms plus the ``__beta_`` bits of
+    its satisfied head c-atoms, or ``__bot`` when that leaves nothing.  The
+    defining rules are ``__theta_ :- base`` for each base covering ``m`` of
+    each body c-atom of a rule some candidate keeps, and ``__beta_ :-`` the
+    true part of each satisfied head c-atom.
 
     Gamma is the introduced bits of the kept rules.  Each has defining rules
     with bodies inside ``m``, so every model holding ``m`` holds gamma, and
@@ -509,20 +414,21 @@ def _has_minimal_witness(reducer: _Reducer, reduct: _Reduct, m: int, k: int) -> 
     in no tested set.
     """
     check_guard("minimal_models", m.bit_count())
-    theta, beta = reducer.theta, reducer.beta
+    bot = 1 << reduct.space.n
     rules: list[tuple[int, int]] = []
     betas: dict[int, int] = {}
     for _, kept, head, body, body_catoms, heads in reduct.rules:
         if not kept >> k & 1:
             continue
         for c in body_catoms:
-            body |= theta[c.index]
+            body |= bot << 1 + 2 * c.index
         for c, bits in heads:
             if bits >> k & 1:
-                head |= beta[c.index]
-                betas[beta[c.index]] = m & c.domain
-        rules.append((head or reducer.bot, body))
-    defining = [(theta[c.index], base) for c, bases in reduct.covers.items()
+                beta = bot << 2 + 2 * c.index
+                head |= beta
+                betas[beta] = m & c.domain
+        rules.append((head or bot, body))
+    defining = [(bot << 1 + 2 * c.index, base) for c, bases in reduct.covers.items()
                 for base, _, covered in bases if covered >> k & 1] + list(betas.items())
     sub = m
     while True:
@@ -551,15 +457,15 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     ``2**|candidate|`` model tests.  A ``GuardError`` is raised before that
     scan when ``|candidate|`` exceeds the ``minimal_models`` guard.
     """
-    reducer = _reducer(program.compiled)
+    compiled = _compiled(program)
     try:
-        m = reducer.compiled.mask(frozenset(interpretation))
+        m = compiled.mask(frozenset(interpretation))
     except KeyError:
         return False  # no set of reduct atoms strips to the candidate
-    space = CandidateBits(reducer.compiled, m)
-    reduct = _Reduct(reducer, space, space.full)
+    space = CandidateBits(compiled, m)
+    reduct = _Reduct(space, space.full)
     if reduct.disjunctive:
-        return _has_minimal_witness(reducer, reduct, m, 0)
+        return _has_minimal_witness(reduct, m, 0)
     return bool(_stable_bits(reduct, space.full))
 
 
@@ -576,14 +482,13 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     the same reduct, as ``is_stable`` does at the one bit of its own.
     """
     check_guard("stable_language", len(program.language))
-    reducer = _reducer(program.compiled)  # rejects negated c-atoms
-    space = CandidateBits(reducer.compiled)
+    space = CandidateBits(_compiled(program))
     models = space.models()
-    reduct = _Reduct(reducer, space, models)
+    reduct = _Reduct(space, models)
     out = list(space.sets(_stable_bits(reduct, models)))
     for k in set_bits(reduct.disjunctive):
         m = space.mask(k)
-        if _has_minimal_witness(reducer, reduct, m, k):
+        if _has_minimal_witness(reduct, m, k):
             out.append(frozenset(space.compiled.atoms_of(m)))
     return tuple(sorted(out, key=set_key))
 

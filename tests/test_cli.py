@@ -70,6 +70,13 @@ class TestSolve:
         assert cli.run(["solve", str(bad)]) == 1
         assert "parse error" in capsys.readouterr().err
 
+    def test_lone_carriage_return_is_whitespace(self, tmp_path, capsys):
+        # Read as ``load_program`` reads the text: no line break at "\r".
+        bad = tmp_path / "cr.lp"
+        bad.write_bytes(b"a.\rb :- $.\n")
+        assert cli.run(["solve", str(bad)]) == 1
+        assert capsys.readouterr().err == "parse error: 1:9: unexpected character '$'\n"
+
     @pytest.mark.parametrize("values", ["1, a=2", "2, a=1"])
     def test_aggregate_atom_listed_twice_exit_code(self, values, tmp_path, capsys):
         bad = tmp_path / "twice.lp"

@@ -1,7 +1,9 @@
+import gc
 import json
 import random
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -237,12 +239,20 @@ class TestGlReduct:
         reduct = gl_reduct(program, frozenset("axy"))
         assert reduct.gamma == {"__theta_0000000000", "__beta_0000000000"}
 
-    def test_reducer_cache_is_bounded(self):
-        for i in range(reduct_module.REDUCER_CACHE_SIZE + 3):
-            assert is_stable(load_program(f"cached{i}."), {f"cached{i}"})
-        info = reduct_module._reducer.cache_info()
-        assert info.maxsize == reduct_module.REDUCER_CACHE_SIZE
-        assert info.currsize <= info.maxsize
+    def test_primes_live_as_long_as_the_compiled_program(self, monkeypatch):
+        # Every route reads the primes kept on ``program.compiled``; nothing
+        # at module level keeps the program alive once it is dropped.
+        built = count_kernel_calls(monkeypatch)
+        program = load_program("a :- 1{b, c}. b :- not c. c :- not b.")
+        assert is_stable(program, frozenset("ab"))
+        assert gl_reduct(program, frozenset("ab")).rules
+        assert reduct_size_bound(program) > len(program.rules)
+        assert stable_models(program) == (frozenset("ab"), frozenset("ac"))
+        assert len(built) == 1
+        compiled = weakref.ref(program.compiled)
+        del program
+        gc.collect()
+        assert compiled() is None
 
 
 class TestModelEnumeration:
@@ -301,6 +311,19 @@ class TestModelEnumeration:
         with pytest.raises(GuardError) as caught:
             minimal_models(ReductProgram(rules))
         assert (caught.value.guard, caught.value.actual) == ("minimal_models", 23)
+
+    def test_minimal_models_at_the_guard_limit(self):
+        # ``ai | bi.`` for 11 pairs: one atom of each pair, 2**11 sets.
+        pairs = GUARD_LIMITS["minimal_models"] // 2
+        reduct = ReductProgram(tuple(ReductRule((f"a{i}", f"b{i}")) for i in range(pairs)))
+        assert len(reduct.atoms) == GUARD_LIMITS["minimal_models"]
+        start = time.perf_counter()
+        models = minimal_models(reduct)
+        assert time.perf_counter() - start < 1.0
+        expected = {frozenset(f"{'ab'[k >> i & 1]}{i}" for i in range(pairs))
+                    for k in range(1 << pairs)}
+        assert len(models) == 2 ** pairs and set(models) == expected
+        assert list(models) == sorted(models, key=set_key)
 
     def test_minimal_models_match_full_scan(self):
         rng = random.Random(17)
@@ -408,11 +431,10 @@ class TestStability:
         for _ in range(60):
             catom = generators.random_catom(rng, max_domain=6)
             program = Program((Rule(("y",), (Literal.constraint(catom),)),))
-            reducer = reduct_module._reducer(program.compiled)
             c = program.compiled.body_catoms[0]
             names = program.compiled.atoms_of
             for subset in iter_subsets(catom.domain | {"y"}):
-                covering = reducer.covering(c, program.compiled.mask(subset))
+                covering = c.covering(program.compiled.mask(subset))
                 assert frozenset(
                     PrefixedPowerSet(names(base), names(free)) for base, free in covering
                 ) == abstract_satisfiable_sets(build_abstract(catom), subset)
@@ -541,8 +563,8 @@ class TestAllCandidatesAtOnce:
         built = []
         reduct_class = reduct_module._Reduct
 
-        def counted(reducer, space, candidates):
-            built.append(reduct_class(reducer, space, candidates))
+        def counted(space, candidates):
+            built.append(reduct_class(space, candidates))
             return built[-1]
 
         monkeypatch.setattr(reduct_module, "_Reduct", counted)
