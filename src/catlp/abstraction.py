@@ -24,7 +24,7 @@ from functools import cache, lru_cache, partial
 from itertools import permutations
 from typing import Iterable, Iterator
 
-from .core import CAtom, iter_subsets, select, set_bits, set_key
+from .core import CAtom, bit_pattern, iter_subsets, select, set_bits, set_key
 from .errors import check_guard
 
 #: ``abstract_of`` keeps at most this many abstract forms (least recently
@@ -113,16 +113,6 @@ def check_irredundant(cubes: Iterable[tuple[int, int]]) -> None:
                 raise ValueError("redundant sublattice in abstract form")
 
 
-def _zeros(b: int, n: int) -> int:
-    """The positions below ``max(2**n, 8)`` whose bit ``b`` is clear."""
-    if b < 3:
-        unit = bytes(((0x55, 0x33, 0x0F)[b],))
-    else:
-        half = 1 << b - 3
-        unit = b"\xff" * half + bytes(half)
-    return int.from_bytes(unit * max(1, (1 << n) // (8 * len(unit))), "little")
-
-
 def _primes(n: int, table: int) -> list[tuple[int, int]]:
     """The prime cubes ``(base, free)`` of the ``2**n``-bit truth table ``table``.
 
@@ -142,7 +132,8 @@ def _primes(n: int, table: int) -> list[tuple[int, int]]:
     smaller atom outside it only while some cube of ``C_F`` may still be
     prime.
     """
-    zeros = [_zeros(b, n) for b in range(n)]
+    full = (1 << (1 << n)) - 1
+    zeros = [full ^ bit_pattern(b, n) for b in range(n)]  # bit b clear
     primes: list[tuple[int, int]] = []
     stack = [(0, table, 0)] if table else []  # (free set, C_F, lowest atom to add)
     while stack:

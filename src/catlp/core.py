@@ -15,7 +15,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress, product
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import check_guard
@@ -68,6 +68,20 @@ def select(items: Sequence, mask: int) -> tuple:
 def indices(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, lowest first."""
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def bit_pattern(b: int, n: int) -> int:
+    """The positions below ``2**n`` whose bit ``b`` is set, as one integer (``b < n``).
+
+    Blocks of ``2**b`` clear then ``2**b`` set bits alternate, so one such
+    pair is doubled until it spans ``2**n`` bits.
+    """
+    period, size = 2 << b, 1 << n
+    bits = (1 << period) - (1 << (period >> 1))
+    while period < size:
+        bits |= bits << period
+        period <<= 1
+    return bits
 
 
 @dataclass(frozen=True, init=False)
@@ -299,20 +313,25 @@ class CompiledCAtom:
                 for free, bases in self.primes.items() if p & ~free in bases]
 
     @cached_property
-    def members(self) -> list[tuple[int, list[int], list[tuple[int, int]]]]:
-        """The prime cubes on vocabulary bits by distinct base.
+    def members(self) -> list[tuple[int, list[int], int]]:
+        """The prime cubes by distinct base, each base with the subsets it covers.
 
-        Each entry is ``(base, base atom indices, cubes)`` with one cube
-        ``(base, domain outside the top)`` per prime of that base: the
-        prime covers exactly the candidates inside its cube.
+        Each entry is ``(base, base atom indices, table)``: the base on
+        vocabulary bits, and a truth table over the domain whose bit x is
+        set when some prime of that base holds the subset with table index
+        x.  A prime ``(b, F)`` holds ``b`` plus each subset of F, so its
+        bits are bit b shifted by ``2**j`` once per atom j of F.
         """
-        by_base: dict[int, list[tuple[int, int]]] = {}
+        tables: dict[int, int] = {}
         for free, bases in self.primes.items():
-            outside = self.domain & ~self.lift(free)
+            shifts = [1 << j for j in indices(free)]
             for base in bases:
-                base = self.lift(base)
-                by_base.setdefault(base, []).append((base, outside & ~base))
-        return [(base, indices(base), cubes) for base, cubes in by_base.items()]
+                cube = 1 << base
+                for shift in shifts:
+                    cube |= cube << shift
+                tables[base] = tables.get(base, 0) | cube
+        return [(self.lift(base), indices(self.lift(base)), table)
+                for base, table in tables.items()]
 
 
 class CompiledProgram:
@@ -428,44 +447,14 @@ def candidate_models(program: Program) -> Iterator[frozenset[str]]:
     return space.sets(space.models())
 
 
-def _spread(bits: int, period: int, size: int) -> int:
-    """Repeat the first ``period`` bits of ``bits`` up to ``size`` bits (powers of two)."""
-    while period < size:
-        bits |= bits << period
-        period <<= 1
-    return bits
+def _basis(n: int) -> tuple[int, list[int], list[int]]:
+    """Every candidate over n atoms, and per atom the candidates that hold and lack it.
 
-
-def _table(cubes: list[tuple[int, int]], n: int, disjoint: bool) -> tuple[int, int]:
-    """The candidates inside some cube ``(ones, zeros)``, as ``(bits, period)``.
-
-    A cube holds the candidates with every atom of ``ones`` and none of
-    ``zeros`` (vocabulary masks).  The bits repeat with ``period``, a power
-    of two.  The family is split on the lowest atom any cube fixes, which is
-    the highest candidate bit left, so both halves span fewer bits.  The
-    split stops at an empty family, at a cube that fixes nothing more, and,
-    when the cubes are ``disjoint`` minterms of one domain, at a complete
-    family.
+    Candidate k holds atom i when bit ``n - 1 - i`` of k is set.
     """
-    if not cubes:
-        return 0, 1
-    fixed = 0
-    for ones, zeros in cubes:
-        if not ones | zeros:
-            return 1, 1
-        fixed |= ones | zeros
-    if disjoint and len(cubes) == 1 << fixed.bit_count():
-        return 1, 1
-    low = fixed & -fixed
-    half = 1 << n - low.bit_length()
-    bits = 0
-    without = [(o, z & ~low) for o, z in cubes if not o & low]
-    if without:
-        bits = _spread(*_table(without, n, disjoint), half)
-    with_low = [(o & ~low, z) for o, z in cubes if not z & low]
-    if with_low:
-        bits |= _spread(*_table(with_low, n, disjoint), half) << half
-    return bits, half << 1
+    full = (1 << (1 << n)) - 1
+    holds = [bit_pattern(n - 1 - i, n) for i in range(n)]
+    return full, holds, [full ^ bits for bits in holds]
 
 
 class CandidateBits:
@@ -477,6 +466,12 @@ class CandidateBits:
     size, ``iter_subsets`` order is descending k.  A set of candidates is
     one ``2**n``-bit integer, built per call and never cached.
 
+    Every such integer is built from one basis (:func:`_basis`): per atom,
+    the candidates that hold it (:attr:`holds`, a :func:`bit_pattern`) and
+    those that lack it (:attr:`lacks`).  A cube is an AND of basis entries,
+    and a c-atom's candidates come from splitting its truth table
+    (:meth:`split`).
+
     Given a ``point`` (a vocabulary mask), the space holds that one
     candidate: ``full`` is 1 and each test reads the point directly, so no
     ``2**n``-bit integer is made and the vocabulary size is unbounded.
@@ -484,47 +479,81 @@ class CandidateBits:
 
     def __init__(self, compiled: CompiledProgram, point: int | None = None):
         self.compiled = compiled
-        self.n = len(compiled.atoms)
+        self.n = n = len(compiled.atoms)
         self.point = point
-        self.full = 1 if point is not None else (1 << (1 << self.n)) - 1
+        if point is None:
+            self.full, self.holds, self.lacks = _basis(n)
+        else:
+            self.full = 1
+            self.holds = [point >> i & 1 for i in range(n)]
+            self.lacks = [1 ^ bits for bits in self.holds]
         self._satisfied: dict[CompiledCAtom, int] = {}
 
-    def cubes(self, cubes: list[tuple[int, int]], disjoint: bool = False) -> int:
-        """The candidates inside some cube ``(ones, zeros)`` of vocabulary masks."""
-        point = self.point
-        if point is None:
-            return _spread(*_table(cubes, self.n, disjoint), 1 << self.n)
-        for ones, zeros in cubes:
-            if point & ones == ones and not point & zeros:
-                return 1
-        return 0
+    def cubes(self, cubes: list[tuple[int, int]]) -> int:
+        """The candidates inside some cube ``(ones, zeros)`` of vocabulary masks.
 
-    @cached_property
-    def holds(self) -> list[int]:
-        """Per atom, by vocabulary bit, the candidates that hold it."""
-        if self.point is not None:
-            return [self.point >> i & 1 for i in range(self.n)]
-        return [self.cubes([(1 << i, 0)]) for i in range(self.n)]
+        A cube holds the candidates with every atom of ``ones`` and none of
+        ``zeros``: the AND of their ``holds`` and ``lacks`` entries.
+        """
+        point = self.point
+        if point is not None:
+            for ones, zeros in cubes:
+                if point & ones == ones and not point & zeros:
+                    return 1
+            return 0
+        holds, lacks = self.holds, self.lacks
+        bits = 0
+        for ones, zeros in cubes:
+            cube = self.full
+            for i in indices(ones):
+                cube &= holds[i]
+            for i in indices(zeros):
+                cube &= lacks[i]
+            bits |= cube
+        return bits
 
     def satisfied(self, catom: CompiledCAtom) -> int:
-        """The candidates that satisfy ``catom``, read off its table.
-
-        A point is one table bit.  Otherwise each solution is a minterm cube
-        on vocabulary bits, and a complete family, such as a choice head's,
-        is every candidate.
-        """
+        """The candidates that satisfy ``catom``: :meth:`split` of its table, kept."""
         bits = self._satisfied.get(catom)
         if bits is None:
-            table, domain = catom.catom.table, catom.domain
-            if self.point is not None:
-                bits = table >> catom.position(self.point) & 1
-            elif table.bit_count() == 1 << domain.bit_count():
-                bits = self.full
-            else:
-                minterms = map(catom.lift, set_bits(table))
-                bits = self.cubes([(s, domain ^ s) for s in minterms], disjoint=True)
-            self._satisfied[catom] = bits
+            bits = self._satisfied[catom] = self.split(catom, catom.catom.table)
         return bits
+
+    def split(self, catom: CompiledCAtom, table: int) -> int:
+        """The candidates whose part of ``catom``'s domain is a set bit of ``table``.
+
+        ``table`` is a truth table over the domain, as ``CAtom.table`` is.
+        A point is one bit of it.  Otherwise the table is split on its
+        highest domain atom: the low half of a table over d atoms is the
+        subtable without that atom and the high half the one with it, so
+        the candidates are those lacking the atom in the low half's and
+        those holding it in the high half's.  An empty subtable is no
+        candidate, a complete one is every candidate, equal halves skip the
+        atom, and equal subtables of one c-atom are split once.
+        """
+        if self.point is not None:
+            return table >> catom.position(self.point) & 1
+        atoms = [b.bit_length() - 1 for b in catom.bits]
+        complete = [(1 << (1 << d)) - 1 for d in range(len(atoms) + 1)]
+        return self._split(table, len(atoms), atoms, complete, {})
+
+    def _split(self, table: int, d: int, atoms: list[int], complete: list[int],
+               done: dict[tuple[int, int], int]) -> int:
+        """:meth:`split` of a subtable over the first d domain atoms."""
+        if not table:
+            return 0
+        if table == complete[d]:
+            return self.full
+        found = done.get((d, table))
+        if found is None:
+            low, high = table & complete[d - 1], table >> (1 << d - 1)
+            found = self._split(low, d - 1, atoms, complete, done)
+            if low != high:
+                i = atoms[d - 1]
+                found = self.lacks[i] & found | self.holds[i] & self._split(
+                    high, d - 1, atoms, complete, done)
+            done[d, table] = found
+        return found
 
     def models(self) -> int:
         """The candidates no rule is violated by: body true and head false."""
@@ -543,23 +572,30 @@ class CandidateBits:
         """The vocabulary mask of candidate ``k``."""
         return int(format(k, "0%db" % self.n)[::-1], 2)
 
+    def tuples(self, bits: int) -> list[tuple[str, ...]]:
+        """The candidates of ``bits`` as sorted atom tuples, by descending k.
+
+        Spelled in binary, an index lists its atoms in order, so each index
+        is split into its high and low half, each half is looked up in a
+        table of sorted atom tuples, and the two are joined.  Sorting the
+        list gives the ``set_key`` order of the sets.
+        """
+        def table(atoms: tuple[str, ...]) -> list[tuple[str, ...]]:
+            return [tuple(compress(atoms, spelled))
+                    for spelled in product((0, 1), repeat=len(atoms))]
+
+        atoms, half = self.compiled.atoms, self.n // 2
+        high, low = table(atoms[:self.n - half]), table(atoms[self.n - half:])
+        low_bits = (1 << half) - 1
+        return [high[k >> half] + low[k & low_bits] for k in set_bits(bits)]
+
     def sets(self, bits: int) -> Iterator[frozenset[str]]:
         """The candidates of ``bits`` as atom sets, in ``iter_subsets`` order.
 
-        Each index is split into its low and high half, and each half is
-        looked up in a table of atom tuples.
+        Among candidates of one size that is descending k, the order of
+        :meth:`tuples`, so the tuples are grouped by size in place.
         """
-        n = self.n
-        by_size: list[list[int]] = [[] for _ in range(n + 1)]
-        for k in set_bits(bits):
-            by_size[k.bit_count()].append(k)
-        atoms, half = self.compiled.atoms[::-1], n // 2  # index bit j is atoms[n - 1 - j]
-        low = [select(atoms, k) for k in range(1 << half)]
-        high = [select(atoms[half:], k) for k in range(1 << n - half)]
-        low_bits = (1 << half) - 1
-        for size in by_size:
-            for k in size:
-                yield frozenset(low[k & low_bits] + high[k >> half])
+        return map(frozenset, sorted(self.tuples(bits), key=len))
 
 
 def is_minimal_model(interpretation: Iterable[str], program: Program) -> bool:

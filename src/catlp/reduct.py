@@ -47,7 +47,6 @@ from .core import (
     Rule,
     indices,
     set_bits,
-    set_key,
 )
 from .errors import InvariantError, NameCollisionError, ProgramClassError, check_guard
 
@@ -142,7 +141,9 @@ class _Reduct:
     candidates for which some kept rule has two.
     ``covers`` maps each body c-atom of a kept rule to ``(base, base atom
     indices, candidates a prime of that base covers)`` per distinct base
-    covering some candidate; a space of one candidate reads only the primes
+    covering some candidate.  A space of every candidate splits each base's
+    table of the subsets its primes hold (``CompiledCAtom.members``,
+    ``CandidateBits.split``); a space of one candidate reads only the primes
     that hold it (``CompiledCAtom.covering``).  So a body c-atom that every
     candidate falsifies, or that sits only in rules no candidate keeps,
     never gets its prime cubes.
@@ -173,8 +174,8 @@ class _Reduct:
         point = space.point
         for c in dict.fromkeys(c for rule in self.rules for c in rule[4]):
             if point is None:
-                covers = [(base, atoms, space.cubes(cubes))
-                          for base, atoms, cubes in c.members]
+                covers = [(base, atoms, space.split(c, table))
+                          for base, atoms, table in c.members]
                 self.covers[c] = [entry for entry in covers if entry[2]]
             else:
                 bases = dict.fromkeys(base for base, _ in c.covering(point))
@@ -381,7 +382,7 @@ def minimal_models(reduct: ReductProgram) -> tuple[frozenset[str], ...]:
         above |= models << shift & held
     for held, shift in shifts:
         above |= above << shift & held
-    return tuple(sorted(space.sets(models & ~above), key=set_key))
+    return tuple(map(frozenset, sorted(space.tuples(models & ~above))))
 
 
 def _has_minimal_witness(reduct: _Reduct, m: int, k: int) -> bool:
@@ -485,12 +486,12 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     space = CandidateBits(_compiled(program))
     models = space.models()
     reduct = _Reduct(space, models)
-    out = list(space.sets(_stable_bits(reduct, models)))
+    found = space.tuples(_stable_bits(reduct, models))
     for k in set_bits(reduct.disjunctive):
         m = space.mask(k)
         if _has_minimal_witness(reduct, m, k):
-            out.append(frozenset(space.compiled.atoms_of(m)))
-    return tuple(sorted(out, key=set_key))
+            found.append(space.compiled.atoms_of(m))
+    return tuple(map(frozenset, sorted(found)))
 
 
 def format_reduct(reduct: ReductProgram) -> str:

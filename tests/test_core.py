@@ -235,26 +235,55 @@ class TestModelChecks:
         assert negated and declared
 
     def test_candidate_bits_match_a_scan_of_every_candidate(self):
-        # Overlapping and repeated cubes, and random solution families,
-        # against a direct test of each candidate's mask.
+        # Overlapping and repeated cubes, and random and cardinality solution
+        # families (whose equal subtables are split once), against a direct
+        # test of each candidate's mask.
         rng = random.Random(71)
         for _ in range(300):
-            n = rng.randint(0, 6)
+            n = rng.randint(0, 8)
             space = CandidateBits(Program((), frozenset(f"a{i}" for i in range(n))).compiled)
             cubes = []
             for _ in range(rng.randint(0, 6)):
                 ones = rng.getrandbits(n)
                 zeros = rng.getrandbits(n) & ~ones
                 cubes += [(ones, zeros)] * rng.randint(1, 2)
-            catom = generators.random_catom(rng, pool=space.compiled.atoms, max_domain=n)
+            if rng.random() < 0.5:
+                catom = generators.random_catom(rng, pool=space.compiled.atoms, max_domain=n)
+            else:
+                domain = rng.sample(space.compiled.atoms, rng.randint(0, n))
+                lo = rng.randint(0, len(domain))
+                hi = rng.randint(lo, len(domain))
+                catom = CAtom(domain, [s for s in iter_subsets(domain) if lo <= len(s) <= hi])
             c = CompiledCAtom(catom, 0, space.compiled.bit)
             bits, satisfied = space.cubes(cubes), space.satisfied(c)
+            read = list(space.sets(space.full))
+            assert read == list(iter_subsets(space.compiled.atoms))
             for k in range(1 << n):
                 m = space.mask(k)
                 assert list(space.sets(1 << k)) == [frozenset(space.compiled.atoms_of(m))]
                 assert bits >> k & 1 == any(m & o == o and not m & z for o, z in cubes)
                 assert satisfied >> k & 1 == (
                     frozenset(space.compiled.atoms_of(m)) & catom.domain in catom.solutions)
+
+    def test_candidate_bits_of_a_dense_family_at_the_language_limit(self):
+        # The complement of one set over 20 atoms: every candidate but a
+        # 2**20-th satisfies it, and the split meets one complete and one
+        # near-complete subtable per atom.
+        rng = random.Random(73)
+        atoms = [f"a{i:02d}" for i in range(GUARD_LIMITS["stable_language"])]
+        space = CandidateBits(Program((), frozenset(atoms)).compiled)
+        excluded = frozenset(rng.sample(atoms, 7))
+        catom = complement(CAtom(atoms, [excluded]))
+        c = CompiledCAtom(catom, 0, space.compiled.bit)
+        start = time.perf_counter()
+        satisfied = space.satisfied(c)
+        assert time.perf_counter() - start < 1
+        samples = [rng.getrandbits(space.n) for _ in range(200)]
+        samples.append(int("".join("1" if a in excluded else "0" for a in atoms), 2))
+        for k in samples:
+            model = space.compiled.atoms_of(space.mask(k))
+            assert satisfied >> k & 1 == satisfies_catom(model, catom)
+        assert satisfied == space.full ^ 1 << samples[-1]
 
     def test_candidate_models_guard_fires_before_enumeration(self):
         program = Program(tuple(Rule((f"x{i}",)) for i in range(21)))

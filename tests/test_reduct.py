@@ -547,7 +547,7 @@ class TestAllCandidatesAtOnce:
         def refuse(*args):
             raise AssertionError("a bitset of every candidate was built")
 
-        monkeypatch.setattr(core_module, "_table", refuse)
+        monkeypatch.setattr(core_module, "_basis", refuse)
         program = load_program(
             " ".join(f"x{i} :- not y{i}. y{i} :- not x{i}." for i in range(20)))
         xs = frozenset(f"x{i}" for i in range(20))
