@@ -23,6 +23,7 @@ from .analysis import (
     check_dependency_theorem,
     cycle_report,
     dependency_graph,
+    format_translation,
     normalize_basic,
     to_dot,
     translate_normal,

@@ -5,9 +5,15 @@ which normalization rewrites into guarded fresh atoms) and bodies of positive
 constraint atoms; negative literals are absorbed as complement constraints.
 Such programs translate into ordinary normal programs by routing every body
 constraint through a shared ``__theta_`` atom with one defining rule per
-sublattice.  The same sublattices induce the signed dependency graph: the
-head depends positively on a sublattice base and negatively on the domain
-atoms outside the sublattice.
+sublattice.  One walk (:func:`_translation`) names the c-atoms and takes
+their checked prime cubes; :func:`translate_normal` builds rules from it and
+:func:`format_translation` renders the same text straight from the masks.
+The same sublattices induce the signed dependency graph: the head depends
+positively on a sublattice base and negatively on the domain atoms outside
+the sublattice top.  An atom is in some base iff removing it from some
+solution gives a non-solution, and outside some top iff adding it to some
+solution does, so :func:`dependency_graph` reads the signs off the truth
+table without computing a sublattice.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .core import (
     Literal,
     Program,
     Rule,
+    bit_pattern,
     candidate_models,
     head_atom_name,
     is_false_head,
@@ -30,7 +37,7 @@ from .core import (
     select,
     set_key,
 )
-from .errors import ProgramClassError
+from .errors import ProgramClassError, check_guard
 from .reduct import claim_name, stable_models, theta_atom
 
 #: Prefix of the fresh atoms standing in for always-false heads.
@@ -64,49 +71,73 @@ def normalize_basic(program: Program) -> Program:
     return Program(tuple(rules), program.declared_atoms)
 
 
+def _translation(program: Program):
+    """The walk both translation consumers share.
+
+    Returns the declared atoms, each rule of the basic form as its head and
+    the ``__theta_`` names of its body c-atoms, and for each distinct body
+    c-atom, in first-seen order, its name, sorted domain and checked prime
+    cubes.  Raises as :func:`translate_normal` documents.
+    """
+    basic = normalize_basic(program)
+    main: list[tuple[str, list[str]]] = []
+    definitions: dict[CAtom, tuple] = {}
+    owners: dict[str, CAtom] = {}
+    for rule in basic.rules:
+        names = []
+        for catom in map(literal_catom, rule.body):
+            name = theta_atom(catom)
+            names.append(name)
+            if catom not in definitions:
+                claim_name(owners, name, catom)
+                definitions[catom] = (name, *checked_primes(catom))
+        main.append((rule.head[0], names))
+    return basic.declared_atoms, main, definitions.values()
+
+
 def translate_normal(program: Program) -> Program:
     """Compile a basic program into an ordinary normal program.
 
     Each rule body becomes a conjunction of shared ``__theta_`` atoms; each
     sublattice of a constraint contributes one defining rule listing the
     sublattice base positively and the domain atoms outside the sublattice
-    under negation.  Raises :class:`NameCollisionError` when two distinct
-    c-atoms would share a ``__theta_`` name.
+    top under negation, in canonical order.  Raises
+    :class:`NameCollisionError` when two distinct c-atoms would share a
+    ``__theta_`` name.
     """
-    basic = normalize_basic(program)
-    main: list[Rule] = []
-    definitions: dict[CAtom, list[Rule]] = {}
-    order: list[CAtom] = []
-    owners: dict[str, CAtom] = {}
-    for rule in basic.rules:
-        head = rule.head[0]
-        body: list[Literal] = []
-        for catom in map(literal_catom, rule.body):
-            name = theta_atom(catom)
-            body.append(Literal.atom(name))
-            if catom not in definitions:
-                claim_name(owners, name, catom)
-                order.append(catom)
-                definitions[catom] = _defining_rules(name, catom)
-        main.append(Rule((head,), tuple(body)))
-    rules = main + [r for catom in order for r in definitions[catom]]
-    return Program(tuple(rules), basic.declared_atoms)
+    declared, main, definitions = _translation(program)
+    rules = [Rule((head,), tuple(map(Literal.atom, names))) for head, names in main]
+    for name, atoms, cubes in definitions:
+        domain = (1 << len(atoms)) - 1
+        positive = tuple(map(Literal.atom, atoms))
+        negated = tuple(map(Literal.negated_atom, atoms))
+        rules.extend(
+            Rule((name,), select(positive, base) + select(negated, domain ^ (base | free)))
+            for base, free in cubes)
+    return Program(tuple(rules), declared)
 
 
-def _defining_rules(name: str, catom: CAtom) -> list[Rule]:
-    """``name :- base, not (domain outside the top).`` per sublattice, in canonical order.
+def format_translation(program: Program) -> str:
+    """``format_program(translate_normal(program))``, rendered from the masks.
 
-    Each domain atom becomes its two literals once, and each distinct mask
-    its literal tuple once.
+    Each distinct base gets its rule head and positive text once, and each
+    distinct domain part outside a top its ``not`` text once; no rule or
+    literal object is built.
     """
-    atoms, cubes = checked_primes(catom)
-    domain = (1 << len(atoms)) - 1
-    positive = tuple(map(Literal.atom, atoms))
-    negated = tuple(map(Literal.negated_atom, atoms))
-    pos = cache(lambda mask: select(positive, mask))
-    neg = cache(lambda mask: select(negated, mask))
-    return [Rule((name,), pos(base) + neg(domain ^ (base | free)))
-            for base, free in cubes]
+    declared, main, definitions = _translation(program)
+    lines = ["#atoms %s." % ", ".join(sorted(declared))] if declared else []
+    lines.extend(f"{head} :- {', '.join(names)}." if names else f"{head}."
+                 for head, names in main)
+    for name, atoms, cubes in definitions:
+        domain = (1 << len(atoms)) - 1
+        negated = tuple(f"not {atom}" for atom in atoms)
+        head = cache(lambda base: f"{name} :- {', '.join(select(atoms, base))}" if base else name)
+        rest = cache(lambda outside: ", ".join(select(negated, outside)))
+        for base, free in cubes:
+            outside = domain ^ (base | free)
+            sep = ", " if base else " :- "
+            lines.append(f"{head(base)}{sep}{rest(outside)}." if outside else f"{head(base)}.")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass(frozen=True)
@@ -131,7 +162,10 @@ def dependency_graph(program: Program) -> DependencyGraph:
 
     The head of a rule depends positively on the atoms of every sublattice
     base of a body c-atom, and negatively on its domain atoms outside some
-    sublattice top: one OR of masks over the sublattices each.
+    sublattice top.  Both signs are read off the c-atom's truth table, and
+    no sublattice is computed: an atom is in some base iff removing it from
+    some solution gives a non-solution, and outside some top iff adding it
+    to some solution does (:func:`_signed_atoms` has the proof).
     """
     basic = normalize_basic(program)
     signed: dict[CAtom, tuple[tuple[str, ...], tuple[str, ...]]] = {}
@@ -141,16 +175,39 @@ def dependency_graph(program: Program) -> DependencyGraph:
         for catom in map(literal_catom, rule.body):
             found = signed.get(catom)
             if found is None:
-                atoms, cubes = checked_primes(catom)
-                domain = (1 << len(atoms)) - 1
-                pos = neg = 0
-                for base, free in cubes:
-                    pos |= base
-                    neg |= domain ^ (base | free)
-                found = signed[catom] = select(atoms, pos), select(atoms, neg)
+                found = signed[catom] = _signed_atoms(catom)
             edges.update((head, atom, "+") for atom in found[0])
             edges.update((head, atom, "-") for atom in found[1])
     return DependencyGraph(basic.atoms, frozenset(edges))
+
+
+def _signed_atoms(catom: CAtom) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The atoms in some maximal sublattice's base, and those outside some top.
+
+    Atom x is in the base of a maximal sublattice iff some solution S with
+    x in S has S - {x} not a solution; x is outside the top of one iff some
+    solution S without x has S | {x} not a solution.  Proof for the base
+    (the top is symmetric): a solution S lies in some maximal sublattice
+    (b, F); if S - {x} is no solution, x is not free there, so x is in b.
+    Conversely, let x be in the base b of a maximal (b, F).  If every
+    solution S with x had S - {x} a solution, each set of (b - {x}, F |
+    {x}) would be a solution, in (b, F) or one atom below it, and (b, F)
+    would not be maximal.  On the table T, with H the positions whose bit
+    i is set, atom i is in a base when ``T & H & ~(T << 2**i)`` is non-zero
+    and outside a top when ``T & ~H & ~(T >> 2**i)`` is.
+    """
+    check_guard("abstract_domain", len(catom.domain))
+    atoms, table = catom.atoms, catom.table
+    n = len(atoms)
+    pos = neg = 0
+    for i in range(n):
+        shift = 1 << i
+        holds = bit_pattern(i, n)
+        if table & holds & ~(table << shift):
+            pos |= shift
+        if table & ~holds & ~(table >> shift):
+            neg |= shift
+    return select(atoms, pos), select(atoms, neg)
 
 
 @dataclass(frozen=True, eq=False)

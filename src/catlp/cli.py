@@ -13,16 +13,11 @@ from functools import cache
 
 from . import golden
 from .abstraction import checked_primes, classify_cubes
-from .analysis import cycle_report, dependency_graph, to_dot, translate_normal
+from .analysis import cycle_report, dependency_graph, format_translation, to_dot
 from .core import CAtom, Program, is_model, select, set_key
 from .errors import CatlpError, GuardError, NotAModelError, ParseError, ProgramClassError
 from .fixpoint import fixpoint_stable, to_positive_basic
-from .parser import (
-    format_program,
-    load_program,
-    parse_constraint,
-    parse_interpretation,
-)
+from .parser import load_program, parse_constraint, parse_interpretation
 from .reduct import format_reduct, gl_reduct, is_stable, reduct_json, stable_models
 
 EXIT_OK = 0
@@ -124,7 +119,7 @@ def _cmd_abstract(args) -> int:
 
 def _cmd_translate(args) -> int:
     program = _load_file(args.file)
-    sys.stdout.write(format_program(translate_normal(program)))
+    sys.stdout.write(format_translation(program))
     return EXIT_OK
 
 

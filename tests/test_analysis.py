@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from catlp.abstraction import checked_primes
 from catlp.analysis import (
     DependencyGraph,
     check_dependency_theorem,
     cycle_report,
     dependency_graph,
+    format_translation,
     normalize_basic,
     to_dot,
     translate_normal,
@@ -16,14 +18,17 @@ from catlp.core import (
     Literal,
     Program,
     Rule,
+    complement,
+    select,
 )
-from catlp.errors import NameCollisionError, ProgramClassError
+from catlp.errors import GuardError, NameCollisionError, ProgramClassError
 from catlp.golden import EVEN_LOOP, NEGATIVE_EDGE_RULE, SUM_LOOP, TAUTOLOGY_BODY
-from catlp.parser import load_program
+from catlp.parser import format_program, load_program
 from catlp.reduct import stable_models
 
 import generators
 import oracles
+from cli_corpus import FAMILIES, golden_texts
 
 
 def graph_of(edges, vertices=None):
@@ -93,8 +98,9 @@ class TestTranslateNormal:
             Rule(("x",), (Literal.constraint(CAtom("ab", [{"a", "b"}])),)),
             Rule(("y",), (Literal.constraint(CAtom("ab", [{"b"}, {"a", "b"}])),)),
         ))
-        with pytest.raises(NameCollisionError, match="__theta_0000000000"):
-            translate_normal(program)
+        for translate in (translate_normal, format_translation):
+            with pytest.raises(NameCollisionError, match="__theta_0000000000"):
+                translate(program)
 
     def test_identical_catoms_share_a_name(self, monkeypatch):
         monkeypatch.setattr(CAtom, "digest", property(lambda self: "0" * 10))
@@ -114,6 +120,116 @@ class TestTranslateNormal:
             projected = {m & program.atoms
                          for m in oracles.standard_gl_stable_models(translated)}
             assert projected == set(stable_models(program))
+
+
+def _outcome(translate, program):
+    """What ``translate`` gives on ``program``: its text, or its refusal."""
+    try:
+        return translate(program)
+    except (NameCollisionError, GuardError, ProgramClassError) as exc:
+        return type(exc), str(exc)
+
+
+class TestFormatTranslation:
+    """``format_translation`` renders the text of ``translate_normal``
+    straight from the masks, and refuses what it refuses, alike."""
+
+    EXTRA = (
+        "#atoms z, y.\na :- not b, [b,c : {}, {b,c}].\nb :- a.\nc.\n",
+        "a :- [x0,x1,x2,x3,x4,x5,x6,x7,x8,x9,x10,x11,x12,x13,x14,x15,x16,x17,x18,x19,x20"
+        " : {x0}].\n",
+        "a :- [b : {b}].\nb :- not [c,d,e : {}].\nbot :- a, b.\n",
+    )
+
+    def test_text_matches_the_rule_route(self):
+        programs = [load_program(text) for text in (*golden_texts().values(), *self.EXTRA)]
+        for family in FAMILIES:
+            rng = random.Random(f"format_translation {family.__name__}")
+            programs += [family(rng) for _ in range(60)]
+        refused = set()
+        for program in programs:
+            expected = _outcome(lambda p: format_program(translate_normal(p)), program)
+            assert _outcome(format_translation, program) == expected, program
+            if isinstance(expected, tuple):
+                refused.add(expected[0])
+        assert refused == {GuardError, ProgramClassError}
+
+
+def _cube_signs(atoms, cubes):
+    """The atoms of the OR of the bases, and of the OR of the parts outside the tops."""
+    domain = (1 << len(atoms)) - 1
+    pos = neg = 0
+    for base, free in cubes:
+        pos |= base
+        neg |= domain ^ (base | free)
+    return select(atoms, pos), select(atoms, neg)
+
+
+def _table_signs(catom):
+    """The atoms ``h :- catom.`` depends on positively, and negatively."""
+    graph = dependency_graph(Program((Rule(("h",), (Literal.constraint(catom),)),)))
+    return tuple(tuple(sorted(v for _, v, s in graph.edges if s == sign)) for sign in "+-")
+
+
+def _member_signs(catom, members):
+    pos = frozenset().union(*(m.base for m in members))
+    neg = frozenset().union(*(catom.domain - m.top for m in members))
+    return tuple(sorted(pos)), tuple(sorted(neg))
+
+
+class TestSignLemma:
+    """An atom is in some maximal sublattice's base iff removing it from
+    some solution gives a non-solution, and outside some top iff adding it
+    to some solution does: the signs ``dependency_graph`` reads off the
+    table equal the ORs over the members."""
+
+    def check(self, catom, oracle=oracles.brute_abstract):
+        signs = _table_signs(catom)
+        assert signs == _cube_signs(*checked_primes(catom)), catom
+        assert signs == _member_signs(catom, oracle(catom)), catom
+        return signs
+
+    def test_every_table_over_at_most_three_atoms(self):
+        for n in range(4):
+            atoms = "abc"[:n]
+            for table in range(1 << (1 << n)):
+                self.check(CAtom.from_table(atoms, table))
+
+    def test_named_families(self):
+        assert self.check(CAtom.from_table("", 0)) == ((), ())
+        assert self.check(CAtom.from_table("", 1)) == ((), ())
+        assert self.check(CAtom.from_table("abcde", 0)) == ((), ())
+        assert self.check(CAtom.from_table("abcde", (1 << 32) - 1)) == ((), ())
+        elementary = CAtom("a", [{"a"}])
+        assert self.check(elementary) == (("a",), ())
+        assert self.check(complement(elementary)) == ((), ("a",))
+        # The complement of one set: every other atom is in a base, the set's
+        # own atoms lie outside a top.
+        assert self.check(complement(CAtom("abcde", [{"b", "d"}]))) == (
+            ("a", "c", "e"), ("b", "d"))
+
+    def test_seeded_catoms_of_four_to_eight_atoms(self):
+        # brute_abstract takes seconds on a dense family over 7 or 8 atoms,
+        # so those are checked against offset_abstract, which is built for
+        # families with few non-solutions.
+        rng = random.Random(97)
+        pool = tuple(f"x{i}" for i in range(8))
+        for _ in range(60):
+            n = rng.randint(4, 8)
+            density = rng.choice((0.1, 0.3, 0.5))
+            table = sum(1 << x for x in range(1 << n) if rng.random() < density)
+            catom = CAtom.from_table(rng.sample(pool, n), table)
+            self.check(catom)
+            dense = oracles.brute_abstract if n <= 6 else oracles.offset_abstract
+            self.check(complement(catom), dense)
+
+    def test_a_dense_family_at_the_guard_limit(self):
+        # The prime-cube kernel takes about 2**20 steps here; the table
+        # route takes one pass over 20 atoms.
+        program = load_program(
+            "h :- not [%s : {x0}].\n" % ",".join(f"x{i}" for i in range(20)))
+        assert dependency_graph(program).edges == frozenset(
+            {("h", "x0", "-")} | {("h", f"x{i}", "+") for i in range(1, 20)})
 
 
 class TestDependencyGraph:
@@ -142,9 +258,12 @@ class TestDependencyGraph:
     def test_edges_match_translation_paths(self):
         # Positive edges appear as wrapper-mediated positive two-step paths
         # in the translated program; negative edges as positive-then-negative.
+        # The graph reads the truth tables, the translation the prime cubes.
         rng = random.Random(87)
-        for _ in range(80):
+        for index in range(400):
             program = generators.random_basic_program(rng)
+            if index % 2:
+                program = Program(program.rules + (_dense_rule(rng),))
             graph = dependency_graph(program)
             translated = translate_normal(program)
             ordinary = oracles.ordinary_dependency_edges(translated)
@@ -170,6 +289,17 @@ class TestDependencyGraph:
             for flag in ("has_positive_cycle", "has_odd_cycle", "has_even_cycle",
                          "has_even_cycle_literal", "call_consistent", "acyclic"):
                 assert getattr(report, flag) == getattr(other, flag), flag
+
+
+def _dense_rule(rng):
+    """A rule whose body c-atom misses at most two subsets of its domain
+    (none: a tautology)."""
+    domain = rng.sample(generators.POOL[:4], rng.randint(0, 4))
+    table = (1 << (1 << len(domain))) - 1
+    for _ in range(rng.randint(0, 2)):
+        table &= ~(1 << rng.randrange(1 << len(domain)))
+    head = rng.choice(generators.POOL[:4])
+    return Rule((head,), (Literal.constraint(CAtom.from_table(domain, table)),))
 
 
 def _contract_wrappers(edges):

@@ -92,6 +92,14 @@ class TestSolve:
         assert capsys.readouterr().err == (
             "refused: stable_language guard: 21 exceeds the limit of 20\n")
 
+    def test_depgraph_guard_exit_code(self, tmp_path, capsys):
+        # depgraph reads no prime cube, but keeps the abstract_domain guard.
+        wide = tmp_path / "wide_body.lp"
+        wide.write_text("h :- [%s : {x0}].\n" % ",".join(f"x{i}" for i in range(21)))
+        assert cli.run(["depgraph", str(wide), "--report"]) == 2
+        assert capsys.readouterr().err == (
+            "refused: abstract_domain guard: 21 exceeds the limit of 20\n")
+
     def test_weight_guard_exit_code(self, tmp_path, capsys):
         wide = tmp_path / "weight.lp"
         wide.write_text("y :- 1 {%s}." % ", ".join(f"x{i}" for i in range(17)))
@@ -315,6 +323,11 @@ class TestMaskRoute:
     abstract-form object, and they keep the irredundancy check."""
 
     PROGRAM = "h :- 2 {c, d, e, not f} 3. a :- not h. b :- h, [c,d : {}, {c}, {c,d}].\n"
+    DEPGRAPH_REPORT = (
+        "a ---> h\nb -+-> c\nb ---> d\nb -+-> h\nh -+-> c\nh ---> c\n"
+        "h -+-> d\nh ---> d\nh -+-> e\nh ---> e\nh -+-> f\nh ---> f\n"
+        "positive_cycle=False\nodd_cycle=False\neven_cycle=False\n"
+        "even_cycle_literal=False\ncall_consistent=True\nacyclic=True\n")
 
     def answers(self, path: str) -> list:
         program = load_program(self.PROGRAM)
@@ -357,13 +370,18 @@ class TestMaskRoute:
         abstraction.abstract_of.cache_clear()
         program = load_program(self.PROGRAM)
         for call in (lambda: translate_normal(program),
-                     lambda: dependency_graph(program),
                      lambda: cli.run(["translate", path]),
-                     lambda: cli.run(["depgraph", path, "--report"]),
                      lambda: cli.run(["abstract", path, "--classify"]),
                      lambda: cli.run(["abstract", "--catom", "[c : {c}]"])):
             with pytest.raises(ValueError, match="redundant"):
                 call()
+
+        # depgraph reads its signs off the truth tables, not the kernel.
+        def refuse(catom):
+            raise AssertionError("depgraph ran the prime-cube kernel")
+
+        monkeypatch.setattr(abstraction, "prime_cubes", refuse)
+        assert run_cli(["depgraph", path, "--report"]) == self.DEPGRAPH_REPORT
 
 
 class TestUsageErrors:
