@@ -66,8 +66,13 @@ def select(items: Sequence, mask: int) -> tuple:
 
 
 def indices(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The positions of the set bits of ``mask``, lowest first, one step per set bit."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
 
 
 def bit_pattern(b: int, n: int) -> int:
@@ -447,29 +452,32 @@ def candidate_models(program: Program) -> Iterator[frozenset[str]]:
     return space.sets(space.models())
 
 
-def _basis(n: int) -> tuple[int, list[int], list[int]]:
-    """Every candidate over n atoms, and per atom the candidates that hold and lack it.
+def _basis(n: int) -> tuple[int, list[int]]:
+    """Every candidate over n atoms, and per atom the candidates that hold it.
 
     Candidate k holds atom i when bit ``n - 1 - i`` of k is set.
     """
-    full = (1 << (1 << n)) - 1
-    holds = [bit_pattern(n - 1 - i, n) for i in range(n)]
-    return full, holds, [full ^ bits for bits in holds]
+    return (1 << (1 << n)) - 1, [bit_pattern(n - 1 - i, n) for i in range(n)]
 
 
 class CandidateBits:
-    """All ``2**n`` candidates of a compiled program at once, one bit each.
+    """All subsets of a vocabulary mask as candidates of a compiled program, one bit each.
 
-    Bit k stands for the candidate whose vocabulary mask is k reversed over
-    n bits: atom ``atoms[i]`` is bit ``n - 1 - i`` of k.  So ``format(k,
+    By default the mask ``within`` is the whole vocabulary of n atoms.  Bit
+    k stands for the candidate whose vocabulary mask is k reversed over n
+    bits: atom ``atoms[i]`` is bit ``n - 1 - i`` of k.  So ``format(k,
     "0nb")`` spells the candidate in atom order, and among candidates of one
     size, ``iter_subsets`` order is descending k.  A set of candidates is
-    one ``2**n``-bit integer, built per call and never cached.
+    one ``2**n``-bit integer, built per call and never cached.  A narrower
+    ``within`` of w atoms lays out its ``2**w`` subsets the same way over
+    its own atoms, and no candidate holds an atom outside it; the top bit
+    is ``within`` itself.  :meth:`mask`, :meth:`tuples` and :meth:`sets`
+    read a space of the whole vocabulary.
 
     Every such integer is built from one basis (:func:`_basis`): per atom,
-    the candidates that hold it (:attr:`holds`, a :func:`bit_pattern`) and
-    those that lack it (:attr:`lacks`).  A cube is an AND of basis entries,
-    and a c-atom's candidates come from splitting its truth table
+    the candidates that hold it (:attr:`holds`, a :func:`bit_pattern`, or 0
+    outside ``within``).  A cube is an AND of basis entries less an OR of
+    them, and a c-atom's candidates come from splitting its truth table
     (:meth:`split`).
 
     Given a ``point`` (a vocabulary mask), the space holds that one
@@ -477,23 +485,27 @@ class CandidateBits:
     ``2**n``-bit integer is made and the vocabulary size is unbounded.
     """
 
-    def __init__(self, compiled: CompiledProgram, point: int | None = None):
+    def __init__(self, compiled: CompiledProgram, point: int | None = None,
+                 within: int | None = None):
         self.compiled = compiled
         self.n = n = len(compiled.atoms)
         self.point = point
         if point is None:
-            self.full, self.holds, self.lacks = _basis(n)
+            within = (1 << n) - 1 if within is None else within
+            self.full, patterns = _basis(within.bit_count())
+            patterns = iter(patterns)
+            self.holds = [next(patterns) if within >> i & 1 else 0 for i in range(n)]
         else:
             self.full = 1
             self.holds = [point >> i & 1 for i in range(n)]
-            self.lacks = [1 ^ bits for bits in self.holds]
         self._satisfied: dict[CompiledCAtom, int] = {}
 
     def cubes(self, cubes: list[tuple[int, int]]) -> int:
         """The candidates inside some cube ``(ones, zeros)`` of vocabulary masks.
 
         A cube holds the candidates with every atom of ``ones`` and none of
-        ``zeros``: the AND of their ``holds`` and ``lacks`` entries.
+        ``zeros``: the AND of the ``holds`` entries of ``ones`` less the
+        OR of those of ``zeros``.
         """
         point = self.point
         if point is not None:
@@ -501,14 +513,17 @@ class CandidateBits:
                 if point & ones == ones and not point & zeros:
                     return 1
             return 0
-        holds, lacks = self.holds, self.lacks
+        holds, full = self.holds, self.full
         bits = 0
         for ones, zeros in cubes:
-            cube = self.full
+            cube = full
             for i in indices(ones):
                 cube &= holds[i]
-            for i in indices(zeros):
-                cube &= lacks[i]
+            if zeros:
+                lacking = 0
+                for i in indices(zeros):
+                    lacking |= holds[i]
+                cube &= ~lacking
             bits |= cube
         return bits
 
@@ -549,9 +564,8 @@ class CandidateBits:
             low, high = table & complete[d - 1], table >> (1 << d - 1)
             found = self._split(low, d - 1, atoms, complete, done)
             if low != high:
-                i = atoms[d - 1]
-                found = self.lacks[i] & found | self.holds[i] & self._split(
-                    high, d - 1, atoms, complete, done)
+                high = self._split(high, d - 1, atoms, complete, done)
+                found ^= (found ^ high) & self.holds[atoms[d - 1]]
             done[d, table] = found
         return found
 
@@ -569,7 +583,7 @@ class CandidateBits:
         return self.full ^ violated
 
     def mask(self, k: int) -> int:
-        """The vocabulary mask of candidate ``k``."""
+        """The vocabulary mask of candidate ``k`` of a space of the whole vocabulary."""
         return int(format(k, "0%db" % self.n)[::-1], 2)
 
     def tuples(self, bits: int) -> list[tuple[str, ...]]:
@@ -599,9 +613,11 @@ class CandidateBits:
 
 
 def is_minimal_model(interpretation: Iterable[str], program: Program) -> bool:
-    """Model with no proper sub-model, checked by exhausting subsets.
+    """Model with no proper sub-model.
 
-    The ``minimal_models`` guard is checked before any subset is tried.
+    The model's subsets are one ``CandidateBits`` space, so it is minimal
+    when the models among them are the top bit alone, the model itself.
+    The ``minimal_models`` guard is checked before any bitset is built.
     """
     model = frozenset(interpretation)
     if not is_model(model, program):
@@ -611,7 +627,8 @@ def is_minimal_model(interpretation: Iterable[str], program: Program) -> bool:
         # them yields a smaller model.
         return False
     check_guard("minimal_models", len(model))
-    return not any(sub != model and is_model(sub, program) for sub in iter_subsets(model))
+    space = CandidateBits(program.compiled, within=program.compiled.mask(model))
+    return space.models() == space.full + 1 >> 1
 
 
 def is_supported(model: frozenset[str], program: Program) -> bool:

@@ -15,9 +15,9 @@ candidates (``core.CandidateBits``): ``stable_models`` runs them on a space
 of every candidate, one bit each, and ``is_stable`` and ``gl_reduct`` on a
 space of one.  A normal reduct is decided by its least fixpoint, a
 disjunctive one by testing its only possible minimal witness, one candidate
-at a time, at that candidate's bit of the same reduct.  Introduced atoms
-are bits, not names; only ``gl_reduct``, which renders a reduct, mints
-their names.
+at a time, at that candidate's bit of the same reduct, against a space of
+the candidate's subsets.  Introduced atoms are bits, not names; only
+``gl_reduct``, which renders a reduct, mints their names.
 
 A body c-atom's satisfiable sets are the bases of its prime cubes that hold
 the candidate.  Each ``core.CompiledCAtom`` of ``Program.compiled`` keeps
@@ -360,10 +360,6 @@ def least_model(reduct: ReductProgram) -> frozenset[str]:
     return frozenset(compiled.atoms_of(derived))
 
 
-def _is_model_mask(mask: int, compiled: list[tuple[int, int]]) -> bool:
-    return all(body & mask != body or head & mask for head, body in compiled)
-
-
 def minimal_models(reduct: ReductProgram) -> tuple[frozenset[str], ...]:
     """All subset-minimal models, decided over every set of the program's atoms at once.
 
@@ -388,60 +384,46 @@ def minimal_models(reduct: ReductProgram) -> tuple[frozenset[str], ...]:
 def _has_minimal_witness(reduct: _Reduct, m: int, k: int) -> bool:
     """Is ``m | gamma`` a minimal model of the reduct of ``m``, bit ``k`` of ``reduct``?
 
-    That reduct is its kept and defining rules, as ``(head bits, body
-    bits)``.  Above the n vocabulary bits, bit n is ``__bot``, and the
-    c-atom of index i has its ``__theta_`` bit at n + 1 + 2i and its
-    ``__beta_`` bit at n + 2 + 2i, so deciding needs no names.  A kept
-    rule's body is its positive atoms plus the ``__theta_`` bits of its
-    body c-atoms; its head is its head atoms plus the ``__beta_`` bits of
-    its satisfied head c-atoms, or ``__bot`` when that leaves nothing.  The
-    defining rules are ``__theta_ :- base`` for each base covering ``m`` of
-    each body c-atom of a rule some candidate keeps, and ``__beta_ :-`` the
-    true part of each satisfied head c-atom.
+    That reduct is its kept rules plus the defining rules of gamma:
+    ``__theta_ :- base`` for each base covering ``m`` of each body c-atom,
+    and ``__beta_ :-`` the true part of each satisfied head c-atom, with
+    ``a :- __beta_`` for each atom of that part.
 
-    Gamma is the introduced bits of the kept rules.  Each has defining rules
-    with bodies inside ``m``, so every model holding ``m`` holds gamma, and
-    ``m | gamma`` is the only possible witness.  A smaller
-    minimal model has a visible part V, a proper subset of ``m``, and its
-    gamma part is def(V), the bits with a defining body inside V: a
-    ``__theta_`` bit that no base in V forces heads no other rule, so it can
-    be dropped, and ``a :- __beta_`` puts the true part of a ``__beta_`` bit
-    into V.  So ``m`` is stable iff ``V | def(V)`` is a model for V = ``m``
-    and for no proper subset V of ``m``: at most ``2**|m|`` model tests,
-    which is what the ``minimal_models`` guard counts.  These sets satisfy
-    the defining rules and ``a :- __beta_`` by construction, so only the
-    kept rules are tested, as they are: a rule whose body leaves ``m |
-    gamma`` never fires on a set inside it, and a head atom outside it is
-    in no tested set.
+    Each introduced atom has defining rules with bodies inside ``m``, so
+    every model holding ``m`` holds gamma, and ``m | gamma`` is the only
+    possible witness.  A smaller minimal model has a visible part V, a
+    proper subset of ``m``, and its gamma part is def(V), the introduced
+    atoms with a defining body inside V: a ``__theta_`` atom that no base
+    in V forces heads no other rule, so it can be dropped, and ``a :-
+    __beta_`` puts the true part of a ``__beta_`` atom into V.  So ``m`` is
+    stable iff ``V | def(V)`` is a model for V = ``m`` and for no proper
+    subset V of ``m``.
+
+    The subsets of ``m`` are one ``CandidateBits`` space, which the
+    ``minimal_models`` guard bounds before it is built.  There a body
+    c-atom's ``__theta_`` holds on the cubes of its bases, a ``__beta_``
+    on the cube of its true part, and a kept rule is violated where its
+    positive atoms and ``__theta_`` atoms hold and no head atom or
+    ``__beta_`` atom does (``__bot`` never holds).  These sets satisfy the
+    defining rules and ``a :- __beta_`` by construction, so only the kept
+    rules are tested.  ``m`` is stable iff the models are the top bit alone.
     """
     check_guard("minimal_models", m.bit_count())
-    bot = 1 << reduct.space.n
-    rules: list[tuple[int, int]] = []
-    betas: dict[int, int] = {}
-    for _, kept, head, body, body_catoms, heads in reduct.rules:
+    space = CandidateBits(reduct.space.compiled, within=m)
+    theta = {c: space.cubes([(base, 0) for base, _, covered in bases if covered >> k & 1])
+             for c, bases in reduct.covers.items()}
+    violated = 0
+    for _, kept, head, pos, body, heads in reduct.rules:
         if not kept >> k & 1:
             continue
-        for c in body_catoms:
-            body |= bot << 1 + 2 * c.index
-        for c, bits in heads:
-            if bits >> k & 1:
-                beta = bot << 2 + 2 * c.index
-                head |= beta
-                betas[beta] = m & c.domain
-        rules.append((head or bot, body))
-    defining = [(bot << 1 + 2 * c.index, base) for c, bases in reduct.covers.items()
-                for base, _, covered in bases if covered >> k & 1] + list(betas.items())
-    sub = m
-    while True:
-        closed = sub
-        for bit, body in defining:
-            if body & sub == body:
-                closed |= bit
-        if _is_model_mask(closed, rules) != (sub == m):
-            return False  # m | gamma is not a model, or not a minimal one
-        if not sub:
-            return True
-        sub = (sub - 1) & m
+        bits = space.cubes([(pos, head)])
+        for c in body:
+            bits &= theta[c]
+        for c, satisfied in heads:
+            if satisfied >> k & 1:
+                bits &= ~space.cubes([(m & c.domain, 0)])
+        violated |= bits
+    return space.full ^ violated == space.full + 1 >> 1
 
 
 def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
@@ -454,9 +436,9 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     vocabulary is not stable.  The reduct is computed and decided on masks,
     with no introduced names.  A normal one is decided by its least
     fixpoint (``_stable_bits``), a disjunctive one by its only possible
-    witness, ``candidate | gamma`` (``_has_minimal_witness``), in at most
-    ``2**|candidate|`` model tests.  A ``GuardError`` is raised before that
-    scan when ``|candidate|`` exceeds the ``minimal_models`` guard.
+    witness, ``candidate | gamma`` (``_has_minimal_witness``), against every
+    subset of the candidate at once.  A ``GuardError`` is raised before that
+    space is built when ``|candidate|`` exceeds the ``minimal_models`` guard.
     """
     compiled = _compiled(program)
     try:

@@ -205,6 +205,45 @@ class TestModelChecks:
             is_minimal_model(program.language, program)
         assert (caught.value.guard, caught.value.actual) == ("minimal_models", 23)
 
+    def test_minimal_models_at_the_guard_limit(self):
+        size = GUARD_LIMITS["minimal_models"]
+        pairs = Program(tuple(Rule((f"a{i}", f"b{i}")) for i in range(size)))
+        candidate = frozenset(f"a{i}" for i in range(size))
+        assert is_minimal_model(candidate, pairs)
+        assert not is_minimal_model(candidate - {"a21"} | {"b20"}, pairs)
+
+    def test_minimal_model_matches_a_scan_of_proper_subsets(self):
+        # The definition itself as the reference: a model (``is_model``) none
+        # of whose proper subsets (``iter_subsets``) is a model.  C-atom
+        # heads, negated atoms and c-atoms, declared atoms, and an atom
+        # outside the vocabulary.
+        rng = random.Random(43)
+        families = [
+            generators.random_positive_basic_program,
+            generators.random_basic_program,
+            lambda rng: generators.random_ordinary_program(
+                rng, disjunctive=rng.random() < 0.5),
+            generators.random_normal_constraint_program,
+            generators.random_disjunctive_constraint_program,
+        ]
+        counts = {True: 0, False: 0}
+        for make in families:
+            for _ in range(30):
+                program = make(rng)
+                if rng.random() < 0.3:
+                    program = Program(program.rules, frozenset(
+                        rng.sample(("e", "f", "z"), rng.randint(1, 2))))
+                for candidate in iter_subsets(program.language):
+                    minimal = is_model(candidate, program) and not any(
+                        sub != candidate and is_model(sub, program)
+                        for sub in iter_subsets(candidate))
+                    assert is_minimal_model(candidate, program) == minimal, (
+                        program, candidate)
+                    counts[minimal] += 1
+                    if minimal:
+                        assert not is_minimal_model(candidate | {"zz"}, program)
+        assert counts == {True: 201, False: 3896}
+
     def test_candidate_models_are_the_models_in_subset_order(self):
         program = load_program("#atoms c.\na | b. c :- a.")
         assert list(candidate_models(program)) == [

@@ -393,26 +393,42 @@ class TestStability:
                 program)
 
     def test_witness_guard_counts_the_candidate(self, monkeypatch):
-        # The scan walks the subsets of the candidate, whatever gamma holds:
-        # twelve candidate atoms and twelve beta atoms are admitted, and the
-        # theta atom of a dropped rule adds no test.
+        # The witness space is the subsets of the candidate, whatever gamma
+        # holds: twelve candidate atoms and twelve beta atoms make it twelve
+        # atoms wide, and the theta atom of a dropped rule does not widen it.
+        # Twenty-three atoms are refused before any space is built.
         size = 12
         rules = tuple(
             Rule((CAtom({f"a{i}"}, [{f"a{i}"}, ()]), f"b{i}")) for i in range(size))
         candidate = frozenset(f"a{i}" for i in range(size))
-        calls = []
-        counted = reduct_module._is_model_mask
-        monkeypatch.setattr(reduct_module, "_is_model_mask",
-                            lambda *args: calls.append(1) or counted(*args))
+        widths = []
+        basis = core_module._basis
+        monkeypatch.setattr(core_module, "_basis", lambda n: widths.append(n) or basis(n))
         for program in (Program(rules), Program(rules + (DROPPED_WITH_A_SATISFIED_THETA,))):
-            calls.clear()
+            widths.clear()
             assert is_stable(program, candidate)
-            assert 0 < len(calls) <= 2 ** size + 1
+            assert widths == [size]
         wide = GUARD_LIMITS["minimal_models"] + 1
         pairs = Program(tuple(Rule((f"a{i}", f"b{i}")) for i in range(wide)))
+        widths.clear()
         with pytest.raises(GuardError) as caught:
             is_stable(pairs, frozenset(f"a{i}" for i in range(wide)))
         assert (caught.value.guard, caught.value.actual) == ("minimal_models", 23)
+        assert widths == []
+
+    def test_disjunctive_verdicts_at_the_witness_guard_limit(self):
+        # Twenty-two candidate atoms, as many as the ``minimal_models`` guard
+        # admits, with c-atom heads and with atom pairs.
+        size = GUARD_LIMITS["minimal_models"]
+        catom_heads = Program(tuple(
+            Rule((CAtom({f"a{i}"}, [{f"a{i}"}, ()]), f"b{i}")) for i in range(size)))
+        pairs = Program(tuple(Rule((f"a{i}", f"b{i}")) for i in range(size)))
+        candidate = frozenset(f"a{i}" for i in range(size))
+        assert is_stable(catom_heads, candidate)
+        assert is_stable(pairs, candidate)
+        # Without a21 the last c-atom head holds on its empty true part, so
+        # b21 is not needed.
+        assert not is_stable(catom_heads, candidate - {"a21"} | {"b21"})
 
     def test_falsified_body_catom_builds_no_abstract_form(self, monkeypatch):
         # Its solutions answer a falsifying query; the prime cubes are built
@@ -456,19 +472,18 @@ class TestStability:
 
     def test_disjunctive_witness_costs_at_most_one_test_per_subset(self, monkeypatch):
         # Sixteen atoms, the stable candidate holds eight of them and gamma
-        # eight more; a search over candidate | G and the subsets of each
-        # model made 65,791 model tests here.
+        # eight more; the witness is tested against the subsets of the
+        # candidate alone, one space eight atoms wide.
         text = " ".join(
             f"[a{i},b{i} : {{a{i}}},{{a{i},b{i}}}] | c{i} :- [d{i} : {{}},{{d{i}}}]. "
             f"d{i} :- c{i}." for i in range(4))
         program = load_program(text)
         candidate = frozenset(f"{x}{i}" for x in "ab" for i in range(4))
-        calls = []
-        counted = reduct_module._is_model_mask
-        monkeypatch.setattr(reduct_module, "_is_model_mask",
-                            lambda *args: calls.append(1) or counted(*args))
+        widths = []
+        basis = core_module._basis
+        monkeypatch.setattr(core_module, "_basis", lambda n: widths.append(n) or basis(n))
         assert is_stable(program, candidate)
-        assert 0 < len(calls) <= 2 ** 8 + 1
+        assert widths == [8]
 
     def test_negated_catoms_rejected_even_without_models(self):
         catom = CAtom("a", [{"a"}])
