@@ -317,9 +317,11 @@ class Dnf:
 
 
 def dnf(catom: CAtom) -> Dnf:
-    """One disjunct per admissible solution, all domain atoms mentioned."""
+    """One disjunct per set bit x of the table: x's atoms, and the rest negated."""
+    full = (1 << len(catom.atoms)) - 1
     return Dnf(tuple(
-        Disjunct(sol, catom.domain - sol) for sol in catom.solutions))
+        Disjunct(select(catom.atoms, x), select(catom.atoms, full ^ x))
+        for x in set_bits(catom.table)))
 
 
 def simplified_dnf(abstract: AbstractCAtom) -> Dnf:

@@ -95,13 +95,13 @@ class CAtom:
 
     The solutions are one truth table: over the sorted domain ``atoms``,
     atom ``atoms[i]`` is bit i of a subset's mask, and bit x of ``table`` is
-    set when the subset with mask x is a solution.  Equality and hashing
-    are on the domain and the table.
+    set when the subset with mask x is a solution.  Equality, hashing and
+    the introduced names (:attr:`digest`) all read ``(atoms, table)``.
     """
 
     domain: frozenset[str]
     table: int
-    atoms: tuple[str, ...] = field(compare=False, repr=False)
+    atoms: tuple[str, ...] = field(compare=False)
 
     def __init__(self, domain: Iterable[str], solutions: Iterable[Iterable[str]]):
         domain = frozenset(domain)
@@ -139,7 +139,7 @@ class CAtom:
 
     @cached_property
     def solutions(self) -> frozenset[frozenset[str]]:
-        """The admissible solutions as atom sets, read off ``table`` once."""
+        """The solutions as atom sets, for callers and test oracles; no library route reads it."""
         return frozenset(frozenset(select(self.atoms, x)) for x in set_bits(self.table))
 
     @property
@@ -151,14 +151,17 @@ class CAtom:
         """True when the solution family is empty (the ``bot`` constraint)."""
         return not self.table
 
-    def canonical_key(self) -> tuple:
-        """The sorted domain and the sorted family of sorted solutions."""
-        return (self.atoms, tuple(sorted(select(self.atoms, x) for x in set_bits(self.table))))
-
     @cached_property
     def digest(self) -> str:
-        """Short deterministic hash of the canonical key, computed once."""
-        return hashlib.sha256(repr(self.canonical_key()).encode()).hexdigest()[:10]
+        """Short hash of ``repr(atoms)`` and the table's fixed-width bytes, computed once.
+
+        Never decimal text, which Python refuses past 4,300 digits (a dense table over 14 atoms).
+        """
+        table = self.table.to_bytes(max(1, (1 << len(self.atoms)) >> 3), "little")
+        return hashlib.sha256(repr(self.atoms).encode() + table).hexdigest()[:10]
+
+    def __repr__(self) -> str:  # hex: decimal fails past 4,300 digits
+        return f"CAtom(atoms={self.atoms!r}, table={self.table:#x})"
 
 
 #: The canonical always-false constraint (spelled ``bot`` in rule heads).

@@ -37,6 +37,8 @@ from .core import (
     head_atom_name,
     is_reserved,
     literal_catom,
+    select,
+    set_bits,
 )
 from .errors import ParseError, check_guard
 
@@ -58,14 +60,6 @@ class WeightConstraint:
     entries: tuple[WeightEntry, ...]
     lower: int | None = None
     upper: int | None = None
-
-    @property
-    def is_choice(self) -> bool:
-        """All weights one, no negated entries, bounds spanning 0..n."""
-        n = len(self.entries)
-        return (all(e.weight == 1 and not e.negated for e in self.entries)
-                and (self.lower is None or self.lower <= 0)
-                and (self.upper is None or self.upper >= n))
 
 
 @dataclass(frozen=True)
@@ -401,15 +395,14 @@ def load_program(text: str) -> Program:
 
 
 def format_catom(catom: CAtom) -> str:
-    """``bot`` for ``FALSE_CATOM``; otherwise ``[domain : sets]``, sets may be none."""
+    """``bot`` for ``FALSE_CATOM``; otherwise ``[domain : sets]``, sets read off the table."""
     if catom == FALSE_CATOM:
         return "bot"
-    domain = ",".join(sorted(catom.domain))
     sets = ", ".join(
         "{%s}" % ",".join(s)
-        for s in sorted((tuple(sorted(sol)) for sol in catom.solutions),
+        for s in sorted((select(catom.atoms, x) for x in set_bits(catom.table)),
                         key=lambda t: (len(t), t)))
-    return f"[{domain} : {sets}]"
+    return f"[{','.join(catom.atoms)} : {sets}]"
 
 
 def format_head_element(element: HeadElement) -> str:

@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catlp
-from catlp import abstraction, cli
-from catlp.abstraction import PrefixedPowerSet
+from catlp import abstraction, cli, golden
+from catlp.abstraction import PrefixedPowerSet, dnf
 from catlp.analysis import dependency_graph, translate_normal
 from catlp.core import CAtom, iter_subsets
 from catlp.golden import EVEN_LOOP, SUM_COUNT_DISJUNCTION, SUM_LOOP
-from catlp.parser import format_catom, load_program
+from catlp.parser import format_catom, format_program, load_program
 from catlp.reduct import theta_atom
 
 import generators
@@ -656,3 +656,36 @@ def test_cli_corpus_slice_is_complete_and_reproducible():
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == text
+
+
+def test_no_library_route_reads_the_solutions_view(tmp_path, monkeypatch):
+    """The printers, ``dnf`` and every command on the golden texts read the
+    table: with ``CAtom.solutions`` raising they print what they printed."""
+    import cli_corpus
+
+    path = str(tmp_path / "program.lp")
+
+    def transcript() -> str:
+        out = io.StringIO()
+        for label, text in cli_corpus.golden_texts().items():
+            program = load_program(text)
+            out.write(format_program(program))
+            out.writelines(f"{dnf(c.catom)}\n" for c in program.compiled.catoms)
+            Path(path).write_text(text, encoding="utf-8")
+            for argv in cli_corpus.commands(text, label):
+                cli_corpus.run(argv, path, label, out)
+        for text in cli_corpus.golden_catoms():
+            cli_corpus.run(["abstract", "--catom", text, "--classify"], "", "", out)
+        out.write(format_catom(golden.PUNCTURED_CUBE))
+        return out.getvalue()
+
+    expected = transcript()
+    assert "__theta_" in expected and "__beta_" in expected
+
+    def refuse(catom):
+        raise RuntimeError("CAtom.solutions was read")
+
+    monkeypatch.setattr(CAtom, "solutions", property(refuse))
+    with pytest.raises(RuntimeError):
+        golden.PUNCTURED_CUBE.solutions
+    assert transcript() == expected

@@ -29,7 +29,7 @@ from catlp.errors import GUARD_LIMITS, GuardError, check_guard
 from catlp import golden
 from catlp.golden import LATTICE_FAMILY, SUM_LOOP, disjunctive_fact_program
 from catlp.parser import load_program, parse_constraint
-from catlp.reduct import gl_reduct
+from catlp.reduct import gl_reduct, theta_atom
 
 import generators
 
@@ -111,19 +111,59 @@ class TestCAtom:
         assert catom == CAtom(domain, [{atoms[0], atoms[2]}])  # subset mask 5
 
     def test_digests_of_the_golden_catoms_are_pinned(self):
-        # The __theta_/__beta_ names are "__theta_" + digest; these strings
-        # were computed when the solutions were stored as a frozenset family.
+        # The __theta_/__beta_ names are "__theta_" + digest, a hash of the
+        # sorted domain's repr and the table's fixed-width bytes.
         assert {name: getattr(golden, name).digest for name in (
             "LATTICE_FAMILY", "AT_LEAST_ONE", "MIXED_FAMILY", "PUNCTURED_CUBE")} == {
-            "LATTICE_FAMILY": "9a269f15e8", "AT_LEAST_ONE": "c3a5aba0e0",
-            "MIXED_FAMILY": "8555bdf0a6", "PUNCTURED_CUBE": "85ff7ae9fb"}
-        assert FALSE_CATOM.digest == "56546d2909"
+            "LATTICE_FAMILY": "c062c8ac56", "AT_LEAST_ONE": "8e66a01824",
+            "MIXED_FAMILY": "a87d74751c", "PUNCTURED_CUBE": "5e16fd75e4"}
+        assert FALSE_CATOM.digest == "504441e089"
         assert {text: parse_constraint(text).digest for text in (
             "2 {a, b, not c=2} 3", "#sum{p(-1)=-1, p(1)=1, p(2)=2} >= 1",
             "not [a,b : {a}]", "[ : {}]", "[a : ]")} == {
-            "2 {a, b, not c=2} 3": "1e044cab7a",
-            "#sum{p(-1)=-1, p(1)=1, p(2)=2} >= 1": "59fcc30a8c",
-            "not [a,b : {a}]": "fc8a0eb34e", "[ : {}]": "ad3be6ea11", "[a : ]": "8ff3c560bf"}
+            "2 {a, b, not c=2} 3": "ec24199445",
+            "#sum{p(-1)=-1, p(1)=1, p(2)=2} >= 1": "51453ee859",
+            "not [a,b : {a}]": "09190ae277", "[ : {}]": "8451c89106", "[a : ]": "94a7cbff94"}
+
+    def test_every_catom_over_three_atoms_has_its_own_digest(self):
+        catoms = [CAtom.from_table(domain, table)
+                  for domain in iter_subsets("abc")
+                  for table in range(1 << (1 << len(domain)))]
+        assert len(catoms) == len(set(catoms)) == 318
+        named = {FALSE_CATOM, parse_constraint("[ : {}]"), parse_constraint("[a : ]")}
+        assert named <= set(catoms)
+        assert len({catom.digest for catom in catoms}) == 318
+
+    def test_equal_catoms_share_a_digest(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            catom = generators.random_catom(rng, max_domain=6)
+            domain, family = sorted(catom.domain), list(catom.solutions)
+            rng.shuffle(domain)
+            rng.shuffle(family)
+            built = CAtom(domain, family)
+            rng.shuffle(domain)
+            tabled = CAtom.from_table(domain, catom.table)
+            assert built == tabled == catom
+            assert built.digest == tabled.digest == catom.digest
+
+    def test_naming_a_dense_twenty_atom_complement_is_linear_in_its_table(self):
+        # The name hashes the table as bytes; none of the 2**20 - 1 solutions is decoded.
+        dense = complement(CAtom([f"x{i}" for i in range(20)], [{"x0"}]))
+        start = time.perf_counter()
+        name = theta_atom(dense)
+        assert time.perf_counter() - start < 0.1
+        assert name == "__theta_" + dense.digest and len(dense.digest) == 10
+
+    def test_repr_prints_the_table_in_hex(self):
+        small = CAtom("ab", [{"a"}, {"b"}, {"a", "b"}])
+        assert repr(small) == "CAtom(atoms=('a', 'b'), table=0xe)"
+        for n in (14, 20, GUARD_LIMITS["catom_domain"]):
+            # Over 14 atoms a dense table passes the 4,300-digit limit of decimal text.
+            dense = CAtom.from_table([f"x{i}" for i in range(n)], (1 << (1 << n)) - 3)
+            assert repr(dense).endswith(format(dense.table, "#x") + ")")
+            program = Program((Rule(("h",), (Literal.constraint(dense),)),))
+            assert repr(dense) in repr(program)
 
     def test_domain_guard(self):
         wide = [f"x{i}" for i in range(GUARD_LIMITS["catom_domain"] + 1)]

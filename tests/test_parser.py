@@ -169,7 +169,6 @@ class TestDesugarWeight:
 
     def test_bare_choice(self):
         constraint = WeightConstraint((WeightEntry("a"),))
-        assert constraint.is_choice
         assert desugar_weight(constraint) == CAtom("a", [set(), {"a"}])
 
     def test_negated_entry(self):
