@@ -76,9 +76,7 @@ from .parser import (
 )
 from .reduct import (
     ReductProgram,
-    ReductRule,
     beta_atom,
-    format_reduct,
     gl_reduct,
     is_stable,
     least_model,

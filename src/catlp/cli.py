@@ -17,8 +17,8 @@ from .analysis import cycle_report, dependency_graph, format_translation, to_dot
 from .core import CAtom, Program, is_model, select, set_key
 from .errors import CatlpError, GuardError, NotAModelError, ParseError, ProgramClassError
 from .fixpoint import fixpoint_stable, to_positive_basic
-from .parser import load_program, parse_constraint, parse_interpretation
-from .reduct import format_reduct, gl_reduct, is_stable, reduct_json, stable_models
+from .parser import format_program, load_program, parse_constraint, parse_interpretation
+from .reduct import gl_reduct, is_stable, reduct_json, stable_models
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -85,7 +85,7 @@ def _cmd_reduct(args) -> int:
     if args.json:
         print(json.dumps(reduct_json(reduct)))
     else:
-        print(format_reduct(reduct))
+        sys.stdout.write(format_program(reduct) or "\n")
     return EXIT_OK
 
 

@@ -26,7 +26,9 @@ exactly as long as the compiled program: a space of one candidate looks up
 one base per free set (``CompiledCAtom.covering``), and a space of every
 candidate reads all primes grouped by base (``CompiledCAtom.members``).
 
-A rendered reduct is decided on its own ``Program.compiled`` masks:
+A rendered reduct is an ordinary ``Program`` plus ``gamma``, printed by
+``parser.format_program``.  ``least_model`` and ``minimal_models`` decide
+any program of their class on its own ``Program.compiled`` masks:
 ``least_model`` runs the fixpoint on them, and ``minimal_models`` keeps
 the models of its ``CandidateBits`` that strictly hold no other model.
 """
@@ -34,7 +36,6 @@ the models of its ``CandidateBits`` that strictly hold no other model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .core import (
@@ -68,46 +69,10 @@ def beta_atom(catom: CAtom) -> str:
 
 
 @dataclass(frozen=True)
-class ReductRule:
-    """A positive ordinary rule, possibly disjunctive."""
+class ReductProgram(Program):
+    """A positive ordinary program plus the introduced atoms it names."""
 
-    head: tuple[str, ...]
-    body: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "head", tuple(self.head))
-        object.__setattr__(self, "body", tuple(self.body))
-        if not self.head:
-            raise ValueError("a rule needs at least one head atom")
-
-
-@dataclass(frozen=True)
-class ReductProgram:
-    """A positive constraint-free program plus the special atoms it introduced."""
-
-    rules: tuple[ReductRule, ...]
     gamma: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "gamma", frozenset(self.gamma))
-
-    @cached_property
-    def atoms(self) -> frozenset[str]:
-        found: set[str] = set()
-        for rule in self.rules:
-            found.update(rule.head)
-            found.update(rule.body)
-        return frozenset(found)
-
-    @property
-    def is_normal(self) -> bool:
-        return all(len(r.head) == 1 for r in self.rules)
-
-    def to_program(self) -> Program:
-        """View as a core Program (special atoms become ordinary atoms)."""
-        return Program(tuple(
-            Rule(r.head, tuple(Literal.atom(b) for b in r.body)) for r in self.rules))
 
 
 def claim_name(owners: dict[str, CAtom], name: str, catom: CAtom) -> None:
@@ -267,14 +232,17 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
     space = CandidateBits(compiled, m)
     reduct = _Reduct(space, space.full)
     atoms_of = compiled.atoms_of
-    emitted: list[ReductRule] = []
+    emitted: list[Rule] = []
     gamma: set[str] = set()
+
+    def positive(head, body) -> Rule:
+        return Rule(head, tuple(map(Literal.atom, body)))
 
     for index, *_ in reduct.rules:
         rule = program.rules[index]
         _, _, _, heads, bodies, _ = compiled.rules[index]
         head_catoms, body_catoms = iter(heads), iter(bodies)
-        blocks: list[list[ReductRule]] = []
+        blocks: list[list[Rule]] = []
         body: list[str] = []
         for lit in rule.body:
             if lit.is_atom:
@@ -288,7 +256,7 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
             if name not in gamma:
                 gamma.add(name)
                 bases = sorted(atoms_of(base) for base, _, _ in reduct.covers[c])
-                blocks.append([ReductRule((name,), base) for base in bases])
+                blocks.append([positive((name,), base) for base in bases])
         head: list[str] = []
         for element in rule.head:
             if isinstance(element, str):
@@ -303,19 +271,19 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
             if name not in gamma:
                 gamma.add(name)
                 true_part = atoms_of(m & c.domain)
-                defs = [ReductRule((atom,), (name,)) for atom in true_part]
-                defs += [ReductRule((BOT,), (atom, name))
+                defs = [positive((atom,), (name,)) for atom in true_part]
+                defs += [positive((BOT,), (atom, name))
                          for atom in atoms_of(c.domain & ~m)]
-                defs.append(ReductRule((name,), true_part))
+                defs.append(positive((name,), true_part))
                 blocks.append(defs)
         if len(head) > 1:
             # The false atom cannot decide a disjunction; drop it unless alone.
             head = [h for h in dict.fromkeys(head) if h != BOT] or [BOT]
-        emitted.append(ReductRule(tuple(head), tuple(body)))
+        emitted.append(positive(head, body))
         for block in blocks:
             emitted.extend(block)
 
-    result = ReductProgram(tuple(emitted), frozenset(gamma))
+    result = ReductProgram(tuple(emitted), gamma=frozenset(gamma))
     bound = reduct_size_bound(program)
     if len(result.rules) > bound:
         raise InvariantError(
@@ -340,11 +308,17 @@ def reduct_size_bound(program: Program) -> int:
     return len(program.rules) + len(compiled.catoms) * (widest + largest + 1)
 
 
-def least_model(reduct: ReductProgram) -> frozenset[str]:
-    """The least model of a non-disjunctive positive program."""
-    if not reduct.is_normal:
-        raise ProgramClassError("the least model requires single-atom heads")
-    compiled = reduct.to_program().compiled
+def least_model(program: Program) -> frozenset[str]:
+    """The least model of a positive program with one head atom per rule.
+
+    Any other program (a disjunctive head, a negated atom, a c-atom) raises
+    :class:`ProgramClassError`.
+    """
+    compiled = program.compiled
+    if any(head.bit_count() != 1 or neg or heads or body or negated
+           for head, _, neg, heads, body, negated in compiled.rules):
+        raise ProgramClassError(
+            "the least model requires single-atom heads and positive atom bodies")
     rules = [(head, pos) for head, pos, *_ in compiled.rules]
     derived = 0
     while True:
@@ -360,15 +334,16 @@ def least_model(reduct: ReductProgram) -> frozenset[str]:
     return frozenset(compiled.atoms_of(derived))
 
 
-def minimal_models(reduct: ReductProgram) -> tuple[frozenset[str], ...]:
-    """All subset-minimal models, decided over every set of the program's atoms at once.
+def minimal_models(program: Program) -> tuple[frozenset[str], ...]:
+    """All subset-minimal models, decided over every set of the program's language at once.
 
-    The models are one ``CandidateBits`` integer.  A model is minimal when
-    it strictly holds no other model: the sets one atom above some model,
-    closed upwards atom by atom, are exactly those, and are dropped.
+    The models are one ``CandidateBits`` integer, declared atoms included.
+    A model is minimal when it strictly holds no other model: the sets one
+    atom above some model, closed upwards atom by atom, are exactly those,
+    and are dropped.
     """
-    check_guard("minimal_models", len(reduct.atoms))
-    space = CandidateBits(reduct.to_program().compiled)
+    check_guard("minimal_models", len(program.language))
+    space = CandidateBits(program.compiled)
     models = space.models()
     n = space.n
     # Candidate k + 2**(n-1-i) holds atom i iff k does not: then it is k plus i.
@@ -476,21 +451,9 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     return tuple(map(frozenset, sorted(found)))
 
 
-def format_reduct(reduct: ReductProgram) -> str:
-    """Plain-text rendering, one rule per line."""
-    lines = []
-    for rule in reduct.rules:
-        head = " | ".join(rule.head)
-        if rule.body:
-            lines.append(f"{head} :- {', '.join(rule.body)}.")
-        else:
-            lines.append(f"{head}.")
-    return "\n".join(lines)
-
-
 def reduct_json(reduct: ReductProgram) -> dict:
     """JSON-ready structure for audit output."""
     return {
-        "rules": [{"head": list(r.head), "body": list(r.body)} for r in reduct.rules],
+        "rules": [{"head": list(r.head), "body": [b.item for b in r.body]} for r in reduct.rules],
         "gamma": sorted(reduct.gamma),
     }

@@ -4,12 +4,12 @@ For the golden program texts of ``catlp.golden`` and for seeded programs of
 the five ``tests/generators`` families, this runs ``solve --all --json``,
 ``translate``, ``depgraph --report``, ``depgraph --dot`` and ``abstract FILE
 --classify``, plus ``check`` (the reduct oracle alone, since the fixpoint
-oracle refuses disjunctive programs), ``check --oracle both`` and ``reduct
---json`` for the empty, the full and two seeded interpretations over the
-program's vocabulary.  Then it runs ``abstract --catom EXPR --classify`` on
-each distinct body c-atom of the golden programs (a body atom as its
-one-atom c-atom) and on the golden c-atoms, written out by
-``format_catom``.  Last come malformed inputs, one per kind of parse
+oracle refuses disjunctive programs), ``check --oracle both``, ``reduct
+--json`` and ``reduct`` for the empty, the full and two seeded
+interpretations over the program's vocabulary.  Then it runs ``abstract
+--catom EXPR --classify`` on each distinct body c-atom of the golden
+programs (a body atom as its one-atom c-atom) and on the golden c-atoms,
+written out by ``format_catom``.  Last come malformed inputs, one per kind of parse
 error: each malformed program through ``solve``, each malformed ``-I``
 list through ``check`` on a golden program, and each malformed expression
 through ``abstract --catom``, so the ``parse error: LINE:COLUMN: ...``
@@ -114,6 +114,7 @@ def commands(text: str, label: str) -> list[list[str]]:
         argvs.append(["check", "FILE", "-I", listed])
         argvs.append(["check", "FILE", "-I", listed, "--oracle", "both"])
         argvs.append(["reduct", "FILE", "-I", listed, "--json"])
+        argvs.append(["reduct", "FILE", "-I", listed])
     return argvs
 
 

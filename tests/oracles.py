@@ -10,9 +10,7 @@ from plain reachability over a rendered reduct.  Stable
 models of constraint programs go through ``brute_reduct``, the four
 transformation steps written on sets with ``brute_abstract`` for the
 covering bases, and scan every subset of the reduct's atoms for its
-minimal models.  Only the introduced names and the reduct types come from
-``catlp.reduct``; ``as_reduct_program`` builds the latter from a positive
-ordinary program.
+minimal models.  Only the introduced names come from ``catlp.reduct``.
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ from catlp.core import (
     iter_subsets,
     set_key,
 )
-from catlp.errors import ProgramClassError
-from catlp.reduct import BOT, ReductProgram, ReductRule, beta_atom, theta_atom
+from catlp.reduct import BOT, beta_atom, theta_atom
 
 
 def covered_sets(member: PrefixedPowerSet) -> frozenset[frozenset[str]]:
@@ -249,6 +246,12 @@ def brute_minimal_models(rules: list[tuple[frozenset[str], frozenset[str]]],
     return {m for m in models if not any(o < m for o in models)}
 
 
+def atom_rules(program: Program) -> list[tuple[frozenset[str], frozenset[str]]]:
+    """The (head-set, body-set) rules of a positive ordinary program, such as a reduct."""
+    return [(frozenset(rule.head), frozenset(lit.item for lit in rule.body))
+            for rule in program.rules]
+
+
 def brute_reduct(program: Program, candidate):
     """The reduct by definition, as (rules, gamma): a set of (head-set,
     body-set) rules and the set of introduced atoms.
@@ -320,31 +323,13 @@ def brute_is_stable(program: Program, candidate) -> bool:
     return any(m - gamma == candidate for m in brute_minimal_models(list(rules), atoms))
 
 
-def as_reduct_program(program: Program) -> ReductProgram:
-    """Convert a positive ordinary program for the model enumerators."""
-    rules = []
-    for rule in program.rules:
-        head = []
-        for element in rule.head:
-            if not isinstance(element, str):
-                raise ProgramClassError("constraint atoms are not allowed here")
-            head.append(element)
-        body = []
-        for lit in rule.body:
-            if not (lit.positive and lit.is_atom):
-                raise ProgramClassError("only positive atom bodies are allowed here")
-            body.append(lit.item)
-        rules.append(ReductRule(tuple(head), tuple(body)))
-    return ReductProgram(tuple(rules), frozenset())
-
-
 def is_head_cycle_free(reduct) -> bool:
     """No rule of the reduct has two distinct head atoms that reach each
     other in its positive dependency graph (head atom -> body atom)."""
     edges: dict[str, set[str]] = {}
     for rule in reduct.rules:
         for head in rule.head:
-            edges.setdefault(head, set()).update(rule.body)
+            edges.setdefault(head, set()).update(lit.item for lit in rule.body)
 
     def reached(start: str) -> set[str]:
         seen: set[str] = set()

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catlp
-from catlp import abstraction, cli, golden
+from catlp import abstraction, cli, golden, reduct
 from catlp.abstraction import PrefixedPowerSet, dnf
 from catlp.analysis import dependency_graph, translate_normal
 from catlp.core import CAtom, iter_subsets
@@ -186,6 +186,12 @@ class TestReduct:
         assert cli.run(["reduct", sum_loop, "-I", "", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert set(data) == {"rules", "gamma"}
+
+    def test_empty_reduct_prints_one_empty_line(self, tmp_path, capsys):
+        path = tmp_path / "blocked.lp"
+        path.write_text("a :- not b.")
+        assert cli.run(["reduct", str(path), "-I", "b"]) == 0
+        assert capsys.readouterr().out == "\n"
 
 
 class TestAbstract:
@@ -615,6 +621,27 @@ def test_benchmark_traffic_is_answered_right(workload, smoke, tmp_path, monkeypa
         assert command.check(out.getvalue().replace(prefix, "@")), command.name
 
 
+def test_tracer_reduct_hooks_count_rules_and_atoms(monkeypatch):
+    """``perfbench/tracer.py`` reads the rules ``gl_reduct`` emits and the
+    atoms ``minimal_models`` is given, and ``uninstall`` restores both."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    original = reduct.gl_reduct
+    tracer = Tracer()
+    tracer.install()
+    try:
+        emitted = reduct.gl_reduct(golden.disjunctive_fact_program(), frozenset("ab"))
+        reduct.minimal_models(emitted)
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert reduct.gl_reduct is original
+    assert metrics["reduct.gl_reduct.calls"] == metrics["reduct.minimal_models.calls"] == 1
+    assert metrics["reduct.gl_reduct.rules_emitted"] == len(emitted.rules)
+    assert metrics["reduct.minimal_models.atoms_max"] == len(emitted.atoms)
+
+
 CLI_CORPUS = Path(__file__).resolve().parent / "cli_corpus.py"
 
 
@@ -635,12 +662,12 @@ def test_cli_corpus_slice_is_complete_and_reproducible():
     assert len(catoms) == 16
     malformed = (len(cli_corpus.MALFORMED_PROGRAMS) + len(cli_corpus.MALFORMED_INTERPRETATIONS)
                  + len(cli_corpus.MALFORMED_CATOMS))
-    assert len(shown) == 15 * 17 + 16 + malformed
+    assert len(shown) == 15 * 21 + 16 + malformed
     for label in labels:
-        assert [argv[0] for argv in shown[:15 * 17] if argv[1] == label] == (
+        assert [argv[0] for argv in shown[:15 * 21] if argv[1] == label] == (
             ["solve", "translate", "depgraph", "depgraph", "abstract"]
-            + ["check", "check", "reduct"] * 4), label
-    assert shown[15 * 17:15 * 17 + 16] == [
+            + ["check", "check", "reduct", "reduct"] * 4), label
+    assert shown[15 * 21:15 * 21 + 16] == [
         ["abstract", "--catom", c, "--classify"] for c in catoms]
     # Every malformed input is refused with a positioned parse error, exit 1.
     assert text.count("\nexit 1\nstderr: parse error: ") == malformed

@@ -221,8 +221,8 @@ class TestModelChecks:
         program = disjunctive_fact_program()
         reduct = gl_reduct(program, {"a", "b"})
         beta_a = next(a for a in reduct.gamma if "beta" in a
-                      and any(r.head == ("a",) and r.body == (a,) for r in reduct.rules))
-        assert is_minimal_model({"a", beta_a}, reduct.to_program())
+                      and Rule(("a",), (Literal.atom(a),)) in reduct.rules)
+        assert is_minimal_model({"a", beta_a}, reduct)
 
     def test_junk_atoms_break_minimality(self):
         program = load_program("a.")

@@ -18,6 +18,7 @@ from catlp.core import (
     Program,
     Rule,
     candidate_models,
+    classify_program,
     is_model,
     iter_subsets,
     set_key,
@@ -38,13 +39,10 @@ from catlp.golden import (
     disjunctive_fact_program,
     reduct_lines,
 )
-from catlp.parser import eliminate_negated_catoms, load_program
+from catlp.parser import eliminate_negated_catoms, format_program, load_program
 from catlp.reduct import (
     BOT,
-    ReductProgram,
-    ReductRule,
     beta_atom,
-    format_reduct,
     gl_reduct,
     is_stable,
     least_model,
@@ -57,7 +55,6 @@ from catlp.reduct import (
 
 import generators
 import oracles
-from oracles import as_reduct_program
 
 FULL_SUM_INTERP = frozenset(("p(-1)", "p(1)", "p(2)"))
 
@@ -104,7 +101,7 @@ class TestGlReduct:
         program = load_program("a :- b, not c. b. c :- not a.")
         reduct = gl_reduct(program, frozenset("ab"))
         assert reduct.gamma == frozenset()
-        assert set(format_reduct(reduct).splitlines()) == {"a :- b.", "b."}
+        assert set(format_program(reduct).splitlines()) == {"a :- b.", "b."}
 
     def test_falsified_head_constraint_becomes_bot(self):
         program = load_program("[a,b : {a,b}] :- c. c.")
@@ -123,7 +120,7 @@ class TestGlReduct:
         # the falsified disjunct simply disappears.
         program = load_program("[a : {a}] | [a,b : {a,b}].")
         reduct = gl_reduct(program, frozenset("a"))
-        assert [r for r in reduct.rules] == [ReductRule(("a",))]
+        assert list(reduct.rules) == [Rule(("a",))]
 
     def test_negated_constraints_are_rejected(self):
         rule = Rule(("a",), (Literal.negated_constraint(CAtom.elementary("b")),))
@@ -147,7 +144,7 @@ class TestGlReduct:
         program = load_program("[a : {}, {a}] | [b : {b}].")
         reduct = gl_reduct(program, frozenset())
         name = beta_atom(CAtom("a", [(), ("a",)]))
-        assert ReductRule((name,), ()) in reduct.rules
+        assert Rule((name,)) in reduct.rules
 
     def test_size_bound_holds_on_random_programs(self):
         rng = random.Random(13)
@@ -262,11 +259,10 @@ class TestModelEnumeration:
         assert least_model(reduct) - reduct.gamma == frozenset(("p(1)",))
 
     def test_least_model_empty_program(self):
-        assert least_model(ReductProgram(())) == frozenset()
+        assert least_model(Program(())) == frozenset()
 
     def test_least_model_chain(self):
-        reduct = ReductProgram((ReductRule(("a",)), ReductRule(("b",), ("a",))))
-        assert least_model(reduct) == frozenset("ab")
+        assert least_model(load_program("a. b :- a.")) == frozenset("ab")
 
     def test_least_model_matches_full_scan(self):
         # Atoms repeat in bodies, and heads recur in their own bodies.
@@ -280,17 +276,22 @@ class TestModelEnumeration:
                 body = rng.choices(atoms, k=rng.randint(0, 4))
                 repeated += len(set(body)) < len(body)
                 self_support += head in body
-                rules.append(ReductRule((head,), tuple(body)))
-            reduct = ReductProgram(tuple(rules))
+                rules.append(Rule((head,), tuple(map(Literal.atom, body))))
+            program = Program(tuple(rules))
             (expected,) = oracles.brute_minimal_models(
-                [(frozenset(r.head), frozenset(r.body)) for r in reduct.rules],
-                reduct.atoms)
-            assert least_model(reduct) == expected, reduct
+                oracles.atom_rules(program), program.atoms)
+            assert least_model(program) == expected, program
         assert repeated and self_support
 
     def test_least_model_rejects_disjunction(self):
         with pytest.raises(ProgramClassError):
-            least_model(ReductProgram((ReductRule(("a", "b")),)))
+            least_model(load_program("a | b."))
+
+    @pytest.mark.parametrize("text", ["a :- not b.", "a :- [b : {b}].", "{a}."])
+    def test_least_model_rejects_other_classes(self, text):
+        # A negated atom, a body c-atom, a head c-atom.
+        with pytest.raises(ProgramClassError):
+            least_model(load_program(text))
 
     def test_minimal_models_of_disjunctive_fact_reduct(self):
         program = disjunctive_fact_program()
@@ -299,23 +300,25 @@ class TestModelEnumeration:
         assert minimal_models(reduct) == (expected,)
 
     def test_minimal_models_simple_disjunction(self):
-        reduct = ReductProgram((ReductRule(("a", "b")),))
-        assert minimal_models(reduct) == (frozenset("a"), frozenset("b"))
+        # The space spans the declared atom y, which no minimal model holds.
+        for text in ("a | b.", "#atoms y. a | b."):
+            assert minimal_models(load_program(text)) == (frozenset("a"), frozenset("b"))
 
     def test_minimal_models_empty_program(self):
-        assert minimal_models(ReductProgram(())) == (frozenset(),)
+        assert minimal_models(Program(())) == (frozenset(),)
 
     def test_minimal_models_guard(self):
-        atoms = [f"x{i}" for i in range(23)]
-        rules = tuple(ReductRule((a,)) for a in atoms)
-        with pytest.raises(GuardError) as caught:
-            minimal_models(ReductProgram(rules))
-        assert (caught.value.guard, caught.value.actual) == ("minimal_models", 23)
+        # The guard counts the declared atoms too: 23 in the rules, or 22 and y.
+        for rules, declared in ((23, ()), (22, ("y",))):
+            program = Program(tuple(Rule((f"x{i}",)) for i in range(rules)), declared)
+            with pytest.raises(GuardError) as caught:
+                minimal_models(program)
+            assert (caught.value.guard, caught.value.actual) == ("minimal_models", 23)
 
     def test_minimal_models_at_the_guard_limit(self):
         # ``ai | bi.`` for 11 pairs: one atom of each pair, 2**11 sets.
         pairs = GUARD_LIMITS["minimal_models"] // 2
-        reduct = ReductProgram(tuple(ReductRule((f"a{i}", f"b{i}")) for i in range(pairs)))
+        reduct = Program(tuple(Rule((f"a{i}", f"b{i}")) for i in range(pairs)))
         assert len(reduct.atoms) == GUARD_LIMITS["minimal_models"]
         start = time.perf_counter()
         models = minimal_models(reduct)
@@ -333,11 +336,9 @@ class TestModelEnumeration:
             positive = Program(tuple(
                 Rule(r.head, tuple(l for l in r.body if l.positive))
                 for r in program.rules))
-            reduct = as_reduct_program(positive)
             scan = oracles.brute_minimal_models(
-                [(frozenset(r.head), frozenset(r.body)) for r in reduct.rules],
-                reduct.atoms)
-            assert set(minimal_models(reduct)) == scan
+                oracles.atom_rules(positive), positive.atoms)
+            assert set(minimal_models(positive)) == scan
 
 
 class TestStability:
@@ -633,8 +634,8 @@ class TestAllCandidatesAtOnce:
 
 class TestRendering:
     def test_format_lines(self):
-        reduct = ReductProgram((ReductRule(("a",)), ReductRule(("b", "c"), ("a",))))
-        assert format_reduct(reduct) == "a.\nb | c :- a."
+        reduct = Program((Rule(("a",)), Rule(("b", "c"), (Literal.atom("a"),))))
+        assert format_program(reduct) == "a.\nb | c :- a.\n"
 
     def test_json_shape(self):
         program = load_program(SUM_LOOP)
@@ -643,28 +644,13 @@ class TestRendering:
         assert sorted(data) == ["gamma", "rules"]
         assert data["gamma"] == sorted(reduct.gamma)
         assert {"head": ["p(1)"], "body": []} in data["rules"]
+        assert {"head": ["p(-1)"], "body": ["p(2)"]} in data["rules"]
 
     def test_theta_beta_names_are_stable(self):
         catom = CAtom("ab", [{"a"}])
         assert theta_atom(catom) == theta_atom(CAtom("ab", [{"a"}]))
         assert theta_atom(catom) != beta_atom(catom)
         assert theta_atom(catom).startswith("__theta_")
-
-
-class TestAsReductProgram:
-    def test_positive_ordinary_program(self):
-        program = load_program("a. b :- a.")
-        assert least_model(as_reduct_program(program)) == frozenset("ab")
-
-    def test_rejects_constraints(self):
-        program = load_program("a :- [b : {b}].")
-        with pytest.raises(ProgramClassError):
-            as_reduct_program(program)
-
-    def test_rejects_negation(self):
-        program = load_program("a :- not b.")
-        with pytest.raises(ProgramClassError):
-            as_reduct_program(program)
 
 
 class TestWitnessSearchDifferential:
@@ -706,7 +692,7 @@ class TestWitnessSearchDifferential:
         for program in self._programs():
             for candidate in iter_subsets(program.language):
                 reduct = gl_reduct(program, candidate)
-                rules = {(frozenset(r.head), frozenset(r.body)) for r in reduct.rules}
+                rules = set(oracles.atom_rules(reduct))
                 assert oracles.brute_reduct(program, candidate) == (
                     rules, reduct.gamma), (program, candidate)
 
@@ -724,7 +710,7 @@ class TestWitnessSearchDifferential:
         for program in self._programs():
             for candidate in iter_subsets(program.language):
                 reduct = gl_reduct(program, candidate)
-                if reduct.is_normal:
+                if classify_program(reduct).normal:
                     normal += 1
                     expected = least_model(reduct) - reduct.gamma == candidate
                     assert is_stable(program, candidate) == expected, (program, candidate)
@@ -736,8 +722,8 @@ class TestWitnessSearchDifferential:
         for program in self._programs():
             for candidate in iter_subsets(program.language):
                 reduct = gl_reduct(program, candidate)
-                rules = [(frozenset(r.head), frozenset(r.body)) for r in reduct.rules]
-                minimal = oracles.brute_minimal_models(rules, reduct.atoms)
+                minimal = oracles.brute_minimal_models(
+                    oracles.atom_rules(reduct), reduct.atoms)
                 assert oracles.brute_is_stable(program, candidate) == (
                     candidate | reduct.gamma in minimal), (program, candidate)
 
@@ -746,7 +732,7 @@ class TestWitnessSearchDifferential:
         for program in self._programs():
             for candidate in iter_subsets(program.language):
                 reduct = gl_reduct(program, candidate)
-                if (not reduct.is_normal
+                if (not classify_program(reduct).normal
                         and any(g.startswith("__theta_") for g in reduct.gamma)
                         and any(g.startswith("__beta_") for g in reduct.gamma)):
                     verdicts.add(is_stable(program, candidate))
@@ -758,7 +744,7 @@ class TestWitnessSearchDifferential:
         for program in self._programs():
             for candidate in iter_subsets(program.language):
                 reduct = gl_reduct(program, candidate)
-                if not reduct.is_normal:
+                if not classify_program(reduct).normal:
                     verdicts[oracles.is_head_cycle_free(reduct)].add(
                         is_stable(program, candidate))
         assert verdicts == {True: {True, False}, False: {True, False}}
@@ -771,8 +757,7 @@ class TestWitnessSearchDifferential:
         ("a | a :- a.", True),
     ])
     def test_head_cycle_free_reference(self, text, expected):
-        reduct = as_reduct_program(load_program(text))
-        assert oracles.is_head_cycle_free(reduct) is expected
+        assert oracles.is_head_cycle_free(load_program(text)) is expected
 
     def test_generator_mixes_atoms_constraints_and_negation(self):
         rng = random.Random(31)
