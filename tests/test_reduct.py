@@ -632,6 +632,15 @@ class TestAllCandidatesAtOnce:
             stable_models(negated)
 
 
+class TestAsReductProgram:
+    """A parsed positive ordinary program is a reduct program as it stands."""
+
+    def test_positive_ordinary_program(self):
+        program = load_program("a. b :- a.")
+        assert least_model(program) == frozenset("ab")
+        assert minimal_models(program) == (frozenset("ab"),)
+
+
 class TestRendering:
     def test_format_lines(self):
         reduct = Program((Rule(("a",)), Rule(("b", "c"), (Literal.atom("a"),))))
