@@ -11,24 +11,25 @@ The sublattices are the prime cubes of the family, computed by one
 bit-parallel kernel on its truth table (:func:`prime_cubes`), as integer
 masks over the sorted domain.  :func:`checked_primes` tests them with
 :func:`check_irredundant` and puts them in canonical order; every route
-takes them from there.  The reduct, the ordinary translation, the
-dependency graph and the CLI's ``abstract`` command read the masks
-directly, and :func:`classify_cubes` classifies on them;
-:func:`build_abstract` turns them into objects for library callers.
+takes them from there.  The translation and the CLI's ``abstract`` command
+read the masks directly.  An :class:`AbstractCAtom` (:func:`build_abstract`)
+stores only them and its sorted domain; the reduct and the helpers here read
+its masks, and :class:`PrefixedPowerSet` objects are rendered on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import permutations
-from typing import Iterable, Iterator
+from operator import or_
+from typing import Iterable
 
-from .core import CAtom, bit_pattern, iter_subsets, select, set_bits, set_key
+from .core import CAtom, bit_pattern, indices, select, set_bits, set_key
 from .errors import check_guard
 
-#: ``abstract_of`` keeps at most this many abstract forms (least recently
-#: used first out) for library callers; no command builds abstract forms.
+#: ``abstract_of`` keeps at most this many abstract forms (least recently used
+#: first out) for library callers; the reduct keeps its own on ``Program.compiled``.
 ABSTRACT_CACHE_SIZE = 256
 
 
@@ -54,10 +55,6 @@ class PrefixedPowerSet:
         s = frozenset(atoms)
         return self.base <= s <= self.top
 
-    def covered_sets(self) -> Iterator[frozenset[str]]:
-        for extra in iter_subsets(self.free):
-            yield self.base | extra
-
     def included_in(self, other: "PrefixedPowerSet") -> bool:
         """True when every set covered here is covered by ``other``.
 
@@ -72,27 +69,68 @@ class PrefixedPowerSet:
 
 @dataclass(frozen=True)
 class AbstractCAtom:
-    """The redundancy-free collection of maximal sublattices of a c-atom."""
+    """The redundancy-free collection of maximal sublattices of a c-atom.
 
-    domain: frozenset[str]
-    lattices: frozenset[PrefixedPowerSet]
+    Stored as the sorted domain ``atoms`` and the prime cubes ``primes``, masks
+    ``(base, free)`` over it in the order :func:`checked_primes` gives; the rest are views.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "domain", frozenset(self.domain))
-        object.__setattr__(self, "lattices", frozenset(self.lattices))
-        check_irredundant(self.cubes())
+    atoms: tuple[str, ...]
+    primes: tuple[tuple[int, int], ...]
 
-    def cubes(self) -> list[tuple[int, int]]:
-        """The sublattices as masks ``(base, free)``; domain atom i in sorted order is bit i."""
-        bit = {a: 1 << i for i, a in enumerate(sorted(self.domain))}.__getitem__
-        try:
-            return [(sum(map(bit, m.base)), sum(map(bit, m.free))) for m in self.lattices]
-        except KeyError:
-            raise ValueError("sublattice atoms must come from the domain") from None
+    def __init__(self, domain: Iterable[str], lattices: Iterable[PrefixedPowerSet]):
+        object.__setattr__(self, "atoms", tuple(sorted(frozenset(domain))))
+        lattices = tuple(lattices)
+        if any(not m.top <= self.domain for m in lattices):
+            raise ValueError("sublattice atoms must come from the domain")
+        cubes = {(self.position(m.base), self.position(m.free)) for m in lattices}
+        check_irredundant(cubes)
+        object.__setattr__(self, "primes", tuple(sorted(cubes, key=lambda c: [*map(indices, c)])))
 
-    def members(self) -> tuple[PrefixedPowerSet, ...]:
-        """The sublattices in canonical order."""
-        return tuple(sorted(self.lattices, key=PrefixedPowerSet.key))
+    @classmethod
+    def from_primes(cls, atoms: tuple[str, ...], primes: list[tuple[int, int]]):
+        """The form of what :func:`checked_primes` returns, which is not checked again."""
+        abstract = object.__new__(cls)
+        vars(abstract).update(atoms=atoms, primes=tuple(primes))
+        return abstract
+
+    @cached_property
+    def domain(self) -> frozenset[str]:
+        return frozenset(self.atoms)
+
+    @cached_property
+    def lattices(self) -> frozenset[PrefixedPowerSet]:
+        """The sublattices as objects, for callers, ``selftest`` and the test oracles."""
+        return frozenset(PrefixedPowerSet(select(self.atoms, b), select(self.atoms, f))
+                         for b, f in self.primes)
+
+    def position(self, interpretation: Iterable[str]) -> int:
+        """The table index of the interpretation's part of the domain."""
+        return sum(1 << self.atoms.index(a) for a in self.domain.intersection(interpretation))
+
+    @cached_property
+    def _bases(self) -> dict[int, set[int]]:
+        """The bases of the prime cubes by free set."""
+        bases: dict[int, set[int]] = {}
+        for base, free in self.primes:
+            bases.setdefault(free, set()).add(base)
+        return bases
+
+    def covering(self, x: int) -> list[tuple[int, int]]:
+        """The prime cubes holding table index x: (x & ~F, F) per free set F, one lookup each."""
+        return [(x & ~free, free) for free, bases in self._bases.items() if x & ~free in bases]
+
+    @cached_property
+    def tables(self) -> dict[int, int]:
+        """Per distinct base, the truth table of the subsets its prime cubes hold."""
+        tables: dict[int, int] = {}
+        for free, bases in self._bases.items():
+            cube = 1  # the subsets of the free set; a prime holds them shifted by its base
+            for j in indices(free):
+                cube |= cube << (1 << j)
+            for base in bases:
+                tables[base] = tables.get(base, 0) | cube << base
+        return tables
 
 
 def check_irredundant(cubes: Iterable[tuple[int, int]]) -> None:
@@ -171,8 +209,7 @@ def checked_primes(catom: CAtom) -> tuple[tuple[str, ...], list[tuple[int, int]]
     """The sorted domain and the maximal sublattices of ``catom``, checked.
 
     The cubes of :func:`prime_cubes` pass :func:`check_irredundant` and come
-    in the canonical order of :meth:`AbstractCAtom.members`: by sorted base
-    atoms, then sorted free atoms.
+    in canonical order: by sorted base atoms, then sorted free atoms.
     """
     atoms, cubes = prime_cubes(catom)
     check_irredundant(cubes)
@@ -190,17 +227,10 @@ def build_abstract(catom: CAtom) -> AbstractCAtom:
     """Compute the unique abstract form of a constraint atom.
 
     The maximal sublattices are the prime implicants of the solution family,
-    computed on a truth table by :func:`checked_primes`.  They passed its
-    redundancy check, so the form is built without the one in
-    ``AbstractCAtom.__post_init__``.
+    computed on a truth table by :func:`checked_primes`, which checks them
+    and puts them in canonical order, so the form keeps them as they are.
     """
-    atoms, cubes = checked_primes(catom)
-    to_set = cache(lambda mask: frozenset(select(atoms, mask)))
-    abstract = object.__new__(AbstractCAtom)
-    object.__setattr__(abstract, "domain", catom.domain)
-    object.__setattr__(abstract, "lattices", frozenset(
-        PrefixedPowerSet(to_set(b), to_set(f)) for b, f in cubes))
-    return abstract
+    return AbstractCAtom.from_primes(*checked_primes(catom))
 
 
 @lru_cache(maxsize=ABSTRACT_CACHE_SIZE)
@@ -210,30 +240,28 @@ def abstract_of(catom: CAtom) -> AbstractCAtom:
 
 
 def expand(abstract: AbstractCAtom) -> CAtom:
-    """Back to explicit form: the union of all covered sets."""
-    check_guard("abstract_domain", len(abstract.domain))
-    return CAtom(abstract.domain, (s for m in abstract.lattices for s in m.covered_sets()))
+    """Back to explicit form: the OR of the per-base tables of the covered sets."""
+    check_guard("abstract_domain", len(abstract.atoms))
+    return CAtom.from_table(abstract.atoms, reduce(or_, abstract.tables.values(), 0))
 
 
 def satisfies_abstract(interpretation: Iterable[str], abstract: AbstractCAtom) -> bool:
     """Satisfaction via covering: some sublattice covers the domain restriction."""
-    restricted = frozenset(interpretation) & abstract.domain
-    return any(member.covers(restricted) for member in abstract.lattices)
+    return bool(abstract.covering(abstract.position(interpretation)))
 
 
-def abstract_satisfiable_sets(
-    abstract: AbstractCAtom, interpretation: Iterable[str]
-) -> frozenset[PrefixedPowerSet]:
+def abstract_satisfiable_sets(abstract: AbstractCAtom,
+                              interpretation: Iterable[str]) -> frozenset[PrefixedPowerSet]:
     """The sublattices covering the domain restriction; empty iff unsatisfied."""
-    restricted = frozenset(interpretation) & abstract.domain
-    return frozenset(m for m in abstract.lattices if m.covers(restricted))
+    return frozenset(PrefixedPowerSet(select(abstract.atoms, b), select(abstract.atoms, f))
+                     for b, f in abstract.covering(abstract.position(interpretation)))
 
 
-def satisfiable_sets(
-    abstract: AbstractCAtom, interpretation: Iterable[str]
-) -> frozenset[frozenset[str]]:
+def satisfiable_sets(abstract: AbstractCAtom,
+                     interpretation: Iterable[str]) -> frozenset[frozenset[str]]:
     """The bases of the covering sublattices."""
-    return frozenset(m.base for m in abstract_satisfiable_sets(abstract, interpretation))
+    return frozenset(frozenset(select(abstract.atoms, b))
+                     for b, _ in abstract.covering(abstract.position(interpretation)))
 
 
 @dataclass(frozen=True)
@@ -267,8 +295,8 @@ def classify_cubes(size: int, cubes: Iterable[tuple[int, int]]) -> CAtomClass:
 
 
 def classify_catom(abstract: AbstractCAtom) -> CAtomClass:
-    """:func:`classify_cubes` on the abstract form's members."""
-    return classify_cubes(len(abstract.domain), abstract.cubes())
+    """:func:`classify_cubes` on the abstract form's prime cubes."""
+    return classify_cubes(len(abstract.atoms), abstract.primes)
 
 
 @dataclass(frozen=True)
@@ -326,8 +354,9 @@ def dnf(catom: CAtom) -> Dnf:
 
 def simplified_dnf(abstract: AbstractCAtom) -> Dnf:
     """One disjunct per sublattice: its base, plus negation outside its top."""
-    return Dnf(tuple(
-        Disjunct(m.base, abstract.domain - m.top) for m in abstract.lattices))
+    atoms, full = abstract.atoms, (1 << len(abstract.atoms)) - 1
+    return Dnf(tuple(Disjunct(select(atoms, base), select(atoms, full & ~(base | free)))
+                     for base, free in abstract.primes))
 
 
 def is_maximally_simplified(formula: Dnf) -> bool:

@@ -277,9 +277,9 @@ class CompiledCAtom:
     ``index`` is its position in ``CompiledProgram.catoms``, ``bits[i]`` the
     vocabulary bit of domain atom ``catom.atoms[i]`` and ``domain`` their
     mask.  :meth:`position` and :meth:`lift` move masks between the
-    vocabulary and the c-atom's table.  Its prime cubes (:attr:`primes`,
-    :attr:`members`) are built at first use and live as long as the
-    compiled program, so every reduct of the program shares them.
+    vocabulary and the c-atom's table.  Its abstract form (:attr:`abstract`)
+    is built at first use and lives as long as the compiled program, so
+    every reduct of the program shares it.
     """
 
     def __init__(self, catom: CAtom, index: int, bit: dict[str, int]):
@@ -297,49 +297,15 @@ class CompiledCAtom:
         return sum(select(self.bits, x))
 
     @cached_property
-    def primes(self) -> dict[int, set[int]]:
-        """The prime cubes (abstract-form members) as table masks, bases by free set.
-
-        They come from ``abstraction.checked_primes``, checked for redundancy.
-        """
-        from .abstraction import checked_primes  # abstraction imports core
-
-        primes: dict[int, set[int]] = {}
-        for base, free in checked_primes(self.catom)[1]:
-            primes.setdefault(free, set()).add(base)
-        return primes
+    def abstract(self):
+        """The ``abstraction.AbstractCAtom`` from ``abstraction.build_abstract``."""
+        from .abstraction import build_abstract  # abstraction imports core
+        return build_abstract(self.catom)
 
     def covering(self, point: int) -> list[tuple[int, int]]:
-        """The prime cubes ``(base, free)`` that hold the candidate ``point``.
-
-        A cube with free set F holds the point iff its base is the point's
-        domain part outside F, so this is one lookup per free set, and only
-        the cubes found are moved onto vocabulary bits.
-        """
-        p, lift = self.position(point), self.lift
-        return [(lift(p & ~free), lift(free))
-                for free, bases in self.primes.items() if p & ~free in bases]
-
-    @cached_property
-    def members(self) -> list[tuple[int, list[int], int]]:
-        """The prime cubes by distinct base, each base with the subsets it covers.
-
-        Each entry is ``(base, base atom indices, table)``: the base on
-        vocabulary bits, and a truth table over the domain whose bit x is
-        set when some prime of that base holds the subset with table index
-        x.  A prime ``(b, F)`` holds ``b`` plus each subset of F, so its
-        bits are bit b shifted by ``2**j`` once per atom j of F.
-        """
-        tables: dict[int, int] = {}
-        for free, bases in self.primes.items():
-            shifts = [1 << j for j in indices(free)]
-            for base in bases:
-                cube = 1 << base
-                for shift in shifts:
-                    cube |= cube << shift
-                tables[base] = tables.get(base, 0) | cube
-        return [(self.lift(base), indices(self.lift(base)), table)
-                for base, table in tables.items()]
+        """The prime cubes ``(base, free)`` that hold the candidate ``point``, lifted."""
+        return [(self.lift(b), self.lift(f))
+                for b, f in self.abstract.covering(self.position(point))]
 
 
 class CompiledProgram:

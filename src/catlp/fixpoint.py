@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .abstraction import AbstractCAtom, PrefixedPowerSet
+from .abstraction import AbstractCAtom
 from .core import (
     CAtom,
     Literal,
@@ -55,18 +55,16 @@ def cond_satisfies(lower: Iterable[str], upper: Iterable[str], catom: CAtom) -> 
     return bool(table >> base & 1)
 
 
-def cond_satisfies_abstract(
-    lower: Iterable[str], upper: Iterable[str], abstract: AbstractCAtom
-) -> bool:
+def cond_satisfies_abstract(lower: Iterable[str], upper: Iterable[str],
+                            abstract: AbstractCAtom) -> bool:
     """Conditional satisfaction read off the abstract form.
 
-    The interval between the restrictions of ``lower`` and ``upper`` must be
-    included in some sublattice.
+    The interval from ``lower`` to ``upper`` on the domain must lie in one prime
+    cube; with no interpolants (``lower`` outside ``upper``), one must hold ``lower``.
     """
-    bottom = frozenset(lower) & abstract.domain
-    rest = (frozenset(upper) & abstract.domain) - bottom
-    probe = PrefixedPowerSet(bottom, rest)
-    return any(probe.included_in(member) for member in abstract.lattices)
+    x, y = abstract.position(lower), abstract.position(upper)
+    y = y if x & y == x else x
+    return any(not y & ~(base | free) for base, free in abstract.covering(x))
 
 
 def _require_positive_basic(program: Program) -> None:
@@ -114,12 +112,17 @@ def fixpoint_stable(program: Program, interpretation: Iterable[str]) -> bool:
     if not is_model(candidate, program):
         raise NotAModelError(
             "{%s} is not a model of the program" % ", ".join(sorted(candidate)))
+    return _ascent(program, candidate)
+
+
+def _ascent(program: Program, model: frozenset[str]) -> bool:
+    """Is the model the fixpoint the operator reaches from the empty set? (no model test)"""
     current: frozenset[str] = frozenset()
     # Monotone ascent inside the model: one extra round detects the fixpoint.
     for _ in range(len(program.language) + 2):
-        nxt = tp_step(program, current, candidate)
+        nxt = tp_step(program, current, model)
         if nxt == current:
-            return current == candidate
+            return current == model
         current = nxt
     raise InvariantError("fixpoint iteration exceeded its bound")
 
@@ -148,5 +151,5 @@ def fixpoint_stable_models(program: Program) -> tuple[frozenset[str], ...]:
     Vocabularies beyond the ``stable_language`` guard raise ``GuardError``
     before any enumeration.
     """
-    out = [c for c in candidate_models(program) if fixpoint_stable(program, c)]
+    out = [c for c in candidate_models(program) if _ascent(program, c)]
     return tuple(sorted(out, key=set_key))

@@ -21,10 +21,10 @@ the candidate's subsets.  Introduced atoms are bits, not names; only
 
 A body c-atom's satisfiable sets are the bases of its prime cubes that hold
 the candidate.  Each ``core.CompiledCAtom`` of ``Program.compiled`` keeps
-its primes, built once from ``abstraction.checked_primes``, so they live
-exactly as long as the compiled program: a space of one candidate looks up
-one base per free set (``CompiledCAtom.covering``), and a space of every
-candidate reads all primes grouped by base (``CompiledCAtom.members``).
+its abstract form, built once by ``abstraction.build_abstract``, so it
+lives exactly as long as the compiled program: a space of one candidate
+looks up one base per free set (``CompiledCAtom.covering``), and a space of
+every candidate reads the primes' tables by base (``AbstractCAtom.tables``).
 
 A rendered reduct is an ordinary ``Program`` plus ``gamma``, printed by
 ``parser.format_program``.  ``least_model`` and ``minimal_models`` decide
@@ -107,7 +107,7 @@ class _Reduct:
     ``covers`` maps each body c-atom of a kept rule to ``(base, base atom
     indices, candidates a prime of that base covers)`` per distinct base
     covering some candidate.  A space of every candidate splits each base's
-    table of the subsets its primes hold (``CompiledCAtom.members``,
+    table of the subsets its primes hold (``AbstractCAtom.tables``,
     ``CandidateBits.split``); a space of one candidate reads only the primes
     that hold it (``CompiledCAtom.covering``).  So a body c-atom that every
     candidate falsifies, or that sits only in rules no candidate keeps,
@@ -139,9 +139,9 @@ class _Reduct:
         point = space.point
         for c in dict.fromkeys(c for rule in self.rules for c in rule[4]):
             if point is None:
-                covers = [(base, atoms, space.split(c, table))
-                          for base, atoms, table in c.members]
-                self.covers[c] = [entry for entry in covers if entry[2]]
+                covers = [(c.lift(base), space.split(c, table))
+                          for base, table in c.abstract.tables.items()]
+                self.covers[c] = [(base, indices(base), bits) for base, bits in covers if bits]
             else:
                 bases = dict.fromkeys(base for base, _ in c.covering(point))
                 self.covers[c] = [(base, indices(base), 1) for base in bases]
@@ -296,14 +296,14 @@ def reduct_size_bound(program: Program) -> int:
 
     One transformed rule per source rule, plus per distinct c-atom at most
     its prime-cube count (body role) and domain size plus one (head role).
-    Only body c-atoms, negated or not, are given prime cubes; they are kept
-    on ``program.compiled``, so its reducts share them.
+    Only body c-atoms, negated or not, get abstract forms; they are kept on
+    ``program.compiled``, so its reducts share them.
     """
     compiled = program.compiled
     if not compiled.catoms:
         return len(program.rules)
     body = compiled.body_catoms + compiled.negated_catoms
-    widest = max((sum(map(len, c.primes.values())) for c in body), default=0)
+    widest = max((len(c.abstract.primes) for c in body), default=0)
     largest = max(len(c.catom.domain) for c in compiled.catoms)
     return len(program.rules) + len(compiled.catoms) * (widest + largest + 1)
 

@@ -25,9 +25,9 @@ from catlp.abstraction import (
     satisfies_abstract,
     simplified_dnf,
 )
-from catlp.core import CAtom, complement, iter_subsets, satisfies_catom
+from catlp.core import CAtom, Literal, Program, Rule, complement, iter_subsets, satisfies_catom
 from catlp.errors import GuardError
-from catlp.fixpoint import cond_satisfies
+from catlp.fixpoint import cond_satisfies, cond_satisfies_abstract
 from catlp.golden import (
     AT_LEAST_ONE,
     LATTICE_FAMILY,
@@ -35,7 +35,8 @@ from catlp.golden import (
     PUNCTURED_CUBE,
     pps,
 )
-from catlp.parser import parse_constraint
+from catlp.parser import load_program, parse_constraint
+from catlp.reduct import is_stable, reduct_size_bound, stable_models
 
 import generators
 import oracles
@@ -139,8 +140,10 @@ class TestBuildAbstract:
             AbstractCAtom(frozenset("ab"), (pps("a", "bc"),))
 
     def test_built_forms_are_checked_once(self, monkeypatch):
-        # checked_primes runs the redundancy check on the masks; the form
-        # built from them does not run it again.
+        # checked_primes runs the redundancy check on the masks; neither the
+        # form built from them nor the one a compiled program keeps, however
+        # often it is read, runs it again.  The public constructor runs it
+        # once on its own masks.
         calls = []
         kernel_check = abstraction_module.check_irredundant
 
@@ -150,8 +153,18 @@ class TestBuildAbstract:
 
         monkeypatch.setattr(abstraction_module, "check_irredundant", counted)
         for catom in (LATTICE_FAMILY, PUNCTURED_CUBE, parse_constraint("2 {a, b, c, d} 3")):
+            expected = oracles.brute_abstract(catom)
             calls.clear()
-            assert build_abstract(catom).lattices == oracles.brute_abstract(catom)
+            built = build_abstract(catom)
+            assert built.lattices == expected
+            assert len(calls) == 1
+            calls.clear()
+            assert AbstractCAtom(catom.domain, expected) == built
+            assert len(calls) == 1
+            calls.clear()
+            program = Program((Rule(("y",), (Literal.constraint(catom),)),))
+            bound = 1 + len(expected) + len(catom.domain) + 1
+            assert reduct_size_bound(program) == reduct_size_bound(program) == bound
             assert len(calls) == 1
 
     def test_mask_check_rejects_a_redundant_prime_list(self):
@@ -245,6 +258,63 @@ class TestBuildAbstract:
             off = rng.sample(subsets, size)
             catom = CAtom(atoms, [s for s in subsets if s not in off])
             assert build_abstract(catom).lattices == oracles.offset_abstract(catom)
+
+
+def differential_feed(seed: int, count: int):
+    """Random c-atoms of up to six atoms, after every unsatisfiable family of
+    up to six atoms and the satisfiable one over the empty domain."""
+    yield from (CAtom("abcdef"[:n], ()) for n in range(7))
+    yield CAtom((), [()])
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield generators.random_catom(rng, max_domain=6)
+
+
+class TestMaskReadsAgainstBruteForce:
+    """Each read of the stored masks against the definitional oracles."""
+
+    def test_reads_match_the_oracles(self):
+        for catom in differential_feed(2024, 150):
+            members = oracles.brute_abstract(catom)
+            abstract = build_abstract(catom)
+            assert abstract.lattices == members
+            assert AbstractCAtom(catom.domain, members) == abstract
+            assert expand(abstract) == catom
+            flags = classify_catom(abstract)
+            assert (flags.monotone, flags.antimonotone, flags.convex) == (
+                oracles.brute_monotone(catom), oracles.brute_antimonotone(catom),
+                oracles.brute_convex(catom))
+            assert set(simplified_dnf(abstract).disjuncts) == {
+                Disjunct(m.base, catom.domain - m.top) for m in members}
+            for subset in iter_subsets(catom.domain):
+                for interp in (subset, subset | {"outside"}):
+                    covering = frozenset(m for m in members if oracles.brute_covers(m, subset))
+                    assert abstract_satisfiable_sets(abstract, interp) == covering
+                    assert satisfiable_sets(abstract, interp) == {m.base for m in covering}
+                    assert satisfies_abstract(interp, abstract) == bool(covering)
+
+    def test_mask_routes_build_no_sublattice_object(self, monkeypatch):
+        # Only ``lattices`` and ``abstract_satisfiable_sets`` render members.
+        catom = parse_constraint("2 {a, b, c, d} 3")
+
+        def answers():  # on a new program, so its compiled form is built here
+            program = load_program("a :- not b. b :- not a. c :- 2 {a, b, c, d} 3.")
+            abstract = build_abstract(catom)
+            return (abstract.primes, expand(abstract), satisfies_abstract("ab", abstract),
+                    satisfiable_sets(abstract, "abc"), classify_catom(abstract),
+                    simplified_dnf(abstract), cond_satisfies_abstract("ab", "abc", abstract),
+                    stable_models(program), is_stable(program, "ac"),
+                    reduct_size_bound(program))
+
+        expected = answers()
+
+        def refuse(self):
+            raise AssertionError("a sublattice object was built")
+
+        monkeypatch.setattr(PrefixedPowerSet, "__post_init__", refuse)
+        assert answers() == expected
+        with pytest.raises(AssertionError, match="sublattice object"):
+            build_abstract(catom).lattices
 
 
 class TestExpandAndSatisfaction:
@@ -422,18 +492,20 @@ def test_abstract_of_cache_is_bounded():
 
 def test_conditional_satisfaction_bridge():
     # The abstract form answers conditional satisfaction through inclusion of
-    # the [lower, restriction] interval in some sublattice.
-    from catlp.fixpoint import cond_satisfies_abstract
-
+    # the [lower, restriction] interval in some sublattice, and by covering
+    # the lower set alone when it leaves the upper one.
     rng = random.Random(31)
     for _ in range(300):
         catom = generators.random_catom(rng, max_domain=5)
         abstract = build_abstract(catom)
         domain = sorted(catom.domain)
         upper = frozenset(a for a in domain if rng.random() < 0.6)
-        lower = frozenset(a for a in upper if rng.random() < 0.6)
-        assert cond_satisfies_abstract(lower, upper, abstract) == cond_satisfies(
-            lower, upper, catom)
+        inside = frozenset(a for a in upper if rng.random() < 0.6)
+        anywhere = frozenset(a for a in domain if rng.random() < 0.5)
+        for lower in (inside, anywhere):
+            expected = oracles.brute_cond_satisfies(lower, upper, catom)
+            assert cond_satisfies(lower, upper, catom) == expected
+            assert cond_satisfies_abstract(lower, upper, abstract) == expected
 
 
 def test_compactness_conjecture_is_report_only():

@@ -360,7 +360,8 @@ class TestMaskRoute:
 
         abstraction.abstract_of.cache_clear()  # so a call to it would build
         monkeypatch.setattr(abstraction, "build_abstract", refuse)
-        monkeypatch.setattr(abstraction.AbstractCAtom, "__post_init__", refuse)
+        monkeypatch.setattr(abstraction.AbstractCAtom, "__init__", refuse)
+        monkeypatch.setattr(abstraction.AbstractCAtom, "from_primes", refuse)
         monkeypatch.setattr(abstraction.PrefixedPowerSet, "__post_init__", refuse)
         assert self.answers(path) == expected
 
@@ -579,6 +580,41 @@ def test_readme_cli_block_matches_the_parser():
         assert lines[command] <= set().union(*spellings), command
         for options in spellings:
             assert lines[command] & options, (command, options)
+
+
+def test_readme_library_sketch_runs_as_documented():
+    """The README library sketch runs.  Each expression line with a comment
+    gives the value the comment starts with (up to ``": "``), and ``print``
+    prints its comment and the comment-only lines under it."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library sketch\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), namespace)
+    printed, values = [], 0
+    lines = block.splitlines()
+    for number, line in enumerate(lines):
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        if not comment or not code:
+            continue
+        if code.startswith("print("):
+            printed.append(comment)
+            for follow in lines[number + 1:]:
+                if not follow.strip().startswith("#"):
+                    break
+                printed.append(follow.strip()[1:].strip())
+            continue
+        try:
+            ast.parse(code, mode="eval")
+        except SyntaxError:
+            continue  # a statement, such as an assignment
+        value = comment.split(": ", 1)[0]
+        assert eval(code, namespace) == eval(value, namespace), line
+        values += 1
+    assert [line for line in out.getvalue().splitlines() if line] == printed
+    assert printed and values >= 5
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -121,15 +121,26 @@ class TestCondSatisfiesAbstract:
         abstract = build_abstract(CAtom.elementary("a"))
         assert not cond_satisfies_abstract(set(), {"a"}, abstract)
 
+    def test_lower_outside_upper_needs_only_satisfaction(self):
+        # {a} is not inside {b}: no interpolants, so {a} need only satisfy it.
+        catom = CAtom("ab", [{"a"}])
+        assert cond_satisfies_abstract({"a"}, {"b"}, build_abstract(catom))
+        assert oracles.brute_cond_satisfies({"a"}, {"b"}, catom)
+
     def test_agreement_with_direct_route(self):
+        # The lower set is drawn inside the upper one and, independently,
+        # anywhere in the domain, where it may leave the upper set.
         rng = random.Random(61)
         for _ in range(1000):
             catom = generators.random_catom(rng, max_domain=5)
             abstract = build_abstract(catom)
             upper = frozenset(a for a in catom.domain if rng.random() < 0.6)
-            lower = frozenset(a for a in upper if rng.random() < 0.6)
-            assert cond_satisfies_abstract(lower, upper, abstract) == cond_satisfies(
-                lower, upper, catom)
+            inside = frozenset(a for a in upper if rng.random() < 0.6)
+            anywhere = frozenset(a for a in catom.domain if rng.random() < 0.5)
+            for lower in (inside, anywhere):
+                expected = oracles.brute_cond_satisfies(lower, upper, catom)
+                assert cond_satisfies(lower, upper, catom) == expected
+                assert cond_satisfies_abstract(lower, upper, abstract) == expected
 
 
 class TestTpStep:
@@ -205,6 +216,17 @@ class TestFixpointStable:
             program = generators.random_positive_basic_program(
                 rng, atoms=("a", "b", "c", "d"), max_rules=4, max_domain=3)
             assert set(fixpoint_stable_models(program)) == set(stable_models(program))
+
+    def test_fixpoint_stable_models_tests_no_model_twice(self, monkeypatch):
+        # candidate_models keeps only models, so the ascent runs without a
+        # second, set-based model test per candidate.
+        tested = []
+        monkeypatch.setattr(fixpoint_module, "is_model",
+                            lambda interpretation, program: tested.append(interpretation))
+        program = load_program("a :- not b. b :- not a. c :- [a,c : {a}, {a,c}].")
+        assert fixpoint_stable_models(to_positive_basic(program)) == (
+            frozenset("ac"), frozenset("b"))
+        assert tested == []
 
     def test_fixpoint_stable_models_language_guard(self):
         atoms = [f"x{i}" for i in range(21)]

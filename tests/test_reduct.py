@@ -10,7 +10,7 @@ import pytest
 from catlp import abstraction as abstraction_module
 from catlp import core as core_module
 from catlp import reduct as reduct_module
-from catlp.abstraction import PrefixedPowerSet, abstract_satisfiable_sets, build_abstract
+from catlp.abstraction import PrefixedPowerSet, build_abstract
 from catlp.core import (
     FALSE_CATOM,
     CAtom,
@@ -450,11 +450,13 @@ class TestStability:
             program = Program((Rule(("y",), (Literal.constraint(catom),)),))
             c = program.compiled.body_catoms[0]
             names = program.compiled.atoms_of
+            members = oracles.brute_abstract(catom)
             for subset in iter_subsets(catom.domain | {"y"}):
                 covering = c.covering(program.compiled.mask(subset))
                 assert frozenset(
                     PrefixedPowerSet(names(base), names(free)) for base, free in covering
-                ) == abstract_satisfiable_sets(build_abstract(catom), subset)
+                ) == frozenset(m for m in members
+                               if oracles.brute_covers(m, subset & catom.domain))
 
     def test_satisfied_catom_of_a_dropped_rule_builds_no_abstract_form(self, monkeypatch):
         # ``[c : {}]`` holds for the empty candidate, but ``[d : {d}]`` drops
