@@ -302,21 +302,18 @@ class CompiledCAtom:
         from .abstraction import build_abstract  # abstraction imports core
         return build_abstract(self.catom)
 
-    def covering(self, point: int) -> list[tuple[int, int]]:
-        """The prime cubes ``(base, free)`` that hold the candidate ``point``, lifted."""
-        return [(self.lift(b), self.lift(f))
-                for b, f in self.abstract.covering(self.position(point))]
-
 
 class CompiledProgram:
     """A program as bit masks: atom ``atoms[i]`` is bit ``1 << i``.
 
-    Each rule becomes a tuple ``(head, pos, neg, heads, body, negated)``:
-    the masks of its head atoms, positive body atoms and negated body atoms,
-    then its head c-atoms, positive body c-atoms and negated body c-atoms
-    in literal order.  ``catoms`` lists the distinct c-atoms, heads before
-    bodies, in rule order; ``head_catoms``, ``body_catoms`` and
-    ``negated_catoms`` list the distinct ones in each role, in the same order.
+    Each rule becomes a tuple ``(head, pos, neg, heads, body)``: the masks
+    of its head atoms, positive body atoms and negated body atoms, then its
+    head c-atoms and body c-atoms in literal order.  A negated body c-atom
+    ``not A`` is the body c-atom ``literal_catom`` gives, A's complement
+    (under the ``complement_domain`` guard), shared with any equal c-atom.
+    ``catoms`` lists the distinct c-atoms, heads before bodies, in rule
+    order; ``head_catoms`` and ``body_catoms`` list the distinct ones in
+    each role, in the same order.
     """
 
     def __init__(self, program: Program):
@@ -325,7 +322,6 @@ class CompiledProgram:
         found: dict[CAtom, CompiledCAtom] = {}
         in_head: dict[CompiledCAtom, None] = {}
         in_body: dict[CompiledCAtom, None] = {}
-        negated_in_body: dict[CompiledCAtom, None] = {}
 
         def compiled(catom: CAtom, role: dict[CompiledCAtom, None]) -> CompiledCAtom:
             c = found.get(catom)
@@ -337,7 +333,7 @@ class CompiledProgram:
         rules = []
         for rule in program.rules:
             head = pos = neg = 0
-            heads = body = negated = ()
+            heads = body = ()
             for element in rule.head:
                 if isinstance(element, str):
                     head |= bit[element]
@@ -350,16 +346,13 @@ class CompiledProgram:
                         pos |= bit[item]
                     else:
                         neg |= bit[item]
-                elif lit.positive:
-                    body += (compiled(item, in_body),)
                 else:
-                    negated += (compiled(item, negated_in_body),)
-            rules.append((head, pos, neg, heads, body, negated))
+                    body += (compiled(literal_catom(lit), in_body),)
+            rules.append((head, pos, neg, heads, body))
         self.rules = tuple(rules)
         self.catoms = tuple(found.values())
         self.head_catoms = tuple(in_head)
         self.body_catoms = tuple(in_body)
-        self.negated_catoms = tuple(negated_in_body)
 
     def mask(self, atoms: Iterable[str]) -> int:
         """The bits of ``atoms``; ``KeyError`` for an atom outside the vocabulary."""
@@ -450,8 +443,10 @@ class CandidateBits:
     (:meth:`split`).
 
     Given a ``point`` (a vocabulary mask), the space holds that one
-    candidate: ``full`` is 1 and each test reads the point directly, so no
-    ``2**n``-bit integer is made and the vocabulary size is unbounded.
+    candidate: ``full`` is 1 and each ``holds`` entry is the point's bit,
+    so every set of candidates is 0 or 1, :meth:`split` reads one bit of
+    the table, no ``2**n``-bit integer is made and the vocabulary size is
+    unbounded.
     """
 
     def __init__(self, compiled: CompiledProgram, point: int | None = None,
@@ -476,12 +471,6 @@ class CandidateBits:
         ``zeros``: the AND of the ``holds`` entries of ``ones`` less the
         OR of those of ``zeros``.
         """
-        point = self.point
-        if point is not None:
-            for ones, zeros in cubes:
-                if point & ones == ones and not point & zeros:
-                    return 1
-            return 0
         holds, full = self.holds, self.full
         bits = 0
         for ones, zeros in cubes:
@@ -542,11 +531,11 @@ class CandidateBits:
         """The candidates no rule is violated by: body true and head false."""
         satisfied = self.satisfied
         violated = 0
-        for head, pos, neg, heads, body, negated in self.compiled.rules:
+        for head, pos, neg, heads, body in self.compiled.rules:
             bits = self.cubes([(pos, neg | head)])
             for c in body:
                 bits &= satisfied(c)
-            for c in negated + heads:
+            for c in heads:
                 bits &= ~satisfied(c)
             violated |= bits
         return self.full ^ violated

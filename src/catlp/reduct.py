@@ -19,11 +19,14 @@ at a time, at that candidate's bit of the same reduct, against a space of
 the candidate's subsets.  Introduced atoms are bits, not names; only
 ``gl_reduct``, which renders a reduct, mints their names.
 
+Every parsed program is taken as it stands: ``Program.compiled`` holds a
+negated body c-atom ``not A`` as the body c-atom A's complement, so a
+program and ``parser.eliminate_negated_catoms`` of it get the same answers.
 A body c-atom's satisfiable sets are the bases of its prime cubes that hold
 the candidate.  Each ``core.CompiledCAtom`` of ``Program.compiled`` keeps
 its abstract form, built once by ``abstraction.build_abstract``, so it
 lives exactly as long as the compiled program: a space of one candidate
-looks up one base per free set (``CompiledCAtom.covering``), and a space of
+looks up one base per free set (``AbstractCAtom.covering``), and a space of
 every candidate reads the primes' tables by base (``AbstractCAtom.tables``).
 
 A rendered reduct is an ordinary ``Program`` plus ``gamma``, printed by
@@ -42,7 +45,6 @@ from .core import (
     CAtom,
     CandidateBits,
     CompiledCAtom,
-    CompiledProgram,
     Literal,
     Program,
     Rule,
@@ -53,9 +55,6 @@ from .errors import InvariantError, NameCollisionError, ProgramClassError, check
 
 #: The false atom produced for falsified head constraints.
 BOT = "__bot"
-
-
-_NEGATED_CATOM = "negated c-atoms must be replaced by complements before the reduct"
 
 
 def theta_atom(catom: CAtom) -> str:
@@ -86,13 +85,6 @@ def claim_name(owners: dict[str, CAtom], name: str, catom: CAtom) -> None:
             f"{{{', '.join(sorted(owners[name].domain))}}} both map to {name}")
 
 
-def _compiled(program: Program) -> CompiledProgram:
-    """``program.compiled``, refused before any bitset when a c-atom is negated."""
-    if program.compiled.negated_catoms:
-        raise ProgramClassError(_NEGATED_CATOM)
-    return program.compiled
-
-
 class _Reduct:
     """The four transformation steps for every candidate of ``space`` at once.
 
@@ -109,7 +101,7 @@ class _Reduct:
     covering some candidate.  A space of every candidate splits each base's
     table of the subsets its primes hold (``AbstractCAtom.tables``,
     ``CandidateBits.split``); a space of one candidate reads only the primes
-    that hold it (``CompiledCAtom.covering``).  So a body c-atom that every
+    that hold it (``AbstractCAtom.covering``).  So a body c-atom that every
     candidate falsifies, or that sits only in rules no candidate keeps,
     never gets its prime cubes.
     """
@@ -119,7 +111,7 @@ class _Reduct:
         satisfied = space.satisfied
         self.rules: list[tuple[int, int, int, int, tuple, tuple]] = []
         self.disjunctive = 0
-        for index, (head, pos, neg, heads, body, _) in enumerate(space.compiled.rules):
+        for index, (head, pos, neg, heads, body) in enumerate(space.compiled.rules):
             kept = candidates & space.cubes([(0, neg)]) if neg else candidates
             for c in body:
                 kept &= satisfied(c)
@@ -143,8 +135,8 @@ class _Reduct:
                           for base, table in c.abstract.tables.items()]
                 self.covers[c] = [(base, indices(base), bits) for base, bits in covers if bits]
             else:
-                bases = dict.fromkeys(base for base, _ in c.covering(point))
-                self.covers[c] = [(base, indices(base), 1) for base in bases]
+                bases = dict.fromkeys(b for b, _ in c.abstract.covering(c.position(point)))
+                self.covers[c] = [(base, indices(base), 1) for base in map(c.lift, bases)]
 
 
 def _stable_bits(reduct: _Reduct, candidates: int) -> int:
@@ -219,9 +211,11 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
     renders the result with the introduced atom names, rule by rule in
     source order.  Raises :class:`NameCollisionError` when two distinct
     c-atoms of the program would share an introduced name, and
-    :class:`InvariantError` when the result breaks ``reduct_size_bound``.
+    :class:`InvariantError` when the result breaks the size bound, taken
+    over the body c-atoms of the kept rules alone (``_size_bound``), whose
+    abstract forms the reduct has read already.
     """
-    compiled = _compiled(program)
+    compiled = program.compiled
     theta_names = {c: theta_atom(c.catom) for c in compiled.body_catoms}
     beta_names = {c: beta_atom(c.catom) for c in compiled.head_catoms}
     owners: dict[str, CAtom] = {}
@@ -240,7 +234,7 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
 
     for index, *_ in reduct.rules:
         rule = program.rules[index]
-        _, _, _, heads, bodies, _ = compiled.rules[index]
+        _, _, _, heads, bodies = compiled.rules[index]
         head_catoms, body_catoms = iter(heads), iter(bodies)
         blocks: list[list[Rule]] = []
         body: list[str] = []
@@ -284,7 +278,7 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
             emitted.extend(block)
 
     result = ReductProgram(tuple(emitted), gamma=frozenset(gamma))
-    bound = reduct_size_bound(program)
+    bound = _size_bound(program, reduct.covers)
     if len(result.rules) > bound:
         raise InvariantError(
             f"the reduct has {len(result.rules)} rules, above its size bound of {bound}")
@@ -296,13 +290,18 @@ def reduct_size_bound(program: Program) -> int:
 
     One transformed rule per source rule, plus per distinct c-atom at most
     its prime-cube count (body role) and domain size plus one (head role).
-    Only body c-atoms, negated or not, get abstract forms; they are kept on
-    ``program.compiled``, so its reducts share them.
+    Only body c-atoms get abstract forms (``not A`` is compiled as A's
+    complement); they are kept on ``program.compiled``, so its reducts
+    share them.
     """
+    return _size_bound(program, program.compiled.body_catoms)
+
+
+def _size_bound(program: Program, body: Iterable[CompiledCAtom]) -> int:
+    """``reduct_size_bound``'s formula, its widest abstract form taken over ``body``."""
     compiled = program.compiled
     if not compiled.catoms:
         return len(program.rules)
-    body = compiled.body_catoms + compiled.negated_catoms
     widest = max((len(c.abstract.primes) for c in body), default=0)
     largest = max(len(c.catom.domain) for c in compiled.catoms)
     return len(program.rules) + len(compiled.catoms) * (widest + largest + 1)
@@ -315,8 +314,8 @@ def least_model(program: Program) -> frozenset[str]:
     :class:`ProgramClassError`.
     """
     compiled = program.compiled
-    if any(head.bit_count() != 1 or neg or heads or body or negated
-           for head, _, neg, heads, body, negated in compiled.rules):
+    if any(head.bit_count() != 1 or neg or heads or body
+           for head, _, neg, heads, body in compiled.rules):
         raise ProgramClassError(
             "the least model requires single-atom heads and positive atom bodies")
     rules = [(head, pos) for head, pos, *_ in compiled.rules]
@@ -415,7 +414,7 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     subset of the candidate at once.  A ``GuardError`` is raised before that
     space is built when ``|candidate|`` exceeds the ``minimal_models`` guard.
     """
-    compiled = _compiled(program)
+    compiled = program.compiled
     try:
         m = compiled.mask(frozenset(interpretation))
     except KeyError:
@@ -431,8 +430,7 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     """All stable models, decided for every candidate at once.
 
     Vocabularies beyond the ``stable_language`` guard raise ``GuardError``
-    before any bitset is built; negated c-atoms raise before any candidate
-    is tried, models or not.  Every subset of the vocabulary is a bit of
+    before any bitset is built.  Every subset of the vocabulary is a bit of
     one integer (``CandidateBits``), and the reduct and its least fixpoint
     run on those integers for all models at once (``_Reduct``,
     ``_stable_bits``).  A model whose reduct keeps a rule with two head
@@ -440,7 +438,7 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     the same reduct, as ``is_stable`` does at the one bit of its own.
     """
     check_guard("stable_language", len(program.language))
-    space = CandidateBits(_compiled(program))
+    space = CandidateBits(program.compiled)
     models = space.models()
     reduct = _Reduct(space, models)
     found = space.tuples(_stable_bits(reduct, models))

@@ -19,8 +19,10 @@ from catlp.core import (
     Rule,
     candidate_models,
     classify_program,
+    complement,
     is_model,
     iter_subsets,
+    select,
     set_key,
 )
 from catlp.errors import (
@@ -122,10 +124,26 @@ class TestGlReduct:
         reduct = gl_reduct(program, frozenset("a"))
         assert list(reduct.rules) == [Rule(("a",))]
 
-    def test_negated_constraints_are_rejected(self):
+    def test_negated_constraints_reduce_as_their_complements(self):
         rule = Rule(("a",), (Literal.negated_constraint(CAtom.elementary("b")),))
-        with pytest.raises(ProgramClassError):
-            gl_reduct(Program((rule,)), frozenset())
+        program = Program((rule,))
+        lowered = eliminate_negated_catoms(program)
+        for candidate in iter_subsets("ab"):
+            assert gl_reduct(program, candidate) == gl_reduct(lowered, candidate)
+        assert format_program(gl_reduct(program, frozenset("a"))) == (
+            "a :- %s.\n%s.\n" % ((theta_atom(CAtom("b", [()])),) * 2))
+
+    def test_dropped_rules_build_no_abstract_form(self, monkeypatch):
+        # Only the kept rules' body c-atoms, read already, enter the size
+        # bound, so a c-atom the candidate satisfies in a dropped rule, or a
+        # dense complement over 20 atoms that drops its rule, costs nothing.
+        built = count_kernel_calls(monkeypatch)
+        assert gl_reduct(Program((DROPPED_WITH_A_SATISFIED_THETA,)), frozenset()).rules == ()
+        wide = load_program("a :- not [%s : {x0}]." % ", ".join(f"x{i}" for i in range(20)))
+        start = time.perf_counter()
+        assert gl_reduct(wide, frozenset(("x0",))).rules == ()
+        assert time.perf_counter() - start < 1.0
+        assert built == []
 
     def test_shared_catoms_share_special_atoms(self):
         catom = CAtom("ab", [{"a"}, {"b"}, {"a", "b"}])
@@ -167,15 +185,14 @@ class TestGlReduct:
             compiled = program.compiled
             expected = len(program.rules)
             if compiled.catoms:
-                body = compiled.body_catoms + compiled.negated_catoms
-                widest = max((len(build_abstract(c.catom).lattices) for c in body),
-                             default=0)
+                widest = max((len(build_abstract(c.catom).lattices)
+                              for c in compiled.body_catoms), default=0)
                 largest = max(len(c.catom.domain) for c in compiled.catoms)
                 expected += len(compiled.catoms) * (widest + largest + 1)
             assert reduct_size_bound(program) == expected
 
     def test_size_bound_is_enforced(self, monkeypatch):
-        monkeypatch.setattr(reduct_module, "reduct_size_bound", lambda program: 0)
+        monkeypatch.setattr(reduct_module, "_size_bound", lambda program, body: 0)
         with pytest.raises(InvariantError, match="size bound"):
             gl_reduct(load_program(SUM_LOOP), FULL_SUM_INTERP)
 
@@ -449,12 +466,12 @@ class TestStability:
             catom = generators.random_catom(rng, max_domain=6)
             program = Program((Rule(("y",), (Literal.constraint(catom),)),))
             c = program.compiled.body_catoms[0]
-            names = program.compiled.atoms_of
             members = oracles.brute_abstract(catom)
             for subset in iter_subsets(catom.domain | {"y"}):
-                covering = c.covering(program.compiled.mask(subset))
+                covering = c.abstract.covering(c.position(program.compiled.mask(subset)))
                 assert frozenset(
-                    PrefixedPowerSet(names(base), names(free)) for base, free in covering
+                    PrefixedPowerSet(select(catom.atoms, base), select(catom.atoms, free))
+                    for base, free in covering
                 ) == frozenset(m for m in members
                                if oracles.brute_covers(m, subset & catom.domain))
 
@@ -488,14 +505,16 @@ class TestStability:
         assert is_stable(program, candidate)
         assert widths == [8]
 
-    def test_negated_catoms_rejected_even_without_models(self):
+    def test_negated_catoms_match_their_complements_even_without_models(self):
         catom = CAtom("a", [{"a"}])
         program = Program((
             Rule(("a",), (Literal.negated_constraint(catom),)),
             Rule((CAtom(frozenset(), ()),)),
         ))
-        with pytest.raises(ProgramClassError):
-            stable_models(program)
+        assert stable_models(program) == stable_models(eliminate_negated_catoms(program)) == ()
+        assert list(candidate_models(program)) == []
+        for candidate in iter_subsets("a"):
+            assert not is_stable(program, candidate)
 
     def test_stable_models_are_models(self):
         rng = random.Random(23)
@@ -629,9 +648,49 @@ class TestAllCandidatesAtOnce:
         wide = Program(tuple(Rule((f"x{i}",)) for i in range(21)))
         with pytest.raises(GuardError):
             stable_models(wide)
-        negated = Program((Rule(("a",), (Literal.negated_constraint(CAtom("a", [{"a"}])),)),))
-        with pytest.raises(ProgramClassError):
-            stable_models(negated)
+        # ``not A`` is compiled as A's complement, which the
+        # ``complement_domain`` guard refuses at 21 atoms, as ``load_program`` does.
+        catom = CAtom([f"x{i}" for i in range(21)], [{"x0"}])
+        negated = Program((Rule(("a",), (Literal.negated_constraint(catom),)),))
+        with pytest.raises(GuardError) as caught:
+            is_stable(negated, frozenset())
+        assert (caught.value.guard, caught.value.actual) == ("complement_domain", 21)
+
+
+class TestNegatedCAtomsAsComplements:
+    """Every reduct-layer route answers on a parsed program, negated c-atoms
+    and all, as on ``eliminate_negated_catoms`` of it."""
+
+    def _programs(self):
+        """Normal programs that negate c-atoms, and disjunctive ones with some
+        positive body c-atoms A rewritten as ``not complement(A)``."""
+        rng = random.Random(53)
+        for _ in range(150):
+            yield generators.random_normal_constraint_program(rng)
+        for _ in range(60):
+            program = generators.random_disjunctive_constraint_program(rng)
+            yield Program(tuple(Rule(rule.head, tuple(
+                Literal.negated_constraint(complement(lit.item))
+                if lit.is_constraint and rng.random() < 0.5 else lit
+                for lit in rule.body)) for rule in program.rules), program.declared_atoms)
+
+    def test_routes_match_the_lowered_program(self):
+        negated = disjunctive = 0
+        for k, program in enumerate(self._programs()):
+            lowered = eliminate_negated_catoms(program)
+            negated += lowered != program
+            disjunctive += lowered != program and any(len(r.head) > 1 for r in program.rules)
+            assert stable_models(program) == stable_models(lowered), program
+            assert list(candidate_models(program)) == list(candidate_models(lowered))
+            assert reduct_size_bound(program) == reduct_size_bound(lowered), program
+            for candidate in iter_subsets(program.language):
+                assert is_stable(program, candidate) == is_stable(lowered, candidate)
+                reduct, expected = gl_reduct(program, candidate), gl_reduct(lowered, candidate)
+                assert format_program(reduct) == format_program(expected)
+                assert reduct.gamma == expected.gamma
+            if k % 5 == 0:
+                assert stable_models(program) == oracles.brute_stable_models(lowered)
+        assert negated > 80 and disjunctive > 20
 
 
 class TestAsReductProgram:
