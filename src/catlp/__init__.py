@@ -7,12 +7,9 @@ from .abstraction import (
     Dnf,
     PrefixedPowerSet,
     abstract_of,
-    abstract_satisfiable_sets,
     build_abstract,
     classify_catom,
-    dnf,
     expand,
-    is_maximally_simplified,
     satisfiable_sets,
     satisfies_abstract,
     simplified_dnf,
@@ -41,7 +38,6 @@ from .core import (
     is_minimal_model,
     is_model,
     is_reserved,
-    is_supported_model,
     iter_subsets,
     literal_catom,
     satisfies_catom,
@@ -58,18 +54,15 @@ from .errors import (
 )
 from .fixpoint import (
     cond_satisfies,
-    cond_satisfies_abstract,
     fixpoint_stable,
     fixpoint_stable_models,
     to_positive_basic,
     tp_step,
 )
 from .parser import (
-    eliminate_negated_catoms,
     format_program,
     format_rule,
     load_program,
-    parse,
     parse_constraint,
     desugar_aggregate,
     desugar_weight,

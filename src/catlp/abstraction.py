@@ -14,14 +14,13 @@ masks over the sorted domain.  :func:`checked_primes` tests them with
 takes them from there.  The translation and the CLI's ``abstract`` command
 read the masks directly.  An :class:`AbstractCAtom` (:func:`build_abstract`)
 stores only them and its sorted domain; the reduct and the helpers here read
-its masks, and :class:`PrefixedPowerSet` objects are rendered on demand.
+its masks, and only its ``lattices`` view renders :class:`PrefixedPowerSet` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import permutations
 from operator import or_
 from typing import Iterable
 
@@ -62,9 +61,6 @@ class PrefixedPowerSet:
         the other base must lie within ours and our top within the other's.
         """
         return other.base <= self.base and self.top <= other.top
-
-    def key(self) -> tuple:
-        return (set_key(self.base), set_key(self.free))
 
 
 @dataclass(frozen=True)
@@ -250,13 +246,6 @@ def satisfies_abstract(interpretation: Iterable[str], abstract: AbstractCAtom) -
     return bool(abstract.covering(abstract.position(interpretation)))
 
 
-def abstract_satisfiable_sets(abstract: AbstractCAtom,
-                              interpretation: Iterable[str]) -> frozenset[PrefixedPowerSet]:
-    """The sublattices covering the domain restriction; empty iff unsatisfied."""
-    return frozenset(PrefixedPowerSet(select(abstract.atoms, b), select(abstract.atoms, f))
-                     for b, f in abstract.covering(abstract.position(interpretation)))
-
-
 def satisfiable_sets(abstract: AbstractCAtom,
                      interpretation: Iterable[str]) -> frozenset[frozenset[str]]:
     """The bases of the covering sublattices."""
@@ -344,30 +333,9 @@ class Dnf:
         return " | ".join(f"({d})" for d in self.disjuncts)
 
 
-def dnf(catom: CAtom) -> Dnf:
-    """One disjunct per set bit x of the table: x's atoms, and the rest negated."""
-    full = (1 << len(catom.atoms)) - 1
-    return Dnf(tuple(
-        Disjunct(select(catom.atoms, x), select(catom.atoms, full ^ x))
-        for x in set_bits(catom.table)))
-
-
 def simplified_dnf(abstract: AbstractCAtom) -> Dnf:
     """One disjunct per sublattice: its base, plus negation outside its top."""
     atoms, full = abstract.atoms, (1 << len(abstract.atoms)) - 1
     return Dnf(tuple(Disjunct(select(atoms, base), select(atoms, full & ~(base | free)))
                      for base, free in abstract.primes))
 
-
-def is_maximally_simplified(formula: Dnf) -> bool:
-    """True when no two disjuncts differ exactly by the sign of one literal.
-
-    A pair ``S & x`` / ``S & not x`` would merge into ``S``.
-    """
-    for c1, c2 in permutations(formula.disjuncts, 2):
-        moved = c1.pos - c2.pos
-        if len(moved) == 1:
-            (x,) = moved
-            if c2.pos == c1.pos - {x} and c2.neg == c1.neg | {x} and x not in c1.neg:
-                return False
-    return True

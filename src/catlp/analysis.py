@@ -49,18 +49,19 @@ def normalize_basic(program: Program) -> Program:
 
     ``bot :- body`` becomes ``f :- body, [f : {}]`` with a fresh reserved
     atom per rule, which keeps the rule acting as a constraint.  Elementary
-    constraint heads are flattened to their atoms.
+    constraint heads are flattened to their atoms.  Raises
+    :class:`NameCollisionError` when a fresh atom is an atom of the program.
     """
     rules = []
-    counter = 0
+    owners: dict[str, CAtom] = {}
     for rule in program.rules:
         if len(rule.head) != 1:
             raise ProgramClassError("basic form requires single-element heads")
         element = rule.head[0]
         if is_false_head(element):
-            counter += 1
-            fresh = f"{FALSE_HEAD_PREFIX}{counter}"
+            fresh = f"{FALSE_HEAD_PREFIX}{len(owners) + 1}"
             guard = CAtom(frozenset((fresh,)), frozenset((frozenset(),)))
+            claim_name(owners, fresh, guard, program.language)
             rules.append(
                 Rule((fresh,), tuple(rule.body) + (Literal.constraint(guard),)))
         elif head_atom_name(element) is not None:
@@ -89,7 +90,7 @@ def _translation(program: Program):
             name = theta_atom(catom)
             names.append(name)
             if catom not in definitions:
-                claim_name(owners, name, catom)
+                claim_name(owners, name, catom, basic.language)
                 definitions[catom] = (name, *checked_primes(catom))
         main.append((rule.head[0], names))
     return basic.declared_atoms, main, definitions.values()
@@ -103,7 +104,7 @@ def translate_normal(program: Program) -> Program:
     sublattice base positively and the domain atoms outside the sublattice
     top under negation, in canonical order.  Raises
     :class:`NameCollisionError` when two distinct c-atoms would share a
-    ``__theta_`` name.
+    ``__theta_`` name or a name it introduces is an atom of the program.
     """
     declared, main, definitions = _translation(program)
     rules = [Rule((head,), tuple(map(Literal.atom, names))) for head, names in main]

@@ -598,12 +598,6 @@ def is_supported(model: frozenset[str], program: Program) -> bool:
         for atom in model)
 
 
-def is_supported_model(interpretation: Iterable[str], program: Program) -> bool:
-    """Model in which every atom heads some rule whose body the model satisfies."""
-    model = frozenset(interpretation)
-    return is_model(model, program) and is_supported(model, program)
-
-
 def complement(catom: CAtom) -> CAtom:
     """The constraint interpreting ``not A``: same domain, complementary table."""
     check_guard("complement_domain", len(catom.domain))

@@ -47,7 +47,7 @@ class InvariantError(CatlpError):
 
 
 class NameCollisionError(InvariantError):
-    """Two distinct constraint atoms were given the same introduced atom name."""
+    """An introduced atom name is taken: by a distinct c-atom, or by an atom of the program."""
 
 
 class ParseError(CatlpError):

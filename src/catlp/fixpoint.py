@@ -7,13 +7,15 @@ the empty set underneath a candidate model yields a fixpoint; the candidate
 is stable exactly when it equals that fixpoint.  This route only needs
 negation-free programs with elementary heads, so normal constraint programs
 are first rewritten by pushing ``not`` into complement constraints.
+Conditional satisfaction is read off each c-atom's truth table, and the
+module imports only ``core`` and ``errors``: it shares no code with the
+reduct or the abstract forms, so the two oracles stay independent.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .abstraction import AbstractCAtom
 from .core import (
     CAtom,
     Literal,
@@ -53,18 +55,6 @@ def cond_satisfies(lower: Iterable[str], upper: Iterable[str], catom: CAtom) -> 
         elif atom in top:
             table &= table >> (1 << i)
     return bool(table >> base & 1)
-
-
-def cond_satisfies_abstract(lower: Iterable[str], upper: Iterable[str],
-                            abstract: AbstractCAtom) -> bool:
-    """Conditional satisfaction read off the abstract form.
-
-    The interval from ``lower`` to ``upper`` on the domain must lie in one prime
-    cube; with no interpolants (``lower`` outside ``upper``), one must hold ``lower``.
-    """
-    x, y = abstract.position(lower), abstract.position(upper)
-    y = y if x & y == x else x
-    return any(not y & ~(base | free) for base, free in abstract.covering(x))
 
 
 def _require_positive_basic(program: Program) -> None:

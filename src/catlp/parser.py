@@ -10,10 +10,10 @@ constraints (``1 {a, not b=2} 3``), aggregates (``#sum{a=1} >= 2``), or
 
 The parser builds core objects directly: weight constraints and aggregates
 are desugared into c-atoms as they are read, ``bot`` is ``FALSE_CATOM`` and
-elementary head constraints are flattened to their atom.  :func:`parse`
-keeps negated c-atoms; :func:`load_program` also replaces them by their
-complements.  :func:`format_program` prints a loaded program so that it
-loads back unchanged.
+elementary head constraints are flattened to their atom.  A negated
+c-atom stays a negated literal; every route reads ``not A`` as A's
+complement through ``core.literal_catom``.  :func:`format_program` prints a
+loaded program so that it loads back unchanged.
 
 The lexer is one ``findall`` of one pattern, which skips whitespace and
 comments itself, and the parser reads the token kinds and values by
@@ -126,18 +126,6 @@ def desugar_aggregate(aggregate: AggregateConstraint) -> CAtom:
     atoms = sorted(values)
     delta = [values[a] if aggregate.kind == "sum" else 1 for a in atoms]
     return _linear_catom(atoms, 0, delta, *_INTERVALS[aggregate.relation](aggregate.bound))
-
-
-def eliminate_negated_catoms(program: Program) -> Program:
-    """Replace every negated body constraint by its complement."""
-    rules = []
-    for rule in program.rules:
-        body = tuple(
-            Literal.constraint(literal_catom(lit))
-            if lit.is_constraint and not lit.positive else lit
-            for lit in rule.body)
-        rules.append(Rule(rule.head, body))
-    return Program(tuple(rules), program.declared_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +349,7 @@ class _Parser:
         return (index, int(self.expect("int")))
 
 
-def parse(text: str) -> Program:
+def load_program(text: str) -> Program:
     """Parse and desugar program text, keeping negated c-atoms.
 
     Raises :class:`ParseError` with line and column.
@@ -383,11 +371,6 @@ def parse_interpretation(text: str) -> frozenset[str]:
     names = parser.separated(parser.atom_name) if parser.kinds[0] else ()
     parser.finish()
     return frozenset(names)
-
-
-def load_program(text: str) -> Program:
-    """Parse, desugar, and clear negated constraints: the standard pipeline."""
-    return eliminate_negated_catoms(parse(text))
 
 
 # ---------------------------------------------------------------------------

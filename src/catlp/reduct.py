@@ -19,9 +19,9 @@ at a time, at that candidate's bit of the same reduct, against a space of
 the candidate's subsets.  Introduced atoms are bits, not names; only
 ``gl_reduct``, which renders a reduct, mints their names.
 
-Every parsed program is taken as it stands: ``Program.compiled`` holds a
+Every loaded program is taken as it stands: ``Program.compiled`` holds a
 negated body c-atom ``not A`` as the body c-atom A's complement, so a
-program and ``parser.eliminate_negated_catoms`` of it get the same answers.
+program answers as it does with each ``not A`` rewritten as that complement.
 A body c-atom's satisfiable sets are the bases of its prime cubes that hold
 the candidate.  Each ``core.CompiledCAtom`` of ``Program.compiled`` keeps
 its abstract form, built once by ``abstraction.build_abstract``, so it
@@ -39,12 +39,13 @@ the models of its ``CandidateBits`` that strictly hold no other model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Container, Iterable
 
 from .core import (
     CAtom,
     CandidateBits,
     CompiledCAtom,
+    FALSE_CATOM,
     Literal,
     Program,
     Rule,
@@ -74,11 +75,15 @@ class ReductProgram(Program):
     gamma: frozenset[str] = frozenset()
 
 
-def claim_name(owners: dict[str, CAtom], name: str, catom: CAtom) -> None:
-    """Record ``catom`` as the owner of an introduced ``name``.
+def claim_name(owners: dict[str, CAtom], name: str, catom: CAtom,
+               vocabulary: Container[str]) -> None:
+    """Record ``catom`` as the owner of ``name``, introduced into a program of ``vocabulary``.
 
-    Raises :class:`NameCollisionError` when a distinct c-atom owns it already.
+    Raises :class:`NameCollisionError` when the program has an atom ``name``
+    or a distinct c-atom owns it already.
     """
+    if name in vocabulary:
+        raise NameCollisionError(f"the introduced atom {name} is an atom of the program")
     if owners.setdefault(name, catom) != catom:
         raise NameCollisionError(
             f"distinct constraint atoms over {{{', '.join(sorted(catom.domain))}}} and "
@@ -210,7 +215,8 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
     The steps run on masks (``_Reduct`` over a one-candidate space); this
     renders the result with the introduced atom names, rule by rule in
     source order.  Raises :class:`NameCollisionError` when two distinct
-    c-atoms of the program would share an introduced name, and
+    c-atoms of the program would share an introduced name or a name it
+    introduces is an atom of the program, and
     :class:`InvariantError` when the result breaks the size bound, taken
     over the body c-atoms of the kept rules alone (``_size_bound``), whose
     abstract forms the reduct has read already.
@@ -221,7 +227,9 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
     owners: dict[str, CAtom] = {}
     for role in (theta_names, beta_names):
         for c, name in role.items():
-            claim_name(owners, name, c.catom)
+            claim_name(owners, name, c.catom, compiled.bit)
+    if compiled.head_catoms:
+        claim_name(owners, BOT, FALSE_CATOM, compiled.bit)
     m = compiled.mask(a for a in frozenset(interpretation) if a in compiled.bit)
     space = CandidateBits(compiled, m)
     reduct = _Reduct(space, space.full)

@@ -376,6 +376,20 @@ def embed_ordinary(program: Program) -> Program:
     return Program(tuple(rules), program.declared_atoms)
 
 
+def lower_negated_catoms(program: Program) -> Program:
+    """Replace every negated body c-atom ``not A`` by A's complement, its
+    solutions gathered by scanning the subsets of A's domain."""
+    rules = []
+    for rule in program.rules:
+        body = tuple(
+            Literal.constraint(CAtom(lit.item.domain, (
+                s for s in iter_subsets(lit.item.domain) if s not in lit.item.solutions)))
+            if lit.is_constraint and not lit.positive else lit
+            for lit in rule.body)
+        rules.append(Rule(rule.head, body))
+    return Program(tuple(rules), program.declared_atoms)
+
+
 def ordinary_dependency_edges(program: Program) -> set[tuple[str, str, str]]:
     """Signed edges of an ordinary normal program, head to body literals."""
     edges = set()

@@ -14,20 +14,16 @@ from catlp.abstraction import (
     Disjunct,
     PrefixedPowerSet,
     abstract_of,
-    abstract_satisfiable_sets,
     build_abstract,
     check_irredundant,
     classify_catom,
-    dnf,
     expand,
-    is_maximally_simplified,
     satisfiable_sets,
     satisfies_abstract,
     simplified_dnf,
 )
 from catlp.core import CAtom, Literal, Program, Rule, complement, iter_subsets, satisfies_catom
 from catlp.errors import GuardError
-from catlp.fixpoint import cond_satisfies, cond_satisfies_abstract
 from catlp.golden import (
     AT_LEAST_ONE,
     LATTICE_FAMILY,
@@ -289,12 +285,11 @@ class TestMaskReadsAgainstBruteForce:
             for subset in iter_subsets(catom.domain):
                 for interp in (subset, subset | {"outside"}):
                     covering = frozenset(m for m in members if oracles.brute_covers(m, subset))
-                    assert abstract_satisfiable_sets(abstract, interp) == covering
                     assert satisfiable_sets(abstract, interp) == {m.base for m in covering}
                     assert satisfies_abstract(interp, abstract) == bool(covering)
 
     def test_mask_routes_build_no_sublattice_object(self, monkeypatch):
-        # Only ``lattices`` and ``abstract_satisfiable_sets`` render members.
+        # Only ``lattices`` renders members.
         catom = parse_constraint("2 {a, b, c, d} 3")
 
         def answers():  # on a new program, so its compiled form is built here
@@ -302,7 +297,7 @@ class TestMaskReadsAgainstBruteForce:
             abstract = build_abstract(catom)
             return (abstract.primes, expand(abstract), satisfies_abstract("ab", abstract),
                     satisfiable_sets(abstract, "abc"), classify_catom(abstract),
-                    simplified_dnf(abstract), cond_satisfies_abstract("ab", "abc", abstract),
+                    simplified_dnf(abstract),
                     stable_models(program), is_stable(program, "ac"),
                     reduct_size_bound(program))
 
@@ -349,15 +344,12 @@ class TestSatisfiableSets:
              {"p(-1)", "p(1)", "p(2)"}])
         abstract = build_abstract(catom)
         interp = {"p(-1)", "p(1)", "p(2)"}
-        only = PrefixedPowerSet(
-            frozenset(("p(2)",)), frozenset(("p(-1)", "p(1)")))
-        assert abstract_satisfiable_sets(abstract, interp) == frozenset((only,))
         assert satisfiable_sets(abstract, interp) == frozenset(
             (frozenset(("p(2)",)),))
 
     def test_elementary(self):
         abstract = build_abstract(CAtom.elementary("a"))
-        assert abstract_satisfiable_sets(abstract, {"a"}) == frozenset((pps("a", ""),))
+        assert satisfiable_sets(abstract, {"a"}) == frozenset((frozenset("a"),))
 
     def test_both_members_cover(self):
         abstract = build_abstract(AT_LEAST_ONE)
@@ -370,7 +362,7 @@ class TestSatisfiableSets:
             catom = generators.random_catom(rng, max_domain=5)
             abstract = build_abstract(catom)
             for interp in iter_subsets(catom.domain):
-                empty = not abstract_satisfiable_sets(abstract, interp)
+                empty = not satisfiable_sets(abstract, interp)
                 assert empty == (not satisfies_catom(interp, catom))
 
     def test_base_to_restriction_interval_is_admissible(self):
@@ -450,29 +442,13 @@ class TestDnf:
             Disjunct(frozenset("a"), frozenset("d")),
         }
 
-    def test_simplified_form_is_maximally_simplified(self):
-        for catom in (LATTICE_FAMILY, AT_LEAST_ONE, MIXED_FAMILY, PUNCTURED_CUBE):
-            assert is_maximally_simplified(simplified_dnf(build_abstract(catom)))
-
-    def test_raw_form_can_simplify(self):
-        assert not is_maximally_simplified(dnf(AT_LEAST_ONE))
-
-    def test_merging_pair_detected(self):
-        formula = Dnf((
-            Disjunct(frozenset("ab"), frozenset()),
-            Disjunct(frozenset("a"), frozenset("b")),
-        ))
-        assert not is_maximally_simplified(formula)
-
     def test_semantic_equivalence(self):
         rng = random.Random(21)
         for _ in range(200):
             catom = generators.random_catom(rng, max_domain=5)
-            raw = dnf(catom)
             slim = simplified_dnf(build_abstract(catom))
             for interp in iter_subsets(catom.domain):
                 expected = satisfies_catom(interp, catom)
-                assert raw.satisfied_by(interp) == expected
                 assert slim.satisfied_by(interp) == expected
 
     def test_string_rendering(self):
@@ -488,24 +464,6 @@ def test_abstract_of_cache_is_bounded():
         abstract_of(CAtom.elementary(f"cached{i}"))
     info = abstract_of.cache_info()
     assert info.currsize <= info.maxsize
-
-
-def test_conditional_satisfaction_bridge():
-    # The abstract form answers conditional satisfaction through inclusion of
-    # the [lower, restriction] interval in some sublattice, and by covering
-    # the lower set alone when it leaves the upper one.
-    rng = random.Random(31)
-    for _ in range(300):
-        catom = generators.random_catom(rng, max_domain=5)
-        abstract = build_abstract(catom)
-        domain = sorted(catom.domain)
-        upper = frozenset(a for a in domain if rng.random() < 0.6)
-        inside = frozenset(a for a in upper if rng.random() < 0.6)
-        anywhere = frozenset(a for a in domain if rng.random() < 0.5)
-        for lower in (inside, anywhere):
-            expected = oracles.brute_cond_satisfies(lower, upper, catom)
-            assert cond_satisfies(lower, upper, catom) == expected
-            assert cond_satisfies_abstract(lower, upper, abstract) == expected
 
 
 def test_compactness_conjecture_is_report_only():

@@ -15,6 +15,7 @@ from catlp.analysis import (
 )
 from catlp.core import (
     CAtom,
+    FALSE_CATOM,
     Literal,
     Program,
     Rule,
@@ -24,7 +25,7 @@ from catlp.core import (
 from catlp.errors import GuardError, NameCollisionError, ProgramClassError
 from catlp.golden import EVEN_LOOP, NEGATIVE_EDGE_RULE, SUM_LOOP, TAUTOLOGY_BODY
 from catlp.parser import format_program, load_program
-from catlp.reduct import stable_models
+from catlp.reduct import stable_models, theta_atom
 
 import generators
 import oracles
@@ -65,6 +66,30 @@ class TestNormalizeBasic:
         with pytest.raises(ProgramClassError):
             normalize_basic(program)
 
+    def test_fresh_atom_taken_by_the_program_is_refused(self):
+        # Built through the library, a program may hold ``__f_1`` already;
+        # minting it again made ``bot :- b`` a rule for that atom, which
+        # turned the program's lack of stable models into {b, __f_1}.
+        program = Program((Rule(("__f_1",)), Rule((FALSE_CATOM,), (Literal.atom("b"),)),
+                           Rule(("b",))))
+        assert stable_models(program) == ()
+        for route in (normalize_basic, translate_normal, format_translation,
+                      dependency_graph, check_dependency_theorem):
+            with pytest.raises(NameCollisionError, match="__f_1"):
+                route(program)
+
+    def test_own_output_mints_no_taken_name(self):
+        # Only minted names are checked, so what normalization and the
+        # translation return, ``__f_`` and ``__theta_`` atoms and all, is
+        # taken as input again.
+        program = load_program("bot :- a. a :- not b. b :- 1 {a, c}. c :- [a, b : {a}].")
+        basic = normalize_basic(program)
+        assert normalize_basic(basic) == basic
+        assert translate_normal(basic) == translate_normal(program)
+        translated = translate_normal(program)
+        assert check_dependency_theorem(translated).all_hold
+        assert set(dependency_graph(translated).vertices) >= {"__f_1", "a", "b", "c"}
+
 
 class TestTranslateNormal:
     def test_tautology_translation(self):
@@ -100,6 +125,16 @@ class TestTranslateNormal:
         ))
         for translate in (translate_normal, format_translation):
             with pytest.raises(NameCollisionError, match="__theta_0000000000"):
+                translate(program)
+
+    def test_name_taken_by_an_atom_is_refused(self):
+        # Named ``__theta_`` of the body c-atom, a fact would make the body
+        # true whatever a and b are.
+        catom = CAtom("ab", [{"a"}, {"b"}])
+        taken = theta_atom(catom)
+        program = Program((Rule(("x",), (Literal.constraint(catom),)), Rule((taken,))))
+        for translate in (translate_normal, format_translation):
+            with pytest.raises(NameCollisionError, match=taken):
                 translate(program)
 
     def test_identical_catoms_share_a_name(self, monkeypatch):

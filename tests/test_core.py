@@ -20,7 +20,6 @@ from catlp.core import (
     is_minimal_model,
     is_model,
     is_supported,
-    is_supported_model,
     iter_subsets,
     satisfies_catom,
     satisfies_rule,
@@ -215,7 +214,6 @@ class TestModelChecks:
         empty = Program(())
         assert is_model(set(), empty)
         assert is_minimal_model(set(), empty)
-        assert is_supported_model(set(), empty)
 
     def test_reduct_minimal_model(self):
         program = disjunctive_fact_program()
@@ -229,15 +227,10 @@ class TestModelChecks:
         assert is_model({"a", "zz"}, program)
         assert not is_minimal_model({"a", "zz"}, program)
 
-    def test_supported_needs_a_firing_rule(self):
-        program = load_program("a :- b. b :- a.")
-        assert is_supported_model({"a", "b"}, program)
-        assert not is_supported_model({"a"}, load_program("a :- b."))
-
     def test_support_alone_does_not_test_the_model(self):
         program = load_program("a. b :- a.")
         assert is_supported(frozenset("a"), program)
-        assert not is_supported_model({"a"}, program)
+        assert not is_model({"a"}, program)
 
     def test_minimal_model_guard_fires_before_enumeration(self):
         program = Program(tuple(Rule((f"x{i}",)) for i in range(23)))

@@ -1,10 +1,11 @@
+import ast
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from catlp import fixpoint as fixpoint_module
-from catlp.abstraction import build_abstract
 from catlp.core import (
     CAtom,
     Literal,
@@ -18,7 +19,6 @@ from catlp.core import (
 from catlp.errors import GuardError, InvariantError, NotAModelError, ProgramClassError
 from catlp.fixpoint import (
     cond_satisfies,
-    cond_satisfies_abstract,
     fixpoint_stable,
     fixpoint_stable_models,
     to_positive_basic,
@@ -91,9 +91,11 @@ class TestCondSatisfies:
             catom = generators.random_catom(rng, max_domain=5)
             pool = sorted(catom.domain) + ["z"]
             upper = frozenset(a for a in pool if rng.random() < 0.6)
-            lower = frozenset(a for a in upper if rng.random() < 0.6)
-            assert cond_satisfies(lower, upper, catom) == oracles.brute_cond_satisfies(
-                lower, upper, catom)
+            inside = frozenset(a for a in upper if rng.random() < 0.6)
+            anywhere = frozenset(a for a in pool if rng.random() < 0.5)  # may leave upper
+            for lower in (inside, anywhere):
+                assert cond_satisfies(lower, upper, catom) == oracles.brute_cond_satisfies(
+                    lower, upper, catom)
 
     def test_implies_plain_satisfaction(self):
         rng = random.Random(59)
@@ -105,42 +107,6 @@ class TestCondSatisfies:
             lower = frozenset(a for a in upper if rng.random() < 0.7)
             if cond_satisfies(lower, upper, catom):
                 assert satisfies_catom(lower, catom)
-
-
-class TestCondSatisfiesAbstract:
-    def test_sum_atom_example(self):
-        catom = CAtom(
-            ("p(-1)", "p(1)", "p(2)"),
-            [{"p(1)"}, {"p(2)"}, {"p(-1)", "p(2)"}, {"p(1)", "p(2)"},
-             {"p(-1)", "p(1)", "p(2)"}])
-        abstract = build_abstract(catom)
-        assert cond_satisfies_abstract(
-            {"p(2)"}, {"p(-1)", "p(1)", "p(2)"}, abstract)
-
-    def test_nonempty_base_needs_lower_atoms(self):
-        abstract = build_abstract(CAtom.elementary("a"))
-        assert not cond_satisfies_abstract(set(), {"a"}, abstract)
-
-    def test_lower_outside_upper_needs_only_satisfaction(self):
-        # {a} is not inside {b}: no interpolants, so {a} need only satisfy it.
-        catom = CAtom("ab", [{"a"}])
-        assert cond_satisfies_abstract({"a"}, {"b"}, build_abstract(catom))
-        assert oracles.brute_cond_satisfies({"a"}, {"b"}, catom)
-
-    def test_agreement_with_direct_route(self):
-        # The lower set is drawn inside the upper one and, independently,
-        # anywhere in the domain, where it may leave the upper set.
-        rng = random.Random(61)
-        for _ in range(1000):
-            catom = generators.random_catom(rng, max_domain=5)
-            abstract = build_abstract(catom)
-            upper = frozenset(a for a in catom.domain if rng.random() < 0.6)
-            inside = frozenset(a for a in upper if rng.random() < 0.6)
-            anywhere = frozenset(a for a in catom.domain if rng.random() < 0.5)
-            for lower in (inside, anywhere):
-                expected = oracles.brute_cond_satisfies(lower, upper, catom)
-                assert cond_satisfies(lower, upper, catom) == expected
-                assert cond_satisfies_abstract(lower, upper, abstract) == expected
 
 
 class TestTpStep:
@@ -267,9 +233,26 @@ class TestToPositiveBasic:
             program = generators.random_normal_constraint_program(
                 rng, atoms=("a", "b", "c"), max_rules=3, max_domain=2)
             rewritten = to_positive_basic(program)
-            from catlp.parser import eliminate_negated_catoms
-
-            direct = eliminate_negated_catoms(program)
+            direct = oracles.lower_negated_catoms(program)
             assert stable_models(direct) == stable_models(rewritten)
             expected = set(stable_models(rewritten))
             assert set(fixpoint_stable_models(rewritten)) == expected
+
+
+def test_fixpoint_oracle_imports_only_core_and_errors():
+    """The fixpoint route is the paper's second characterization: it may
+    share no code with the reduct or the abstract forms."""
+    tree = ast.parse(Path(fixpoint_module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                imported.add(node.module)
+            elif node.module:
+                imported.add(f"catlp.{node.module}")
+            else:  # ``from . import x``
+                imported.update(f"catlp.{alias.name}" for alias in node.names)
+    assert {"catlp.core", "catlp.errors"} <= imported
+    assert {m for m in imported if m.partition(".")[0] == "catlp"} == {"catlp.core", "catlp.errors"}

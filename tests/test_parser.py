@@ -26,10 +26,8 @@ from catlp.parser import (
     WeightEntry,
     desugar_aggregate,
     desugar_weight,
-    eliminate_negated_catoms,
     format_program,
     load_program,
-    parse,
     parse_constraint,
     parse_interpretation,
 )
@@ -95,29 +93,29 @@ class TestGrammar:
 class TestParseErrors:
     def test_position_reported(self):
         with pytest.raises(ParseError) as err:
-            parse("a :- \n b,, c.")
+            load_program("a :- \n b,, c.")
         assert err.value.line == 2
         assert err.value.column == 4
 
     def test_unknown_directive(self):
         with pytest.raises(ParseError):
-            parse("#minimize a.")
+            load_program("#minimize a.")
 
     def test_reserved_prefix_rejected(self):
         with pytest.raises(ParseError):
-            parse("__theta_x :- a.")
+            load_program("__theta_x :- a.")
 
     def test_set_atom_outside_domain(self):
         with pytest.raises(ParseError):
-            parse("x :- [a : {b}].")
+            load_program("x :- [a : {b}].")
 
     def test_missing_period(self):
         with pytest.raises(ParseError):
-            parse("a :- b")
+            load_program("a :- b")
 
     def test_stray_character(self):
         with pytest.raises(ParseError):
-            parse("a $ b.")
+            load_program("a $ b.")
 
     @pytest.mark.parametrize("text, line, column", [
         ("a :-", 1, 3),
@@ -125,7 +123,7 @@ class TestParseErrors:
     ])
     def test_end_of_input_at_last_token(self, text, line, column):
         with pytest.raises(ParseError, match="unexpected end of input") as err:
-            parse(text)
+            load_program(text)
         assert (err.value.line, err.value.column) == (line, column)
 
     @pytest.mark.parametrize("text, line, column", [
@@ -136,19 +134,19 @@ class TestParseErrors:
     def test_aggregate_atom_listed_twice(self, text, line, column):
         # Whichever value comes last, the aggregate is refused, not resolved.
         with pytest.raises(ParseError, match="'[ab]' is listed twice") as err:
-            parse(text)
+            load_program(text)
         assert (err.value.line, err.value.column) == (line, column)
 
     @pytest.mark.parametrize("entry, text, message, line, column", [
-        (parse, "a :-\r\n\tb,\r\n\t$ c.", "unexpected character '$'", 3, 2),
-        (parse, "% head\n\ta. % tail\n  #minimize b.", "unknown directive '#minimize'", 3, 3),
-        (parse, "a :- b\r\n% c.\r\n\tc.", "expected '.', found 'c'", 3, 2),
-        (parse, "x.\n\ty :- not\t:- z.", "expected an atom or constraint, found ':-'", 2, 11),
-        (parse, "p :- #sum{a=1,\r\n\tb=2} % >=\r\n\t 3.",
+        (load_program, "a :-\r\n\tb,\r\n\t$ c.", "unexpected character '$'", 3, 2),
+        (load_program, "% head\n\ta. % tail\n  #minimize b.", "unknown directive '#minimize'", 3, 3),
+        (load_program, "a :- b\r\n% c.\r\n\tc.", "expected '.', found 'c'", 3, 2),
+        (load_program, "x.\n\ty :- not\t:- z.", "expected an atom or constraint, found ':-'", 2, 11),
+        (load_program, "p :- #sum{a=1,\r\n\tb=2} % >=\r\n\t 3.",
          "expected a comparison, found '3'", 3, 3),
-        (parse, "a.\n% __beta_b.\n\tb :- c, __theta_c.",
+        (load_program, "a.\n% __beta_b.\n\tb :- c, __theta_c.",
          "atom name '__theta_c' uses a reserved prefix", 3, 10),
-        (parse, "x :-\r\n\t[a,b :\r\n {a}, {c}].", "set atom 'c' is outside the constraint domain",
+        (load_program, "x :-\r\n\t[a,b :\r\n {a}, {c}].", "set atom 'c' is outside the constraint domain",
          2, 2),
         (parse_constraint, "1 {a, b}\r\n\t% c\r\n 2 x", "trailing input 'x'", 3, 4),
         (parse_interpretation, "a,\r\n\tb % c\n c", "trailing input 'c'", 3, 2),
@@ -292,25 +290,32 @@ class TestDesugarAggregate:
 
 
 class TestNegatedConstraints:
+    """Loading keeps ``not A``; the compiled program holds A's complement."""
+
     def test_body_complement(self):
         program = load_program("x :- not [a : {a}].")
-        assert program.rules[0].body[0] == Literal.constraint(CAtom("a", [()]))
+        assert program.rules[0].body[0] == Literal.negated_constraint(CAtom.elementary("a"))
+        assert [c.catom for c in program.compiled.body_catoms] == [CAtom("a", [()])]
 
     def test_idempotent_without_negation(self):
         program = load_program(SUM_LOOP)
-        assert eliminate_negated_catoms(program) == program
+        written = [lit.item for rule in program.rules for lit in rule.body if lit.is_constraint]
+        assert all(lit.positive for rule in program.rules for lit in rule.body)
+        assert [c.catom for c in program.compiled.body_catoms] == list(dict.fromkeys(written))
 
     def test_double_negation_round_trips(self):
         catom = CAtom("ab", [{"a"}, {"a", "b"}])
         once = parse_constraint("not [a,b : {a}, {a,b}]")
-        twice = eliminate_negated_catoms(
-            parse("x :- not [a,b : {}, {b}]."))
+        twice = load_program("x :- not [a,b : {}, {b}].")
         assert once == CAtom("ab", [set(), {"b"}])
-        assert twice.rules[0].body[0].item == catom
+        assert twice.rules[0].body[0] == Literal.negated_constraint(once)
+        assert twice.compiled.body_catoms[0].catom == catom
 
     def test_negated_weight_desugars_then_complements(self):
         program = load_program("x :- not 1 {a, b} 2.")
-        assert program.rules[0].body[0] == Literal.constraint(CAtom("ab", [()]))
+        assert program.rules[0].body[0] == Literal.negated_constraint(
+            CAtom("ab", [{"a"}, {"b"}, {"a", "b"}]))
+        assert [c.catom for c in program.compiled.body_catoms] == [CAtom("ab", [()])]
 
 
 class TestRoundTrip:
@@ -337,12 +342,11 @@ GENERATED_FAMILIES = (
 
 
 def _as_loaded(program: Program) -> Program:
-    """``program`` after the two rewrites loading performs."""
-    flattened = Program(
+    """``program`` with its elementary head constraints flattened, as loading does."""
+    return Program(
         tuple(Rule(tuple(head_atom_name(e) or e for e in rule.head), rule.body)
               for rule in program.rules),
         program.declared_atoms)
-    return eliminate_negated_catoms(flattened)
 
 
 @given(st.sampled_from(GENERATED_FAMILIES), st.integers(0, 2**32 - 1))

@@ -41,7 +41,7 @@ from catlp.golden import (
     disjunctive_fact_program,
     reduct_lines,
 )
-from catlp.parser import eliminate_negated_catoms, format_program, load_program
+from catlp.parser import format_program, load_program
 from catlp.reduct import (
     BOT,
     beta_atom,
@@ -127,7 +127,7 @@ class TestGlReduct:
     def test_negated_constraints_reduce_as_their_complements(self):
         rule = Rule(("a",), (Literal.negated_constraint(CAtom.elementary("b")),))
         program = Program((rule,))
-        lowered = eliminate_negated_catoms(program)
+        lowered = oracles.lower_negated_catoms(program)
         for candidate in iter_subsets("ab"):
             assert gl_reduct(program, candidate) == gl_reduct(lowered, candidate)
         assert format_program(gl_reduct(program, frozenset("a"))) == (
@@ -204,6 +204,18 @@ class TestGlReduct:
         ))
         with pytest.raises(NameCollisionError, match="__theta_0000000000"):
             gl_reduct(program, frozenset("ab"))
+
+    def test_name_taken_by_an_atom_is_refused(self):
+        body, head = CAtom("ab", [{"a"}, {"b"}]), CAtom("cd", [{"c"}])
+        rules = (Rule(("x",), (Literal.constraint(body),)), Rule((head,)))
+        for taken in (theta_atom(body), beta_atom(head), BOT):
+            with pytest.raises(NameCollisionError, match=taken):
+                gl_reduct(Program(rules + (Rule((taken,)),)), frozenset("acx"))
+        # A reduct holds these atoms but no c-atom, so its own reduct mints
+        # no name and keeps every rule.
+        reduct = gl_reduct(Program(rules), frozenset("acx"))
+        assert {theta_atom(body), beta_atom(head), BOT} <= reduct.atoms
+        assert gl_reduct(reduct, reduct.atoms).rules == reduct.rules
 
     def test_stability_mints_no_names(self, monkeypatch):
         # Introduced atoms are bits while stability is decided; only
@@ -511,7 +523,7 @@ class TestStability:
             Rule(("a",), (Literal.negated_constraint(catom),)),
             Rule((CAtom(frozenset(), ()),)),
         ))
-        assert stable_models(program) == stable_models(eliminate_negated_catoms(program)) == ()
+        assert stable_models(program) == stable_models(oracles.lower_negated_catoms(program)) == ()
         assert list(candidate_models(program)) == []
         for candidate in iter_subsets("a"):
             assert not is_stable(program, candidate)
@@ -545,7 +557,7 @@ class TestAllCandidatesAtOnce:
         rng = random.Random(47)
         for make in self.FAMILIES:
             for _ in range(50):
-                program = eliminate_negated_catoms(make(rng))
+                program = oracles.lower_negated_catoms(make(rng))
                 rules, declared = program.rules, program.declared_atoms
                 if rng.random() < 0.3:
                     body = tuple(Literal.negated_atom(a) if rng.random() < 0.5
@@ -659,7 +671,7 @@ class TestAllCandidatesAtOnce:
 
 class TestNegatedCAtomsAsComplements:
     """Every reduct-layer route answers on a parsed program, negated c-atoms
-    and all, as on ``eliminate_negated_catoms`` of it."""
+    and all, as on ``oracles.lower_negated_catoms`` of it."""
 
     def _programs(self):
         """Normal programs that negate c-atoms, and disjunctive ones with some
@@ -677,7 +689,7 @@ class TestNegatedCAtomsAsComplements:
     def test_routes_match_the_lowered_program(self):
         negated = disjunctive = 0
         for k, program in enumerate(self._programs()):
-            lowered = eliminate_negated_catoms(program)
+            lowered = oracles.lower_negated_catoms(program)
             negated += lowered != program
             disjunctive += lowered != program and any(len(r.head) > 1 for r in program.rules)
             assert stable_models(program) == stable_models(lowered), program
@@ -731,7 +743,7 @@ class TestWitnessSearchDifferential:
         for _ in range(60):
             yield generators.random_disjunctive_constraint_program(rng)
         for _ in range(40):
-            yield eliminate_negated_catoms(
+            yield oracles.lower_negated_catoms(
                 generators.random_normal_constraint_program(rng, atoms="abcd"))
         for _ in range(40):
             yield generators.random_ordinary_program(
