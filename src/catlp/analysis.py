@@ -90,10 +90,24 @@ def _translation(program: Program):
             name = theta_atom(catom)
             names.append(name)
             if catom not in definitions:
-                claim_name(owners, name, catom, basic.language)
-                definitions[catom] = (name, *checked_primes(catom))
+                definitions[catom] = definition = (name, *checked_primes(catom))
+                taken = basic.language
+                if name in taken:
+                    own = {frozenset(r.body) for r in basic.rules if r.head == (name,)}
+                    if own == {frozenset(r.body) for r in _defining_rules(*definition)}:
+                        taken = ()  # a translation's own output: the atom is the c-atom
+                claim_name(owners, name, catom, taken)
         main.append((rule.head[0], names))
     return basic.declared_atoms, main, definitions.values()
+
+
+def _defining_rules(name: str, atoms: tuple[str, ...], cubes) -> list[Rule]:
+    """``name :-`` each prime cube's base and ``not`` the domain atoms outside its top."""
+    domain = (1 << len(atoms)) - 1
+    positive = tuple(map(Literal.atom, atoms))
+    negated = tuple(map(Literal.negated_atom, atoms))
+    return [Rule((name,), select(positive, base) + select(negated, domain ^ (base | free)))
+            for base, free in cubes]
 
 
 def translate_normal(program: Program) -> Program:
@@ -104,17 +118,14 @@ def translate_normal(program: Program) -> Program:
     sublattice base positively and the domain atoms outside the sublattice
     top under negation, in canonical order.  Raises
     :class:`NameCollisionError` when two distinct c-atoms would share a
-    ``__theta_`` name or a name it introduces is an atom of the program.
+    ``__theta_`` name or a name it introduces is an atom of the program,
+    unless the program's rules for that atom are exactly the defining rules
+    this would emit, as in a translation's own output.
     """
     declared, main, definitions = _translation(program)
     rules = [Rule((head,), tuple(map(Literal.atom, names))) for head, names in main]
-    for name, atoms, cubes in definitions:
-        domain = (1 << len(atoms)) - 1
-        positive = tuple(map(Literal.atom, atoms))
-        negated = tuple(map(Literal.negated_atom, atoms))
-        rules.extend(
-            Rule((name,), select(positive, base) + select(negated, domain ^ (base | free)))
-            for base, free in cubes)
+    for definition in definitions:
+        rules.extend(_defining_rules(*definition))
     return Program(tuple(rules), declared)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, compress, product
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -414,12 +414,15 @@ def candidate_models(program: Program) -> Iterator[frozenset[str]]:
     return space.sets(space.models())
 
 
-def _basis(n: int) -> tuple[int, list[int]]:
+@cache
+def _basis(n: int) -> tuple[int, tuple[int, ...]]:
     """Every candidate over n atoms, and per atom the candidates that hold it.
 
-    Candidate k holds atom i when bit ``n - 1 - i`` of k is set.
+    Candidate k holds atom i when bit ``n - 1 - i`` of k is set.  Kept per
+    width: the ``minimal_models`` guard bounds the widths at 22, so all of
+    them take about 24 MB.
     """
-    return (1 << (1 << n)) - 1, [bit_pattern(n - 1 - i, n) for i in range(n)]
+    return (1 << (1 << n)) - 1, tuple(bit_pattern(n - 1 - i, n) for i in range(n))
 
 
 class CandidateBits:
@@ -430,15 +433,15 @@ class CandidateBits:
     bits: atom ``atoms[i]`` is bit ``n - 1 - i`` of k.  So ``format(k,
     "0nb")`` spells the candidate in atom order, and among candidates of one
     size, ``iter_subsets`` order is descending k.  A set of candidates is
-    one ``2**n``-bit integer, built per call and never cached.  A narrower
-    ``within`` of w atoms lays out its ``2**w`` subsets the same way over
-    its own atoms, and no candidate holds an atom outside it; the top bit
-    is ``within`` itself.  :meth:`mask`, :meth:`tuples` and :meth:`sets`
-    read a space of the whole vocabulary.
+    one ``2**n``-bit integer, built per call.  A narrower ``within`` of w
+    atoms lays out its ``2**w`` subsets the same way over its own atoms,
+    and no candidate holds an atom outside it; the top bit is ``within``
+    itself.  :meth:`mask`, :meth:`tuples` and :meth:`sets` read a space of
+    the whole vocabulary.
 
-    Every such integer is built from one basis (:func:`_basis`): per atom,
-    the candidates that hold it (:attr:`holds`, a :func:`bit_pattern`, or 0
-    outside ``within``).  A cube is an AND of basis entries less an OR of
+    Every such integer is built from one basis (:func:`_basis`, kept per
+    width): per atom, the candidates that hold it (:attr:`holds`, a
+    :func:`bit_pattern`, or 0 outside ``within``).  A cube is an AND of basis entries less an OR of
     them, and a c-atom's candidates come from splitting its truth table
     (:meth:`split`).
 

@@ -13,11 +13,14 @@ candidate back.
 The steps and the reduct's least fixpoint are written once, on bitsets of
 candidates (``core.CandidateBits``): ``stable_models`` runs them on a space
 of every candidate, one bit each, and ``is_stable`` and ``gl_reduct`` on a
-space of one.  A normal reduct is decided by its least fixpoint, a
-disjunctive one by testing its only possible minimal witness, one candidate
-at a time, at that candidate's bit of the same reduct, against a space of
-the candidate's subsets.  Introduced atoms are bits, not names; only
-``gl_reduct``, which renders a reduct, mints their names.
+space of one.  A normal reduct is decided by its least fixpoint.  In
+``stable_models``, so is a disjunctive one, shifted with respect to its
+candidate, when the program passes one head-cycle-free test.  Any other
+disjunctive reduct, and every one in ``is_stable``, is decided by testing
+its only possible minimal witness, one candidate at a time, at that
+candidate's bit of the same reduct, against a space of the candidate's
+subsets.  Introduced atoms are bits, not names; only ``gl_reduct``, which
+renders a reduct, mints their names.
 
 Every loaded program is taken as it stands: ``Program.compiled`` holds a
 negated body c-atom ``not A`` as the body c-atom A's complement, so a
@@ -39,12 +42,13 @@ the models of its ``CandidateBits`` that strictly hold no other model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable
+from typing import Callable, Container, Iterable
 
 from .core import (
     CAtom,
     CandidateBits,
     CompiledCAtom,
+    CompiledProgram,
     FALSE_CATOM,
     Literal,
     Program,
@@ -144,38 +148,86 @@ class _Reduct:
                 self.covers[c] = [(base, indices(base), 1) for base in map(c.lift, bases)]
 
 
+def _head_cycle_free(compiled: CompiledProgram) -> bool:
+    """Is every reduct of the program head-cycle-free?
+
+    The test runs on one graph that holds every reduct's positive
+    dependency graph, with each ``__theta_`` atom contracted into its
+    c-atom's domain: each head element (an atom, or a head c-atom's
+    ``__beta_`` node) depends on the rule's positive body atoms and on the
+    whole domain of each body c-atom, and a ``__beta_`` node and its domain
+    depend on each other.  The program passes when no rule has two head
+    elements in one strongly connected component.
+    """
+    n = len(compiled.atoms)
+    beta = {c: 1 << n + j for j, c in enumerate(compiled.head_catoms)}
+    reach = [0] * (n + len(beta))  # per node, the nodes it depends on
+    elements = []
+    for head, pos, _, heads, body in compiled.rules:
+        nodes = head | sum(beta[c] for c in set(heads))
+        for c in body:
+            pos |= c.domain
+        for i in indices(nodes):
+            reach[i] |= pos
+        elements.append(indices(nodes))
+    for c, node in beta.items():
+        reach[node.bit_length() - 1] |= c.domain
+        for i in indices(c.domain):
+            reach[i] |= node
+    for k in range(len(reach)):  # Warshall's closure, one node at a time
+        for i, found in enumerate(reach):
+            if found >> k & 1:
+                reach[i] |= reach[k]
+    return not any(reach[a] >> b & 1 and reach[b] >> a & 1
+                   for nodes in elements for a in nodes for b in nodes if a < b)
+
+
 def _stable_bits(reduct: _Reduct, candidates: int) -> int:
-    """The candidates stable through a normal reduct; disjunctive ones are left out.
+    """The candidates of ``candidates`` that their shifted reduct derives exactly.
 
     Bitset ``derived[i]`` holds the candidates whose reduct derives atom i
-    so far, and ``derived[n]`` those that derive ``__bot``.  A kept rule
-    with one head atom derives it.  One with no head atom derives, per
-    satisfied head c-atom, the candidate's true part of its domain, and
-    ``__bot`` where none is satisfied.  A body c-atom is derived once some
-    base of a member that covers the candidate is derived: per distinct
-    base, its coverage bitset ANDed with the derived bitsets of its atoms.
-    Candidates do not interact, so what a rule derives for a disjunctive
-    candidate is harmless; such candidates are dropped at the end.  The
-    ``__bot :- a, __beta_`` rules are left out: they fire only once an atom
-    outside the candidate is derived, which already rules it out.  A
+    so far, and ``derived[n]`` those that derive ``__bot``.  The reduct is
+    shifted with respect to each candidate's witness ``m | gamma``
+    (:func:`_has_minimal_witness`): a kept rule derives a head atom for the
+    candidates that hold none of its other head atoms and satisfy none of
+    its head c-atoms, and, per satisfied head c-atom, the candidate's true
+    part of its domain for those that hold none of its head atoms and
+    satisfy none of its other head c-atoms.  A rule with no head atom
+    derives ``__bot`` where no head c-atom is satisfied.  A normal reduct
+    is its own shift.  A head-cycle-free positive program has the witness
+    as a minimal model iff the witness is the least model of the program
+    shifted with respect to it (Ben-Eliyahu & Dechter, AMAI 1994), so a
+    disjunctive candidate belongs in ``candidates`` only when the program
+    passes :func:`_head_cycle_free`.
+
+    A body c-atom is derived once some base of a member that covers the
+    candidate is derived: per distinct base, its coverage bitset ANDed
+    with the derived bitsets of its atoms.  Candidates do not interact.
+    The ``__bot :- a, __beta_`` rules are left out: they fire only once an
+    atom outside the candidate is derived, which already rules it out.  A
     candidate is stable when it derives itself and not ``__bot``.
     """
     space = reduct.space
     n, holds = space.n, space.holds
-    rules = []  # (kept, positive body atoms, body c-atoms, [(target, mask or None)])
+    rules = []  # (firing candidates, positive body atoms, body c-atoms, [(target, mask or None)])
     for _, kept, head, pos, body, heads in reduct.rules:
-        if head & head - 1:
-            continue  # every candidate keeping it is disjunctive
+        kept &= candidates
         positive = indices(pos)
-        if head:
+        if not heads and not head & head - 1:
             rules.append((kept, positive, body, [(head.bit_length() - 1, None)]))
             continue
-        one = 0
-        for c, bits in heads:
+        atoms = indices(head)
+        one = two = 0  # candidates holding at least one, two head elements
+        for bits in [holds[i] for i in atoms] + [bits for _, bits in heads]:
+            two |= one & bits
             one |= bits
-            true = [(i, holds[i]) for i in indices(c.domain)]
-            rules.append((kept & bits, positive, body, true))
-        rules.append((kept & ~one, positive, body, [(n, None)]))
+        alone = kept & ~two
+        rules += [(alone & (holds[i] | ~one), positive, body, [(i, None)]) for i in atoms]
+        rules += [(alone & bits, positive, body, [(i, holds[i]) for i in indices(c.domain)])
+                  for c, bits in heads]
+        if not head:
+            rules.append((kept & ~one, positive, body, [(n, None)]))
+    rules = [rule for rule in rules if rule[0]]
 
     derived = [0] * (n + 1)
     changed = True
@@ -203,7 +255,7 @@ def _stable_bits(reduct: _Reduct, candidates: int) -> int:
                     derived[i] = new
                     changed = True
 
-    stable = candidates & ~reduct.disjunctive & ~derived[n]
+    stable = candidates & ~derived[n]
     for i in range(n):
         stable &= ~(derived[i] ^ holds[i])
     return stable
@@ -363,13 +415,34 @@ def minimal_models(program: Program) -> tuple[frozenset[str], ...]:
     return tuple(map(frozenset, sorted(space.tuples(models & ~above))))
 
 
-def _has_minimal_witness(reduct: _Reduct, m: int, k: int) -> bool:
-    """Is ``m | gamma`` a minimal model of the reduct of ``m``, bit ``k`` of ``reduct``?
+def _columns(reduct: _Reduct) -> tuple[list, dict]:
+    """``reduct.rules`` and ``reduct.covers`` with each candidate set as bytes.
 
-    That reduct is its kept rules plus the defining rules of gamma:
-    ``__theta_ :- base`` for each base covering ``m`` of each body c-atom,
-    and ``__beta_ :-`` the true part of each satisfied head c-atom, with
-    ``a :- __beta_`` for each atom of that part.
+    Bit k of a set is bit ``k & 7`` of byte ``k >> 3``, so reading one
+    candidate's bit copies no ``2**n``-bit integer, as ``x >> k`` does.
+    """
+    size = (reduct.space.full.bit_length() + 7) // 8
+
+    def column(bits: int) -> bytes:
+        return bits.to_bytes(size, "little")
+
+    rules = [(index, column(kept), head, pos, body, [(c, column(bits)) for c, bits in heads])
+             for index, kept, head, pos, body, heads in reduct.rules]
+    covers = {c: [(base, atoms, column(covered)) for base, atoms, covered in bases]
+              for c, bases in reduct.covers.items()}
+    return rules, covers
+
+
+def _has_minimal_witness(compiled: CompiledProgram, rules: list, covers: dict, m: int,
+                         holds: Callable[[int | bytes], int]) -> bool:
+    """Is ``m | gamma`` a minimal model of the reduct of ``m``?
+
+    ``rules`` and ``covers`` are those of a reduct (``_Reduct``, or its
+    :func:`_columns`) in which ``holds`` tells whether a candidate set
+    holds ``m``.  That reduct is its kept rules plus the defining rules of
+    gamma: ``__theta_ :- base`` for each base covering ``m`` of each body
+    c-atom, and ``__beta_ :-`` the true part of each satisfied head c-atom,
+    with ``a :- __beta_`` for each atom of that part.
 
     Each introduced atom has defining rules with bodies inside ``m``, so
     every model holding ``m`` holds gamma, and ``m | gamma`` is the only
@@ -391,18 +464,18 @@ def _has_minimal_witness(reduct: _Reduct, m: int, k: int) -> bool:
     rules are tested.  ``m`` is stable iff the models are the top bit alone.
     """
     check_guard("minimal_models", m.bit_count())
-    space = CandidateBits(reduct.space.compiled, within=m)
-    theta = {c: space.cubes([(base, 0) for base, _, covered in bases if covered >> k & 1])
-             for c, bases in reduct.covers.items()}
+    space = CandidateBits(compiled, within=m)
+    theta = {c: space.cubes([(base, 0) for base, _, covered in bases if holds(covered)])
+             for c, bases in covers.items()}
     violated = 0
-    for _, kept, head, pos, body, heads in reduct.rules:
-        if not kept >> k & 1:
+    for _, kept, head, pos, body, heads in rules:
+        if not holds(kept):
             continue
         bits = space.cubes([(pos, head)])
         for c in body:
             bits &= theta[c]
         for c, satisfied in heads:
-            if satisfied >> k & 1:
+            if holds(satisfied):
                 bits &= ~space.cubes([(m & c.domain, 0)])
         violated |= bits
     return space.full ^ violated == space.full + 1 >> 1
@@ -417,10 +490,12 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     the vocabulary is not guarded.  A candidate with an atom outside the
     vocabulary is not stable.  The reduct is computed and decided on masks,
     with no introduced names.  A normal one is decided by its least
-    fixpoint (``_stable_bits``), a disjunctive one by its only possible
-    witness, ``candidate | gamma`` (``_has_minimal_witness``), against every
-    subset of the candidate at once.  A ``GuardError`` is raised before that
-    space is built when ``|candidate|`` exceeds the ``minimal_models`` guard.
+    fixpoint (``_stable_bits``).  A disjunctive one is decided by its only
+    possible witness, ``candidate | gamma`` (``_has_minimal_witness``),
+    against every subset of the candidate at once, head-cycle-free or not,
+    so this route and the shifted one of ``stable_models`` check each
+    other.  A ``GuardError`` is raised before that space is built when
+    ``|candidate|`` exceeds the ``minimal_models`` guard.
     """
     compiled = program.compiled
     try:
@@ -430,7 +505,7 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     space = CandidateBits(compiled, m)
     reduct = _Reduct(space, space.full)
     if reduct.disjunctive:
-        return _has_minimal_witness(reduct, m, 0)
+        return _has_minimal_witness(compiled, reduct.rules, reduct.covers, m, bool)
     return bool(_stable_bits(reduct, space.full))
 
 
@@ -442,18 +517,28 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     one integer (``CandidateBits``), and the reduct and its least fixpoint
     run on those integers for all models at once (``_Reduct``,
     ``_stable_bits``).  A model whose reduct keeps a rule with two head
-    elements is decided alone, by ``_has_minimal_witness`` at its bit of
-    the same reduct, as ``is_stable`` does at the one bit of its own.
+    elements is disjunctive.  When the program is head-cycle-free
+    (``_head_cycle_free``, one test per program), the shifted least
+    fixpoint decides the disjunctive models with the others.  Otherwise
+    each is decided alone, by ``_has_minimal_witness`` at its bit of the
+    same reduct, read from byte columns made once (``_columns``), as
+    ``is_stable`` does at the one bit of its own.
     """
     check_guard("stable_language", len(program.language))
-    space = CandidateBits(program.compiled)
+    compiled = program.compiled
+    space = CandidateBits(compiled)
     models = space.models()
     reduct = _Reduct(space, models)
-    found = space.tuples(_stable_bits(reduct, models))
-    for k in set_bits(reduct.disjunctive):
+    alone = reduct.disjunctive
+    if alone and _head_cycle_free(compiled):
+        alone = 0
+    found = space.tuples(_stable_bits(reduct, models & ~alone))
+    rules, covers = _columns(reduct) if alone else ([], {})
+    for k in set_bits(alone):
+        byte, bit = k >> 3, 1 << (k & 7)
         m = space.mask(k)
-        if _has_minimal_witness(reduct, m, k):
-            found.append(space.compiled.atoms_of(m))
+        if _has_minimal_witness(compiled, rules, covers, m, lambda x: x[byte] & bit):
+            found.append(compiled.atoms_of(m))
     return tuple(map(frozenset, sorted(found)))
 
 

@@ -137,6 +137,40 @@ class TestTranslateNormal:
             with pytest.raises(NameCollisionError, match=taken):
                 translate(program)
 
+    def test_own_output_translates_again(self):
+        # The first translation defines ``__theta_`` of ``[b : {}]`` by
+        # ``... :- not b``; the second mints that name for the same literal.
+        program = load_program("a :- not b, [b,c : {b}, {}]. b :- a. c :- not d. d :- not c.")
+        once = translate_normal(program)
+        twice = translate_normal(once)
+        assert format_translation(once) == format_program(twice)
+        assert stable_models(program) == (frozenset("c"),)
+        assert tuple(m & program.language for m in stable_models(twice)) == (frozenset("c"),)
+
+    def test_own_output_of_random_programs_translates_again(self):
+        rng = random.Random(83)
+        compared = 0
+        for _ in range(100):
+            program = generators.random_basic_program(rng)
+            twice = translate_normal(translate_normal(program))
+            if len(twice.language) <= 20:
+                projected = sorted(m & program.language for m in stable_models(twice))
+                assert projected == sorted(stable_models(program)), program
+                compared += 1
+        assert compared == 95
+
+    def test_name_taken_with_other_rules_is_refused(self):
+        # One of the two defining rules alone: the atom is not the c-atom.
+        catom = CAtom("ab", [{"a"}, {"b"}])
+        rule = Rule(("x",), (Literal.constraint(catom),))
+        definitions = translate_normal(Program((rule,))).rules[1:]
+        assert len(definitions) == 2
+        program = Program((rule, definitions[0]))
+        for translate in (translate_normal, format_translation):
+            with pytest.raises(NameCollisionError, match=theta_atom(catom)):
+                translate(program)
+        assert set(definitions) <= set(translate_normal(Program((rule,) + definitions)).rules)
+
     def test_identical_catoms_share_a_name(self, monkeypatch):
         monkeypatch.setattr(CAtom, "digest", property(lambda self: "0" * 10))
         catom = CAtom("ab", [{"b"}, {"a", "b"}])

@@ -652,6 +652,21 @@ class TestAllCandidatesAtOnce:
         assert peak < 64 * 2 ** 20
         assert len(models) == 512
 
+    @pytest.mark.parametrize("cycle, last, count", [
+        # Head-cycle-free at the guard limit: every model is disjunctive
+        # and the shifted fixpoint decides all of them at once.
+        ("", 17, 262_144),
+        # ``a`` and ``b`` reach each other: each model goes to the witness.
+        ("a :- b. b :- a.", 14, 16_384),
+    ])
+    def test_disjunctive_models_in_desk_time(self, cycle, last, count):
+        choices = " ".join("{%s}." % ", ".join(f"c{i}" for i in group)
+                           for group in (range(8), range(8, last)))
+        program = load_program(f"#atoms z. a | b. {cycle} {choices}")
+        start = time.perf_counter()
+        assert len(stable_models(program)) == count
+        assert time.perf_counter() - start < 30
+
     def test_refusals_come_before_any_bitset(self, monkeypatch):
         def refuse(compiled):
             raise AssertionError("a bitset was built")
@@ -667,6 +682,63 @@ class TestAllCandidatesAtOnce:
         with pytest.raises(GuardError) as caught:
             is_stable(negated, frozenset())
         assert (caught.value.guard, caught.value.actual) == ("complement_domain", 21)
+
+
+class TestShiftedHeadCycleFree:
+    """A head-cycle-free program's disjunctive models are decided by the
+    shifted least fixpoint of ``_stable_bits``, any other program's by
+    ``_has_minimal_witness``; ``is_stable`` keeps the witness route for
+    every candidate, so the two routes check each other."""
+
+    def _programs(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            yield generators.random_disjunctive_constraint_program(rng)
+        for _ in range(60):
+            yield generators.random_ordinary_program(
+                rng, atoms=("a", "b", "c", "d"), max_rules=5, disjunctive=True)
+
+    def test_every_reduct_of_a_passing_program_is_head_cycle_free(self):
+        passed = 0
+        for program in self._programs():
+            if reduct_module._head_cycle_free(program.compiled):
+                passed += 1
+                for candidate in iter_subsets(program.language):
+                    assert oracles.is_head_cycle_free(gl_reduct(program, candidate)), (
+                        program, candidate)
+        assert passed == 124
+
+    def test_only_failing_programs_reach_the_witness(self, monkeypatch):
+        calls = []
+        witness = reduct_module._has_minimal_witness
+        monkeypatch.setattr(reduct_module, "_has_minimal_witness",
+                            lambda *args: calls.append(args) or witness(*args))
+        counts = {True: [0, 0], False: [0, 0]}  # per verdict: programs, disjunctive ones
+        for program in self._programs():
+            calls.clear()
+            space = core_module.CandidateBits(program.compiled)
+            disjunctive = reduct_module._Reduct(space, space.models()).disjunctive
+            assert stable_models(program) == oracles.brute_stable_models(program), program
+            verdict = reduct_module._head_cycle_free(program.compiled)
+            assert len(calls) == (0 if verdict else disjunctive.bit_count()), program
+            counts[verdict][0] += 1
+            counts[verdict][1] += bool(disjunctive)
+        assert counts == {True: [124, 68], False: [136, 124]}
+
+    def test_single_candidates_agree_with_the_shifted_route(self):
+        stable, disjunctive = 0, set()
+        for program in self._programs():
+            if reduct_module._head_cycle_free(program.compiled):
+                models = stable_models(program)
+                for candidate in iter_subsets(program.language):
+                    assert is_stable(program, candidate) == (candidate in models), (
+                        program, candidate)
+                stable += len(models)
+                space = core_module.CandidateBits(program.compiled)
+                reduct = reduct_module._Reduct(space, space.models())
+                disjunctive |= {frozenset(space.compiled.atoms_of(space.mask(k))) in models
+                                for k in core_module.set_bits(reduct.disjunctive)}
+        assert (stable, disjunctive) == (172, {True, False})
 
 
 class TestNegatedCAtomsAsComplements:
