@@ -3,8 +3,6 @@
 from .abstraction import (
     AbstractCAtom,
     CAtomClass,
-    Disjunct,
-    Dnf,
     PrefixedPowerSet,
     abstract_of,
     build_abstract,
@@ -12,7 +10,6 @@ from .abstraction import (
     expand,
     satisfiable_sets,
     satisfies_abstract,
-    simplified_dnf,
 )
 from .analysis import (
     CycleReport,
@@ -30,12 +27,9 @@ from .core import (
     FALSE_CATOM,
     Literal,
     Program,
-    ProgramClass,
     Rule,
     candidate_models,
-    classify_program,
     complement,
-    is_minimal_model,
     is_model,
     is_reserved,
     iter_subsets,

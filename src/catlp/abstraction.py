@@ -5,7 +5,10 @@ redundancy-free collection of maximal power-set sublattices whose elements are
 all admissible.  Each sublattice is stored as its bottom (``base``) together
 with the atoms that may be added freely (``free``).  The collection is unique,
 determines satisfaction, exposes monotonicity properties syntactically, and
-yields the minimal disjunctive normal form of the atom.
+yields the minimal disjunctive normal form of the atom: one disjunct per
+sublattice, its base positive and ``not`` each domain atom outside its top,
+which ``analysis.translate_normal`` emits as the bodies of the c-atom's
+``__theta_`` defining rules.
 
 The sublattices are the prime cubes of the family, computed by one
 bit-parallel kernel on its truth table (:func:`prime_cubes`), as integer
@@ -24,7 +27,7 @@ from functools import cached_property, lru_cache, partial, reduce
 from operator import or_
 from typing import Iterable
 
-from .core import CAtom, bit_pattern, indices, select, set_bits, set_key
+from .core import CAtom, bit_pattern, indices, select, set_bits
 from .errors import check_guard
 
 #: ``abstract_of`` keeps at most this many abstract forms (least recently used
@@ -48,19 +51,6 @@ class PrefixedPowerSet:
     @property
     def top(self) -> frozenset[str]:
         return self.base | self.free
-
-    def covers(self, atoms: Iterable[str]) -> bool:
-        """True when the given set lies between base and top."""
-        s = frozenset(atoms)
-        return self.base <= s <= self.top
-
-    def included_in(self, other: "PrefixedPowerSet") -> bool:
-        """True when every set covered here is covered by ``other``.
-
-        Equivalent to the subset test on bounds, which avoids enumeration:
-        the other base must lie within ours and our top within the other's.
-        """
-        return other.base <= self.base and self.top <= other.top
 
 
 @dataclass(frozen=True)
@@ -286,56 +276,3 @@ def classify_cubes(size: int, cubes: Iterable[tuple[int, int]]) -> CAtomClass:
 def classify_catom(abstract: AbstractCAtom) -> CAtomClass:
     """:func:`classify_cubes` on the abstract form's prime cubes."""
     return classify_cubes(len(abstract.atoms), abstract.primes)
-
-
-@dataclass(frozen=True)
-class Disjunct:
-    """One conjunction of a DNF: positive atoms plus negated atoms."""
-
-    pos: frozenset[str]
-    neg: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pos", frozenset(self.pos))
-        object.__setattr__(self, "neg", frozenset(self.neg))
-        if self.pos & self.neg:
-            raise ValueError("a literal cannot be both positive and negated")
-
-    def satisfied_by(self, interpretation: Iterable[str]) -> bool:
-        model = frozenset(interpretation)
-        return self.pos <= model and not (self.neg & model)
-
-    def key(self) -> tuple:
-        return (set_key(self.pos), set_key(self.neg))
-
-    def __str__(self) -> str:
-        parts = sorted(self.pos) + [f"not {a}" for a in sorted(self.neg)]
-        return " & ".join(parts) if parts else "true"
-
-
-@dataclass(frozen=True)
-class Dnf:
-    """A disjunction of conjunctions, stored sorted and deduplicated."""
-
-    disjuncts: tuple[Disjunct, ...]
-
-    def __post_init__(self):
-        canonical = tuple(sorted(set(self.disjuncts), key=Disjunct.key))
-        object.__setattr__(self, "disjuncts", canonical)
-
-    def satisfied_by(self, interpretation: Iterable[str]) -> bool:
-        model = frozenset(interpretation)
-        return any(d.satisfied_by(model) for d in self.disjuncts)
-
-    def __str__(self) -> str:
-        if not self.disjuncts:
-            return "false"
-        return " | ".join(f"({d})" for d in self.disjuncts)
-
-
-def simplified_dnf(abstract: AbstractCAtom) -> Dnf:
-    """One disjunct per sublattice: its base, plus negation outside its top."""
-    atoms, full = abstract.atoms, (1 << len(abstract.atoms)) - 1
-    return Dnf(tuple(Disjunct(select(atoms, base), select(atoms, full & ~(base | free)))
-                     for base, free in abstract.primes))
-

@@ -573,25 +573,6 @@ class CandidateBits:
         return map(frozenset, sorted(self.tuples(bits), key=len))
 
 
-def is_minimal_model(interpretation: Iterable[str], program: Program) -> bool:
-    """Model with no proper sub-model.
-
-    The model's subsets are one ``CandidateBits`` space, so it is minimal
-    when the models among them are the top bit alone, the model itself.
-    The ``minimal_models`` guard is checked before any bitset is built.
-    """
-    model = frozenset(interpretation)
-    if not is_model(model, program):
-        return False
-    if model - program.language:
-        # Atoms outside the vocabulary never affect satisfaction, so dropping
-        # them yields a smaller model.
-        return False
-    check_guard("minimal_models", len(model))
-    space = CandidateBits(program.compiled, within=program.compiled.mask(model))
-    return space.models() == space.full + 1 >> 1
-
-
 def is_supported(model: frozenset[str], program: Program) -> bool:
     """Every atom heads a rule whose body ``model`` satisfies (no model test)."""
     return all(
@@ -611,40 +592,3 @@ def literal_catom(literal: Literal) -> CAtom:
     """The c-atom a body literal stands for: atoms are elementary, ``not`` complements."""
     catom = CAtom.elementary(literal.item) if literal.is_atom else literal.item
     return catom if literal.positive else complement(catom)
-
-
-@dataclass(frozen=True)
-class ProgramClass:
-    """Syntactic class flags of a program."""
-
-    normal_constraint: bool
-    positive_constraint: bool
-    positive_basic: bool
-    basic: bool
-    normal: bool
-    disjunctive_ordinary: bool
-
-
-def classify_program(program: Program) -> ProgramClass:
-    rules = program.rules
-    single_head = all(len(r.head) == 1 for r in rules)
-    positive = all(lit.positive for r in rules for lit in r.body)
-    elementary_heads = all(
-        len(r.head) == 1 and head_atom_name(r.head[0]) is not None for r in rules)
-    bot_or_elementary = all(
-        len(r.head) == 1
-        and (head_atom_name(r.head[0]) is not None or is_false_head(r.head[0]))
-        for r in rules)
-    ordinary = all(
-        head_atom_name(e) is not None for r in rules for e in r.head
-    ) and all(
-        lit.is_atom or lit.item.is_elementary for r in rules for lit in r.body
-    )
-    return ProgramClass(
-        normal_constraint=single_head,
-        positive_constraint=positive,
-        positive_basic=positive and elementary_heads,
-        basic=positive and bot_or_elementary,
-        normal=single_head and ordinary,
-        disjunctive_ordinary=ordinary,
-    )

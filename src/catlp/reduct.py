@@ -10,17 +10,17 @@ positive program whose minimal models decide stability: the candidate is
 stable when stripping the introduced atoms from some minimal model gives the
 candidate back.
 
-The steps and the reduct's least fixpoint are written once, on bitsets of
-candidates (``core.CandidateBits``): ``stable_models`` runs them on a space
-of every candidate, one bit each, and ``is_stable`` and ``gl_reduct`` on a
-space of one.  A normal reduct is decided by its least fixpoint.  In
-``stable_models``, so is a disjunctive one, shifted with respect to its
-candidate, when the program passes one head-cycle-free test.  Any other
-disjunctive reduct, and every one in ``is_stable``, is decided by testing
-its only possible minimal witness, one candidate at a time, at that
-candidate's bit of the same reduct, against a space of the candidate's
-subsets.  Introduced atoms are bits, not names; only ``gl_reduct``, which
-renders a reduct, mints their names.
+The steps and the one least fixpoint (``_derive``, which ``least_model``
+runs too) are written once, on bitsets of candidates (``core.CandidateBits``):
+``stable_models`` runs them on a space of every candidate, one bit each, and
+``is_stable`` and ``gl_reduct`` on a space of one.  A normal reduct is
+decided by its least fixpoint.  In ``stable_models``, so is a disjunctive
+one, shifted with respect to its candidate, when the models' reducts pass
+one head-cycle-free test.  Any other disjunctive reduct, and every one in
+``is_stable``, is decided by testing its only possible minimal witness, one
+candidate at a time, at that candidate's bit of the same reduct, against a
+space of the candidate's subsets.  Introduced atoms are bits, not names;
+only ``gl_reduct``, which renders a reduct, mints their names.
 
 Every loaded program is taken as it stands: ``Program.compiled`` holds a
 negated body c-atom ``not A`` as the body c-atom A's complement, so a
@@ -148,25 +148,28 @@ class _Reduct:
                 self.covers[c] = [(base, indices(base), 1) for base in map(c.lift, bases)]
 
 
-def _head_cycle_free(compiled: CompiledProgram) -> bool:
-    """Is every reduct of the program head-cycle-free?
+def _head_cycle_free(reduct: _Reduct) -> bool:
+    """Is the reduct of every candidate of ``reduct`` head-cycle-free?
 
-    The test runs on one graph that holds every reduct's positive
-    dependency graph, with each ``__theta_`` atom contracted into its
-    c-atom's domain: each head element (an atom, or a head c-atom's
-    ``__beta_`` node) depends on the rule's positive body atoms and on the
-    whole domain of each body c-atom, and a ``__beta_`` node and its domain
-    depend on each other.  The program passes when no rule has two head
-    elements in one strongly connected component.
+    The test runs on one graph that holds each of those reducts' positive
+    dependency graphs, with each ``__theta_`` atom contracted into the
+    bases that define it: each head element (an atom, or a head c-atom's
+    ``__beta_`` node) of a kept rule depends on the rule's positive body
+    atoms and on the atoms of every base in ``reduct.covers`` of each body
+    c-atom, and a ``__beta_`` node and its domain depend on each other.
+    The reducts pass when no kept rule has two head elements in one
+    strongly connected component.
     """
-    n = len(compiled.atoms)
-    beta = {c: 1 << n + j for j, c in enumerate(compiled.head_catoms)}
+    n = len(reduct.space.compiled.atoms)
+    kept = dict.fromkeys(c for rule in reduct.rules for c, _ in rule[5])  # head c-atoms
+    beta = {c: 1 << n + j for j, c in enumerate(kept)}
     reach = [0] * (n + len(beta))  # per node, the nodes it depends on
     elements = []
-    for head, pos, _, heads, body in compiled.rules:
-        nodes = head | sum(beta[c] for c in set(heads))
+    for _, _, head, pos, body, heads in reduct.rules:
+        nodes = head | sum(beta[c] for c, _ in heads)
         for c in body:
-            pos |= c.domain
+            for base, _, _ in reduct.covers[c]:
+                pos |= base
         for i in indices(nodes):
             reach[i] |= pos
         elements.append(indices(nodes))
@@ -182,59 +185,20 @@ def _head_cycle_free(compiled: CompiledProgram) -> bool:
                    for nodes in elements for a in nodes for b in nodes if a < b)
 
 
-def _stable_bits(reduct: _Reduct, candidates: int) -> int:
-    """The candidates of ``candidates`` that their shifted reduct derives exactly.
+def _derive(rules: list, covers: dict, n: int) -> list[int]:
+    """Per atom i up to n, the candidates whose least fixpoint of ``rules`` holds it.
 
-    Bitset ``derived[i]`` holds the candidates whose reduct derives atom i
-    so far, and ``derived[n]`` those that derive ``__bot``.  The reduct is
-    shifted with respect to each candidate's witness ``m | gamma``
-    (:func:`_has_minimal_witness`): a kept rule derives a head atom for the
-    candidates that hold none of its other head atoms and satisfy none of
-    its head c-atoms, and, per satisfied head c-atom, the candidate's true
-    part of its domain for those that hold none of its head atoms and
-    satisfy none of its other head c-atoms.  A rule with no head atom
-    derives ``__bot`` where no head c-atom is satisfied.  A normal reduct
-    is its own shift.  A head-cycle-free positive program has the witness
-    as a minimal model iff the witness is the least model of the program
-    shifted with respect to it (Ben-Eliyahu & Dechter, AMAI 1994), so a
-    disjunctive candidate belongs in ``candidates`` only when the program
-    passes :func:`_head_cycle_free`.
-
-    A body c-atom is derived once some base of a member that covers the
-    candidate is derived: per distinct base, its coverage bitset ANDed
-    with the derived bitsets of its atoms.  Candidates do not interact.
-    The ``__bot :- a, __beta_`` rules are left out: they fire only once an
-    atom outside the candidate is derived, which already rules it out.  A
-    candidate is stable when it derives itself and not ``__bot``.
+    A rule ``(candidates, positive atoms, body c-atoms, [(target, mask or
+    None)])`` derives each target for its candidates in the mask, or all.
+    A body c-atom holds where some base of ``covers`` (``_Reduct.covers``)
+    that covers the candidate is derived.
     """
-    space = reduct.space
-    n, holds = space.n, space.holds
-    rules = []  # (firing candidates, positive body atoms, body c-atoms, [(target, mask or None)])
-    for _, kept, head, pos, body, heads in reduct.rules:
-        kept &= candidates
-        positive = indices(pos)
-        if not heads and not head & head - 1:
-            rules.append((kept, positive, body, [(head.bit_length() - 1, None)]))
-            continue
-        atoms = indices(head)
-        one = two = 0  # candidates holding at least one, two head elements
-        for bits in [holds[i] for i in atoms] + [bits for _, bits in heads]:
-            two |= one & bits
-            one |= bits
-        alone = kept & ~two
-        rules += [(alone & (holds[i] | ~one), positive, body, [(i, None)]) for i in atoms]
-        rules += [(alone & bits, positive, body, [(i, holds[i]) for i in indices(c.domain)])
-                  for c, bits in heads]
-        if not head:
-            rules.append((kept & ~one, positive, body, [(n, None)]))
-    rules = [rule for rule in rules if rule[0]]
-
     derived = [0] * (n + 1)
     changed = True
     while changed:
         changed = False
         theta = {}
-        for c, bases in reduct.covers.items():
+        for c, bases in covers.items():
             bits = 0
             for _, atoms, covered in bases:
                 for i in atoms:
@@ -254,7 +218,52 @@ def _stable_bits(reduct: _Reduct, candidates: int) -> int:
                 if new != derived[i]:
                     derived[i] = new
                     changed = True
+    return derived
 
+
+def _stable_bits(reduct: _Reduct, candidates: int) -> int:
+    """The candidates of ``candidates`` that their shifted reduct derives exactly.
+
+    The reduct is shifted with respect to each candidate's witness ``m | gamma``
+    (:func:`_has_minimal_witness`): a kept rule derives a head atom for the
+    candidates that hold none of its other head atoms and satisfy none of
+    its head c-atoms, and, per satisfied head c-atom, the candidate's true
+    part of its domain for those that hold none of its head atoms and
+    satisfy none of its other head c-atoms.  A rule with no head atom
+    derives ``__bot`` where no head c-atom is satisfied.  A normal reduct
+    is its own shift.  A head-cycle-free positive program has the witness
+    as a minimal model iff the witness is the least model of the program
+    shifted with respect to it (Ben-Eliyahu & Dechter, AMAI 1994), so a
+    disjunctive candidate belongs in ``candidates`` only when its reduct
+    passes :func:`_head_cycle_free`.
+
+    The shifted rules run through :func:`_derive`, with ``__bot`` as atom
+    n; candidates do not interact.  The ``__bot :- a, __beta_`` rules are
+    left out: they fire only once an atom outside the candidate is
+    derived, which already rules it out.  A candidate is stable when it
+    derives itself and not ``__bot``.
+    """
+    space = reduct.space
+    n, holds = space.n, space.holds
+    rules = []  # as _derive takes them
+    for _, kept, head, pos, body, heads in reduct.rules:
+        kept &= candidates
+        positive = indices(pos)
+        if not heads and not head & head - 1:
+            rules.append((kept, positive, body, [(head.bit_length() - 1, None)]))
+            continue
+        atoms = indices(head)
+        one = two = 0  # candidates holding at least one, two head elements
+        for bits in [holds[i] for i in atoms] + [bits for _, bits in heads]:
+            two |= one & bits
+            one |= bits
+        alone = kept & ~two
+        rules += [(alone & (holds[i] | ~one), positive, body, [(i, None)]) for i in atoms]
+        rules += [(alone & bits, positive, body, [(i, holds[i]) for i in indices(c.domain)])
+                  for c, bits in heads]
+        if not head:
+            rules.append((kept & ~one, positive, body, [(n, None)]))
+    derived = _derive([rule for rule in rules if rule[0]], reduct.covers, n)
     stable = candidates & ~derived[n]
     for i in range(n):
         stable &= ~(derived[i] ^ holds[i])
@@ -370,7 +379,8 @@ def _size_bound(program: Program, body: Iterable[CompiledCAtom]) -> int:
 def least_model(program: Program) -> frozenset[str]:
     """The least model of a positive program with one head atom per rule.
 
-    Any other program (a disjunctive head, a negated atom, a c-atom) raises
+    It is :func:`_derive` of the rules for one candidate, bit 1.  Any other
+    program (a disjunctive head, a negated atom, a c-atom) raises
     :class:`ProgramClassError`.
     """
     compiled = program.compiled
@@ -378,19 +388,10 @@ def least_model(program: Program) -> frozenset[str]:
            for head, _, neg, heads, body in compiled.rules):
         raise ProgramClassError(
             "the least model requires single-atom heads and positive atom bodies")
-    rules = [(head, pos) for head, pos, *_ in compiled.rules]
-    derived = 0
-    while True:
-        waiting = []
-        for head, body in rules:
-            if body & derived == body:
-                derived |= head
-            else:
-                waiting.append((head, body))
-        if len(waiting) == len(rules):
-            break
-        rules = waiting
-    return frozenset(compiled.atoms_of(derived))
+    n = len(compiled.atoms)
+    derived = _derive([(1, indices(pos), (), [(head.bit_length() - 1, None)])
+                       for head, pos, *_ in compiled.rules], {}, n)
+    return frozenset(compiled.atoms_of(sum(bits << i for i, bits in enumerate(derived))))
 
 
 def minimal_models(program: Program) -> tuple[frozenset[str], ...]:
@@ -517,8 +518,8 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     one integer (``CandidateBits``), and the reduct and its least fixpoint
     run on those integers for all models at once (``_Reduct``,
     ``_stable_bits``).  A model whose reduct keeps a rule with two head
-    elements is disjunctive.  When the program is head-cycle-free
-    (``_head_cycle_free``, one test per program), the shifted least
+    elements is disjunctive.  When every model's reduct is head-cycle-free
+    (``_head_cycle_free``, one test on the models' reduct), the shifted least
     fixpoint decides the disjunctive models with the others.  Otherwise
     each is decided alone, by ``_has_minimal_witness`` at its bit of the
     same reduct, read from byte columns made once (``_columns``), as
@@ -530,7 +531,7 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     models = space.models()
     reduct = _Reduct(space, models)
     alone = reduct.disjunctive
-    if alone and _head_cycle_free(compiled):
+    if alone and _head_cycle_free(reduct):
         alone = 0
     found = space.tuples(_stable_bits(reduct, models & ~alone))
     rules, covers = _columns(reduct) if alone else ([], {})

@@ -10,8 +10,6 @@ from catlp import abstraction as abstraction_module
 from catlp.abstraction import (
     ABSTRACT_CACHE_SIZE,
     AbstractCAtom,
-    Dnf,
-    Disjunct,
     PrefixedPowerSet,
     abstract_of,
     build_abstract,
@@ -20,15 +18,24 @@ from catlp.abstraction import (
     expand,
     satisfiable_sets,
     satisfies_abstract,
-    simplified_dnf,
 )
-from catlp.core import CAtom, Literal, Program, Rule, complement, iter_subsets, satisfies_catom
+from catlp.core import (
+    CAtom,
+    Literal,
+    Program,
+    Rule,
+    complement,
+    iter_subsets,
+    satisfies_body,
+    satisfies_catom,
+)
 from catlp.errors import GuardError
 from catlp.golden import (
     AT_LEAST_ONE,
     LATTICE_FAMILY,
     MIXED_FAMILY,
     PUNCTURED_CUBE,
+    minimal_dnf,
     pps,
 )
 from catlp.parser import load_program, parse_constraint
@@ -58,29 +65,39 @@ class TestPrefixedPowerSet:
         with pytest.raises(ValueError):
             PrefixedPowerSet(frozenset("a"), frozenset("ab"))
 
+    # Covering and inclusion are read through a form that holds the sublattices.
+
     def test_covers_free_subsets(self):
-        assert pps("", "bc").covers({"b"})
+        assert satisfies_abstract({"b"}, AbstractCAtom("bc", [pps("", "bc")]))
 
     def test_covers_bottom(self):
         member = pps("bc", "a")
-        assert member.covers(member.base)
+        assert satisfiable_sets(AbstractCAtom("abc", [member]), member.base) == {member.base}
 
     def test_covers_rejects_outside_atoms(self):
-        assert not pps("c", "ab").covers({"c", "d"})
+        assert not satisfies_abstract({"c", "d"}, AbstractCAtom("abcd", [pps("c", "ab")]))
 
     def test_inclusion_examples(self):
-        assert pps("b", "c").included_in(pps("", "bc"))
-        assert pps("a", "b").included_in(pps("a", "b"))
-        assert not pps("a", "b").included_in(pps("b", "a"))
+        with pytest.raises(ValueError, match="redundant"):
+            AbstractCAtom("bc", [pps("b", "c"), pps("", "bc")])
+        assert len(AbstractCAtom("ab", [pps("a", "b"), pps("a", "b")]).primes) == 1
+        assert len(AbstractCAtom("ab", [pps("a", "b"), pps("b", "a")]).primes) == 2
 
     @given(st.frozensets(st.sampled_from("abcd"), max_size=3),
            st.frozensets(st.sampled_from("abcd"), max_size=3),
            st.frozensets(st.sampled_from("abcd"), max_size=3),
            st.frozensets(st.sampled_from("abcd"), max_size=3))
     def test_inclusion_matches_enumeration(self, b1, f1, b2, f2):
+        # A form refuses two distinct sublattices exactly when one holds the other.
         p = PrefixedPowerSet(b1, f1 - b1)
         q = PrefixedPowerSet(b2, f2 - b2)
-        assert p.included_in(q) == oracles.brute_included(p, q)
+        nested = p != q and (oracles.brute_included(p, q) or oracles.brute_included(q, p))
+        try:
+            AbstractCAtom("abcd", [p, q])
+        except ValueError:
+            assert nested
+        else:
+            assert not nested
 
 
 class TestBuildAbstract:
@@ -280,8 +297,10 @@ class TestMaskReadsAgainstBruteForce:
             assert (flags.monotone, flags.antimonotone, flags.convex) == (
                 oracles.brute_monotone(catom), oracles.brute_antimonotone(catom),
                 oracles.brute_convex(catom))
-            assert set(simplified_dnf(abstract).disjuncts) == {
-                Disjunct(m.base, catom.domain - m.top) for m in members}
+            assert {(frozenset(lit.item for lit in body if lit.positive),
+                     frozenset(lit.item for lit in body if not lit.positive))
+                    for body in minimal_dnf(catom)} == {
+                (m.base, catom.domain - m.top) for m in members}
             for subset in iter_subsets(catom.domain):
                 for interp in (subset, subset | {"outside"}):
                     covering = frozenset(m for m in members if oracles.brute_covers(m, subset))
@@ -297,7 +316,7 @@ class TestMaskReadsAgainstBruteForce:
             abstract = build_abstract(catom)
             return (abstract.primes, expand(abstract), satisfies_abstract("ab", abstract),
                     satisfiable_sets(abstract, "abc"), classify_catom(abstract),
-                    simplified_dnf(abstract),
+                    minimal_dnf(catom),
                     stable_models(program), is_stable(program, "ac"),
                     reduct_size_bound(program))
 
@@ -428,34 +447,24 @@ class TestClassification:
 
 
 class TestDnf:
+    """The minimal DNF is the bodies of the translation's ``__theta_`` defining rules."""
+
     def test_at_least_one_simplifies_to_two_atoms(self):
-        formula = simplified_dnf(build_abstract(AT_LEAST_ONE))
-        assert formula.disjuncts == (
-            Disjunct(frozenset("a"), frozenset()),
-            Disjunct(frozenset("b"), frozenset()),
-        )
+        assert minimal_dnf(AT_LEAST_ONE) == {(Literal.atom("a"),), (Literal.atom("b"),)}
 
     def test_mixed_family_keeps_two_disjuncts(self):
-        formula = simplified_dnf(build_abstract(MIXED_FAMILY))
-        assert set(formula.disjuncts) == {
-            Disjunct(frozenset("d"), frozenset("abc")),
-            Disjunct(frozenset("a"), frozenset("d")),
-        }
+        a, d = Literal.atom("a"), Literal.atom("d")
+        not_a, not_b, not_c, not_d = map(Literal.negated_atom, "abcd")
+        assert minimal_dnf(MIXED_FAMILY) == {(a, not_d), (d, not_a, not_b, not_c)}
 
     def test_semantic_equivalence(self):
         rng = random.Random(21)
         for _ in range(200):
             catom = generators.random_catom(rng, max_domain=5)
-            slim = simplified_dnf(build_abstract(catom))
+            bodies = minimal_dnf(catom)
             for interp in iter_subsets(catom.domain):
                 expected = satisfies_catom(interp, catom)
-                assert slim.satisfied_by(interp) == expected
-
-    def test_string_rendering(self):
-        formula = simplified_dnf(build_abstract(MIXED_FAMILY))
-        assert str(formula) == "(a & not d) | (d & not a & not b & not c)"
-        assert str(Dnf(())) == "false"
-        assert str(Dnf((Disjunct((), ()),))) == "(true)"
+                assert any(satisfies_body(interp, body) for body in bodies) == expected
 
 
 def test_abstract_of_cache_is_bounded():

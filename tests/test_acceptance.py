@@ -18,14 +18,13 @@ from catlp.abstraction import (
 )
 from catlp.core import (
     CAtom,
-    is_minimal_model,
     is_model,
     iter_subsets,
     satisfies_catom,
 )
 from catlp.analysis import check_dependency_theorem, translate_normal
 from catlp.fixpoint import fixpoint_stable
-from catlp.reduct import gl_reduct, is_stable, reduct_size_bound, stable_models
+from catlp.reduct import gl_reduct, is_stable, minimal_models, reduct_size_bound, stable_models
 
 import generators
 import oracles
@@ -115,13 +114,13 @@ def test_criterion_5_theorem_backed_properties():
                 rng, atoms=("a", "b", "c", "d"), max_rules=4, max_domain=3)
             for model in stable_models(program):
                 assert is_model(model, program)
-                assert is_minimal_model(model, program)
+                assert model in minimal_models(program)
         for _ in range(50):
             program = generators.random_ordinary_program(
                 rng, atoms=("a", "b", "c", "d"), max_rules=4, disjunctive=True)
             for model in stable_models(program):
                 assert is_model(model, program)
-                assert is_minimal_model(model, program)
+                assert model in minimal_models(program)
         # Constraint heads may break minimality but never model-hood.
         from catlp.parser import load_program
 

@@ -535,6 +535,27 @@ def test_library_has_no_unused_imports():
     assert unused == []
 
 
+def test_library_has_no_orphan_routes():
+    """Every public top-level ``def``/``class`` is read by name somewhere in the
+    library, a re-export in ``__init__.py`` included; ``cli.main`` is the console script."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(catlp.__file__).resolve().parent.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    defined = [(module, node.name) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")]
+    assert len(defined) > 100
+    orphans = [f"{module}.{name}" for module, name in defined
+               if name not in read and (module, name) != ("cli", "main")]
+    assert orphans == []
+
+
 class TestPoolGuard:
     @staticmethod
     def _pairs(tmp_path, count):

@@ -15,9 +15,7 @@ from catlp.core import (
     Program,
     Rule,
     candidate_models,
-    classify_program,
     complement,
-    is_minimal_model,
     is_model,
     is_supported,
     iter_subsets,
@@ -26,9 +24,9 @@ from catlp.core import (
 )
 from catlp.errors import GUARD_LIMITS, GuardError, check_guard
 from catlp import golden
-from catlp.golden import LATTICE_FAMILY, SUM_LOOP, disjunctive_fact_program
+from catlp.golden import LATTICE_FAMILY, disjunctive_fact_program
 from catlp.parser import load_program, parse_constraint
-from catlp.reduct import gl_reduct, theta_atom
+from catlp.reduct import gl_reduct, minimal_models, theta_atom
 
 import generators
 
@@ -207,25 +205,25 @@ class TestModelChecks:
     def test_pair_choice_model_not_minimal(self):
         program = load_program("[a,b : {a}, {b}, {a,b}].")
         assert is_model({"a", "b"}, program)
-        assert not is_minimal_model({"a", "b"}, program)
-        assert is_minimal_model({"a"}, program)
+        assert frozenset("ab") not in minimal_models(program)
+        assert frozenset("a") in minimal_models(program)
 
     def test_empty_program(self):
         empty = Program(())
         assert is_model(set(), empty)
-        assert is_minimal_model(set(), empty)
+        assert minimal_models(empty) == (frozenset(),)
 
     def test_reduct_minimal_model(self):
         program = disjunctive_fact_program()
         reduct = gl_reduct(program, {"a", "b"})
         beta_a = next(a for a in reduct.gamma if "beta" in a
                       and Rule(("a",), (Literal.atom(a),)) in reduct.rules)
-        assert is_minimal_model({"a", beta_a}, reduct)
+        assert frozenset({"a", beta_a}) in minimal_models(reduct)
 
     def test_junk_atoms_break_minimality(self):
         program = load_program("a.")
         assert is_model({"a", "zz"}, program)
-        assert not is_minimal_model({"a", "zz"}, program)
+        assert minimal_models(program) == (frozenset("a"),)
 
     def test_support_alone_does_not_test_the_model(self):
         program = load_program("a. b :- a.")
@@ -235,15 +233,19 @@ class TestModelChecks:
     def test_minimal_model_guard_fires_before_enumeration(self):
         program = Program(tuple(Rule((f"x{i}",)) for i in range(23)))
         with pytest.raises(GuardError) as caught:
-            is_minimal_model(program.language, program)
+            minimal_models(program)
         assert (caught.value.guard, caught.value.actual) == ("minimal_models", 23)
 
     def test_minimal_models_at_the_guard_limit(self):
         size = GUARD_LIMITS["minimal_models"]
-        pairs = Program(tuple(Rule((f"a{i}", f"b{i}")) for i in range(size)))
-        candidate = frozenset(f"a{i}" for i in range(size))
-        assert is_minimal_model(candidate, pairs)
-        assert not is_minimal_model(candidate - {"a21"} | {"b20"}, pairs)
+        pairs = Program(tuple(Rule((f"a{i}", f"b{i}")) for i in range(size // 2)))
+        models = minimal_models(pairs)
+        assert len(models) == 2 ** (size // 2)
+        assert frozenset(f"a{i}" for i in range(size // 2)) in models
+        assert all(len(m) == size // 2 for m in models)
+        with pytest.raises(GuardError) as caught:
+            minimal_models(Program(pairs.rules, frozenset({"c"})))
+        assert (caught.value.guard, caught.value.actual) == ("minimal_models", size + 1)
 
     def test_minimal_model_matches_a_scan_of_proper_subsets(self):
         # The definition itself as the reference: a model (``is_model``) none
@@ -266,15 +268,15 @@ class TestModelChecks:
                 if rng.random() < 0.3:
                     program = Program(program.rules, frozenset(
                         rng.sample(("e", "f", "z"), rng.randint(1, 2))))
+                models = minimal_models(program)
                 for candidate in iter_subsets(program.language):
                     minimal = is_model(candidate, program) and not any(
                         sub != candidate and is_model(sub, program)
                         for sub in iter_subsets(candidate))
-                    assert is_minimal_model(candidate, program) == minimal, (
-                        program, candidate)
+                    assert (candidate in models) == minimal, (program, candidate)
                     counts[minimal] += 1
                     if minimal:
-                        assert not is_minimal_model(candidate | {"zz"}, program)
+                        assert candidate | {"zz"} not in models
         assert counts == {True: 201, False: 3896}
 
     def test_candidate_models_are_the_models_in_subset_order(self):
@@ -418,31 +420,6 @@ class TestComplement:
         assert peak < 2_000_000 and elapsed < 1.0
 
 
-class TestClassifyProgram:
-    def test_sum_loop_is_positive_basic(self):
-        flags = classify_program(load_program(SUM_LOOP))
-        assert flags.normal_constraint
-        assert flags.positive_basic
-        assert flags.basic
-        assert not flags.normal
-
-    def test_disjunctive_fact(self):
-        flags = classify_program(disjunctive_fact_program())
-        assert not flags.normal_constraint
-        assert flags.disjunctive_ordinary
-
-    def test_ordinary_normal_rule(self):
-        flags = classify_program(load_program("a :- b, not c."))
-        assert flags.normal
-        assert not flags.positive_constraint
-        assert not flags.basic
-
-    def test_bot_head_is_basic(self):
-        flags = classify_program(load_program("bot :- a."))
-        assert flags.basic
-        assert not flags.positive_basic
-
-
 @given(catoms(), interpretations)
 def test_satisfaction_is_local(catom, interpretation):
     restricted = interpretation & catom.domain
@@ -466,6 +443,5 @@ def test_minimal_models_are_models_exhaustively():
     for _ in range(120):
         program = generators.random_positive_basic_program(
             rng, atoms=pool, max_rules=3, max_domain=3)
-        for candidate in iter_subsets(pool):
-            if is_minimal_model(candidate, program):
-                assert is_model(candidate, program)
+        for candidate in minimal_models(program):
+            assert is_model(candidate, program)

@@ -18,7 +18,6 @@ from catlp.core import (
     Program,
     Rule,
     candidate_models,
-    classify_program,
     complement,
     is_model,
     iter_subsets,
@@ -698,15 +697,31 @@ class TestShiftedHeadCycleFree:
             yield generators.random_ordinary_program(
                 rng, atoms=("a", "b", "c", "d"), max_rules=5, disjunctive=True)
 
+    @staticmethod
+    def _models_reduct(program):
+        """The all-candidates reduct ``stable_models`` builds over the models."""
+        space = core_module.CandidateBits(program.compiled)
+        return reduct_module._Reduct(space, space.models())
+
     def test_every_reduct_of_a_passing_program_is_head_cycle_free(self):
+        # Only the models' reducts: a program with ``bot.`` has none and passes.
         passed = 0
         for program in self._programs():
-            if reduct_module._head_cycle_free(program.compiled):
+            if reduct_module._head_cycle_free(self._models_reduct(program)):
                 passed += 1
-                for candidate in iter_subsets(program.language):
+                for candidate in candidate_models(program):
                     assert oracles.is_head_cycle_free(gl_reduct(program, candidate)), (
                         program, candidate)
-        assert passed == 124
+        assert passed == 141
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a | b :- [b, c : {}, {b}]. b :- a.", True),  # the c-atom's only base is empty
+        ("a | b. a :- [b, c : {b}, {b, c}]. b :- [a, c : {a}, {a, c}].", False),
+    ])
+    def test_body_catoms_reach_the_bases_that_cover(self, text, expected):
+        program = load_program(text)
+        assert reduct_module._head_cycle_free(self._models_reduct(program)) is expected
+        assert stable_models(program) == oracles.brute_stable_models(program)
 
     def test_only_failing_programs_reach_the_witness(self, monkeypatch):
         calls = []
@@ -716,29 +731,29 @@ class TestShiftedHeadCycleFree:
         counts = {True: [0, 0], False: [0, 0]}  # per verdict: programs, disjunctive ones
         for program in self._programs():
             calls.clear()
-            space = core_module.CandidateBits(program.compiled)
-            disjunctive = reduct_module._Reduct(space, space.models()).disjunctive
+            reduct = self._models_reduct(program)
+            disjunctive = reduct.disjunctive
             assert stable_models(program) == oracles.brute_stable_models(program), program
-            verdict = reduct_module._head_cycle_free(program.compiled)
+            verdict = reduct_module._head_cycle_free(reduct)
             assert len(calls) == (0 if verdict else disjunctive.bit_count()), program
             counts[verdict][0] += 1
             counts[verdict][1] += bool(disjunctive)
-        assert counts == {True: [124, 68], False: [136, 124]}
+        assert counts == {True: [141, 76], False: [119, 116]}
 
     def test_single_candidates_agree_with_the_shifted_route(self):
         stable, disjunctive = 0, set()
         for program in self._programs():
-            if reduct_module._head_cycle_free(program.compiled):
+            reduct = self._models_reduct(program)
+            if reduct_module._head_cycle_free(reduct):
                 models = stable_models(program)
                 for candidate in iter_subsets(program.language):
                     assert is_stable(program, candidate) == (candidate in models), (
                         program, candidate)
                 stable += len(models)
-                space = core_module.CandidateBits(program.compiled)
-                reduct = reduct_module._Reduct(space, space.models())
+                space = reduct.space
                 disjunctive |= {frozenset(space.compiled.atoms_of(space.mask(k))) in models
                                 for k in core_module.set_bits(reduct.disjunctive)}
-        assert (stable, disjunctive) == (172, {True, False})
+        assert (stable, disjunctive) == (186, {True, False})
 
 
 class TestNegatedCAtomsAsComplements:
@@ -864,7 +879,7 @@ class TestWitnessSearchDifferential:
         for program in self._programs():
             for candidate in iter_subsets(program.language):
                 reduct = gl_reduct(program, candidate)
-                if classify_program(reduct).normal:
+                if all(len(r.head) == 1 for r in reduct.rules):
                     normal += 1
                     expected = least_model(reduct) - reduct.gamma == candidate
                     assert is_stable(program, candidate) == expected, (program, candidate)
@@ -886,7 +901,7 @@ class TestWitnessSearchDifferential:
         for program in self._programs():
             for candidate in iter_subsets(program.language):
                 reduct = gl_reduct(program, candidate)
-                if (not classify_program(reduct).normal
+                if (not all(len(r.head) == 1 for r in reduct.rules)
                         and any(g.startswith("__theta_") for g in reduct.gamma)
                         and any(g.startswith("__beta_") for g in reduct.gamma)):
                     verdicts.add(is_stable(program, candidate))
@@ -898,7 +913,7 @@ class TestWitnessSearchDifferential:
         for program in self._programs():
             for candidate in iter_subsets(program.language):
                 reduct = gl_reduct(program, candidate)
-                if not classify_program(reduct).normal:
+                if not all(len(r.head) == 1 for r in reduct.rules):
                     verdicts[oracles.is_head_cycle_free(reduct)].add(
                         is_stable(program, candidate))
         assert verdicts == {True: {True, False}, False: {True, False}}
