@@ -10,24 +10,28 @@ sublattice, its base positive and ``not`` each domain atom outside its top,
 which ``analysis.translate_normal`` emits as the bodies of the c-atom's
 ``__theta_`` defining rules.
 
-The sublattices are the prime cubes of the family, computed by one
-bit-parallel kernel on its truth table (:func:`prime_cubes`), as integer
-masks over the sorted domain.  :func:`checked_primes` tests them with
-:func:`check_irredundant` and puts them in canonical order; every route
-takes them from there.  The translation and the CLI's ``abstract`` command
-read the masks directly.  An :class:`AbstractCAtom` (:func:`build_abstract`)
-stores only them and its sorted domain; the reduct and the helpers here read
-its masks, and only its ``lattices`` view renders :class:`PrefixedPowerSet` objects.
+The sublattices are the prime cubes of the family, computed by one kernel,
+a Shannon recursion on its truth table (:func:`_primes`), as integer masks
+over the sorted domain.  :func:`prime_cubes` lists them in canonical order
+and :func:`checked_primes` tests them with :func:`check_irredundant`; every
+route takes them from there.  The translation and the CLI's ``abstract``
+command read the masks directly.  An :class:`AbstractCAtom`
+(:func:`build_abstract`) stores only them and its sorted domain; the
+all-candidates reduct, the size bound and the helpers here read its masks,
+and only its ``lattices`` view renders :class:`PrefixedPowerSet` objects.
+Given a point of the table, the same kernel keeps only the primes holding
+it and expands one half of the table per atom: a one-candidate reduct
+reads a body c-atom that way, and builds and keeps no abstract form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Iterable
 
-from .core import CAtom, bit_pattern, indices, select, set_bits
+from .core import CAtom, indices, select, set_bits
 from .errors import check_guard
 
 #: ``abstract_of`` keeps at most this many abstract forms (least recently used
@@ -71,7 +75,7 @@ class AbstractCAtom:
             raise ValueError("sublattice atoms must come from the domain")
         cubes = {(self.position(m.base), self.position(m.free)) for m in lattices}
         check_irredundant(cubes)
-        object.__setattr__(self, "primes", tuple(sorted(cubes, key=lambda c: [*map(indices, c)])))
+        object.__setattr__(self, "primes", tuple(sorted(cubes, key=lambda c: [*map(_canonical, c)])))
 
     @classmethod
     def from_primes(cls, atoms: tuple[str, ...], primes: list[tuple[int, int]]):
@@ -137,76 +141,107 @@ def check_irredundant(cubes: Iterable[tuple[int, int]]) -> None:
                 raise ValueError("redundant sublattice in abstract form")
 
 
-def _primes(n: int, table: int) -> list[tuple[int, int]]:
-    """The prime cubes ``(base, free)`` of the ``2**n``-bit truth table ``table``.
+#: The memos :func:`_primes` shares across unrestricted runs, one per width
+#: of at most three atoms, so at most 2 + 4 + 16 + 256 subtables in all.
+_SHARED_MEMOS = tuple({} for _ in range(4))
 
-    For a free set F, bit x of ``C_F`` (with ``x & F == 0``) is set when the
-    cube ``(x, F)`` is admissible: every ``x | S`` with ``S <= F`` is a
-    solution.  ``C_0`` is the table, and ``C_{F|b}`` is ``C_F & C_F >> 2**b``
-    on the positions whose bit b is clear: ``(x, F | b)`` is admissible iff
-    ``(x, F)`` and ``(x | b, F)`` are.  The one-atom extensions of ``(x, F)``
-    are ``(x & ~b, F | b)`` for b outside F, so ``(x, F)`` is prime when it
-    is admissible and bit x of no ``C_{F|b} | C_{F|b} << 2**b`` is set; any
-    larger admissible cube contains a one-atom extension, so these are
-    exactly the maximal cubes.  Free sets are walked depth first, each grown
-    only by atoms above its highest, lowest first, and a branch stops where
-    ``C_F`` is 0, since ``C_{F|b}`` lies inside ``C_F``.  So free sets are
-    visited, and their primes listed, in the order of their sorted atoms.
-    A free set visited costs one step per atom it may grow by, and one per
-    smaller atom outside it only while some cube of ``C_F`` may still be
-    prime.
+
+def _primes(n: int, table: int, point: int | None = None) -> dict[int, int]:
+    """The prime cubes of the ``2**n``-bit truth table ``table`` as ``{free set: bases mask}``.
+
+    Bit b of F's mask is set when the cube ``(b, F)`` is prime.  Split f on
+    its top atom x into f0 and f1, its halves without and with x, and let
+    g = f0 & f1.  A cube free in x is an implicant of f iff it is one of g,
+    so the primes of f are those of g with x free, x̄·p for each prime p of
+    f0 that is no implicant of f1, and x·p for each prime p of f1 that is
+    no implicant of f0.  A prime of f0 is an implicant of f1 iff it is a
+    prime of g (any implicant of g holding it is one of f0), so each part
+    is one mask difference per free set.  Equal subtables are expanded
+    once per run.
+
+    Given a ``point`` (a table index), only the primes holding it are kept:
+    those of g and of the point's half of f that hold it, so one half is
+    followed per atom.  Each bases mask is then the one bit ``point & ~F``.
     """
-    full = (1 << (1 << n)) - 1
-    zeros = [full ^ bit_pattern(b, n) for b in range(n)]  # bit b clear
-    primes: list[tuple[int, int]] = []
-    stack = [(0, table, 0)] if table else []  # (free set, C_F, lowest atom to add)
-    while stack:
-        free, admissible, first = stack.pop()
-        prime = admissible
-        for b in range(n - 1, -1, -1):  # the atoms a child may add come first
-            if b < first and not prime:
-                break
-            shift = 1 << b
-            if free & shift:
-                continue
-            wider = admissible & admissible >> shift & zeros[b]
-            if wider:
-                if prime:
-                    prime &= ~(wider | wider << shift)
-                if b >= first:
-                    stack.append((free | shift, wider, b + 1))
-        if prime:
-            primes.extend((base, free) for base in set_bits(prime))
-    return primes
+    complete = [(1 << (1 << d)) - 1 for d in range(n + 1)]
+    memos = [_SHARED_MEMOS[d] if point is None and d < len(_SHARED_MEMOS) else {}
+             for d in range(n + 1)]
+    restricted = point is not None
+
+    def primes(table: int, d: int) -> dict[int, int]:
+        """The primes of a table over the first d atoms."""
+        if not table or restricted and not table >> (point & (1 << d) - 1) & 1:
+            return {}
+        if not table & table - 1:
+            return {0: table}
+        if table == complete[d]:
+            return {(1 << d) - 1: 1}
+        memo = memos[d]
+        found = memo.get(table)
+        if found is None:
+            x, low = 1 << d - 1, complete[d - 1]  # the top atom, also the high half's offset
+            f0, f1 = table & low, table >> x
+            g = f0 & f1
+            common = primes(g, d - 1)
+            found = {free | x: bases for free, bases in common.items()}
+            halves = ((f0, 0), (f1, x))
+            if restricted:
+                halves = halves[1:] if point & x else halves[:1]
+            for half, offset in halves:
+                if half != g:
+                    for free, bases in primes(half, d - 1).items():
+                        bases &= ~common.get(free, 0)
+                        if bases:
+                            found[free] = found.get(free, 0) | bases << offset
+            memo[table] = found
+        return found
+
+    return primes(table, n)
 
 
-def prime_cubes(catom: CAtom) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
+_SWAP = str.maketrans("01", "10")
+
+
+def _canonical(mask: int) -> str:
+    """A key sorting masks as their lists of set bits, lowest first, compare.
+
+    The bits lowest first, up to the highest, with 0 and 1 swapped.  Where
+    S and T first differ, at a bit i of S: T's key ends there if T has no
+    higher bit (T's list is a prefix of S's), else reads 1 against S's 0.
+    """
+    return bin(mask)[:1:-1].translate(_SWAP) if mask else ""
+
+
+def prime_cubes(catom: CAtom, point: int | None = None) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
     """The sorted domain and the maximal sublattices of ``catom`` as masks.
 
-    Atom ``atoms[i]`` is bit i, and each sublattice is ``(base, free)``,
-    listed by free set in the order of its sorted atoms.  The primes come
-    from :func:`_primes` on the c-atom's truth table.
+    Atom ``atoms[i]`` is bit i, and each sublattice is ``(base, free)``.
+    The primes come from :func:`_primes` on the c-atom's truth table, in
+    canonical order: by sorted base atoms, then sorted free atoms.  Given a
+    ``point``, a table index, they are only those holding it, in no set
+    order.
     """
     check_guard("abstract_domain", len(catom.domain))
-    return catom.atoms, _primes(len(catom.atoms), catom.table)
-
-
-def checked_primes(catom: CAtom) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
-    """The sorted domain and the maximal sublattices of ``catom``, checked.
-
-    The cubes of :func:`prime_cubes` pass :func:`check_irredundant` and come
-    in canonical order: by sorted base atoms, then sorted free atoms.
-    """
-    atoms, cubes = prime_cubes(catom)
-    check_irredundant(cubes)
-    # The kernel yields free sets in canonical order already, so only the
-    # bases are sorted; primes share few of them (2{x0..x7}4: 420 primes,
-    # 28 bases), so each gets its key once.
+    groups = _primes(len(catom.atoms), catom.table, point)
+    if point is not None:
+        return catom.atoms, [(point & ~free, free) for free in groups]
     frees: dict[int, list[int]] = {}
-    for base, free in cubes:
-        frees.setdefault(base, []).append(free)
-    bases = sorted(frees, key=partial(select, atoms))
-    return atoms, [(base, free) for base in bases for free in frees[base]]
+    for free in sorted(groups, key=_canonical):
+        for base in set_bits(groups[free]):
+            frees.setdefault(base, []).append(free)
+    return catom.atoms, [(base, free) for base in sorted(frees, key=_canonical)
+                         for free in frees[base]]
+
+
+def checked_primes(catom: CAtom, point: int | None = None) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
+    """:func:`prime_cubes`, once its cubes pass :func:`check_irredundant`.
+
+    Every route reads the kernel through here: a full form with no point,
+    and the one-candidate reduct at its candidate's table index.
+    """
+    atoms, cubes = prime_cubes(catom, point)
+    check_irredundant(cubes)
+    return atoms, cubes
 
 
 def build_abstract(catom: CAtom) -> AbstractCAtom:

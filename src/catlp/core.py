@@ -43,7 +43,18 @@ def set_key(atoms: Iterable[str]) -> tuple[str, ...]:
 
 
 def set_bits(bits: int) -> list[int]:
-    """The positions of the set bits of ``bits``, highest first."""
+    """The positions of the set bits of ``bits``, highest first.
+
+    Up to 64 set bits are found one step each, each step copying
+    ``bits``; more by one scan of its binary text.
+    """
+    if bits.bit_count() <= 64:
+        found = []
+        while bits:
+            top = bits.bit_length() - 1
+            found.append(top)
+            bits ^= 1 << top
+        return found
     text = format(bits, "b")
     top = len(text) - 1
     return [top - found.start() for found in re.finditer("1", text)]
@@ -270,6 +281,19 @@ class Program:
         """The program as bit masks over its sorted vocabulary, built once."""
         return CompiledProgram(self)
 
+    @cached_property
+    def basic_refusal(self) -> str | None:
+        """Why the fixpoint operator refuses the program, or None; found once.
+
+        It takes positive basic programs: one elementary head per rule and no negated literal.
+        """
+        for rule in self.rules:
+            if len(rule.head) != 1 or head_atom_name(rule.head[0]) is None:
+                return "single elementary heads"
+            if not all(lit.positive for lit in rule.body):
+                return "negation-free bodies"
+        return None
+
 
 class CompiledCAtom:
     """A c-atom over a program's vocabulary bits.
@@ -279,7 +303,7 @@ class CompiledCAtom:
     mask.  :meth:`position` and :meth:`lift` move masks between the
     vocabulary and the c-atom's table.  Its abstract form (:attr:`abstract`)
     is built at first use and lives as long as the compiled program, so
-    every reduct of the program shares it.
+    every all-candidates reduct and size bound of the program shares it.
     """
 
     def __init__(self, catom: CAtom, index: int, bit: dict[str, int]):

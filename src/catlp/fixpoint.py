@@ -57,20 +57,15 @@ def cond_satisfies(lower: Iterable[str], upper: Iterable[str], catom: CAtom) -> 
     return bool(table >> base & 1)
 
 
-def _require_positive_basic(program: Program) -> None:
-    for rule in program.rules:
-        if len(rule.head) != 1 or head_atom_name(rule.head[0]) is None:
-            raise ProgramClassError(
-                "the fixpoint operator requires single elementary heads")
-        for lit in rule.body:
-            if not lit.positive:
-                raise ProgramClassError(
-                    "the fixpoint operator requires negation-free bodies")
-
-
 def tp_step(program: Program, lower: Iterable[str], context: Iterable[str]) -> frozenset[str]:
-    """One application of the conditional one-step operator."""
-    _require_positive_basic(program)
+    """One application of the conditional one-step operator.
+
+    Raises :class:`ProgramClassError` unless the program is positive basic,
+    a verdict ``Program.basic_refusal`` finds once per program, not once per
+    step.
+    """
+    if program.basic_refusal:
+        raise ProgramClassError(f"the fixpoint operator requires {program.basic_refusal}")
     low = frozenset(lower)
     ctx = frozenset(context)
     derived: set[str] = set()

@@ -26,11 +26,13 @@ Every loaded program is taken as it stands: ``Program.compiled`` holds a
 negated body c-atom ``not A`` as the body c-atom A's complement, so a
 program answers as it does with each ``not A`` rewritten as that complement.
 A body c-atom's satisfiable sets are the bases of its prime cubes that hold
-the candidate.  Each ``core.CompiledCAtom`` of ``Program.compiled`` keeps
-its abstract form, built once by ``abstraction.build_abstract``, so it
-lives exactly as long as the compiled program: a space of one candidate
-looks up one base per free set (``AbstractCAtom.covering``), and a space of
-every candidate reads the primes' tables by base (``AbstractCAtom.tables``).
+the candidate, from the one prime kernel of ``abstraction``: a space of
+one candidate runs it restricted to the candidate and keeps nothing
+(``abstraction.checked_primes`` at its table index), and a space of every
+candidate reads the primes' tables by base (``AbstractCAtom.tables``) of
+the abstract form each ``core.CompiledCAtom`` of ``Program.compiled``
+keeps, built once by ``abstraction.build_abstract``, so it lives exactly
+as long as the compiled program.
 
 A rendered reduct is an ordinary ``Program`` plus ``gamma``, printed by
 ``parser.format_program``.  ``least_model`` and ``minimal_models`` decide
@@ -44,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable
 
+from .abstraction import checked_primes
 from .core import (
     CAtom,
     CandidateBits,
@@ -109,10 +112,10 @@ class _Reduct:
     indices, candidates a prime of that base covers)`` per distinct base
     covering some candidate.  A space of every candidate splits each base's
     table of the subsets its primes hold (``AbstractCAtom.tables``,
-    ``CandidateBits.split``); a space of one candidate reads only the primes
-    that hold it (``AbstractCAtom.covering``).  So a body c-atom that every
-    candidate falsifies, or that sits only in rules no candidate keeps,
-    never gets its prime cubes.
+    ``CandidateBits.split``); a space of one candidate runs the kernel
+    restricted to it (``abstraction.checked_primes`` at its table index).
+    So a body c-atom that every candidate falsifies, or that sits only in
+    rules no candidate keeps, never gets its prime cubes.
     """
 
     def __init__(self, space: CandidateBits, candidates: int):
@@ -144,7 +147,8 @@ class _Reduct:
                           for base, table in c.abstract.tables.items()]
                 self.covers[c] = [(base, indices(base), bits) for base, bits in covers if bits]
             else:
-                bases = dict.fromkeys(b for b, _ in c.abstract.covering(c.position(point)))
+                _, cubes = checked_primes(c.catom, c.position(point))
+                bases = dict.fromkeys(b for b, _ in cubes)
                 self.covers[c] = [(base, indices(base), 1) for base in map(c.lift, bases)]
 
 
@@ -191,7 +195,8 @@ def _derive(rules: list, covers: dict, n: int) -> list[int]:
     A rule ``(candidates, positive atoms, body c-atoms, [(target, mask or
     None)])`` derives each target for its candidates in the mask, or all.
     A body c-atom holds where some base of ``covers`` (``_Reduct.covers``)
-    that covers the candidate is derived.
+    that covers the candidate is derived.  A rule that has fired for all
+    its candidates has given all it can, so later passes skip it.
     """
     derived = [0] * (n + 1)
     changed = True
@@ -205,12 +210,16 @@ def _derive(rules: list, covers: dict, n: int) -> list[int]:
                     covered &= derived[i]
                 bits |= covered
             theta[c] = bits
-        for kept, pos, body, targets in rules:
+        waiting = []
+        for rule in rules:
+            kept, pos, body, targets = rule
             fired = kept
             for i in pos:
                 fired &= derived[i]
             for c in body:
                 fired &= theta[c]
+            if fired != kept:
+                waiting.append(rule)
             if not fired:
                 continue
             for i, mask in targets:
@@ -218,6 +227,7 @@ def _derive(rules: list, covers: dict, n: int) -> list[int]:
                 if new != derived[i]:
                     derived[i] = new
                     changed = True
+        rules = waiting
     return derived
 
 
@@ -279,8 +289,8 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
     c-atoms of the program would share an introduced name or a name it
     introduces is an atom of the program, and
     :class:`InvariantError` when the result breaks the size bound, taken
-    over the body c-atoms of the kept rules alone (``_size_bound``), whose
-    abstract forms the reduct has read already.
+    over the body c-atoms of the kept rules alone (``_size_bound``), which
+    reads their full abstract forms.
     """
     compiled = program.compiled
     theta_names = {c: theta_atom(c.catom) for c in compiled.body_catoms}
@@ -490,7 +500,8 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     space of this candidate alone, so no ``2**n``-bit integer is made and
     the vocabulary is not guarded.  A candidate with an atom outside the
     vocabulary is not stable.  The reduct is computed and decided on masks,
-    with no introduced names.  A normal one is decided by its least
+    with no introduced names, from the prime cubes that hold the candidate
+    alone, so no abstract form is built.  A normal one is decided by its least
     fixpoint (``_stable_bits``).  A disjunctive one is decided by its only
     possible witness, ``candidate | gamma`` (``_has_minimal_witness``),
     against every subset of the candidate at once, head-cycle-free or not,

@@ -14,6 +14,7 @@ from catlp.abstraction import (
     abstract_of,
     build_abstract,
     check_irredundant,
+    checked_primes,
     classify_catom,
     expand,
     satisfiable_sets,
@@ -28,6 +29,7 @@ from catlp.core import (
     iter_subsets,
     satisfies_body,
     satisfies_catom,
+    select,
 )
 from catlp.errors import GuardError
 from catlp.golden import (
@@ -329,6 +331,57 @@ class TestMaskReadsAgainstBruteForce:
         assert answers() == expected
         with pytest.raises(AssertionError, match="sublattice object"):
             build_abstract(catom).lattices
+
+
+def seeded_tables(seed: int, count: int):
+    """C-atoms over up to seven atoms from random truth tables of four shapes.
+
+    A uniform table, a dense one (the OR of three), a sparse one (the AND
+    of three), and the complement of one to three points.
+    """
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(0, 7)
+        size = 1 << n
+        full = (1 << size) - 1
+        draws = [rng.getrandbits(size) for _ in range(3)]
+        shape = k % 4
+        if shape == 0:
+            table = draws[0]
+        elif shape == 1:
+            table = draws[0] | draws[1] | draws[2]
+        elif shape == 2:
+            table = draws[0] & draws[1] & draws[2]
+        else:
+            table = full
+            for _ in range(rng.randint(1, 3)):
+                table &= ~(1 << rng.randrange(size))
+        yield CAtom.from_table([f"x{i}" for i in range(n)], table)
+
+
+class TestShannonKernel:
+    """The one prime kernel, unrestricted and restricted to a point."""
+
+    def test_unrestricted_run_matches_the_definition(self):
+        for catom in seeded_tables(29, 160):
+            atoms, cubes = checked_primes(catom)
+            assert frozenset(pps(select(atoms, b), select(atoms, f))
+                             for b, f in cubes) == oracles.brute_abstract(catom), catom
+            assert cubes == sorted(cubes, key=lambda c: (select(atoms, c[0]),
+                                                         select(atoms, c[1])))
+
+    def test_restricted_run_is_the_covering_primes(self):
+        rng = random.Random(2909)
+        for _ in range(120):
+            catom = generators.random_catom(rng, max_domain=6)
+            abstract = build_abstract(catom)
+            members = oracles.brute_abstract(catom)
+            for x in range(1 << len(catom.atoms)):
+                _, restricted = checked_primes(catom, x)
+                assert sorted(restricted) == sorted(abstract.covering(x))
+                assert frozenset(pps(select(catom.atoms, b), select(catom.atoms, f))
+                                 for b, f in restricted) == frozenset(
+                    m for m in members if oracles.brute_covers(m, select(catom.atoms, x)))
 
 
 class TestExpandAndSatisfaction:

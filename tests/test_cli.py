@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -324,6 +325,27 @@ class TestAnalysisAgainstBruteForce:
             assert json.loads(run_cli(["abstract", "--catom", text, "--classify"])) == expected
 
 
+def test_twenty_atom_complement_in_desk_time(tmp_path):
+    # ``not A`` over 20 atoms is A's complement, which holds all but one of
+    # 2**20 sets and has one prime per atom; every guard admits it.
+    atoms = [f"x{i}" for i in range(20)]
+    path = tmp_path / "wide.lp"
+    path.write_text("a :- not [%s : {x0}].\n" % ", ".join(atoms))
+    cases = [
+        (["translate", str(path)], lambda out: len(out.splitlines()) == 21),
+        (["abstract", str(path), "--classify"],
+         lambda out: len(json.loads(out)[0]["lattices"]) == 20),
+        (["check", str(path), "-I", "a", "--oracle", "reduct"], lambda out: out == "stable\n"),
+        (["check", str(path), "-I", "a,x1", "--oracle", "reduct"],
+         lambda out: out == "not stable\n"),
+    ]
+    for argv, expected in cases:
+        started = time.perf_counter()
+        out = run_cli(argv)
+        assert time.perf_counter() - started < 1.0, argv
+        assert expected(out), (argv, out)
+
+
 class TestMaskRoute:
     """The analysis passes read the checked prime-cube masks: they build no
     abstract-form object, and they keep the irredundancy check."""
@@ -368,9 +390,9 @@ class TestMaskRoute:
     def test_a_redundant_cube_list_is_refused(self, path, monkeypatch):
         kernel = abstraction.prime_cubes
 
-        def redundant(catom):
+        def redundant(catom, point=None):
             # The cube of the empty set lies inside that of {} and {atoms[0]}.
-            atoms, cubes = kernel(catom)
+            atoms, cubes = kernel(catom, point)
             return atoms, cubes + [(0, 0), (0, 1)]
 
         monkeypatch.setattr(abstraction, "prime_cubes", redundant)
@@ -379,7 +401,9 @@ class TestMaskRoute:
         for call in (lambda: translate_normal(program),
                      lambda: cli.run(["translate", path]),
                      lambda: cli.run(["abstract", path, "--classify"]),
-                     lambda: cli.run(["abstract", "--catom", "[c : {c}]"])):
+                     lambda: cli.run(["abstract", "--catom", "[c : {c}]"]),
+                     # Both body c-atoms hold, so the reduct runs the kernel at the candidate.
+                     lambda: cli.run(["check", path, "-I", "b,c,d,h"])):
             with pytest.raises(ValueError, match="redundant"):
                 call()
 

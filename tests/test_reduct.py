@@ -65,17 +65,19 @@ DROPPED_WITH_A_SATISFIED_THETA = Rule(("x",), (
     Literal.constraint(CAtom("c", [()])), Literal.constraint(CAtom.elementary("d"))))
 
 
-def count_kernel_calls(monkeypatch) -> list[CAtom]:
-    """Record each c-atom whose prime cubes are computed, on every route.
+def count_kernel_calls(monkeypatch) -> list[tuple[CAtom, int | None]]:
+    """Record each run of the prime-cube kernel, on every route, as (c-atom, point).
 
-    Every route reaches the kernel through ``abstraction.checked_primes``.
+    Every route reaches the kernel through ``abstraction.prime_cubes``: a
+    full abstract form with no point, and a one-candidate reduct restricted
+    to its candidate's table index.
     """
-    built: list[CAtom] = []
+    built: list[tuple[CAtom, int | None]] = []
     kernel = abstraction_module.prime_cubes
 
-    def counted(catom):
-        built.append(catom)
-        return kernel(catom)
+    def counted(catom, point=None):
+        built.append((catom, point))
+        return kernel(catom, point)
 
     monkeypatch.setattr(abstraction_module, "prime_cubes", counted)
     abstraction_module.abstract_of.cache_clear()
@@ -265,15 +267,18 @@ class TestGlReduct:
         assert reduct.gamma == {"__theta_0000000000", "__beta_0000000000"}
 
     def test_primes_live_as_long_as_the_compiled_program(self, monkeypatch):
-        # Every route reads the primes kept on ``program.compiled``; nothing
-        # at module level keeps the program alive once it is dropped.
+        # Every full-form route reads the primes kept on ``program.compiled``;
+        # each one-candidate reduct runs the kernel restricted to its
+        # candidate, {b} of the domain (b, c), and keeps nothing.  Nothing at
+        # module level keeps the program alive once it is dropped.
         built = count_kernel_calls(monkeypatch)
         program = load_program("a :- 1{b, c}. b :- not c. c :- not b.")
         assert is_stable(program, frozenset("ab"))
-        assert gl_reduct(program, frozenset("ab")).rules
+        assert gl_reduct(program, frozenset("ab")).rules  # restricted, then the size bound's full form
         assert reduct_size_bound(program) > len(program.rules)
         assert stable_models(program) == (frozenset("ab"), frozenset("ac"))
-        assert len(built) == 1
+        catom = program.compiled.body_catoms[0].catom
+        assert built == [(catom, 0b01), (catom, 0b01), (catom, None)]
         compiled = weakref.ref(program.compiled)
         del program
         gc.collect()
@@ -460,8 +465,8 @@ class TestStability:
         assert not is_stable(catom_heads, candidate - {"a21"} | {"b21"})
 
     def test_falsified_body_catom_builds_no_abstract_form(self, monkeypatch):
-        # Its solutions answer a falsifying query; the prime cubes are built
-        # at the first query that satisfies it.
+        # Its solutions answer a falsifying query; each query that satisfies
+        # it runs the kernel once, restricted to the candidate's table index.
         built = count_kernel_calls(monkeypatch)
         program = load_program("y :- 1{x0, x1, x2, x3, x4, x5}.")
         assert not is_stable(program, frozenset("y"))
@@ -469,7 +474,8 @@ class TestStability:
         assert built == []
         assert not is_stable(program, frozenset(("x0", "y")))
         assert not is_stable(program, frozenset(("x1",)))
-        assert len(built) == 1
+        catom = program.compiled.body_catoms[0].catom
+        assert built == [(catom, 0b01), (catom, 0b10)]
 
     def test_one_candidate_reads_the_primes_that_cover_it(self):
         rng = random.Random(47)
