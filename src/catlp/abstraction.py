@@ -4,11 +4,10 @@ The explicit solution family of a constraint atom is rewritten as the
 redundancy-free collection of maximal power-set sublattices whose elements are
 all admissible.  Each sublattice is stored as its bottom (``base``) together
 with the atoms that may be added freely (``free``).  The collection is unique,
-determines satisfaction, exposes monotonicity properties syntactically, and
-yields the minimal disjunctive normal form of the atom: one disjunct per
-sublattice, its base positive and ``not`` each domain atom outside its top,
-which ``analysis.translate_normal`` emits as the bodies of the c-atom's
-``__theta_`` defining rules.
+determines satisfaction, and yields the minimal disjunctive normal form of
+the atom: one disjunct per sublattice, its base positive and ``not`` each
+domain atom outside its top, which ``analysis.translate_normal`` emits as
+the bodies of the c-atom's ``__theta_`` defining rules.
 
 The sublattices are the prime cubes of the family, computed by one kernel,
 a Shannon recursion on its truth table (:func:`_primes`), as integer masks
@@ -22,6 +21,10 @@ and only its ``lattices`` view renders :class:`PrefixedPowerSet` objects.
 Given a point of the table, the same kernel keeps only the primes holding
 it and expands one half of the table per atom: a one-candidate reduct
 reads a body c-atom that way, and builds and keeps no abstract form.
+
+A c-atom's dependency signs and its monotone, antimonotone and convex
+class are read off its truth table, not its primes, in one linear pass
+(:func:`signs_and_class`).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Iterable
 
-from .core import CAtom, indices, select, set_bits
+from .core import CAtom, bit_pattern, indices, select, set_bits
 from .errors import check_guard
 
 #: ``abstract_of`` keeps at most this many abstract forms (least recently used
@@ -285,29 +288,44 @@ class CAtomClass:
     convex: bool
 
 
-def classify_cubes(size: int, cubes: Iterable[tuple[int, int]]) -> CAtomClass:
-    """Read the closure properties off the members ``(base, free)`` over ``size`` atoms.
+def signs_and_class(table: int, n: int) -> tuple[int, int, CAtomClass]:
+    """The dependency signs and the class of the ``2**n``-bit truth table ``table``.
 
-    Monotone: every sublattice spans the whole domain above its base.
-    Antimonotone: every base is empty.  Convex: every member base ``b`` and
-    member top ``t`` with ``b <= t`` are themselves one member's bounds.  In
-    a convex family bases are minimal and tops maximal solutions, so
-    ``[b, t]`` is admissible and cannot be extended: it is a member.
-    Conversely, solutions ``S1 <= S3`` lie in members A and B with
-    ``A.base <= B.top``, and the member ``[A.base, B.top]`` covers every set
-    between them.
+    Returns the atoms in some maximal sublattice's base and those outside
+    some top, as masks, and the family's :class:`CAtomClass`, from one pass
+    over the atoms, linear in the table, with no sublattice computed.
+
+    Atom x is in the base of a maximal sublattice iff some solution S with
+    x in S has S - {x} not a solution; x is outside the top of one iff some
+    solution S without x has S | {x} not a solution.  Proof for the base
+    (the top is symmetric): a solution S lies in some maximal sublattice
+    (b, F); if S - {x} is no solution, x is not free there, so x is in b.
+    Conversely, let x be in the base b of a maximal (b, F).  If every
+    solution S with x had S - {x} a solution, each set of (b - {x}, F |
+    {x}) would be a solution, in (b, F) or one atom below it, and (b, F)
+    would not be maximal.  On the table, with H the positions whose bit i
+    is set, atom i is in a base when ``T & H & ~(T << 2**i)`` is non-zero
+    and outside a top when ``T & ~H & ~(T >> 2**i)`` is.
+
+    So the family is monotone (upward closed) iff no atom is outside a top,
+    and antimonotone iff no atom is in a base.  It is convex iff every set
+    with a solution below it (``up``) and one above it (``down``) is a
+    solution, that is ``T == up & down``, since T lies inside both.
     """
-    domain = (1 << size) - 1
-    bounds = {(base, base | free) for base, free in cubes}
-    bases = {b for b, _ in bounds}
-    tops = {t for _, t in bounds}
-    return CAtomClass(
-        monotone=all(t == domain for t in tops),
-        antimonotone=not any(bases),
-        convex=all((b, t) in bounds for b in bases for t in tops if b & t == b),
-    )
+    in_base = outside_top = 0
+    up = down = table
+    for i in range(n):
+        shift, holds = 1 << i, bit_pattern(i, n)
+        if table & holds & ~(table << shift):
+            in_base |= shift
+        if table & ~holds & ~(table >> shift):
+            outside_top |= shift
+        up |= (up & ~holds) << shift
+        down |= (down & holds) >> shift
+    return in_base, outside_top, CAtomClass(
+        monotone=not outside_top, antimonotone=not in_base, convex=table == up & down)
 
 
 def classify_catom(abstract: AbstractCAtom) -> CAtomClass:
-    """:func:`classify_cubes` on the abstract form's prime cubes."""
-    return classify_cubes(len(abstract.atoms), abstract.primes)
+    """:func:`signs_and_class` on the OR of the form's per-base tables."""
+    return signs_and_class(reduce(or_, abstract.tables.values(), 0), len(abstract.atoms))[2]

@@ -13,7 +13,8 @@ positively on a sublattice base and negatively on the domain atoms outside
 the sublattice top.  An atom is in some base iff removing it from some
 solution gives a non-solution, and outside some top iff adding it to some
 solution does, so :func:`dependency_graph` reads the signs off the truth
-table without computing a sublattice.
+table with ``abstraction.signs_and_class``, which has the proof, and
+computes no sublattice.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache
 
-from .abstraction import checked_primes
+from .abstraction import checked_primes, signs_and_class
 from .core import (
     CAtom,
     Literal,
     Program,
     Rule,
-    bit_pattern,
     candidate_models,
     head_atom_name,
     is_false_head,
@@ -174,10 +174,8 @@ def dependency_graph(program: Program) -> DependencyGraph:
 
     The head of a rule depends positively on the atoms of every sublattice
     base of a body c-atom, and negatively on its domain atoms outside some
-    sublattice top.  Both signs are read off the c-atom's truth table, and
-    no sublattice is computed: an atom is in some base iff removing it from
-    some solution gives a non-solution, and outside some top iff adding it
-    to some solution does (:func:`_signed_atoms` has the proof).
+    sublattice top.  Both signs are read off the c-atom's truth table by
+    ``abstraction.signs_and_class``, and no sublattice is computed.
     """
     basic = normalize_basic(program)
     signed: dict[CAtom, tuple[tuple[str, ...], tuple[str, ...]]] = {}
@@ -187,39 +185,13 @@ def dependency_graph(program: Program) -> DependencyGraph:
         for catom in map(literal_catom, rule.body):
             found = signed.get(catom)
             if found is None:
-                found = signed[catom] = _signed_atoms(catom)
+                check_guard("abstract_domain", len(catom.domain))
+                in_base, outside_top, _ = signs_and_class(catom.table, len(catom.atoms))
+                found = signed[catom] = (select(catom.atoms, in_base),
+                                         select(catom.atoms, outside_top))
             edges.update((head, atom, "+") for atom in found[0])
             edges.update((head, atom, "-") for atom in found[1])
     return DependencyGraph(basic.atoms, frozenset(edges))
-
-
-def _signed_atoms(catom: CAtom) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The atoms in some maximal sublattice's base, and those outside some top.
-
-    Atom x is in the base of a maximal sublattice iff some solution S with
-    x in S has S - {x} not a solution; x is outside the top of one iff some
-    solution S without x has S | {x} not a solution.  Proof for the base
-    (the top is symmetric): a solution S lies in some maximal sublattice
-    (b, F); if S - {x} is no solution, x is not free there, so x is in b.
-    Conversely, let x be in the base b of a maximal (b, F).  If every
-    solution S with x had S - {x} a solution, each set of (b - {x}, F |
-    {x}) would be a solution, in (b, F) or one atom below it, and (b, F)
-    would not be maximal.  On the table T, with H the positions whose bit
-    i is set, atom i is in a base when ``T & H & ~(T << 2**i)`` is non-zero
-    and outside a top when ``T & ~H & ~(T >> 2**i)`` is.
-    """
-    check_guard("abstract_domain", len(catom.domain))
-    atoms, table = catom.atoms, catom.table
-    n = len(atoms)
-    pos = neg = 0
-    for i in range(n):
-        shift = 1 << i
-        holds = bit_pattern(i, n)
-        if table & holds & ~(table << shift):
-            pos |= shift
-        if table & ~holds & ~(table >> shift):
-            neg |= shift
-    return select(atoms, pos), select(atoms, neg)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ import sys
 from functools import cache
 
 from . import golden
-from .abstraction import checked_primes, classify_cubes
+from .abstraction import checked_primes, signs_and_class
 from .analysis import cycle_report, dependency_graph, format_translation, to_dot
 from .core import CAtom, Program, is_model, select, set_key
 from .errors import CatlpError, GuardError, NotAModelError, ParseError, ProgramClassError
@@ -97,7 +97,7 @@ def _abstract_json(catom: CAtom, classify: bool) -> dict:
         "lattices": [{"base": names(base), "free": names(free)} for base, free in cubes],
     }
     if classify:
-        flags = classify_cubes(len(atoms), cubes)
+        flags = signs_and_class(catom.table, len(atoms))[2]
         data["monotone"] = flags.monotone
         data["antimonotone"] = flags.antimonotone
         data["convex"] = flags.convex

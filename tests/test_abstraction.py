@@ -10,6 +10,7 @@ from catlp import abstraction as abstraction_module
 from catlp.abstraction import (
     ABSTRACT_CACHE_SIZE,
     AbstractCAtom,
+    CAtomClass,
     PrefixedPowerSet,
     abstract_of,
     build_abstract,
@@ -19,6 +20,7 @@ from catlp.abstraction import (
     expand,
     satisfiable_sets,
     satisfies_abstract,
+    signs_and_class,
 )
 from catlp.core import (
     CAtom,
@@ -497,6 +499,44 @@ class TestClassification:
         abstract = build_abstract(CAtom("ab", [(), {"a", "b"}]))
         assert abstract.lattices == frozenset((pps("", ""), pps("ab", "")))
         assert not classify_catom(abstract).convex
+
+
+class TestSignsAndClass:
+    """The one truth-table pass against the definitions: its signs are the
+    atoms of the brute-force members' bases and outside their tops, and its
+    class the brute-force closure checks."""
+
+    @staticmethod
+    def feed():
+        for n in range(8):
+            atoms = [f"x{i}" for i in range(n)]
+            full = (1 << (1 << n)) - 1
+            # The empty family, the full one, and the complement of one set.
+            yield CAtom.from_table(atoms, 0)
+            yield CAtom.from_table(atoms, full)
+            yield CAtom.from_table(atoms, full & ~(1 << (full.bit_length() // 3)))
+        yield from seeded_tables(30, 120)
+
+    def test_matches_the_definitions_on_seeded_tables(self):
+        for catom in self.feed():
+            in_base, outside_top, flags = signs_and_class(catom.table, len(catom.atoms))
+            members = oracles.brute_abstract(catom)
+            assert select(catom.atoms, in_base) == tuple(
+                sorted(frozenset().union(*(m.base for m in members)))), catom
+            assert select(catom.atoms, outside_top) == tuple(
+                sorted(frozenset().union(*(catom.domain - m.top for m in members)))), catom
+            assert (flags.monotone, flags.antimonotone, flags.convex) == (
+                oracles.brute_monotone(catom), oracles.brute_antimonotone(catom),
+                oracles.brute_convex(catom)), catom
+
+    def test_classify_catom_answers_a_hand_built_form_over_21_atoms(self):
+        # Wider than the abstract_domain guard: the form's own tables are read.
+        wide = frozenset(f"x{i}" for i in range(21))
+        x0 = frozenset({"x0"})
+        at_least = AbstractCAtom(wide, (PrefixedPowerSet(x0, wide - x0),))
+        assert classify_catom(at_least) == CAtomClass(True, False, True)
+        gap = AbstractCAtom(wide, (pps("", ""), PrefixedPowerSet({"x0", "x1"}, ())))
+        assert classify_catom(gap) == CAtomClass(False, False, False)
 
 
 class TestDnf:

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -344,6 +345,16 @@ def test_twenty_atom_complement_in_desk_time(tmp_path):
         out = run_cli(argv)
         assert time.perf_counter() - started < 1.0, argv
         assert expected(out), (argv, out)
+
+
+def test_eight_of_sixteen_is_classified_in_desk_time():
+    # 12,870 primes, all with 8 atoms in the base and none free.
+    text = "8{%s}8" % ",".join(f"x{i}" for i in range(16))
+    started = time.perf_counter()
+    data = json.loads(run_cli(["abstract", "--catom", text, "--classify"]))
+    assert time.perf_counter() - started < 1.0
+    assert len(data["lattices"]) == 12870
+    assert (data["monotone"], data["antimonotone"], data["convex"]) == (False, False, True)
 
 
 class TestMaskRoute:
@@ -787,6 +798,24 @@ def test_cli_corpus_slice_is_complete_and_reproducible():
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == text
+
+
+#: Lines and sha256 of ``tests/cli_corpus.py --per-family 40``; a change
+#: that alters CLI output on purpose updates both and says why.
+CORPUS_LINES = 19058
+CORPUS_SHA256 = "cc9efc097239d6c80eca2875a66a85a4e00f82d0963664808880e690c9af50d1"
+
+
+def test_cli_corpus_output_is_pinned():
+    import cli_corpus
+
+    out = io.StringIO()
+    assert cli_corpus.main(["--per-family", "40"], out=out) == 0
+    text = out.getvalue()
+    hint = ("CLI output changed: diff `PYTHONPATH=src python tests/cli_corpus.py "
+            "--per-family 40` on this tree and on its parent")
+    assert len(text.splitlines()) == CORPUS_LINES, hint
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256, hint
 
 
 def test_no_library_route_reads_the_solutions_view(tmp_path, monkeypatch):

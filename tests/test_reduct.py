@@ -680,8 +680,8 @@ class TestAllCandidatesAtOnce:
         wide = Program(tuple(Rule((f"x{i}",)) for i in range(21)))
         with pytest.raises(GuardError):
             stable_models(wide)
-        # ``not A`` is compiled as A's complement, which the
-        # ``complement_domain`` guard refuses at 21 atoms, as ``load_program`` does.
+        # ``not A`` is compiled as A's complement, which the ``complement_domain``
+        # guard refuses at 21 atoms; ``load_program`` keeps ``not A`` and loads it.
         catom = CAtom([f"x{i}" for i in range(21)], [{"x0"}])
         negated = Program((Rule(("a",), (Literal.negated_constraint(catom),)),))
         with pytest.raises(GuardError) as caught:
