@@ -16,7 +16,7 @@ from .abstraction import checked_primes, signs_and_class
 from .analysis import cycle_report, dependency_graph, format_translation, to_dot
 from .core import CAtom, Program, is_model, select, set_key
 from .errors import CatlpError, GuardError, NotAModelError, ParseError, ProgramClassError
-from .fixpoint import fixpoint_stable, to_positive_basic
+from .fixpoint import fixpoint_stable
 from .parser import format_program, load_program, parse_constraint, parse_interpretation
 from .reduct import gl_reduct, is_stable, reduct_json, stable_models
 
@@ -50,9 +50,8 @@ def _cmd_solve(args) -> int:
 
 
 def _fixpoint_verdict(program: Program, interpretation: frozenset[str]) -> bool:
-    rewritten = to_positive_basic(program)
     try:
-        return fixpoint_stable(rewritten, interpretation)
+        return fixpoint_stable(program, interpretation)
     except NotAModelError:
         return False
 

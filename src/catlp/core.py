@@ -281,19 +281,6 @@ class Program:
         """The program as bit masks over its sorted vocabulary, built once."""
         return CompiledProgram(self)
 
-    @cached_property
-    def basic_refusal(self) -> str | None:
-        """Why the fixpoint operator refuses the program, or None; found once.
-
-        It takes positive basic programs: one elementary head per rule and no negated literal.
-        """
-        for rule in self.rules:
-            if len(rule.head) != 1 or head_atom_name(rule.head[0]) is None:
-                return "single elementary heads"
-            if not all(lit.positive for lit in rule.body):
-                return "negation-free bodies"
-        return None
-
 
 class CompiledCAtom:
     """A c-atom over a program's vocabulary bits.

@@ -4,9 +4,10 @@ Everything here recomputes results straight from the definitions and stays
 away from the library's algorithms: sublattice inclusion enumerates covered
 sets, abstract forms scan every candidate per solution, stable models of
 ordinary programs go through the textbook two-step reduct, and closure
-properties of constraint atoms are checked by exhausting subsets, cycle
-flags come from a table of walks layered by length, and head-cycle-freeness
-from plain reachability over a rendered reduct.  Stable
+properties of constraint atoms are checked by exhausting subsets, the
+fixpoint oracle's ascent runs its operator on sets with every interpolant
+enumerated, cycle flags come from a table of walks layered by length, and
+head-cycle-freeness from plain reachability over a rendered reduct.  Stable
 models of constraint programs go through ``brute_reduct``, the four
 transformation steps written on sets with ``brute_abstract`` for the
 covering bases, and scan every subset of the reduct's atoms for its
@@ -22,9 +23,11 @@ from catlp.core import (
     Program,
     Rule,
     head_atom_name,
+    is_model,
     iter_subsets,
     set_key,
 )
+from catlp.errors import NotAModelError, ProgramClassError
 from catlp.reduct import BOT, beta_atom, theta_atom
 
 
@@ -158,6 +161,39 @@ def brute_cond_satisfies(lower, upper, catom: CAtom) -> bool:
         if bottom <= candidate and candidate not in catom.solutions:
             return False
     return True
+
+
+def brute_tp_step(program: Program, lower, context) -> frozenset[str]:
+    """The conditional one-step operator on sets: a rule's head is derived
+    when its body atoms are in ``lower`` and each body c-atom conditionally
+    satisfies (``brute_cond_satisfies``) ``lower`` under ``context``.  Positive
+    basic programs only: one elementary head per rule and no ``not``."""
+    low, ctx = frozenset(lower), frozenset(context)
+    derived: set[str] = set()
+    for rule in program.rules:
+        if len(rule.head) != 1 or head_atom_name(rule.head[0]) is None:
+            raise ProgramClassError("the fixpoint operator requires single elementary heads")
+        if not all(lit.positive for lit in rule.body):
+            raise ProgramClassError("the fixpoint operator requires negation-free bodies")
+        if all(lit.item in low if lit.is_atom else brute_cond_satisfies(low, ctx, lit.item)
+               for lit in rule.body):
+            derived.add(head_atom_name(rule.head[0]))
+    return frozenset(derived)
+
+
+def brute_fixpoint_stable(program: Program, interpretation) -> bool:
+    """Stability by the ascent of ``brute_tp_step`` from the empty set under the
+    candidate, which must be a model (``NotAModelError`` otherwise)."""
+    candidate = frozenset(interpretation)
+    if not is_model(candidate, program):
+        raise NotAModelError("{%s} is not a model of the program" % ", ".join(sorted(candidate)))
+    current: frozenset[str] = frozenset()
+    for _ in range(len(program.language) + 2):
+        nxt = brute_tp_step(program, current, candidate)
+        if nxt == current:
+            return current == candidate
+        current = nxt
+    raise AssertionError("the ascent did not settle")
 
 
 # -- ordinary-program stable models (textbook two-step reduct) ---------------

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import catlp
-from catlp import abstraction, cli, golden, reduct
+from catlp import abstraction, cli, core, fixpoint, golden, reduct
 from catlp.analysis import dependency_graph, translate_normal
 from catlp.core import CAtom, iter_subsets
 from catlp.golden import EVEN_LOOP, SUM_COUNT_DISJUNCTION, SUM_LOOP
@@ -144,6 +144,37 @@ class TestCheck:
     def test_fixpoint_oracle_needs_suitable_program(self, disjunction, capsys):
         code = cli.run(["check", disjunction, "-I", "p(-1)", "--oracle", "fixpoint"])
         assert code == 2
+
+    def test_fixpoint_refusals_come_in_rule_order(self, tmp_path, capsys):
+        # As the rewrite meets them: an earlier rule's complement guard
+        # before a later rule's disjunctive head.
+        path = tmp_path / "wide.lp"
+        path.write_text("a :- not [%s : {x0}].\nb | c.\n" % ", ".join(
+            f"x{i}" for i in range(21)))
+        assert cli.run(["check", str(path), "-I", "", "--oracle", "fixpoint"]) == 2
+        assert capsys.readouterr().err == (
+            "refused: complement_domain guard: 21 exceeds the limit of 20\n")
+
+    def test_both_oracles_compile_the_program_once(self, tmp_path, capsys, monkeypatch):
+        # The fixpoint oracle reads the ``Program.compiled`` that ``is_stable``
+        # built, not a compile of the rewritten program.
+        path = tmp_path / "negated_loop.lp"
+        path.write_text("x1 :- not y1. y1 :- not x1.\n"
+                        "x2 :- not y2, x1. y2 :- not x2, [x1, y1 : {x1}, {y1}].\n"
+                        "w :- not 1{x1, x2}1.\n")
+        compiles = []
+        init = core.CompiledProgram.__init__
+        monkeypatch.setattr(core.CompiledProgram, "__init__",
+                            lambda self, program: compiles.append(program) or init(self, program))
+
+        def rewrite(program):
+            raise AssertionError("to_positive_basic was called")
+
+        for module in (cli, fixpoint):
+            monkeypatch.setattr(module, "to_positive_basic", rewrite, raising=False)
+        assert cli.run(["check", str(path), "-I", "x1,x2,w", "--oracle", "both"]) == 0
+        assert capsys.readouterr().out == "stable\n"
+        assert len(compiles) == 1
 
     def test_divergence_exit_code(self, sum_loop, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_fixpoint_verdict", lambda *args: True)

@@ -8,6 +8,7 @@ import pytest
 from catlp import fixpoint as fixpoint_module
 from catlp.core import (
     CAtom,
+    CandidateBits,
     Literal,
     Program,
     Rule,
@@ -167,8 +168,8 @@ class TestFixpointStable:
         # An operator that never settles must hit the typed bound check.
         steps = iter(range(1000))
         monkeypatch.setattr(
-            fixpoint_module, "tp_step",
-            lambda program, lower, context: frozenset((f"s{next(steps)}",)))
+            fixpoint_module, "_step",
+            lambda compiled, lower, context: 1 << next(steps))
         with pytest.raises(InvariantError, match="exceeded its bound"):
             fixpoint_stable(load_program("a."), frozenset("a"))
 
@@ -184,15 +185,16 @@ class TestFixpointStable:
             assert set(fixpoint_stable_models(program)) == set(stable_models(program))
 
     def test_fixpoint_stable_models_tests_no_model_twice(self, monkeypatch):
-        # candidate_models keeps only models, so the ascent runs without a
-        # second, set-based model test per candidate.
+        # One model test of every candidate at once keeps only models, so the
+        # ascent runs without a second model test per candidate.
         tested = []
-        monkeypatch.setattr(fixpoint_module, "is_model",
-                            lambda interpretation, program: tested.append(interpretation))
+        models = CandidateBits.models
+        monkeypatch.setattr(CandidateBits, "models",
+                            lambda space: tested.append(space.point) or models(space))
         program = load_program("a :- not b. b :- not a. c :- [a,c : {a}, {a,c}].")
         assert fixpoint_stable_models(to_positive_basic(program)) == (
             frozenset("ac"), frozenset("b"))
-        assert tested == []
+        assert tested == [None]
 
     def test_fixpoint_stable_models_language_guard(self):
         atoms = [f"x{i}" for i in range(21)]
@@ -237,6 +239,69 @@ class TestToPositiveBasic:
             assert stable_models(direct) == stable_models(rewritten)
             expected = set(stable_models(rewritten))
             assert set(fixpoint_stable_models(rewritten)) == expected
+
+
+def _outcome(call):
+    """The verdict, or the class and message of the library error raised."""
+    try:
+        return call()
+    except (NotAModelError, ProgramClassError) as exc:
+        return type(exc), str(exc)
+
+
+class TestMaskOperatorDifferential:
+    """The operator on ``Program.compiled`` against the set operator of
+    ``tests/oracles.py``: both oracles read the compile, so this is what
+    checks it from outside."""
+
+    @staticmethod
+    def _programs():
+        rng = random.Random(79)
+        for _ in range(100):
+            program = generators.random_positive_basic_program(
+                rng, atoms=("a", "b", "c", "d"), max_rules=4, max_domain=3)
+            yield program
+            # A hand-built elementary c-atom head compiles as a head c-atom.
+            yield Program(tuple(Rule((CAtom.elementary(r.head[0]),), r.body)
+                                for r in program.rules[:2]) + program.rules[2:])
+            yield generators.random_normal_constraint_program(
+                rng, atoms=("a", "b", "c", "d"), max_rules=4, max_domain=3)
+        for _ in range(8):
+            yield generators.random_disjunctive_constraint_program(rng, max_rules=3)
+            yield generators.random_basic_program(rng, max_rules=3)
+
+    def test_verdicts_and_refusals_match_the_set_ascent(self):
+        refused = normal = stable = 0
+        for program in self._programs():
+            rewrite = _outcome(lambda: to_positive_basic(program))
+            if isinstance(rewrite, Program):
+                normal += any(not lit.positive for r in program.rules for lit in r.body)
+            else:
+                refused += 1
+            for candidate in iter_subsets(program.language | {"z"}):  # z is outside
+                direct = _outcome(lambda: fixpoint_stable(program, candidate))
+                rewritten = _outcome(lambda: fixpoint_stable(to_positive_basic(program), candidate))
+                brute = _outcome(lambda: oracles.brute_fixpoint_stable(
+                    to_positive_basic(program), candidate))
+                assert direct == rewritten == brute, (program, candidate)
+                stable += direct is True
+                if not isinstance(rewrite, Program):
+                    assert direct == rewrite
+        assert refused >= 8 and normal >= 40 and stable >= 150
+
+    def test_step_matches_the_set_step(self):
+        rng = random.Random(83)
+        pool = ("a", "b", "c", "d", "z")  # z is outside every vocabulary
+        for _ in range(300):
+            program = generators.random_positive_basic_program(
+                rng, atoms=pool[:4], max_rules=4, max_domain=3)
+            if rng.random() < 0.5:
+                program = Program((Rule((CAtom.elementary(program.rules[0].head[0]),),
+                                        program.rules[0].body),) + program.rules[1:])
+            context = frozenset(a for a in pool if rng.random() < 0.6)
+            lower = frozenset(a for a in context if rng.random() < 0.5)
+            assert tp_step(program, lower, context) == oracles.brute_tp_step(
+                program, lower, context)
 
 
 def test_fixpoint_oracle_imports_only_core_and_errors():
