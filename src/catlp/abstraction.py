@@ -10,17 +10,16 @@ domain atom outside its top, which ``analysis.translate_normal`` emits as
 the bodies of the c-atom's ``__theta_`` defining rules.
 
 The sublattices are the prime cubes of the family, computed by one kernel,
-a Shannon recursion on its truth table (:func:`_primes`), as integer masks
-over the sorted domain.  :func:`prime_cubes` lists them in canonical order
-and :func:`checked_primes` tests them with :func:`check_irredundant`; every
-route takes them from there.  The translation and the CLI's ``abstract``
-command read the masks directly.  An :class:`AbstractCAtom`
-(:func:`build_abstract`) stores only them and its sorted domain; the
-all-candidates reduct, the size bound and the helpers here read its masks,
-and only its ``lattices`` view renders :class:`PrefixedPowerSet` objects.
-Given a point of the table, the same kernel keeps only the primes holding
-it and expands one half of the table per atom: a one-candidate reduct
-reads a body c-atom that way, and builds and keeps no abstract form.
+a Shannon recursion on its truth table (:func:`_primes`), as masks over the
+sorted domain grouped by free set: ``{free set: bases mask}``.
+:func:`checked_primes` tests the grouping with :func:`check_irredundant`;
+every route takes it from there, and an :class:`AbstractCAtom`
+(:func:`build_abstract`) stores only it and the sorted domain.
+:func:`cube_list` renders it as canonical ``(base, free)`` cubes for text
+alone, and only the ``lattices`` view renders :class:`PrefixedPowerSet`
+objects.  Given a point of the table, the kernel keeps only the primes
+holding it and expands one half of the table per atom: a one-candidate
+reduct reads a body c-atom that way and keeps no abstract form.
 
 A c-atom's dependency signs and its monotone, antimonotone and convex
 class are read off its truth table, not its primes, in one linear pass
@@ -64,27 +63,30 @@ class PrefixedPowerSet:
 class AbstractCAtom:
     """The redundancy-free collection of maximal sublattices of a c-atom.
 
-    Stored as the sorted domain ``atoms`` and the prime cubes ``primes``, masks
-    ``(base, free)`` over it in the order :func:`checked_primes` gives; the rest are views.
+    Stored as the sorted domain ``atoms`` and the primes' grouping by free set
+    as :func:`checked_primes` gives it, ``groups``: sorted ``(free, bases)``
+    mask pairs, bit b of ``bases`` set when ``(b, free)`` is prime.
     """
 
     atoms: tuple[str, ...]
-    primes: tuple[tuple[int, int], ...]
+    groups: tuple[tuple[int, int], ...]
 
     def __init__(self, domain: Iterable[str], lattices: Iterable[PrefixedPowerSet]):
         object.__setattr__(self, "atoms", tuple(sorted(frozenset(domain))))
-        lattices = tuple(lattices)
-        if any(not m.top <= self.domain for m in lattices):
-            raise ValueError("sublattice atoms must come from the domain")
-        cubes = {(self.position(m.base), self.position(m.free)) for m in lattices}
-        check_irredundant(cubes)
-        object.__setattr__(self, "primes", tuple(sorted(cubes, key=lambda c: [*map(_canonical, c)])))
+        groups: dict[int, int] = {}
+        for m in lattices:
+            if not m.top <= self.domain:
+                raise ValueError("sublattice atoms must come from the domain")
+            free = self.position(m.free)
+            groups[free] = groups.get(free, 0) | 1 << self.position(m.base)
+        check_irredundant(groups, len(self.atoms))
+        object.__setattr__(self, "groups", tuple(sorted(groups.items())))
 
     @classmethod
-    def from_primes(cls, atoms: tuple[str, ...], primes: list[tuple[int, int]]):
+    def from_groups(cls, atoms: tuple[str, ...], groups: dict[int, int]):
         """The form of what :func:`checked_primes` returns, which is not checked again."""
         abstract = object.__new__(cls)
-        vars(abstract).update(atoms=atoms, primes=tuple(primes))
+        vars(abstract).update(atoms=atoms, groups=tuple(sorted(groups.items())))
         return abstract
 
     @cached_property
@@ -92,55 +94,58 @@ class AbstractCAtom:
         return frozenset(self.atoms)
 
     @cached_property
+    def primes(self) -> tuple[tuple[int, int], ...]:
+        """The prime cubes as ``(base, free)`` masks in canonical order (:func:`cube_list`)."""
+        return tuple(cube_list(dict(self.groups)))
+
+    @cached_property
     def lattices(self) -> frozenset[PrefixedPowerSet]:
         """The sublattices as objects, for callers, ``selftest`` and the test oracles."""
         return frozenset(PrefixedPowerSet(select(self.atoms, b), select(self.atoms, f))
-                         for b, f in self.primes)
+                         for f, bases in self.groups for b in set_bits(bases))
 
     def position(self, interpretation: Iterable[str]) -> int:
         """The table index of the interpretation's part of the domain."""
         return sum(1 << self.atoms.index(a) for a in self.domain.intersection(interpretation))
 
-    @cached_property
-    def _bases(self) -> dict[int, set[int]]:
-        """The bases of the prime cubes by free set."""
-        bases: dict[int, set[int]] = {}
-        for base, free in self.primes:
-            bases.setdefault(free, set()).add(base)
-        return bases
-
     def covering(self, x: int) -> list[tuple[int, int]]:
-        """The prime cubes holding table index x: (x & ~F, F) per free set F, one lookup each."""
-        return [(x & ~free, free) for free, bases in self._bases.items() if x & ~free in bases]
+        """The prime cubes holding table index x: (x & ~F, F) per free set F, one bit test each."""
+        return [(x & ~free, free) for free, bases in self.groups if bases >> (x & ~free) & 1]
 
     @cached_property
     def tables(self) -> dict[int, int]:
         """Per distinct base, the truth table of the subsets its prime cubes hold."""
         tables: dict[int, int] = {}
-        for free, bases in self._bases.items():
+        for free, bases in self.groups:
             cube = 1  # the subsets of the free set; a prime holds them shifted by its base
             for j in indices(free):
                 cube |= cube << (1 << j)
-            for base in bases:
+            for base in set_bits(bases):
                 tables[base] = tables.get(base, 0) | cube << base
         return tables
 
 
-def check_irredundant(cubes: Iterable[tuple[int, int]]) -> None:
-    """Raise ``ValueError`` when a cube ``(base, free)`` lies inside a distinct one.
+def check_irredundant(groups: dict[int, int], n: int) -> None:
+    """Raise ``ValueError`` when a cube of the grouping lies inside a distinct one.
 
-    ``(b, F)`` lies inside ``(b2, G)`` iff ``b2 <= b`` and ``b | F <= b2 |
-    G``.  Bases are disjoint from their free sets, so this forces ``F <=
-    G`` and ``b2 == b & ~G``, and ``G == F`` gives the cube itself.  So each
-    cube costs one lookup per strictly wider free set of the collection.
+    ``groups`` maps free sets, masks over n atoms, to bases masks: bit b
+    of F's mask is set when ``(b, F)`` is a cube.  ``(b, F)`` lies inside
+    ``(b2, G)`` iff ``b2 <= b`` and ``b | F <= b2 | G``.  Bases are
+    disjoint from their free sets, so this forces ``F <= G`` and ``b2 == b
+    & ~G``, and ``G == F`` gives the cube itself.  So for each strictly
+    wider free set G, F's bases mask is folded off each atom of ``G - F``
+    (each base holding the atom moves to the base without it), which gives
+    the mask of every ``b & ~G``, and it may share no bit with G's mask.
     """
-    cubes = set(cubes)
-    frees = sorted({free for _, free in cubes}, key=int.bit_count)
-    wider = {free: [g for g in frees[k + 1:] if g & free == free]
-             for k, free in enumerate(frees)}
-    for base, free in cubes:
-        for g in wider[free]:
-            if (base & ~g, g) in cubes:
+    frees = sorted(groups, key=int.bit_count)
+    holds: list[int] = []  # per atom, the table indices holding it, made at the first fold
+    for k, free in enumerate(frees):
+        for wider in (g for g in frees[k + 1:] if g & free == free):
+            holds = holds or [bit_pattern(i, n) for i in range(n)]
+            bases = groups[free]
+            for i in indices(wider & ~free):
+                bases = bases & ~holds[i] | (bases & holds[i]) >> (1 << i)
+            if bases & groups[wider]:
                 raise ValueError("redundant sublattice in abstract form")
 
 
@@ -215,46 +220,37 @@ def _canonical(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_SWAP) if mask else ""
 
 
-def prime_cubes(catom: CAtom, point: int | None = None) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
-    """The sorted domain and the maximal sublattices of ``catom`` as masks.
+def cube_list(groups: dict[int, int]) -> list[tuple[int, int]]:
+    """The cubes of a grouping as ``(base, free)`` masks, in canonical order.
 
-    Atom ``atoms[i]`` is bit i, and each sublattice is ``(base, free)``.
-    The primes come from :func:`_primes` on the c-atom's truth table, in
-    canonical order: by sorted base atoms, then sorted free atoms.  Given a
-    ``point``, a table index, they are only those holding it, in no set
-    order.
+    By sorted base atoms, then sorted free atoms: the order the translation
+    and the ``abstract`` command print.
     """
-    check_guard("abstract_domain", len(catom.domain))
-    groups = _primes(len(catom.atoms), catom.table, point)
-    if point is not None:
-        return catom.atoms, [(point & ~free, free) for free in groups]
     frees: dict[int, list[int]] = {}
     for free in sorted(groups, key=_canonical):
         for base in set_bits(groups[free]):
             frees.setdefault(base, []).append(free)
-    return catom.atoms, [(base, free) for base in sorted(frees, key=_canonical)
-                         for free in frees[base]]
+    return [(base, free) for base in sorted(frees, key=_canonical) for free in frees[base]]
 
 
-def checked_primes(catom: CAtom, point: int | None = None) -> tuple[tuple[str, ...], list[tuple[int, int]]]:
-    """:func:`prime_cubes`, once its cubes pass :func:`check_irredundant`.
+def checked_primes(catom: CAtom, point: int | None = None) -> tuple[tuple[str, ...], dict[int, int]]:
+    """The sorted domain (atom ``atoms[i]`` is bit i) and :func:`_primes`' grouping.
 
-    Every route reads the kernel through here: a full form with no point,
-    and the one-candidate reduct at its candidate's table index.
+    Every route reads the kernel through here, once its grouping passes
+    :func:`check_irredundant`: a full form with no point, and the
+    one-candidate reduct at its candidate's table index.  The grouping may
+    be a memo that later runs share, so no caller changes it.
     """
-    atoms, cubes = prime_cubes(catom, point)
-    check_irredundant(cubes)
-    return atoms, cubes
+    check_guard("abstract_domain", len(catom.domain))
+    groups = _primes(len(catom.atoms), catom.table, point)
+    check_irredundant(groups, len(catom.atoms))
+    return catom.atoms, groups
 
 
 def build_abstract(catom: CAtom) -> AbstractCAtom:
-    """Compute the unique abstract form of a constraint atom.
-
-    The maximal sublattices are the prime implicants of the solution family,
-    computed on a truth table by :func:`checked_primes`, which checks them
-    and puts them in canonical order, so the form keeps them as they are.
-    """
-    return AbstractCAtom.from_primes(*checked_primes(catom))
+    """The unique abstract form of a constraint atom: the prime implicants of
+    its solution family, from :func:`checked_primes`, kept as they are."""
+    return AbstractCAtom.from_groups(*checked_primes(catom))
 
 
 @lru_cache(maxsize=ABSTRACT_CACHE_SIZE)

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache
 
-from .abstraction import checked_primes, signs_and_class
+from .abstraction import checked_primes, cube_list, signs_and_class
 from .core import (
     CAtom,
     Literal,
@@ -90,7 +90,8 @@ def _translation(program: Program):
             name = theta_atom(catom)
             names.append(name)
             if catom not in definitions:
-                definitions[catom] = definition = (name, *checked_primes(catom))
+                atoms, groups = checked_primes(catom)
+                definitions[catom] = definition = (name, atoms, cube_list(groups))
                 taken = basic.language
                 if name in taken:
                     own = {frozenset(r.body) for r in basic.rules if r.head == (name,)}

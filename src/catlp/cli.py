@@ -12,9 +12,9 @@ import sys
 from functools import cache
 
 from . import golden
-from .abstraction import checked_primes, signs_and_class
+from .abstraction import checked_primes, cube_list, signs_and_class
 from .analysis import cycle_report, dependency_graph, format_translation, to_dot
-from .core import CAtom, Program, is_model, select, set_key
+from .core import CAtom, CandidateBits, Program, select, set_key
 from .errors import CatlpError, GuardError, NotAModelError, ParseError, ProgramClassError
 from .fixpoint import fixpoint_stable
 from .parser import format_program, load_program, parse_constraint, parse_interpretation
@@ -68,9 +68,10 @@ def _cmd_check(args) -> int:
         print("oracle divergence: %s" % verdicts, file=sys.stderr)
         return EXIT_DIVERGENCE
     verdict = next(iter(verdicts.values()))
+    compiled = program.compiled
     if verdict:
         print("stable")
-    elif not is_model(interpretation, program):
+    elif not CandidateBits(compiled, compiled.mask(compiled.bit.keys() & interpretation)).models():
         print("not stable (not a model)")
     else:
         print("not stable")
@@ -89,11 +90,11 @@ def _cmd_reduct(args) -> int:
 
 
 def _abstract_json(catom: CAtom, classify: bool) -> dict:
-    atoms, cubes = checked_primes(catom)
+    atoms, groups = checked_primes(catom)
     names = cache(lambda mask: list(select(atoms, mask)))
     data = {
         "domain": list(atoms),
-        "lattices": [{"base": names(base), "free": names(free)} for base, free in cubes],
+        "lattices": [{"base": names(base), "free": names(free)} for base, free in cube_list(groups)],
     }
     if classify:
         flags = signs_and_class(catom.table, len(atoms))[2]

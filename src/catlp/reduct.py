@@ -32,7 +32,7 @@ one candidate runs it restricted to the candidate and keeps nothing
 candidate reads the primes' tables by base (``AbstractCAtom.tables``) of
 the abstract form each ``core.CompiledCAtom`` of ``Program.compiled``
 keeps, built once by ``abstraction.build_abstract``, so it lives exactly
-as long as the compiled program.
+as long as the compiled program.  No route here lists the primes.
 
 A rendered reduct is an ordinary ``Program`` plus ``gamma``, printed by
 ``parser.format_program``.  ``least_model`` and ``minimal_models`` decide
@@ -113,7 +113,7 @@ class _Reduct:
     covering some candidate.  A space of every candidate splits each base's
     table of the subsets its primes hold (``AbstractCAtom.tables``,
     ``CandidateBits.split``); a space of one candidate runs the kernel
-    restricted to it (``abstraction.checked_primes`` at its table index).
+    restricted to its table index x, and free set F gives the base x & ~F.
     So a body c-atom that every candidate falsifies, or that sits only in
     rules no candidate keeps, never gets its prime cubes.
     """
@@ -147,8 +147,8 @@ class _Reduct:
                           for base, table in c.abstract.tables.items()]
                 self.covers[c] = [(base, indices(base), bits) for base, bits in covers if bits]
             else:
-                _, cubes = checked_primes(c.catom, c.position(point))
-                bases = dict.fromkeys(b for b, _ in cubes)
+                x = c.position(point)
+                bases = dict.fromkeys(x & ~free for free in checked_primes(c.catom, x)[1])
                 self.covers[c] = [(base, indices(base), 1) for base in map(c.lift, bases)]
 
 
@@ -368,10 +368,10 @@ def reduct_size_bound(program: Program) -> int:
     """Rule-count bound for any reduct of the program.
 
     One transformed rule per source rule, plus per distinct c-atom at most
-    its prime-cube count (body role) and domain size plus one (head role).
-    Only body c-atoms get abstract forms (``not A`` is compiled as A's
-    complement); they are kept on ``program.compiled``, so its reducts
-    share them.
+    its prime count, its bases masks' popcounts (body role), and domain
+    size plus one (head role).  Only body c-atoms get abstract forms (``not
+    A`` is compiled as A's complement); they are kept on
+    ``program.compiled``, so its reducts share them.
     """
     return _size_bound(program, program.compiled.body_catoms)
 
@@ -381,7 +381,7 @@ def _size_bound(program: Program, body: Iterable[CompiledCAtom]) -> int:
     compiled = program.compiled
     if not compiled.catoms:
         return len(program.rules)
-    widest = max((len(c.abstract.primes) for c in body), default=0)
+    widest = max((sum(b.bit_count() for _, b in c.abstract.groups) for c in body), default=0)
     largest = max(len(c.catom.domain) for c in compiled.catoms)
     return len(program.rules) + len(compiled.catoms) * (widest + largest + 1)
 

@@ -43,6 +43,26 @@ def brute_included(p: PrefixedPowerSet, q: PrefixedPowerSet) -> bool:
     return covered_sets(p) <= covered_sets(q)
 
 
+def brute_irredundant(cubes) -> None:
+    """Raise ``ValueError`` when a cube ``(base, free)`` of masks lies inside a distinct one.
+
+    ``(b, F)`` lies inside ``(b2, G)`` iff ``b2 <= b`` and ``b | F <= b2 |
+    G``.  Bases are disjoint from their free sets, so this forces ``F <=
+    G`` and ``b2 == b & ~G``, and ``G == F`` gives the cube itself.  So each
+    cube costs one lookup per strictly wider free set of the collection:
+    the reference for ``abstraction.check_irredundant``, which reads the
+    cubes grouped by free set.
+    """
+    cubes = set(cubes)
+    frees = sorted({free for _, free in cubes}, key=int.bit_count)
+    wider = {free: [g for g in frees[k + 1:] if g & free == free]
+             for k, free in enumerate(frees)}
+    for base, free in cubes:
+        for g in wider[free]:
+            if (base & ~g, g) in cubes:
+                raise ValueError("redundant sublattice in abstract form")
+
+
 def brute_abstract(catom: CAtom) -> frozenset[PrefixedPowerSet]:
     """Abstract form by definition: per-solution maximal sublattices, then
     removal of members included in another member."""

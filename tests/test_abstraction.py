@@ -17,6 +17,7 @@ from catlp.abstraction import (
     check_irredundant,
     checked_primes,
     classify_catom,
+    cube_list,
     expand,
     satisfiable_sets,
     satisfies_abstract,
@@ -62,6 +63,14 @@ def all_families(domain: str):
     subsets = list(iter_subsets(domain))
     for family in iter_subsets(range(len(subsets))):
         yield CAtom(frozenset(domain), frozenset(subsets[i] for i in family))
+
+
+def grouped(cubes) -> dict[int, int]:
+    """Cubes ``(base, free)`` grouped as the kernel groups them: ``{free: bases mask}``."""
+    groups: dict[int, int] = {}
+    for base, free in cubes:
+        groups[free] = groups.get(free, 0) | 1 << base
+    return groups
 
 
 class TestPrefixedPowerSet:
@@ -164,9 +173,9 @@ class TestBuildAbstract:
         calls = []
         kernel_check = abstraction_module.check_irredundant
 
-        def counted(cubes):
+        def counted(groups, n):
             calls.append(1)
-            return kernel_check(cubes)
+            return kernel_check(groups, n)
 
         monkeypatch.setattr(abstraction_module, "check_irredundant", counted)
         for catom in (LATTICE_FAMILY, PUNCTURED_CUBE, parse_constraint("2 {a, b, c, d} 3")):
@@ -186,16 +195,17 @@ class TestBuildAbstract:
 
     def test_mask_check_rejects_a_redundant_prime_list(self):
         # The cubes over atoms a = bit 0, b = bit 1, c = bit 2 of the two
-        # cases above, fed to the helper that both routes call.
+        # cases above, grouped by free set and fed to the helper that both
+        # routes call.
         with pytest.raises(ValueError, match="redundant"):
-            check_irredundant([(0b000, 0b011), (0b001, 0b010)])
+            check_irredundant(grouped([(0b000, 0b011), (0b001, 0b010)]), 3)
         with pytest.raises(ValueError, match="redundant"):
-            check_irredundant([(0b001, 0b010), (0b001, 0b110)])
+            check_irredundant(grouped([(0b001, 0b010), (0b001, 0b110)]), 3)
         with pytest.raises(ValueError, match="redundant"):  # two atoms wider
-            check_irredundant([(0b011, 0b000), (0b000, 0b111), (0b100, 0b000)])
+            check_irredundant(grouped([(0b011, 0b000), (0b000, 0b111), (0b100, 0b000)]), 3)
         # Equal free sets, or a wider free set at another base, are no inclusion.
-        check_irredundant([(0b001, 0b010), (0b100, 0b010), (0b010, 0b101)])
-        check_irredundant([(0b001, 0b000), (0b010, 0b001), (0b000, 0b100)])
+        check_irredundant(grouped([(0b001, 0b010), (0b100, 0b010), (0b010, 0b101)]), 3)
+        check_irredundant(grouped([(0b001, 0b000), (0b010, 0b001), (0b000, 0b100)]), 3)
 
     def test_cardinality_window_gives_every_two_to_four_interval(self):
         atoms = [f"x{i}" for i in range(12)]
@@ -366,7 +376,8 @@ class TestShannonKernel:
 
     def test_unrestricted_run_matches_the_definition(self):
         for catom in seeded_tables(29, 160):
-            atoms, cubes = checked_primes(catom)
+            atoms, groups = checked_primes(catom)
+            cubes = cube_list(groups)
             assert frozenset(pps(select(atoms, b), select(atoms, f))
                              for b, f in cubes) == oracles.brute_abstract(catom), catom
             assert cubes == sorted(cubes, key=lambda c: (select(atoms, c[0]),
@@ -379,11 +390,82 @@ class TestShannonKernel:
             abstract = build_abstract(catom)
             members = oracles.brute_abstract(catom)
             for x in range(1 << len(catom.atoms)):
-                _, restricted = checked_primes(catom, x)
+                restricted = [(x & ~free, free) for free in checked_primes(catom, x)[1]]
                 assert sorted(restricted) == sorted(abstract.covering(x))
                 assert frozenset(pps(select(catom.atoms, b), select(catom.atoms, f))
                                  for b, f in restricted) == frozenset(
                     m for m in members if oracles.brute_covers(m, select(catom.atoms, x)))
+
+
+    def test_prime_count_is_the_popcount_of_the_grouping(self):
+        for catom in seeded_tables(31, 160):
+            abstract = build_abstract(catom)
+            count = sum(bases.bit_count() for _, bases in abstract.groups)
+            assert count == len(abstract.primes) == len(set(abstract.primes)), catom
+
+
+class TestIrredundancyCheck:
+    """The check on the kernel's grouping raises exactly when the cube-level
+    reference, ``oracles.brute_irredundant``, does."""
+
+    @staticmethod
+    def redundant(cubes) -> bool:
+        """Does the cube-level reference refuse the list?"""
+        try:
+            oracles.brute_irredundant(cubes)
+        except ValueError:
+            return True
+        return False
+
+    @staticmethod
+    def refused(cubes, n) -> bool:
+        try:
+            check_irredundant(grouped(cubes), n)
+        except ValueError:
+            return True
+        return False
+
+    @staticmethod
+    def nested(rng, cubes):
+        """A cube inside a drawn one, or one holding it when that has no free atom."""
+        base, free = rng.choice(cubes)
+        if free:
+            grown = rng.choice([s for s in range(1, free + 1) if s & free == s])
+            narrowed = rng.choice([s for s in range(free + 1) if s & free & ~grown == s])
+            return base | grown, narrowed
+        shrunk = rng.choice([s for s in range(1, base + 1) if s & base == s])
+        return base & ~shrunk, shrunk
+
+    def test_grouped_check_matches_the_cube_reference(self):
+        rng = random.Random(3203)
+        lists = injected = 0
+        for catom in seeded_tables(32, 300):
+            n = len(catom.atoms)
+            feeds = [cube_list(checked_primes(catom)[1])]
+            feeds += [[(x & ~free, free) for free in checked_primes(catom, x)[1]]
+                      for x in range(1 << n)]
+            for cubes in feeds:
+                assert not self.redundant(cubes) and not self.refused(cubes, n), catom
+                lists += 1
+                drawn = [c for c in cubes if c != (0, 0)]  # the empty set's point nests nothing
+                if drawn:
+                    extra = cubes + [self.nested(rng, drawn)]
+                    assert self.redundant(extra) and self.refused(extra, n), (catom, extra)
+                    injected += 1
+        assert lists > 8000 and injected > 4000
+
+    def test_random_cube_lists(self):
+        rng = random.Random(3211)
+        verdicts = set()
+        for _ in range(3000):
+            n = rng.randint(0, 4)
+            cubes = []
+            for _ in range(rng.randint(1, 5)):
+                free = rng.getrandbits(n) if n else 0
+                cubes.append((rng.getrandbits(n) & ~free if n else 0, free))
+            verdicts.add(self.redundant(cubes))
+            assert self.refused(cubes, n) == self.redundant(cubes), cubes
+        assert verdicts == {False, True}
 
 
 class TestExpandAndSatisfaction:

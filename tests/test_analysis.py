@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from catlp.abstraction import checked_primes
+from catlp.abstraction import checked_primes, cube_list
 from catlp.analysis import (
     DependencyGraph,
     check_dependency_theorem,
@@ -253,7 +253,8 @@ class TestSignLemma:
 
     def check(self, catom, oracle=oracles.brute_abstract):
         signs = _table_signs(catom)
-        assert signs == _cube_signs(*checked_primes(catom)), catom
+        atoms, groups = checked_primes(catom)
+        assert signs == _cube_signs(atoms, cube_list(groups)), catom
         assert signs == _member_signs(catom, oracle(catom)), catom
         return signs
 

@@ -425,19 +425,21 @@ class TestMaskRoute:
         abstraction.abstract_of.cache_clear()  # so a call to it would build
         monkeypatch.setattr(abstraction, "build_abstract", refuse)
         monkeypatch.setattr(abstraction.AbstractCAtom, "__init__", refuse)
-        monkeypatch.setattr(abstraction.AbstractCAtom, "from_primes", refuse)
+        monkeypatch.setattr(abstraction.AbstractCAtom, "from_groups", refuse)
         monkeypatch.setattr(abstraction.PrefixedPowerSet, "__post_init__", refuse)
         assert self.answers(path) == expected
 
     def test_a_redundant_cube_list_is_refused(self, path, monkeypatch):
-        kernel = abstraction.prime_cubes
+        kernel = abstraction._primes
 
-        def redundant(catom, point=None):
+        def redundant(n, table, point=None):
             # The cube of the empty set lies inside that of {} and {atoms[0]}.
-            atoms, cubes = kernel(catom, point)
-            return atoms, cubes + [(0, 0), (0, 1)]
+            groups = dict(kernel(n, table, point))  # a copy: the kernel's may be a shared memo
+            groups[0] = groups.get(0, 0) | 1
+            groups[1] = groups.get(1, 0) | 1
+            return groups
 
-        monkeypatch.setattr(abstraction, "prime_cubes", redundant)
+        monkeypatch.setattr(abstraction, "_primes", redundant)
         abstraction.abstract_of.cache_clear()
         program = load_program(self.PROGRAM)
         for call in (lambda: translate_normal(program),
@@ -450,10 +452,10 @@ class TestMaskRoute:
                 call()
 
         # depgraph reads its signs off the truth tables, not the kernel.
-        def refuse(catom):
+        def refuse(n, table, point=None):
             raise AssertionError("depgraph ran the prime-cube kernel")
 
-        monkeypatch.setattr(abstraction, "prime_cubes", refuse)
+        monkeypatch.setattr(abstraction, "_primes", refuse)
         assert run_cli(["depgraph", path, "--report"]) == self.DEPGRAPH_REPORT
 
 

@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 import weakref
+from math import comb
 
 import pytest
 
@@ -68,18 +69,20 @@ DROPPED_WITH_A_SATISFIED_THETA = Rule(("x",), (
 def count_kernel_calls(monkeypatch) -> list[tuple[CAtom, int | None]]:
     """Record each run of the prime-cube kernel, on every route, as (c-atom, point).
 
-    Every route reaches the kernel through ``abstraction.prime_cubes``: a
-    full abstract form with no point, and a one-candidate reduct restricted
-    to its candidate's table index.
+    Every route reaches the kernel through ``abstraction.checked_primes``:
+    a full abstract form with no point, and a one-candidate reduct
+    restricted to its candidate's table index.  Both modules that call it
+    get the counting wrapper.
     """
     built: list[tuple[CAtom, int | None]] = []
-    kernel = abstraction_module.prime_cubes
+    kernel = abstraction_module.checked_primes
 
     def counted(catom, point=None):
         built.append((catom, point))
         return kernel(catom, point)
 
-    monkeypatch.setattr(abstraction_module, "prime_cubes", counted)
+    monkeypatch.setattr(abstraction_module, "checked_primes", counted)
+    monkeypatch.setattr(reduct_module, "checked_primes", counted)
     abstraction_module.abstract_of.cache_clear()
     return built
 
@@ -191,6 +194,21 @@ class TestGlReduct:
                 largest = max(len(c.catom.domain) for c in compiled.catoms)
                 expected += len(compiled.catoms) * (widest + largest + 1)
             assert reduct_size_bound(program) == expected
+
+    def test_size_bound_counts_primes_without_listing_them(self, monkeypatch):
+        # The prime count is the sum of the kernel's bases masks' popcounts,
+        # so neither the bound nor a rendered reduct lists the 4,200 primes
+        # of ``3 {x0, ..., x9} 6`` (a base of 3 atoms, 3 more free).
+        def refuse(groups):
+            raise AssertionError("a cube list was rendered")
+
+        monkeypatch.setattr(abstraction_module, "cube_list", refuse)
+        atoms = ", ".join(f"x{i}" for i in range(10))
+        program = load_program(f"{{{atoms}}}. h :- 3 {{{atoms}}} 6.")
+        bound = reduct_size_bound(program)
+        assert bound == 2 + 2 * (comb(10, 3) * comb(7, 3) + 10 + 1)
+        reduct = gl_reduct(program, frozenset(("x0", "x1", "x2", "h")))
+        assert 0 < len(reduct.rules) <= bound
 
     def test_size_bound_is_enforced(self, monkeypatch):
         monkeypatch.setattr(reduct_module, "_size_bound", lambda program, body: 0)
