@@ -28,12 +28,11 @@ class are read off its truth table, not its primes, in one linear pass
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Iterable
 
-from .core import CAtom, bit_pattern, indices, select, set_bits
+from .core import CAtom, Value, bit_pattern, indices, select, set_bits
 from .errors import check_guard
 
 #: ``abstract_of`` keeps at most this many abstract forms (least recently used
@@ -41,26 +40,24 @@ from .errors import check_guard
 ABSTRACT_CACHE_SIZE = 256
 
 
-@dataclass(frozen=True)
-class PrefixedPowerSet:
+class PrefixedPowerSet(Value):
     """The family ``{base | X for X <= free}``: a power-set sublattice."""
 
     base: frozenset[str]
     free: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", frozenset(self.base))
-        object.__setattr__(self, "free", frozenset(self.free))
-        if self.base & self.free:
+    def __init__(self, base: Iterable[str], free: Iterable[str]):
+        base, free = frozenset(base), frozenset(free)
+        if base & free:
             raise ValueError("base and free atoms must be disjoint")
+        self.__dict__.update(base=base, free=free)
 
     @property
     def top(self) -> frozenset[str]:
         return self.base | self.free
 
 
-@dataclass(frozen=True)
-class AbstractCAtom:
+class AbstractCAtom(Value):
     """The redundancy-free collection of maximal sublattices of a c-atom.
 
     Stored as the sorted domain ``atoms`` and the primes' grouping by free set
@@ -72,7 +69,7 @@ class AbstractCAtom:
     groups: tuple[tuple[int, int], ...]
 
     def __init__(self, domain: Iterable[str], lattices: Iterable[PrefixedPowerSet]):
-        object.__setattr__(self, "atoms", tuple(sorted(frozenset(domain))))
+        self.__dict__["atoms"] = tuple(sorted(frozenset(domain)))
         groups: dict[int, int] = {}
         for m in lattices:
             if not m.top <= self.domain:
@@ -80,7 +77,7 @@ class AbstractCAtom:
             free = self.position(m.free)
             groups[free] = groups.get(free, 0) | 1 << self.position(m.base)
         check_irredundant(groups, len(self.atoms))
-        object.__setattr__(self, "groups", tuple(sorted(groups.items())))
+        self.__dict__["groups"] = tuple(sorted(groups.items()))
 
     @classmethod
     def from_groups(cls, atoms: tuple[str, ...], groups: dict[int, int]):
@@ -114,15 +111,19 @@ class AbstractCAtom:
 
     @cached_property
     def tables(self) -> dict[int, int]:
-        """Per distinct base, the truth table of the subsets its prime cubes hold."""
-        tables: dict[int, int] = {}
+        """Per distinct base, the truth table of the subsets its prime cubes hold.
+
+        A prime holds the subsets of its free set shifted by its base, so
+        each base ORs its free sets' unshifted tables and shifts once.
+        """
+        unshifted: dict[int, int] = {}
         for free, bases in self.groups:
-            cube = 1  # the subsets of the free set; a prime holds them shifted by its base
+            cube = 1  # the subsets of the free set
             for j in indices(free):
                 cube |= cube << (1 << j)
             for base in set_bits(bases):
-                tables[base] = tables.get(base, 0) | cube << base
-        return tables
+                unshifted[base] = unshifted.get(base, 0) | cube
+        return {base: cube << base for base, cube in unshifted.items()}
 
 
 def check_irredundant(groups: dict[int, int], n: int) -> None:
@@ -277,11 +278,13 @@ def satisfiable_sets(abstract: AbstractCAtom,
                      for b, _ in abstract.covering(abstract.position(interpretation)))
 
 
-@dataclass(frozen=True)
-class CAtomClass:
+class CAtomClass(Value):
     monotone: bool
     antimonotone: bool
     convex: bool
+
+    def __init__(self, monotone: bool, antimonotone: bool, convex: bool):
+        self.__dict__.update(monotone=monotone, antimonotone=antimonotone, convex=convex)
 
 
 def signs_and_class(table: int, n: int) -> tuple[int, int, CAtomClass]:

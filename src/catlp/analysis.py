@@ -20,8 +20,8 @@ computes no sublattice.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cache
+from typing import Iterable
 
 from .abstraction import checked_primes, cube_list, signs_and_class
 from .core import (
@@ -29,6 +29,7 @@ from .core import (
     Literal,
     Program,
     Rule,
+    Value,
     candidate_models,
     head_atom_name,
     is_false_head,
@@ -153,21 +154,20 @@ def format_translation(program: Program) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(Value):
     """Signed dependency graph; edges are (source, target, "+" or "-")."""
 
     vertices: frozenset[str]
     edges: frozenset[tuple[str, str, str]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for u, v, sign in self.edges:
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
+        vertices, edges = frozenset(vertices), frozenset(edges)
+        for u, v, sign in edges:
             if sign not in ("+", "-"):
                 raise ValueError("edge sign must be '+' or '-'")
-            if u not in self.vertices or v not in self.vertices:
+            if u not in vertices or v not in vertices:
                 raise ValueError("edge endpoints must be vertices")
+        self.__dict__.update(vertices=vertices, edges=edges)
 
 
 def dependency_graph(program: Program) -> DependencyGraph:
@@ -195,8 +195,7 @@ def dependency_graph(program: Program) -> DependencyGraph:
     return DependencyGraph(basic.atoms, frozenset(edges))
 
 
-@dataclass(frozen=True, eq=False)
-class CycleReport:
+class CycleReport(Value):
     """Cycle structure of a dependency graph, read off closed walks.
 
     A closed walk is positive when it has no negative edge, odd when it has
@@ -215,6 +214,16 @@ class CycleReport:
     call_consistent: bool
     acyclic: bool
     witnesses: dict
+
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
+
+    def __init__(self, has_positive_cycle: bool, has_odd_cycle: bool, has_even_cycle: bool,
+                 has_even_cycle_literal: bool, call_consistent: bool, acyclic: bool,
+                 witnesses: dict):
+        self.__dict__.update(
+            has_positive_cycle=has_positive_cycle, has_odd_cycle=has_odd_cycle,
+            has_even_cycle=has_even_cycle, has_even_cycle_literal=has_even_cycle_literal,
+            call_consistent=call_consistent, acyclic=acyclic, witnesses=witnesses)
 
     def witness(self, flag: str) -> tuple[str, ...] | None:
         return self.witnesses.get(flag)
@@ -300,20 +309,27 @@ def to_dot(graph: DependencyGraph) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ImplicationCheck:
+class ImplicationCheck(Value):
     name: str
     antecedent: bool
     holds: bool
     detail: str
 
+    def __init__(self, name: str, antecedent: bool, holds: bool, detail: str):
+        self.__dict__.update(name=name, antecedent=antecedent, holds=holds, detail=detail)
 
-@dataclass(frozen=True, eq=False)
-class DependencyTheoremReport:
+
+class DependencyTheoremReport(Value):
     checks: tuple[ImplicationCheck, ...]
     stable: tuple[frozenset[str], ...]
     supported: tuple[frozenset[str], ...]
     cycles: CycleReport
+
+    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
+
+    def __init__(self, checks: tuple[ImplicationCheck, ...], stable: tuple[frozenset[str], ...],
+                 supported: tuple[frozenset[str], ...], cycles: CycleReport):
+        self.__dict__.update(checks=checks, stable=stable, supported=supported, cycles=cycles)
 
     @property
     def all_hold(self) -> bool:

@@ -7,15 +7,19 @@ restricted to the domain is one of the admissible solutions.  Rules may
 carry constraint atoms in bodies and in (disjunctive) heads.  Every value
 is immutable and hashable, so programs and interpretations can be shared
 freely across threads.
+
+Values stay immutable through :class:`Value`, their base: each
+``__init__`` writes its fields straight into the instance dict, and any
+later assignment or deletion of an attribute raises ``AttributeError``.
+A ``cached_property`` still fills in once, as it too writes that dict.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations, compress, product
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import check_guard
@@ -100,8 +104,42 @@ def bit_pattern(b: int, n: int) -> int:
     return bits
 
 
-@dataclass(frozen=True, init=False)
-class CAtom:
+class Value:
+    """An immutable value whose fields are the annotations of its class and its bases.
+
+    Values are equal when their classes are the same and their fields are
+    equal, the hash reads the same fields, and the repr is
+    ``Name(field=value, ...)``.  A class hashed on a hot path (:class:`CAtom`)
+    defines its own ``__eq__`` and ``__hash__``: the shared ones add an
+    ``attrgetter`` call per test.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__,
+                           ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CAtom(Value):
     """A constraint atom: a finite domain plus its admissible solutions.
 
     The solutions are one truth table: over the sorted domain ``atoms``,
@@ -112,7 +150,7 @@ class CAtom:
 
     domain: frozenset[str]
     table: int
-    atoms: tuple[str, ...] = field(compare=False)
+    atoms: tuple[str, ...]
 
     def __init__(self, domain: Iterable[str], solutions: Iterable[Iterable[str]]):
         domain = frozenset(domain)
@@ -126,9 +164,7 @@ class CAtom:
                     "solution {%s} is not a subset of the domain" % ", ".join(sorted(sol)))
             x = sum(map(bit.__getitem__, sol))
             table[x >> 3] |= 1 << (x & 7)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "table", int.from_bytes(table, "little"))
+        self.__dict__.update(domain=domain, atoms=atoms, table=int.from_bytes(table, "little"))
 
     @classmethod
     def from_table(cls, domain: Iterable[str], table: int) -> "CAtom":
@@ -138,9 +174,7 @@ class CAtom:
         if table < 0 or table >> (1 << len(domain)):
             raise ValueError("the table has bits beyond the subsets of the domain")
         catom = object.__new__(cls)
-        object.__setattr__(catom, "domain", domain)
-        object.__setattr__(catom, "atoms", tuple(sorted(domain)))
-        object.__setattr__(catom, "table", table)
+        catom.__dict__.update(domain=domain, atoms=tuple(sorted(domain)), table=table)
         return catom
 
     @classmethod
@@ -168,8 +202,18 @@ class CAtom:
 
         Never decimal text, which Python refuses past 4,300 digits (a dense table over 14 atoms).
         """
+        import hashlib  # here, not at import: the introduced names are its one reader
+
         table = self.table.to_bytes(max(1, (1 << len(self.atoms)) >> 3), "little")
         return hashlib.sha256(repr(self.atoms).encode() + table).hexdigest()[:10]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.domain, self.table) == (other.domain, other.table)
+
+    def __hash__(self):
+        return hash((self.domain, self.table))
 
     def __repr__(self) -> str:  # hex: decimal fails past 4,300 digits
         return f"CAtom(atoms={self.atoms!r}, table={self.table:#x})"
@@ -182,12 +226,14 @@ FALSE_CATOM = CAtom(frozenset(), frozenset())
 HeadElement = Union[str, CAtom]
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Value):
     """A body literal: an atom or a constraint atom, possibly under ``not``."""
 
     positive: bool
     item: Union[str, CAtom]
+
+    def __init__(self, positive: bool, item: Union[str, CAtom]):
+        self.__dict__.update(positive=positive, item=item)
 
     @classmethod
     def atom(cls, name: str) -> "Literal":
@@ -228,30 +274,27 @@ def is_false_head(element: HeadElement) -> bool:
     return isinstance(element, CAtom) and element.is_unsatisfiable
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Value):
     """A disjunctive rule; the head must list at least one element."""
 
     head: tuple[HeadElement, ...]
-    body: tuple[Literal, ...] = ()
+    body: tuple[Literal, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "head", tuple(self.head))
-        object.__setattr__(self, "body", tuple(self.body))
-        if not self.head:
+    def __init__(self, head: Iterable[HeadElement], body: Iterable[Literal] = ()):
+        head = tuple(head)
+        if not head:
             raise ValueError("a rule needs at least one head element")
+        self.__dict__.update(head=head, body=tuple(body))
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Value):
     """A finite set of rules plus any extra declared vocabulary."""
 
     rules: tuple[Rule, ...]
-    declared_atoms: frozenset[str] = frozenset()
+    declared_atoms: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "declared_atoms", frozenset(self.declared_atoms))
+    def __init__(self, rules: Iterable[Rule], declared_atoms: Iterable[str] = frozenset()):
+        self.__dict__.update(rules=tuple(rules), declared_atoms=frozenset(declared_atoms))
 
     @cached_property
     def atoms(self) -> frozenset[str]:

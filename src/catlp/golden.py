@@ -9,12 +9,11 @@ definitions; the CLI runs them as a smoke check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 from .abstraction import PrefixedPowerSet, build_abstract
 from .analysis import cycle_report, dependency_graph, translate_normal
-from .core import CAtom, Literal, Program, Rule, is_model, iter_subsets
+from .core import CAtom, Literal, Program, Rule, Value, is_model, iter_subsets
 from .fixpoint import fixpoint_stable, to_positive_basic
 from .parser import format_program, load_program
 from .reduct import (
@@ -288,10 +287,12 @@ def check_bot_constraint():
     _expect_equal(stable_models(program), ())
 
 
-@dataclass(frozen=True)
-class GoldenCase:
+class GoldenCase(Value):
     name: str
     check: Callable[[], None]
+
+    def __init__(self, name: str, check: Callable[[], None]):
+        self.__dict__.update(name=name, check=check)
 
 
 CASES: tuple[GoldenCase, ...] = (

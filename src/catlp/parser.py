@@ -24,7 +24,6 @@ raised, by scanning the text again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 
 from .core import (
@@ -34,6 +33,7 @@ from .core import (
     FALSE_CATOM,
     Program,
     Rule,
+    Value,
     head_atom_name,
     is_reserved,
     literal_catom,
@@ -46,28 +46,36 @@ from .errors import ParseError, check_guard
 # sugar
 
 
-@dataclass(frozen=True)
-class WeightEntry:
+class WeightEntry(Value):
     atom: str
-    weight: int = 1
-    negated: bool = False
+    weight: int
+    negated: bool
+
+    def __init__(self, atom: str, weight: int = 1, negated: bool = False):
+        self.__dict__.update(atom=atom, weight=weight, negated=negated)
 
 
-@dataclass(frozen=True)
-class WeightConstraint:
+class WeightConstraint(Value):
     """``lower { entries } upper`` with missing bounds meaning unbounded."""
 
     entries: tuple[WeightEntry, ...]
-    lower: int | None = None
-    upper: int | None = None
+    lower: int | None
+    upper: int | None
+
+    def __init__(self, entries: tuple[WeightEntry, ...], lower: int | None = None,
+                 upper: int | None = None):
+        self.__dict__.update(entries=entries, lower=lower, upper=upper)
 
 
-@dataclass(frozen=True)
-class AggregateConstraint:
+class AggregateConstraint(Value):
     kind: str  # "sum" or "count"
     entries: tuple[tuple[str, int], ...]
     relation: str
     bound: int
+
+    def __init__(self, kind: str, entries: tuple[tuple[str, int], ...], relation: str,
+                 bound: int):
+        self.__dict__.update(kind=kind, entries=entries, relation=relation, bound=bound)
 
 
 #: Each aggregate relation as the interval of totals it admits, given the

@@ -43,7 +43,6 @@ the models of its ``CandidateBits`` that strictly hold no other model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Container, Iterable
 
 from .abstraction import checked_primes
@@ -75,11 +74,15 @@ def beta_atom(catom: CAtom) -> str:
     return "__beta_" + catom.digest
 
 
-@dataclass(frozen=True)
 class ReductProgram(Program):
     """A positive ordinary program plus the introduced atoms it names."""
 
-    gamma: frozenset[str] = frozenset()
+    gamma: frozenset[str]
+
+    def __init__(self, rules: Iterable[Rule], declared_atoms: Iterable[str] = frozenset(),
+                 gamma: frozenset[str] = frozenset()):
+        super().__init__(rules, declared_atoms)
+        self.__dict__["gamma"] = gamma
 
 
 def claim_name(owners: dict[str, CAtom], name: str, catom: CAtom,

@@ -336,10 +336,10 @@ class TestMaskReadsAgainstBruteForce:
 
         expected = answers()
 
-        def refuse(self):
+        def refuse(*args):
             raise AssertionError("a sublattice object was built")
 
-        monkeypatch.setattr(PrefixedPowerSet, "__post_init__", refuse)
+        monkeypatch.setattr(PrefixedPowerSet, "__init__", refuse)
         assert answers() == expected
         with pytest.raises(AssertionError, match="sublattice object"):
             build_abstract(catom).lattices
@@ -402,6 +402,11 @@ class TestShannonKernel:
             abstract = build_abstract(catom)
             count = sum(bases.bit_count() for _, bases in abstract.groups)
             assert count == len(abstract.primes) == len(set(abstract.primes)), catom
+            per_prime: dict[int, int] = {}  # each prime's table, ORed into its base's
+            for base, free in abstract.primes:
+                cube = sum(1 << (base | x) for x in range(free + 1) if not x & ~free)
+                per_prime[base] = per_prime.get(base, 0) | cube
+            assert abstract.tables == per_prime, catom
 
 
 class TestIrredundancyCheck:

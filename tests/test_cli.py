@@ -426,7 +426,7 @@ class TestMaskRoute:
         monkeypatch.setattr(abstraction, "build_abstract", refuse)
         monkeypatch.setattr(abstraction.AbstractCAtom, "__init__", refuse)
         monkeypatch.setattr(abstraction.AbstractCAtom, "from_groups", refuse)
-        monkeypatch.setattr(abstraction.PrefixedPowerSet, "__post_init__", refuse)
+        monkeypatch.setattr(abstraction.PrefixedPowerSet, "__init__", refuse)
         assert self.answers(path) == expected
 
     def test_a_redundant_cube_list_is_refused(self, path, monkeypatch):
@@ -553,6 +553,20 @@ def test_parser_is_built_at_the_first_run_not_at_import():
     at_import, first, second = map(int, result.stdout.split())
     assert at_import == 0
     assert first == second > 0
+
+
+def test_import_loads_no_dataclasses_hashlib_or_worked_examples():
+    """A fresh ``import catlp.cli`` leaves out what only some commands read:
+    ``hashlib`` (introduced names), ``catlp.golden`` (``selftest``), and
+    ``dataclasses`` with the ``inspect`` it pulls in (no value type uses it)."""
+    script = (
+        "import sys\n"
+        "import catlp.cli\n"
+        "print(*(name for name in ('dataclasses', 'inspect', 'hashlib', 'catlp.golden')\n"
+        "        if name in sys.modules))\n")
+    result = _run_python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
 
 
 class TestSelftestUnderOptimize:
