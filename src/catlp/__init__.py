@@ -9,12 +9,10 @@ from .abstraction import (
     classify_catom,
     expand,
     satisfiable_sets,
-    satisfies_abstract,
 )
 from .analysis import (
     CycleReport,
     DependencyGraph,
-    check_dependency_theorem,
     cycle_report,
     dependency_graph,
     format_translation,
@@ -32,7 +30,6 @@ from .core import (
     complement,
     is_model,
     is_reserved,
-    iter_subsets,
     literal_catom,
     satisfies_catom,
     satisfies_rule,

@@ -239,11 +239,14 @@ def checked_primes(catom: CAtom, point: int | None = None) -> tuple[tuple[str, .
 
     Every route reads the kernel through here, once its grouping passes
     :func:`check_irredundant`: a full form with no point, and the
-    one-candidate reduct at its candidate's table index.  The grouping may
-    be a memo that later runs share, so no caller changes it.
+    one-candidate reduct at its candidate's table index.  The grouping is
+    the caller's own: an unrestricted run's top level is copied, since for
+    at most three atoms it is a memo that later runs share.
     """
     check_guard("abstract_domain", len(catom.domain))
     groups = _primes(len(catom.atoms), catom.table, point)
+    if point is None:
+        groups = dict(groups)
     check_irredundant(groups, len(catom.atoms))
     return catom.atoms, groups
 
@@ -266,14 +269,9 @@ def expand(abstract: AbstractCAtom) -> CAtom:
     return CAtom.from_table(abstract.atoms, reduce(or_, abstract.tables.values(), 0))
 
 
-def satisfies_abstract(interpretation: Iterable[str], abstract: AbstractCAtom) -> bool:
-    """Satisfaction via covering: some sublattice covers the domain restriction."""
-    return bool(abstract.covering(abstract.position(interpretation)))
-
-
 def satisfiable_sets(abstract: AbstractCAtom,
                      interpretation: Iterable[str]) -> frozenset[frozenset[str]]:
-    """The bases of the covering sublattices."""
+    """The bases of the covering sublattices, empty iff the interpretation fails the c-atom."""
     return frozenset(frozenset(select(abstract.atoms, b))
                      for b, _ in abstract.covering(abstract.position(interpretation)))
 

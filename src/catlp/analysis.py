@@ -30,16 +30,13 @@ from .core import (
     Program,
     Rule,
     Value,
-    candidate_models,
     head_atom_name,
     is_false_head,
-    is_supported,
     literal_catom,
     select,
-    set_key,
 )
 from .errors import ProgramClassError, check_guard
-from .reduct import claim_name, stable_models, theta_atom
+from .reduct import claim_name, theta_atom
 
 #: Prefix of the fresh atoms standing in for always-false heads.
 FALSE_HEAD_PREFIX = "__f_"
@@ -308,70 +305,3 @@ def to_dot(graph: DependencyGraph) -> str:
     lines.append("}")
     return "\n".join(lines)
 
-
-class ImplicationCheck(Value):
-    name: str
-    antecedent: bool
-    holds: bool
-    detail: str
-
-    def __init__(self, name: str, antecedent: bool, holds: bool, detail: str):
-        self.__dict__.update(name=name, antecedent=antecedent, holds=holds, detail=detail)
-
-
-class DependencyTheoremReport(Value):
-    checks: tuple[ImplicationCheck, ...]
-    stable: tuple[frozenset[str], ...]
-    supported: tuple[frozenset[str], ...]
-    cycles: CycleReport
-
-    __eq__, __hash__ = object.__eq__, object.__hash__  # equal only to itself
-
-    def __init__(self, checks: tuple[ImplicationCheck, ...], stable: tuple[frozenset[str], ...],
-                 supported: tuple[frozenset[str], ...], cycles: CycleReport):
-        self.__dict__.update(checks=checks, stable=stable, supported=supported, cycles=cycles)
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
-
-
-def check_dependency_theorem(program: Program) -> DependencyTheoremReport:
-    """Evaluate the four graph-vs-semantics implications by enumeration.
-
-    Call-consistency guarantees a stable model; several stable models demand
-    an even cycle; acyclicity forces a unique stable model; without positive
-    cycles every supported model is stable.
-    """
-    basic = normalize_basic(program)
-    cycles = cycle_report(dependency_graph(basic))
-    stable = stable_models(basic)
-    supported = tuple(sorted(
-        (c for c in candidate_models(basic) if is_supported(c, basic)),
-        key=set_key))
-
-    stable_set = set(stable)
-    checks = (
-        ImplicationCheck(
-            "call_consistent_implies_stable_model",
-            cycles.call_consistent,
-            (not cycles.call_consistent) or bool(stable),
-            f"{len(stable)} stable model(s)"),
-        ImplicationCheck(
-            "multiple_stable_models_imply_even_cycle",
-            len(stable) > 1,
-            len(stable) <= 1 or cycles.has_even_cycle,
-            f"{len(stable)} stable model(s), even cycle: {cycles.has_even_cycle}"),
-        ImplicationCheck(
-            "acyclic_implies_unique_stable_model",
-            cycles.acyclic,
-            (not cycles.acyclic) or len(stable) == 1,
-            f"acyclic: {cycles.acyclic}, {len(stable)} stable model(s)"),
-        ImplicationCheck(
-            "no_positive_cycle_implies_supported_are_stable",
-            not cycles.has_positive_cycle,
-            cycles.has_positive_cycle
-            or all(model in stable_set for model in supported),
-            f"{len(supported)} supported vs {len(stable)} stable"),
-    )
-    return DependencyTheoremReport(checks, stable, supported, cycles)

@@ -231,10 +231,7 @@ def run(argv: list[str] | None = None) -> int:
     except (GuardError, ProgramClassError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
-    except CatlpError as exc:
+    except (OSError, CatlpError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from functools import cache, cached_property
-from itertools import combinations, compress, product
+from itertools import compress, product
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -31,14 +31,6 @@ RESERVED_PREFIXES = ("__theta_", "__beta_", "__bot", "__f_")
 def is_reserved(name: str) -> bool:
     """True for atom names only transformations are allowed to mint."""
     return name.startswith(RESERVED_PREFIXES)
-
-
-def iter_subsets(atoms: Iterable[str]) -> Iterator[frozenset[str]]:
-    """Yield every subset of ``atoms``, smallest first, deterministically."""
-    pool = sorted(atoms)
-    for size in range(len(pool) + 1):
-        for combo in combinations(pool, size):
-            yield frozenset(combo)
 
 
 def set_key(atoms: Iterable[str]) -> tuple[str, ...]:
@@ -328,17 +320,15 @@ class Program(Value):
 class CompiledCAtom:
     """A c-atom over a program's vocabulary bits.
 
-    ``index`` is its position in ``CompiledProgram.catoms``, ``bits[i]`` the
-    vocabulary bit of domain atom ``catom.atoms[i]`` and ``domain`` their
-    mask.  :meth:`position` and :meth:`lift` move masks between the
-    vocabulary and the c-atom's table.  Its abstract form (:attr:`abstract`)
+    ``bits[i]`` is the vocabulary bit of domain atom ``catom.atoms[i]`` and
+    ``domain`` their mask.  :meth:`position` and :meth:`lift` move masks
+    between the vocabulary and the c-atom's table.  Its abstract form (:attr:`abstract`)
     is built at first use and lives as long as the compiled program, so
     every all-candidates reduct and size bound of the program shares it.
     """
 
-    def __init__(self, catom: CAtom, index: int, bit: dict[str, int]):
+    def __init__(self, catom: CAtom, bit: dict[str, int]):
         self.catom = catom
-        self.index = index
         self.bits = [bit[a] for a in catom.atoms]
         self.domain = sum(self.bits)
 
@@ -380,7 +370,7 @@ class CompiledProgram:
         def compiled(catom: CAtom, role: dict[CompiledCAtom, None]) -> CompiledCAtom:
             c = found.get(catom)
             if c is None:
-                c = found[catom] = CompiledCAtom(catom, len(found), bit)
+                c = found[catom] = CompiledCAtom(catom, bit)
             role[c] = None
             return c
 
@@ -456,7 +446,7 @@ def is_model(interpretation: Iterable[str], program: Program) -> bool:
 
 
 def candidate_models(program: Program) -> Iterator[frozenset[str]]:
-    """Every subset of the vocabulary that is a model, in ``iter_subsets`` order.
+    """Every subset of the vocabulary that is a model, by size, then ``set_key`` order.
 
     The vocabulary size is checked against the ``stable_language`` guard
     when this is called, before any bitset is built.  All subsets are
@@ -486,7 +476,7 @@ class CandidateBits:
     k stands for the candidate whose vocabulary mask is k reversed over n
     bits: atom ``atoms[i]`` is bit ``n - 1 - i`` of k.  So ``format(k,
     "0nb")`` spells the candidate in atom order, and among candidates of one
-    size, ``iter_subsets`` order is descending k.  A set of candidates is
+    size, ``set_key`` order is descending k.  A set of candidates is
     one ``2**n``-bit integer, built per call.  A narrower ``within`` of w
     atoms lays out its ``2**w`` subsets the same way over its own atoms,
     and no candidate holds an atom outside it; the top bit is ``within``
@@ -619,21 +609,12 @@ class CandidateBits:
         return [high[k >> half] + low[k & low_bits] for k in set_bits(bits)]
 
     def sets(self, bits: int) -> Iterator[frozenset[str]]:
-        """The candidates of ``bits`` as atom sets, in ``iter_subsets`` order.
+        """The candidates of ``bits`` as atom sets, by size, then ``set_key`` order.
 
         Among candidates of one size that is descending k, the order of
         :meth:`tuples`, so the tuples are grouped by size in place.
         """
         return map(frozenset, sorted(self.tuples(bits), key=len))
-
-
-def is_supported(model: frozenset[str], program: Program) -> bool:
-    """Every atom heads a rule whose body ``model`` satisfies (no model test)."""
-    return all(
-        any(any(head_atom_name(e) == atom for e in rule.head)
-            and satisfies_body(model, rule.body)
-            for rule in program.rules)
-        for atom in model)
 
 
 def complement(catom: CAtom) -> CAtom:

@@ -33,7 +33,6 @@ from .core import (
     FALSE_CATOM,
     Program,
     Rule,
-    Value,
     head_atom_name,
     is_reserved,
     literal_catom,
@@ -44,38 +43,6 @@ from .errors import ParseError, check_guard
 
 # ---------------------------------------------------------------------------
 # sugar
-
-
-class WeightEntry(Value):
-    atom: str
-    weight: int
-    negated: bool
-
-    def __init__(self, atom: str, weight: int = 1, negated: bool = False):
-        self.__dict__.update(atom=atom, weight=weight, negated=negated)
-
-
-class WeightConstraint(Value):
-    """``lower { entries } upper`` with missing bounds meaning unbounded."""
-
-    entries: tuple[WeightEntry, ...]
-    lower: int | None
-    upper: int | None
-
-    def __init__(self, entries: tuple[WeightEntry, ...], lower: int | None = None,
-                 upper: int | None = None):
-        self.__dict__.update(entries=entries, lower=lower, upper=upper)
-
-
-class AggregateConstraint(Value):
-    kind: str  # "sum" or "count"
-    entries: tuple[tuple[str, int], ...]
-    relation: str
-    bound: int
-
-    def __init__(self, kind: str, entries: tuple[tuple[str, int], ...], relation: str,
-                 bound: int):
-        self.__dict__.update(kind=kind, entries=entries, relation=relation, bound=bound)
 
 
 #: Each aggregate relation as the interval of totals it admits, given the
@@ -102,38 +69,33 @@ def _linear_catom(atoms: list[str], const: int, delta: list[int],
     return CAtom.from_table(atoms, int(bits, 2))
 
 
-def desugar_weight(constraint: WeightConstraint) -> CAtom:
-    """The subsets whose satisfied-literal weight sum is in bounds.
+def desugar_weight(entries: list[tuple[str, int, bool]], lower: int | None = None,
+                   upper: int | None = None) -> CAtom:
+    """``lower { entries } upper``: the subsets whose satisfied-literal weight sum is in bounds.
 
-    A negated entry counts when its atom is absent: its weight goes into
-    the empty set's total and is taken off when the atom is added.
+    Each entry is ``(atom, weight, negated)``, and a missing bound is
+    unbounded.  A negated entry counts when its atom is absent: its weight
+    goes into the empty set's total and is taken off when the atom is added.
     """
-    check_guard("weight_entries", len(constraint.entries))
-    atoms = sorted({e.atom for e in constraint.entries})
+    check_guard("weight_entries", len(entries))
+    atoms = sorted({atom for atom, _, _ in entries})
     index = {a: i for i, a in enumerate(atoms)}
     const, delta = 0, [0] * len(atoms)
-    for e in constraint.entries:
-        if e.negated:
-            const += e.weight
-            delta[index[e.atom]] -= e.weight
+    for atom, weight, negated in entries:
+        if negated:
+            const += weight
+            delta[index[atom]] -= weight
         else:
-            delta[index[e.atom]] += e.weight
-    return _linear_catom(atoms, const, delta, constraint.lower, constraint.upper)
+            delta[index[atom]] += weight
+    return _linear_catom(atoms, const, delta, lower, upper)
 
 
-def desugar_aggregate(aggregate: AggregateConstraint) -> CAtom:
-    """The subsets whose sum (or count) satisfies the relation.
-
-    Raises ``ValueError`` when an atom is listed twice: its value would be
-    ambiguous.
-    """
-    check_guard("weight_entries", len(aggregate.entries))
-    values = dict(aggregate.entries)
-    if len(values) < len(aggregate.entries):
-        raise ValueError("an aggregate lists each atom once")
+def desugar_aggregate(kind: str, values: dict[str, int], relation: str, bound: int) -> CAtom:
+    """The subsets whose ``"sum"`` of ``values`` (or ``"count"``) satisfies the relation."""
+    check_guard("weight_entries", len(values))
     atoms = sorted(values)
-    delta = [values[a] if aggregate.kind == "sum" else 1 for a in atoms]
-    return _linear_catom(atoms, 0, delta, *_INTERVALS[aggregate.relation](aggregate.bound))
+    delta = [values[a] if kind == "sum" else 1 for a in atoms]
+    return _linear_catom(atoms, 0, delta, *_INTERVALS[relation](bound))
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +280,9 @@ class _Parser:
         entries = self.separated(self.weight_entry)
         self.expect("}")
         upper = int(self.expect("int")) if self.kinds[self.pos] == "int" else None
-        return desugar_weight(WeightConstraint(tuple(entries), lower, upper))
+        return desugar_weight(entries, lower, upper)
 
-    def weight_entry(self) -> WeightEntry:
+    def weight_entry(self) -> tuple[str, int, bool]:
         negated = self.kinds[self.pos] == "not"
         self.pos += negated
         atom = self.atom_name()
@@ -328,7 +290,7 @@ class _Parser:
         if self.kinds[self.pos] == "=":
             self.pos += 1
             weight = int(self.expect("int"))
-        return WeightEntry(atom, weight, negated)
+        return (atom, weight, negated)
 
     def aggregate(self) -> CAtom:
         kind = self.values[self.pos][1:]
@@ -346,8 +308,7 @@ class _Parser:
             raise self.unexpected("a comparison")
         self.pos += 1
         bound = int(self.expect("int"))
-        return desugar_aggregate(
-            AggregateConstraint(kind, tuple(entries.items()), relation, bound))
+        return desugar_aggregate(kind, entries, relation, bound)
 
     def aggregate_entry(self) -> tuple[int, int]:
         """The entry's atom token index and its value."""

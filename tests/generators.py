@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from catlp.core import CAtom, FALSE_CATOM, Literal, Program, Rule, iter_subsets
+from catlp.core import CAtom, FALSE_CATOM, Literal, Program, Rule
+
+from oracles import iter_subsets
 
 POOL = ("a", "b", "c", "d", "e", "f")
 

@@ -12,11 +12,20 @@ models of constraint programs go through ``brute_reduct``, the four
 transformation steps written on sets with ``brute_abstract`` for the
 covering bases, and scan every subset of the reduct's atoms for its
 minimal models.  Only the introduced names come from ``catlp.reduct``.
+
+One check here is not a reference: :func:`dependency_implications` tests
+the four graph-vs-semantics implications of the dependency theorem, and
+reads the library's ``stable_models`` and ``cycle_report`` for the two
+sides it relates.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+from typing import Iterable, Iterator
+
 from catlp.abstraction import PrefixedPowerSet
+from catlp.analysis import cycle_report, dependency_graph, normalize_basic
 from catlp.core import (
     CAtom,
     Literal,
@@ -24,11 +33,28 @@ from catlp.core import (
     Rule,
     head_atom_name,
     is_model,
-    iter_subsets,
+    satisfies_body,
     set_key,
 )
 from catlp.errors import NotAModelError, ProgramClassError
-from catlp.reduct import BOT, beta_atom, theta_atom
+from catlp.reduct import BOT, beta_atom, stable_models, theta_atom
+
+
+def iter_subsets(atoms: Iterable[str]) -> Iterator[frozenset[str]]:
+    """Yield every subset of ``atoms``, by size, then ``set_key`` order."""
+    pool = sorted(atoms)
+    for size in range(len(pool) + 1):
+        for combo in combinations(pool, size):
+            yield frozenset(combo)
+
+
+def is_supported(model, program: Program) -> bool:
+    """Every atom of ``model`` heads a rule whose body ``model`` satisfies (no model test)."""
+    return all(
+        any(any(head_atom_name(e) == atom for e in rule.head)
+            and satisfies_body(model, rule.body)
+            for rule in program.rules)
+        for atom in model)
 
 
 def covered_sets(member: PrefixedPowerSet) -> frozenset[frozenset[str]]:
@@ -487,3 +513,25 @@ def brute_cycle_flags(vertices, edges) -> dict[str, tuple[str, int]]:
                 if flag not in found and any(v == start and holds(n) for v, n in layer):
                     found[flag] = (start, length)
     return found
+
+
+def dependency_implications(program: Program) -> dict[str, bool]:
+    """Whether each graph-vs-semantics implication holds on a basic program.
+
+    Call-consistency guarantees a stable model; several stable models demand
+    an even cycle; acyclicity forces a unique stable model; without positive
+    cycles every supported model is stable.  The supported models are the
+    models among all subsets of the language that :func:`is_supported` accepts.
+    """
+    basic = normalize_basic(program)
+    cycles = cycle_report(dependency_graph(basic))
+    stable = set(stable_models(basic))
+    supported = [m for m in iter_subsets(basic.language)
+                 if is_model(m, basic) and is_supported(m, basic)]
+    return {
+        "call_consistent_implies_stable_model": not cycles.call_consistent or bool(stable),
+        "multiple_stable_models_imply_even_cycle": len(stable) <= 1 or cycles.has_even_cycle,
+        "acyclic_implies_unique_stable_model": not cycles.acyclic or len(stable) == 1,
+        "no_positive_cycle_implies_supported_are_stable":
+            cycles.has_positive_cycle or all(m in stable for m in supported),
+    }

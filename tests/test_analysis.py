@@ -5,7 +5,6 @@ import pytest
 from catlp.abstraction import checked_primes, cube_list
 from catlp.analysis import (
     DependencyGraph,
-    check_dependency_theorem,
     cycle_report,
     dependency_graph,
     format_translation,
@@ -74,7 +73,7 @@ class TestNormalizeBasic:
                            Rule(("b",))))
         assert stable_models(program) == ()
         for route in (normalize_basic, translate_normal, format_translation,
-                      dependency_graph, check_dependency_theorem):
+                      dependency_graph):
             with pytest.raises(NameCollisionError, match="__f_1"):
                 route(program)
 
@@ -87,7 +86,7 @@ class TestNormalizeBasic:
         assert normalize_basic(basic) == basic
         assert translate_normal(basic) == translate_normal(program)
         translated = translate_normal(program)
-        assert check_dependency_theorem(translated).all_hold
+        assert all(oracles.dependency_implications(translated).values())
         assert set(dependency_graph(translated).vertices) >= {"__f_1", "a", "b", "c"}
 
 
@@ -465,21 +464,21 @@ class TestCycleReport:
 
 class TestDependencyTheorem:
     def test_even_loop_report(self):
-        report = check_dependency_theorem(load_program(EVEN_LOOP))
-        assert report.stable == (frozenset(("a", "p")), frozenset(("b", "p")))
-        assert report.all_hold
+        program = load_program(EVEN_LOOP)
+        assert stable_models(program) == (frozenset(("a", "p")), frozenset(("b", "p")))
+        assert all(oracles.dependency_implications(program).values())
 
     def test_acyclic_chain(self):
-        report = check_dependency_theorem(load_program("a. b :- a."))
-        assert report.cycles.acyclic
-        assert report.stable == (frozenset("ab"),)
-        assert report.all_hold
+        program = load_program("a. b :- a.")
+        assert cycle_report(dependency_graph(program)).acyclic
+        assert stable_models(program) == (frozenset("ab"),)
+        assert all(oracles.dependency_implications(program).values())
 
     def test_random_basic_programs(self):
         rng = random.Random(97)
         for _ in range(150):
             program = generators.random_basic_program(rng)
-            assert check_dependency_theorem(program).all_hold
+            assert all(oracles.dependency_implications(program).values())
 
 
 class TestDot:

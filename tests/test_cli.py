@@ -21,13 +21,14 @@ from hypothesis import given, settings, strategies as st
 import catlp
 from catlp import abstraction, cli, core, fixpoint, golden, reduct
 from catlp.analysis import dependency_graph, translate_normal
-from catlp.core import CAtom, iter_subsets
+from catlp.core import CAtom
 from catlp.golden import EVEN_LOOP, SUM_COUNT_DISJUNCTION, SUM_LOOP
 from catlp.parser import format_catom, format_program, load_program
 from catlp.reduct import theta_atom
 
 import generators
 import oracles
+from oracles import iter_subsets
 
 
 @pytest.fixture
@@ -636,6 +637,33 @@ def test_library_has_no_orphan_routes():
     orphans = [f"{module}.{name}" for module, name in defined
                if name not in read and (module, name) != ("cli", "main")]
     assert orphans == []
+
+
+def test_library_routes_read_only_by_init_are_traced_or_documented():
+    """A public top-level ``def``/``class`` that no module but ``__init__.py`` reads
+    is a name ``perfbench/tracer.LAYERS`` rebinds or one the README Library sketch runs."""
+    root = Path(__file__).resolve().parents[1]
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(catlp.__file__).resolve().parent.glob("*.py")}
+    read = set()
+    for node in (node for module, tree in trees.items() if module != "__init__"
+                 for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    tracer = ast.parse((root / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    traced = {function for node in tracer.body if isinstance(node, ast.Assign)
+              and any(getattr(target, "id", None) == "LAYERS" for target in node.targets)
+              for _, function in ast.literal_eval(node.value)}
+    section = (root / "README.md").read_text().split("## Library sketch\n", 1)[1]
+    sketch = ast.parse(section.split("```python\n", 1)[1].split("```", 1)[0])
+    shown = {node.id for node in ast.walk(sketch) if isinstance(node, ast.Name)}
+    assert traced and shown
+    unread = [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in read | traced | shown]
+    assert unread == []
 
 
 class TestPoolGuard:

@@ -17,8 +17,6 @@ from catlp.core import (
     candidate_models,
     complement,
     is_model,
-    is_supported,
-    iter_subsets,
     satisfies_catom,
     satisfies_rule,
 )
@@ -29,6 +27,7 @@ from catlp.parser import load_program, parse_constraint
 from catlp.reduct import gl_reduct, minimal_models, theta_atom
 
 import generators
+from oracles import is_supported, iter_subsets
 
 SUM_GE_ONE = CAtom(
     ("p(-1)", "p(1)", "p(2)"),
@@ -328,7 +327,7 @@ class TestModelChecks:
                 lo = rng.randint(0, len(domain))
                 hi = rng.randint(lo, len(domain))
                 catom = CAtom(domain, [s for s in iter_subsets(domain) if lo <= len(s) <= hi])
-            c = CompiledCAtom(catom, 0, space.compiled.bit)
+            c = CompiledCAtom(catom, space.compiled.bit)
             bits, satisfied = space.cubes(cubes), space.satisfied(c)
             read = list(space.sets(space.full))
             assert read == list(iter_subsets(space.compiled.atoms))
@@ -348,7 +347,7 @@ class TestModelChecks:
         space = CandidateBits(Program((), frozenset(atoms)).compiled)
         excluded = frozenset(rng.sample(atoms, 7))
         catom = complement(CAtom(atoms, [excluded]))
-        c = CompiledCAtom(catom, 0, space.compiled.bit)
+        c = CompiledCAtom(catom, space.compiled.bit)
         start = time.perf_counter()
         satisfied = space.satisfied(c)
         assert time.perf_counter() - start < 1

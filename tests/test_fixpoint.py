@@ -14,7 +14,6 @@ from catlp.core import (
     Rule,
     complement,
     is_model,
-    iter_subsets,
     satisfies_catom,
 )
 from catlp.errors import GuardError, InvariantError, NotAModelError, ProgramClassError
@@ -31,6 +30,7 @@ from catlp.reduct import is_stable, stable_models
 
 import generators
 import oracles
+from oracles import iter_subsets
 
 SELF_SUPPORT_CATOM = CAtom("bc", [set(), {"b"}, {"b", "c"}])
 

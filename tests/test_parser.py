@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catlp.core import (
-    CAtom, FALSE_CATOM, Literal, Program, Rule, head_atom_name, iter_subsets,
-    satisfies_catom)
+    CAtom, FALSE_CATOM, Literal, Program, Rule, head_atom_name, satisfies_catom)
 from catlp.errors import GuardError, ParseError
 from catlp.golden import (
     BOT_CONSTRAINT,
@@ -21,9 +20,6 @@ from catlp.golden import (
     TAUTOLOGY_BODY,
 )
 from catlp.parser import (
-    AggregateConstraint,
-    WeightConstraint,
-    WeightEntry,
     desugar_aggregate,
     desugar_weight,
     format_program,
@@ -33,6 +29,7 @@ from catlp.parser import (
 )
 
 import generators
+from oracles import iter_subsets
 
 #: The aggregate relations, spelled out apart from the parser's table.
 RELATIONS = {">=": operator.ge, "<=": operator.le, "=": operator.eq,
@@ -162,49 +159,42 @@ class TestParseErrors:
 
 class TestDesugarWeight:
     def test_cardinality_window(self):
-        constraint = WeightConstraint((WeightEntry("a"), WeightEntry("b")), 1, 1)
-        assert desugar_weight(constraint) == CAtom("ab", [{"a"}, {"b"}])
+        entries = [("a", 1, False), ("b", 1, False)]
+        assert desugar_weight(entries, 1, 1) == CAtom("ab", [{"a"}, {"b"}])
 
     def test_bare_choice(self):
-        constraint = WeightConstraint((WeightEntry("a"),))
-        assert desugar_weight(constraint) == CAtom("a", [set(), {"a"}])
+        assert desugar_weight([("a", 1, False)]) == CAtom("a", [set(), {"a"}])
 
     def test_negated_entry(self):
-        constraint = WeightConstraint(
-            (WeightEntry("a"), WeightEntry("b", negated=True)), 1, None)
-        assert desugar_weight(constraint) == CAtom("ab", [set(), {"a"}, {"a", "b"}])
+        entries = [("a", 1, False), ("b", 1, True)]
+        assert desugar_weight(entries, 1) == CAtom("ab", [set(), {"a"}, {"a", "b"}])
 
     def test_duplicate_atom_entries(self):
-        constraint = WeightConstraint(
-            (WeightEntry("a"), WeightEntry("a", negated=True)), 1, 1)
-        assert desugar_weight(constraint) == CAtom("a", [set(), {"a"}])
+        entries = [("a", 1, False), ("a", 1, True)]
+        assert desugar_weight(entries, 1, 1) == CAtom("a", [set(), {"a"}])
 
     def test_negative_weights(self):
-        constraint = WeightConstraint(
-            (WeightEntry("a", -2), WeightEntry("b", 1)), 0, None)
-        assert desugar_weight(constraint) == CAtom("ab", [set(), {"b"}])
+        entries = [("a", -2, False), ("b", 1, False)]
+        assert desugar_weight(entries, 0) == CAtom("ab", [set(), {"b"}])
 
     def test_entry_guard(self):
-        entries = tuple(WeightEntry(f"x{i}") for i in range(17))
+        entries = [(f"x{i}", 1, False) for i in range(17)]
         with pytest.raises(GuardError) as caught:
-            desugar_weight(WeightConstraint(entries, 0, None))
+            desugar_weight(entries, 0)
         assert (caught.value.guard, caught.value.actual) == ("weight_entries", 17)
 
     def test_agrees_with_direct_evaluation(self):
         rng = random.Random(103)
         for _ in range(60):
-            entries = tuple(
-                WeightEntry(a, rng.randint(-2, 3), rng.random() < 0.3)
-                for a in rng.sample("abcdefgh", rng.randint(1, 8)))
+            entries = [(a, rng.randint(-2, 3), rng.random() < 0.3)
+                       for a in rng.sample("abcdefgh", rng.randint(1, 8))]
             lower = rng.choice((None, rng.randint(-3, 4)))
             upper = rng.choice((None, rng.randint(-3, 6)))
-            constraint = WeightConstraint(entries, lower, upper)
-            catom = desugar_weight(constraint)
+            catom = desugar_weight(entries, lower, upper)
             for mask in range(1 << len(catom.domain)):
                 atoms = sorted(catom.domain)
                 interp = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-                total = sum(e.weight for e in entries
-                            if (e.atom in interp) != e.negated)
+                total = weight_total(entries, interp)
                 expected = ((lower is None or lower <= total)
                             and (upper is None or total <= upper))
                 assert satisfies_catom(interp, catom) == expected
@@ -214,13 +204,12 @@ class TestDesugarWeight:
         # negated or both, as in ``1 {s, not s} 1``.
         rng = random.Random(104)
         for _ in range(120):
-            entries = tuple(
-                WeightEntry(rng.choice("abcde"), rng.randint(-3, 3), rng.random() < 0.4)
-                for _ in range(rng.randint(1, 7)))
+            entries = [(rng.choice("abcde"), rng.randint(-3, 3), rng.random() < 0.4)
+                       for _ in range(rng.randint(1, 7))]
             lower = rng.choice((None, rng.randint(-4, 4)))
             upper = rng.choice((None, rng.randint(-3, 6)))
-            catom = desugar_weight(WeightConstraint(entries, lower, upper))
-            assert catom.domain == {e.atom for e in entries}
+            catom = desugar_weight(entries, lower, upper)
+            assert catom.domain == {atom for atom, _, _ in entries}
             expected = frozenset(
                 s for s in iter_subsets(catom.domain)
                 if (lower is None or lower <= weight_total(entries, s))
@@ -229,7 +218,8 @@ class TestDesugarWeight:
 
 
 def weight_total(entries, interpretation) -> int:
-    return sum(e.weight for e in entries if (e.atom in interpretation) != e.negated)
+    return sum(weight for atom, weight, negated in entries
+               if (atom in interpretation) != negated)
 
 
 class TestDesugarAggregate:
@@ -239,10 +229,9 @@ class TestDesugarAggregate:
         for _ in range(40):
             atoms = rng.sample("abcdefg", rng.randint(0, 7))
             kind = rng.choice(("sum", "count"))
-            entries = tuple((a, rng.randint(-3, 4)) for a in atoms)
+            values = {a: rng.randint(-3, 4) for a in atoms}
             bound = rng.randint(-3, 6)
-            catom = desugar_aggregate(AggregateConstraint(kind, entries, relation, bound))
-            values = dict(entries)
+            catom = desugar_aggregate(kind, values, relation, bound)
             expected = frozenset(
                 s for s in iter_subsets(atoms)
                 if RELATIONS[relation](
@@ -250,43 +239,31 @@ class TestDesugarAggregate:
             assert catom == CAtom(atoms, expected)
 
     def test_signed_sum(self):
-        aggregate = AggregateConstraint(
-            "sum", (("p(-1)", -1), ("p(1)", 1), ("p(2)", 2)), ">=", 1)
-        assert desugar_aggregate(aggregate) == CAtom(
+        values = {"p(-1)": -1, "p(1)": 1, "p(2)": 2}
+        assert desugar_aggregate("sum", values, ">=", 1) == CAtom(
             ("p(-1)", "p(1)", "p(2)"),
             [{"p(1)"}, {"p(2)"}, {"p(-1)", "p(2)"}, {"p(1)", "p(2)"},
              {"p(-1)", "p(1)", "p(2)"}])
 
     def test_empty_count_is_tautological(self):
-        aggregate = AggregateConstraint("count", (), ">=", 0)
-        assert desugar_aggregate(aggregate) == CAtom((), [()])
+        assert desugar_aggregate("count", {}, ">=", 0) == CAtom((), [()])
 
     def test_count_at_least_one(self):
-        aggregate = AggregateConstraint("count", (("a", 1), ("b", 1)), ">=", 1)
-        assert desugar_aggregate(aggregate) == CAtom(
+        assert desugar_aggregate("count", {"a": 1, "b": 1}, ">=", 1) == CAtom(
             "ab", [{"a"}, {"b"}, {"a", "b"}])
 
     def test_relations(self):
-        entries = (("a", 1), ("b", 2))
-        below = desugar_aggregate(AggregateConstraint("sum", entries, "<", 2))
+        values = {"a": 1, "b": 2}
+        below = desugar_aggregate("sum", values, "<", 2)
         assert below == CAtom("ab", [set(), {"a"}])
-        exact = desugar_aggregate(AggregateConstraint("sum", entries, "=", 2))
+        exact = desugar_aggregate("sum", values, "=", 2)
         assert exact == CAtom("ab", [{"b"}])
 
     def test_entry_guard(self):
-        entries = tuple((f"x{i}", 1) for i in range(17))
+        values = {f"x{i}": 1 for i in range(17)}
         with pytest.raises(GuardError) as caught:
-            desugar_aggregate(AggregateConstraint("count", entries, ">=", 1))
+            desugar_aggregate("count", values, ">=", 1)
         assert (caught.value.guard, caught.value.actual) == ("weight_entries", 17)
-
-    @pytest.mark.parametrize("kind, entries", [
-        ("sum", (("a", 1), ("a", 2))),
-        ("sum", (("a", 2), ("a", 1))),
-        ("count", (("a", 1), ("b", 1), ("a", 1))),
-    ])
-    def test_atom_listed_twice(self, kind, entries):
-        with pytest.raises(ValueError, match="each atom once"):
-            desugar_aggregate(AggregateConstraint(kind, entries, ">=", 2))
 
 
 class TestNegatedConstraints:

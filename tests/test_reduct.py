@@ -21,7 +21,6 @@ from catlp.core import (
     candidate_models,
     complement,
     is_model,
-    iter_subsets,
     select,
     set_key,
 )
@@ -57,6 +56,7 @@ from catlp.reduct import (
 
 import generators
 import oracles
+from oracles import iter_subsets
 
 FULL_SUM_INTERP = frozenset(("p(-1)", "p(1)", "p(2)"))
 

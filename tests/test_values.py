@@ -2,7 +2,7 @@
 
 One case per public type: its constructor's parameter names, order and
 defaults, keyword construction, equality and hashing on its fields (or on
-identity for the two reports), inequality against other types, refusal to
+identity for ``CycleReport``), inequality against other types, refusal to
 assign or delete a field, its cached properties and its repr.
 """
 
@@ -12,10 +12,9 @@ from typing import NamedTuple
 import pytest
 
 from catlp.abstraction import AbstractCAtom, CAtomClass, PrefixedPowerSet
-from catlp.analysis import CycleReport, DependencyGraph, DependencyTheoremReport, ImplicationCheck
+from catlp.analysis import CycleReport, DependencyGraph
 from catlp.core import CAtom, Literal, Program, Rule
 from catlp.golden import GoldenCase
-from catlp.parser import AggregateConstraint, WeightConstraint, WeightEntry
 from catlp.reduct import ReductProgram
 
 REQUIRED = inspect.Parameter.empty
@@ -72,26 +71,6 @@ CASES = [
          "DependencyGraph(vertices=frozenset({'a'}), edges=frozenset({('a', 'a', '-')}))"),
     Case(CycleReport, [(name, REQUIRED) for name in CYCLES], CYCLES, CYCLES_REPR,
          identity=True),
-    Case(ImplicationCheck, [("name", REQUIRED), ("antecedent", REQUIRED), ("holds", REQUIRED),
-                            ("detail", REQUIRED)],
-         dict(name="n", antecedent=True, holds=False, detail="d"),
-         "ImplicationCheck(name='n', antecedent=True, holds=False, detail='d')"),
-    Case(DependencyTheoremReport, [("checks", REQUIRED), ("stable", REQUIRED),
-                                   ("supported", REQUIRED), ("cycles", REQUIRED)],
-         dict(checks=(), stable=(frozenset(),), supported=(), cycles=CycleReport(**CYCLES)),
-         "DependencyTheoremReport(checks=(), stable=(frozenset(),), supported=(), "
-         f"cycles={CYCLES_REPR})",
-         identity=True),
-    Case(WeightEntry, [("atom", REQUIRED), ("weight", 1), ("negated", False)],
-         dict(atom="a"), "WeightEntry(atom='a', weight=1, negated=False)"),
-    Case(WeightConstraint, [("entries", REQUIRED), ("lower", None), ("upper", None)],
-         dict(entries=(WeightEntry("a", 2, True),), upper=3),
-         "WeightConstraint(entries=(WeightEntry(atom='a', weight=2, negated=True),), "
-         "lower=None, upper=3)"),
-    Case(AggregateConstraint, [("kind", REQUIRED), ("entries", REQUIRED), ("relation", REQUIRED),
-                               ("bound", REQUIRED)],
-         dict(kind="sum", entries=(("a", 1),), relation=">=", bound=1),
-         "AggregateConstraint(kind='sum', entries=(('a', 1),), relation='>=', bound=1)"),
     Case(GoldenCase, [("name", REQUIRED), ("check", REQUIRED)],
          dict(name="n", check=print), "GoldenCase(name='n', check=<built-in function print>)"),
 ]
