@@ -6,7 +6,8 @@ the five ``tests/generators`` families, this runs ``solve --all --json``,
 --classify``, plus ``check`` (the reduct oracle alone, since the fixpoint
 oracle refuses disjunctive programs), ``check --oracle both``, ``reduct
 --json`` and ``reduct`` for the empty, the full and two seeded
-interpretations over the program's vocabulary.  Then it runs ``abstract
+interpretations over the program's vocabulary, and for a third seeded one
+plus ``outside``, an atom no corpus program uses.  Then it runs ``abstract
 --catom EXPR --classify`` on each distinct body c-atom of the golden
 programs (a body atom as its one-atom c-atom) and on the golden c-atoms,
 written out by ``format_catom``.  Last come malformed inputs, one per kind of parse
@@ -94,10 +95,12 @@ def corpus(per_family: int) -> Iterator[tuple[str, str]]:
 
 
 def interpretations(program: Program, label: str) -> list[str]:
-    """The empty, the full and two seeded subsets of the vocabulary, as -I lists."""
+    """The empty, the full and two seeded subsets of the vocabulary, then a
+    third seeded one plus ``outside``, an atom outside it, as -I lists."""
     atoms = list(set_key(program.language))
     rng = random.Random(label)
-    chosen = [[], atoms] + [[a for a in atoms if rng.random() < 0.5] for _ in range(2)]
+    chosen = [[], atoms] + [[a for a in atoms if rng.random() < 0.5] for _ in range(3)]
+    chosen[-1].append("outside")
     return [",".join(subset) for subset in chosen]
 
 

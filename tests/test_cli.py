@@ -852,12 +852,12 @@ def test_cli_corpus_slice_is_complete_and_reproducible():
     assert len(catoms) == 16
     malformed = (len(cli_corpus.MALFORMED_PROGRAMS) + len(cli_corpus.MALFORMED_INTERPRETATIONS)
                  + len(cli_corpus.MALFORMED_CATOMS))
-    assert len(shown) == 15 * 21 + 16 + malformed
+    assert len(shown) == 15 * 25 + 16 + malformed
     for label in labels:
-        assert [argv[0] for argv in shown[:15 * 21] if argv[1] == label] == (
+        assert [argv[0] for argv in shown[:15 * 25] if argv[1] == label] == (
             ["solve", "translate", "depgraph", "depgraph", "abstract"]
-            + ["check", "check", "reduct", "reduct"] * 4), label
-    assert shown[15 * 21:15 * 21 + 16] == [
+            + ["check", "check", "reduct", "reduct"] * 5), label
+    assert shown[15 * 25:15 * 25 + 16] == [
         ["abstract", "--catom", c, "--classify"] for c in catoms]
     # Every malformed input is refused with a positioned parse error, exit 1.
     assert text.count("\nexit 1\nstderr: parse error: ") == malformed
@@ -877,8 +877,8 @@ def test_cli_corpus_slice_is_complete_and_reproducible():
 
 #: Lines and sha256 of ``tests/cli_corpus.py --per-family 40``; a change
 #: that alters CLI output on purpose updates both and says why.
-CORPUS_LINES = 19058
-CORPUS_SHA256 = "cc9efc097239d6c80eca2875a66a85a4e00f82d0963664808880e690c9af50d1"
+CORPUS_LINES = 22017
+CORPUS_SHA256 = "2e564771fe2fe9d6cab850bf148a1099723281a1da1e6b2c619113cd1a674131"
 
 
 def test_cli_corpus_output_is_pinned():
