@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Iterable
 
-from .core import CAtom, Value, bit_pattern, indices, select, set_bits
+from .core import CAtom, Value, bit_pattern, indices, position, select, set_bits
 from .errors import check_guard
 
 #: ``abstract_of`` keeps at most this many abstract forms (least recently used
@@ -102,8 +102,8 @@ class AbstractCAtom(Value):
                          for f, bases in self.groups for b in set_bits(bases))
 
     def position(self, interpretation: Iterable[str]) -> int:
-        """The table index of the interpretation's part of the domain."""
-        return sum(1 << self.atoms.index(a) for a in self.domain.intersection(interpretation))
+        """The table index of the interpretation's part of the domain (``core.position``)."""
+        return position(self.atoms, interpretation)
 
     def covering(self, x: int) -> list[tuple[int, int]]:
         """The prime cubes holding table index x: (x & ~F, F) per free set F, one bit test each."""

@@ -28,7 +28,10 @@ EXIT_DIVERGENCE = 3
 def _load_file(path: str) -> Program:
     # No newline translation: a lone "\r" is whitespace, as for ``load_program``.
     with open(path, encoding="utf-8", newline="") as handle:
-        return load_program(handle.read())
+        try:
+            return load_program(handle.read())
+        except UnicodeDecodeError as exc:  # a ValueError, which ``run`` would not catch
+            raise CatlpError(f"{path}: {exc}") from None
 
 
 def _cmd_solve(args) -> int:
@@ -70,7 +73,7 @@ def _cmd_check(args) -> int:
     compiled = program.compiled
     if verdict:
         print("stable")
-    elif not CandidateBits(compiled, compiled.mask(compiled.bit.keys() & interpretation)).models():
+    elif not CandidateBits(compiled, compiled.mask(interpretation)).models():
         print("not stable (not a model)")
     else:
         print("not stable")

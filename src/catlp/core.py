@@ -72,6 +72,12 @@ def select(items: Sequence, mask: int) -> tuple:
     return tuple(found)
 
 
+def position(atoms: Sequence[str], interpretation: Iterable[str]) -> int:
+    """The table index of the interpretation's part of the sorted domain ``atoms``."""
+    held = frozenset(interpretation)
+    return sum(1 << i for i, a in enumerate(atoms) if a in held)
+
+
 def indices(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, lowest first, one step per set bit."""
     found = []
@@ -399,8 +405,8 @@ class CompiledProgram:
         self.body_catoms = tuple(in_body)
 
     def mask(self, atoms: Iterable[str]) -> int:
-        """The bits of ``atoms``; ``KeyError`` for an atom outside the vocabulary."""
-        return sum(map(self.bit.__getitem__, atoms))
+        """The bits of ``atoms``, every route's way in: an atom outside the vocabulary has none."""
+        return sum(map(self.bit.__getitem__, self.bit.keys() & atoms))
 
     def atoms_of(self, mask: int) -> tuple[str, ...]:
         """The atoms of ``mask`` in sorted order, so ``set_key`` of their set."""
@@ -409,8 +415,7 @@ class CompiledProgram:
 
 def satisfies_catom(interpretation: Iterable[str], catom: CAtom) -> bool:
     """Classical satisfaction: the domain restriction must be admissible."""
-    model = frozenset(interpretation)
-    return bool(catom.table >> sum(1 << i for i, a in enumerate(catom.atoms) if a in model) & 1)
+    return bool(catom.table >> position(catom.atoms, interpretation) & 1)
 
 
 def satisfies_literal(interpretation: Iterable[str], literal: Literal) -> bool:
@@ -450,12 +455,12 @@ def candidate_models(program: Program) -> Iterator[frozenset[str]]:
 
     The vocabulary size is checked against the ``stable_language`` guard
     when this is called, before any bitset is built.  All subsets are
-    tested at once (``CandidateBits.models``); ``is_model`` is the same test
-    on frozensets, one interpretation at a time.
+    tested at once (``CandidateBits.models``, as ``is_model`` tests one) and
+    sorted by size from the ``set_key`` order of ``CandidateBits.answers``.
     """
     check_guard("stable_language", len(program.language))
     space = CandidateBits(program.compiled)
-    return space.sets(space.models())
+    return iter(sorted(space.answers(set_bits(space.models())), key=len))
 
 
 @cache
@@ -480,8 +485,8 @@ class CandidateBits:
     one ``2**n``-bit integer, built per call.  A narrower ``within`` of w
     atoms lays out its ``2**w`` subsets the same way over its own atoms,
     and no candidate holds an atom outside it; the top bit is ``within``
-    itself.  :meth:`mask`, :meth:`tuples` and :meth:`sets` read a space of
-    the whole vocabulary.
+    itself.  :meth:`mask` and :meth:`answers` read a space of the whole
+    vocabulary.
 
     Every such integer is built from one basis (:func:`_basis`, kept per
     width): per atom, the candidates that hold it (:attr:`holds`, a
@@ -591,13 +596,12 @@ class CandidateBits:
         """The vocabulary mask of candidate ``k`` of a space of the whole vocabulary."""
         return int(format(k, "0%db" % self.n)[::-1], 2)
 
-    def tuples(self, bits: int) -> list[tuple[str, ...]]:
-        """The candidates of ``bits`` as sorted atom tuples, by descending k.
+    def answers(self, ks: Iterable[int]) -> tuple[frozenset[str], ...]:
+        """The candidates ``ks`` as atom sets in ``set_key`` order: every route's answers.
 
         Spelled in binary, an index lists its atoms in order, so each index
         is split into its high and low half, each half is looked up in a
-        table of sorted atom tuples, and the two are joined.  Sorting the
-        list gives the ``set_key`` order of the sets.
+        table of sorted atom tuples, and the two are joined and sorted.
         """
         def table(atoms: tuple[str, ...]) -> list[tuple[str, ...]]:
             return [tuple(compress(atoms, spelled))
@@ -606,15 +610,7 @@ class CandidateBits:
         atoms, half = self.compiled.atoms, self.n // 2
         high, low = table(atoms[:self.n - half]), table(atoms[self.n - half:])
         low_bits = (1 << half) - 1
-        return [high[k >> half] + low[k & low_bits] for k in set_bits(bits)]
-
-    def sets(self, bits: int) -> Iterator[frozenset[str]]:
-        """The candidates of ``bits`` as atom sets, by size, then ``set_key`` order.
-
-        Among candidates of one size that is descending k, the order of
-        :meth:`tuples`, so the tuples are grouped by size in place.
-        """
-        return map(frozenset, sorted(self.tuples(bits), key=len))
+        return tuple(map(frozenset, sorted([high[k >> half] + low[k & low_bits] for k in ks])))
 
 
 def complement(catom: CAtom) -> CAtom:

@@ -15,8 +15,9 @@ and each body c-atom conditionally satisfies the pair.  The ``neg`` test is
 conditional satisfaction of ``not a``'s rewrite ``[a : {}]``, table ``0b01``:
 it fails when a ∈ lower, and when a ∈ context the fold ``t &= t >> 1``
 empties the table.  The module imports only ``core`` and ``errors``: past the
-parse and the compile it shares no code with the reduct or the abstract
-forms, so the two oracles stay independent.
+parse, the compile and core's conversions between sets and bits
+(``CompiledProgram.mask``, ``position``, ``CandidateBits.answers``) it shares
+no code with the reduct or the abstract forms, so the two oracles stay independent.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .core import (CAtom, CandidateBits, CompiledProgram, Literal, Program, Rule, head_atom_name,
-                   indices, literal_catom, satisfies_catom, set_bits)
+                   indices, literal_catom, position, set_bits)
 from .errors import InvariantError, NotAModelError, ProgramClassError, check_guard
 
 
@@ -45,11 +46,9 @@ def _interval(table: int, low: int, top: int) -> bool:
 
 
 def cond_satisfies(lower: Iterable[str], upper: Iterable[str], catom: CAtom) -> bool:
-    """Conditional satisfaction: ``lower`` satisfies the atom and every set between
-    ``lower`` and ``upper`` (within the domain) is admissible, by the step's fold."""
-    low = frozenset(lower)
-    x, top = (sum(1 << i for i, a in enumerate(catom.atoms) if a in s) for s in (low, set(upper)))
-    return satisfies_catom(low, catom) and _interval(catom.table, x, top)
+    """Conditional satisfaction, by the step's fold: ``lower`` satisfies the atom (its
+    first test) and every set up to ``upper`` (within the domain) is admissible."""
+    return _interval(catom.table, position(catom.atoms, lower), position(catom.atoms, upper))
 
 
 def _step(compiled: CompiledProgram, lower: int, context: int) -> int:
@@ -78,7 +77,7 @@ def tp_step(program: Program, lower: Iterable[str], context: Iterable[str]) -> f
         if not all(lit.positive for lit in rule.body):
             raise ProgramClassError("the fixpoint operator requires negation-free bodies")
     compiled = program.compiled
-    low, ctx = (compiled.mask(compiled.bit.keys() & set(s)) for s in (lower, context))
+    low, ctx = map(compiled.mask, (lower, context))
     return frozenset(compiled.atoms_of(_step(compiled, low, ctx)))
 
 
@@ -99,18 +98,17 @@ def fixpoint_stable(program: Program, interpretation: Iterable[str]) -> bool:
 
     Takes normal programs, refused and read as :func:`to_positive_basic` does.
     Raises :class:`NotAModelError` unless the interpretation is a model: the
-    iteration is only well-behaved underneath models.  Atoms outside the
-    vocabulary are never derived, so a model holding one is not stable.
+    iteration is only well-behaved underneath models.  An atom outside the vocabulary
+    has no bit (``CompiledProgram.mask``) and is never derived: a model holding one is not stable.
     """
     _refuse_unless_normal(program)
     compiled = program.compiled
     candidate = frozenset(interpretation)
-    inside = compiled.bit.keys() & candidate
-    m = compiled.mask(inside)
+    m = compiled.mask(candidate)
     if not CandidateBits(compiled, m).models():
         raise NotAModelError(
             "{%s} is not a model of the program" % ", ".join(sorted(candidate)))
-    return inside == candidate and _ascent(compiled, m)
+    return candidate <= compiled.bit.keys() and _ascent(compiled, m)
 
 
 def _ascent(compiled: CompiledProgram, model: int) -> bool:
@@ -144,11 +142,11 @@ def fixpoint_stable_models(program: Program) -> tuple[frozenset[str], ...]:
     """All stable models under the fixpoint oracle, of a program :func:`fixpoint_stable` takes.
 
     The ``stable_language`` guard is checked before any enumeration; the
-    ascent runs from each model that one all-candidates model test finds.
+    ascent runs from each model that one all-candidates model test finds,
+    and ``CandidateBits.answers`` renders the stable ones.
     """
     _refuse_unless_normal(program)
     check_guard("stable_language", len(program.language))
     space = CandidateBits(program.compiled)
-    models = map(space.mask, set_bits(space.models()))
-    return tuple(map(frozenset, sorted(space.compiled.atoms_of(m) for m in models
-                                       if _ascent(space.compiled, m))))
+    return space.answers(k for k in set_bits(space.models())
+                         if _ascent(space.compiled, space.mask(k)))

@@ -286,7 +286,8 @@ def _stable_bits(reduct: _Reduct, candidates: int) -> int:
 def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
     """Apply the four transformation steps for the given candidate.
 
-    The steps run on masks (``_Reduct`` over a one-candidate space); this
+    The steps run on masks (``_Reduct`` over a one-candidate space at the
+    candidate's ``CompiledProgram.mask``, which drops atoms outside the vocabulary); this
     renders the result with the introduced atom names, rule by rule in
     source order.  Raises :class:`NameCollisionError` when two distinct
     c-atoms of the program would share an introduced name or a name it
@@ -304,7 +305,7 @@ def gl_reduct(program: Program, interpretation: Iterable[str]) -> ReductProgram:
             claim_name(owners, name, c.catom, compiled.bit)
     if compiled.head_catoms:
         claim_name(owners, BOT, FALSE_CATOM, compiled.bit)
-    m = compiled.mask(a for a in frozenset(interpretation) if a in compiled.bit)
+    m = compiled.mask(interpretation)
     space = CandidateBits(compiled, m)
     reduct = _Reduct(space, space.full)
     atoms_of = compiled.atoms_of
@@ -413,7 +414,7 @@ def minimal_models(program: Program) -> tuple[frozenset[str], ...]:
     The models are one ``CandidateBits`` integer, declared atoms included.
     A model is minimal when it strictly holds no other model: the sets one
     atom above some model, closed upwards atom by atom, are exactly those,
-    and are dropped.
+    and are dropped; ``CandidateBits.answers`` renders the rest.
     """
     check_guard("minimal_models", len(program.language))
     space = CandidateBits(program.compiled)
@@ -426,7 +427,7 @@ def minimal_models(program: Program) -> tuple[frozenset[str], ...]:
         above |= models << shift & held
     for held, shift in shifts:
         above |= above << shift & held
-    return tuple(map(frozenset, sorted(space.tuples(models & ~above))))
+    return space.answers(set_bits(models & ~above))
 
 
 def _columns(reduct: _Reduct) -> tuple[list, dict]:
@@ -513,10 +514,10 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     ``|candidate|`` exceeds the ``minimal_models`` guard.
     """
     compiled = program.compiled
-    try:
-        m = compiled.mask(frozenset(interpretation))
-    except KeyError:
+    candidate = frozenset(interpretation)
+    if not candidate <= compiled.bit.keys():
         return False  # no set of reduct atoms strips to the candidate
+    m = compiled.mask(candidate)
     space = CandidateBits(compiled, m)
     reduct = _Reduct(space, space.full)
     if reduct.disjunctive:
@@ -537,7 +538,8 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     fixpoint decides the disjunctive models with the others.  Otherwise
     each is decided alone, by ``_has_minimal_witness`` at its bit of the
     same reduct, read from byte columns made once (``_columns``), as
-    ``is_stable`` does at the one bit of its own.
+    ``is_stable`` does at the one bit of its own.  ``CandidateBits.answers``
+    renders the stable candidates of both routes.
     """
     check_guard("stable_language", len(program.language))
     compiled = program.compiled
@@ -547,14 +549,13 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     alone = reduct.disjunctive
     if alone and _head_cycle_free(reduct):
         alone = 0
-    found = space.tuples(_stable_bits(reduct, models & ~alone))
+    found = set_bits(_stable_bits(reduct, models & ~alone))
     rules, covers = _columns(reduct) if alone else ([], {})
     for k in set_bits(alone):
         byte, bit = k >> 3, 1 << (k & 7)
-        m = space.mask(k)
-        if _has_minimal_witness(compiled, rules, covers, m, lambda x: x[byte] & bit):
-            found.append(compiled.atoms_of(m))
-    return tuple(map(frozenset, sorted(found)))
+        if _has_minimal_witness(compiled, rules, covers, space.mask(k), lambda x: x[byte] & bit):
+            found.append(k)
+    return space.answers(found)
 
 
 def reduct_json(reduct: ReductProgram) -> dict:

@@ -112,6 +112,14 @@ class TestSolve:
     def test_missing_file(self, capsys):
         assert cli.run(["solve", "/nonexistent/path.lp"]) == 1
 
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        # An input error like any other: exit 1 and one stderr line naming the file.
+        bad = tmp_path / "bad.lp"
+        bad.write_bytes(b"a.\n\xff\xfe b.\n")
+        assert cli.run(["solve", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"{bad}: 'utf-8' codec can't decode byte 0xff in position 3: invalid start byte\n")
+
 
 class TestCheck:
     def test_not_stable(self, sum_loop, capsys):

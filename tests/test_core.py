@@ -19,6 +19,8 @@ from catlp.core import (
     is_model,
     satisfies_catom,
     satisfies_rule,
+    set_bits,
+    set_key,
 )
 from catlp.errors import GUARD_LIMITS, GuardError, check_guard
 from catlp import golden
@@ -329,11 +331,12 @@ class TestModelChecks:
                 catom = CAtom(domain, [s for s in iter_subsets(domain) if lo <= len(s) <= hi])
             c = CompiledCAtom(catom, space.compiled.bit)
             bits, satisfied = space.cubes(cubes), space.satisfied(c)
-            read = list(space.sets(space.full))
-            assert read == list(iter_subsets(space.compiled.atoms))
+            read = space.answers(set_bits(space.full))
+            assert read == tuple(sorted(iter_subsets(space.compiled.atoms), key=set_key))
+            assert sorted(read, key=len) == list(iter_subsets(space.compiled.atoms))
             for k in range(1 << n):
                 m = space.mask(k)
-                assert list(space.sets(1 << k)) == [frozenset(space.compiled.atoms_of(m))]
+                assert space.answers([k]) == (frozenset(space.compiled.atoms_of(m)),)
                 assert bits >> k & 1 == any(m & o == o and not m & z for o, z in cubes)
                 assert satisfied >> k & 1 == (
                     frozenset(space.compiled.atoms_of(m)) & catom.domain in catom.solutions)
