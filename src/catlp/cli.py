@@ -29,9 +29,10 @@ def _load_file(path: str) -> Program:
     # No newline translation: a lone "\r" is whitespace, as for ``load_program``.
     with open(path, encoding="utf-8", newline="") as handle:
         try:
-            return load_program(handle.read())
+            text = handle.read()
         except UnicodeDecodeError as exc:  # a ValueError, which ``run`` would not catch
             raise CatlpError(f"{path}: {exc}") from None
+    return load_program(text)
 
 
 def _cmd_solve(args) -> int:

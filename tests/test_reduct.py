@@ -389,7 +389,6 @@ class TestModelEnumeration:
                 for r in program.rules))
             scan = oracles.brute_minimal_models(
                 oracles.atom_rules(positive), positive.atoms)
-            # The same sets in the same order: ``set_key`` order.
             assert minimal_models(positive) == tuple(sorted(scan, key=set_key))
 
 
