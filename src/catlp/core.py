@@ -78,6 +78,22 @@ def position(atoms: Sequence[str], interpretation: Iterable[str]) -> int:
     return sum(1 << i for i, a in enumerate(atoms) if a in held)
 
 
+def interval(table: int, low: int, top: int) -> bool:
+    """Are ``low`` and, when ``low ⊆ top``, every index between them set bits of ``table``?
+
+    Each fold ``t &= t >> 2**i``, once per interval atom i, leaves bit x set
+    when x and x + {i} both are, so the bit of ``low`` then answers for the
+    whole interval: one big-integer step per atom, and no set is enumerated.
+    """
+    if not table >> low & 1:
+        return False
+    if low & ~top:
+        return True  # no interpolants to check
+    for i in indices(top & ~low):
+        table &= table >> (1 << i)
+    return bool(table >> low & 1)
+
+
 def indices(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, lowest first, one step per set bit."""
     found = []
@@ -496,8 +512,8 @@ class CandidateBits:
 
     Given a ``point`` (a vocabulary mask), the space holds that one
     candidate: ``full`` is 1 and each ``holds`` entry is the point's bit,
-    so every set of candidates is 0 or 1, :meth:`split` reads one bit of
-    the table, no ``2**n``-bit integer is made and the vocabulary size is
+    so every set of candidates is 0 or 1, :meth:`split` reads the table at
+    the point, no ``2**n``-bit integer is made and the vocabulary size is
     unbounded.
     """
 
@@ -544,26 +560,41 @@ class CandidateBits:
             bits = self._satisfied[catom] = self.split(catom, catom.catom.table)
         return bits
 
-    def split(self, catom: CompiledCAtom, table: int) -> int:
-        """The candidates whose part of ``catom``'s domain is a set bit of ``table``.
+    def split(self, catom: CompiledCAtom, table: int, lower: list[int] | None = None) -> int:
+        """The candidates whose part of ``catom``'s domain conditionally satisfies ``table``.
 
-        ``table`` is a truth table over the domain, as ``CAtom.table`` is.
-        A point is one bit of it.  Otherwise the table is split on its
-        highest domain atom: the low half of a table over d atoms is the
-        subtable without that atom and the high half the one with it, so
-        the candidates are those lacking the atom in the low half's and
-        those holding it in the high half's.  An empty subtable is no
-        candidate, a complete one is every candidate, equal halves skip the
-        atom, and equal subtables of one c-atom are split once.
+        ``table`` is a truth table over the domain, as ``CAtom.table`` is,
+        and ``lower`` holds, per atom, the candidates whose lower set holds
+        it.  A candidate is kept when its lower set's part and every set
+        between that and its own part are set bits of the table: conditional
+        satisfaction with respect to the candidate (Son, Pontelli & Tu, JAIR
+        2007).  The default ``lower`` is :attr:`holds`, each candidate its
+        own lower set, which is plain satisfaction.
+
+        A point reads the table at the point, or with a ``lower`` the
+        :func:`interval` from the lower set to the point, which also answers
+        a lower set outside the point.  Otherwise each lower set must lie
+        inside its candidate, and the table is split on its highest domain
+        atom: the low half of a table over d atoms is the subtable without
+        that atom and the high half the one with it.  The candidates lacking
+        the atom are the low half's; those holding it are the high half's,
+        less, unless their lower set holds the atom too, those the low half
+        refuses.  An empty subtable is no candidate, a complete one is every
+        candidate, equal halves skip the atom, and equal subtables of one
+        c-atom are split once.
         """
         if self.point is not None:
-            return table >> catom.position(self.point) & 1
+            x = catom.position(self.point)
+            if lower is None:
+                return table >> x & 1
+            low = sum(1 << j for j, b in enumerate(catom.bits) if lower[b.bit_length() - 1])
+            return int(interval(table, low, x))
         atoms = [b.bit_length() - 1 for b in catom.bits]
         complete = [(1 << (1 << d)) - 1 for d in range(len(atoms) + 1)]
-        return self._split(table, len(atoms), atoms, complete, {})
+        return self._split(table, len(atoms), atoms, complete, lower or self.holds, {})
 
     def _split(self, table: int, d: int, atoms: list[int], complete: list[int],
-               done: dict[tuple[int, int], int]) -> int:
+               lower: list[int], done: dict[tuple[int, int], int]) -> int:
         """:meth:`split` of a subtable over the first d domain atoms."""
         if not table:
             return 0
@@ -572,10 +603,11 @@ class CandidateBits:
         found = done.get((d, table))
         if found is None:
             low, high = table & complete[d - 1], table >> (1 << d - 1)
-            found = self._split(low, d - 1, atoms, complete, done)
+            found = self._split(low, d - 1, atoms, complete, lower, done)
             if low != high:
-                high = self._split(high, d - 1, atoms, complete, done)
-                found ^= (found ^ high) & self.holds[atoms[d - 1]]
+                a = atoms[d - 1]
+                high = self._split(high, d - 1, atoms, complete, lower, done) & (lower[a] | found)
+                found ^= (found ^ high) & self.holds[a]
             done[d, table] = found
         return found
 

@@ -9,63 +9,76 @@ positive basic programs; a normal program is read as its rewrite
 (:func:`to_positive_basic`), which pushes ``not`` into complement constraints.
 
 The operator runs on ``Program.compiled``, the masks the reduct reads too,
-where ``not C`` already is C's complement.  A step from ``lower`` under
-``context`` fires a rule when ``pos ⊆ lower``, ``neg ∩ (lower ∪ context) = ∅``
-and each body c-atom conditionally satisfies the pair.  The ``neg`` test is
-conditional satisfaction of ``not a``'s rewrite ``[a : {}]``, table ``0b01``:
-it fails when a ∈ lower, and when a ∈ context the fold ``t &= t >> 1``
-empties the table.  The module imports only ``core`` and ``errors``: past the
-parse, the compile and core's conversions between sets and bits
-(``CompiledProgram.mask``, ``position``, ``CandidateBits.answers``) it shares
-no code with the reduct or the abstract forms, so the two oracles stay independent.
+where ``not C`` already is C's complement, and on a ``core.CandidateBits``
+space whose candidates are the contexts: one step (:func:`_step`) and one
+ascent (:func:`_stable`) are written once, on per-atom bitsets of
+candidates, and run on a space of one candidate (``tp_step``,
+``fixpoint_stable``) and on a space of every model
+(``fixpoint_stable_models``).  A step fires a rule for the candidates whose
+lower set holds ``pos``, for which neither set meets ``neg``, and whose
+lower set conditionally satisfies each body c-atom with respect to the
+candidate: ``CandidateBits.split`` of its table with the lower sets.  The
+``neg`` test is conditional satisfaction of ``not a``'s rewrite ``[a :
+{}]``, table ``0b01``: it fails when a is in the lower set, and when a is in
+the context the fold ``t &= t >> 1`` empties the table.  The module imports
+only ``core`` and ``errors``: past the parse, the compile and core's sets of
+candidates, conversions and :func:`core.interval` it shares no code with the
+reduct or the abstract forms, so the two oracles stay independent.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable
 
-from .core import (CAtom, CandidateBits, CompiledProgram, Literal, Program, Rule, head_atom_name,
-                   indices, literal_catom, position, set_bits)
+from .core import (CandidateBits, CAtom, Literal, Program, Rule, head_atom_name, indices, interval,
+                   literal_catom, position, set_bits)
 from .errors import InvariantError, NotAModelError, ProgramClassError, check_guard
-
-
-def _interval(table: int, low: int, top: int) -> bool:
-    """Are ``low`` and, when ``low ⊆ top``, every index between them set bits of ``table``?
-
-    Each fold ``t &= t >> 2**i``, once per interval atom i, leaves bit x set
-    when x and x + {i} both are, so the bit of ``low`` then answers for the
-    whole interval: one big-integer step per atom, and no set is enumerated.
-    """
-    if not table >> low & 1:
-        return False
-    if low & ~top:
-        return True  # no interpolants to check
-    for i in indices(top & ~low):
-        table &= table >> (1 << i)
-    return bool(table >> low & 1)
 
 
 def cond_satisfies(lower: Iterable[str], upper: Iterable[str], catom: CAtom) -> bool:
     """Conditional satisfaction, by the step's fold: ``lower`` satisfies the atom (its
     first test) and every set up to ``upper`` (within the domain) is admissible."""
-    return _interval(catom.table, position(catom.atoms, lower), position(catom.atoms, upper))
+    return interval(catom.table, position(catom.atoms, lower), position(catom.atoms, upper))
 
 
-def _step(compiled: CompiledProgram, lower: int, context: int) -> int:
-    """One application of the conditional one-step operator, on vocabulary masks."""
-    derived = 0
-    seen = lower | context
-    for head, pos, neg, heads, body in compiled.rules:
-        if head & derived or pos & ~lower or neg & seen:
-            continue
+def _step(space: CandidateBits, candidates: int, lower: list[int]) -> list[int]:
+    """One operator step for each of ``candidates`` as context, from the lower sets ``lower``.
+
+    Per atom, ``lower`` holds the candidates whose lower set holds it, and
+    so does the result for the sets the step derives.  On a space of more
+    than one candidate, each lower set lies inside its candidate, as
+    ``CandidateBits.split`` needs.
+    """
+    holds, derived = space.holds, [0] * space.n
+    for head, pos, neg, heads, body in space.compiled.rules:
+        fired = candidates
+        for i in indices(pos):
+            fired &= lower[i]
+        for i in indices(neg):
+            fired &= ~(lower[i] | holds[i])
         for c in body:
-            if not _interval(c.catom.table, c.position(lower), c.position(context)):
+            if not fired:
                 break
-        else:
-            derived |= head
-            for c in heads:
-                derived |= c.domain
+            fired &= space.split(c, c.catom.table, lower)
+        if fired:
+            for i in indices(head | sum(c.domain for c in heads)):
+                derived[i] |= fired
     return derived
+
+
+def _stable(space: CandidateBits, candidates: int) -> int:
+    """Of ``candidates``, all models, those the ascent from the empty set reaches exactly."""
+    lower = [0] * space.n
+    # Monotone ascent inside each model: one extra round detects the fixpoint.
+    for _ in range(space.n + 2):
+        derived = _step(space, candidates, lower)
+        if derived == lower:
+            for found, held in zip(lower, space.holds):
+                candidates &= ~(found ^ held)
+            return candidates
+        lower = derived
+    raise InvariantError("fixpoint iteration exceeded its bound")
 
 
 def tp_step(program: Program, lower: Iterable[str], context: Iterable[str]) -> frozenset[str]:
@@ -77,8 +90,9 @@ def tp_step(program: Program, lower: Iterable[str], context: Iterable[str]) -> f
         if not all(lit.positive for lit in rule.body):
             raise ProgramClassError("the fixpoint operator requires negation-free bodies")
     compiled = program.compiled
-    low, ctx = map(compiled.mask, (lower, context))
-    return frozenset(compiled.atoms_of(_step(compiled, low, ctx)))
+    space = CandidateBits(compiled, compiled.mask(context))
+    below = CandidateBits(compiled, compiled.mask(lower)).holds  # the lower set's bit per atom
+    return frozenset(compress(compiled.atoms, _step(space, space.full, below)))
 
 
 def _refuse_unless_normal(program: Program) -> None:
@@ -104,23 +118,11 @@ def fixpoint_stable(program: Program, interpretation: Iterable[str]) -> bool:
     _refuse_unless_normal(program)
     compiled = program.compiled
     candidate = frozenset(interpretation)
-    m = compiled.mask(candidate)
-    if not CandidateBits(compiled, m).models():
+    space = CandidateBits(compiled, compiled.mask(candidate))
+    if not space.models():
         raise NotAModelError(
             "{%s} is not a model of the program" % ", ".join(sorted(candidate)))
-    return candidate <= compiled.bit.keys() and _ascent(compiled, m)
-
-
-def _ascent(compiled: CompiledProgram, model: int) -> bool:
-    """Is the model the fixpoint the operator reaches from the empty set? (no model test)"""
-    current = 0
-    # Monotone ascent inside the model: one extra round detects the fixpoint.
-    for _ in range(len(compiled.atoms) + 2):
-        nxt = _step(compiled, current, model)
-        if nxt == current:
-            return current == model
-        current = nxt
-    raise InvariantError("fixpoint iteration exceeded its bound")
+    return candidate <= compiled.bit.keys() and bool(_stable(space, space.full))
 
 
 def to_positive_basic(program: Program) -> Program:
@@ -141,12 +143,11 @@ def to_positive_basic(program: Program) -> Program:
 def fixpoint_stable_models(program: Program) -> tuple[frozenset[str], ...]:
     """All stable models under the fixpoint oracle, of a program :func:`fixpoint_stable` takes.
 
-    The ``stable_language`` guard is checked before any enumeration; the
-    ascent runs from each model that one all-candidates model test finds,
-    and ``CandidateBits.answers`` renders the stable ones.
+    The ``stable_language`` guard is checked before any enumeration; one
+    ascent runs from every model that one all-candidates model test finds,
+    all at once, and ``CandidateBits.answers`` renders the stable ones.
     """
     _refuse_unless_normal(program)
     check_guard("stable_language", len(program.language))
     space = CandidateBits(program.compiled)
-    return space.answers(k for k in set_bits(space.models())
-                         if _ascent(space.compiled, space.mask(k)))
+    return space.answers(set_bits(_stable(space, space.models())))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from catlp.core import CAtom, FALSE_CATOM, Literal, Program, Rule
+from catlp.parser import desugar_aggregate
 
 from oracles import iter_subsets
 
@@ -106,3 +107,30 @@ def random_disjunctive_constraint_program(
             rng, atoms, max_domain, negation=True, negated_constraints=False)
         rules.append(Rule(head, body))
     return Program(tuple(rules))
+
+
+def random_aggregate_program(rng: random.Random, n: int, max_rules: int = 8) -> Program:
+    """A normal program over atoms p0..p{n-1} with count and sum aggregates, some negated.
+
+    The first atoms pair up in even loops ``pi :- not pj.  pj :- not pi.``, so
+    the program has many models; each further rule derives a random atom from
+    one or two aggregates over two to five atoms (sums with weights from -2
+    to 3), negated with probability 0.3, plus at most one atom literal.
+    """
+    atoms = [f"p{i}" for i in range(n)]
+    rules = []
+    for i in range(0, n // 2 - 1, 2):
+        rules += [Rule((atoms[i],), (Literal.negated_atom(atoms[i + 1]),)),
+                  Rule((atoms[i + 1],), (Literal.negated_atom(atoms[i]),))]
+    for _ in range(rng.randint(2, max_rules)):
+        body = []
+        for _ in range(rng.randint(1, 2)):
+            kind = rng.choice(("count", "sum"))
+            values = {a: rng.randint(-2, 3) for a in rng.sample(atoms, rng.randint(2, 5))}
+            catom = desugar_aggregate(kind, values, rng.choice(("<=", ">=", "=", "<", ">")),
+                                      rng.randint(0, 4))
+            body.append(Literal(rng.random() >= 0.3, catom))
+        if rng.random() < 0.5:
+            body.append(Literal(rng.random() < 0.5, rng.choice(atoms)))
+        rules.append(Rule((rng.choice(atoms),), tuple(body)))
+    return Program(tuple(rules), atoms)

@@ -56,12 +56,12 @@ class TestCondSatisfies:
         assert cond_satisfies({"a"}, set(), catom)
 
     def test_guard(self, monkeypatch):
-        # No guard and no enumeration: a verdict costs one ``_interval`` call,
+        # No guard and no enumeration: a verdict costs one ``core.interval`` call,
         # a plain satisfaction test of ``lower`` and one table fold per
         # interval atom, so an interval of 2**20 sets is answered at once.
         tested = []
-        interval = fixpoint_module._interval
-        monkeypatch.setattr(fixpoint_module, "_interval",
+        interval = fixpoint_module.interval
+        monkeypatch.setattr(fixpoint_module, "interval",
                             lambda table, low, top: tested.append(low) or interval(table, low, top))
         wide = frozenset(f"x{i}" for i in range(17))
         catom = CAtom(wide, [set(), {"x0"}])
@@ -165,13 +165,19 @@ class TestFixpointStable:
             fixpoint_stable(program, {"p(1)"})
 
     def test_iteration_bound_is_enforced(self, monkeypatch):
-        # An operator that never settles must hit the typed bound check.
-        steps = iter(range(1000))
+        # An operator that never settles must hit the typed bound check: each
+        # step adds a candidate to every atom's bitset, so no step equals the
+        # one before, on a space of one candidate or of all of them.
+        steps = []
         monkeypatch.setattr(
             fixpoint_module, "_step",
-            lambda compiled, lower, context: 1 << next(steps))
+            lambda space, candidates, lower: steps.append(lower) or [x + 1 for x in lower])
         with pytest.raises(InvariantError, match="exceeded its bound"):
             fixpoint_stable(load_program("a."), frozenset("a"))
+        assert len(steps) == 3  # one atom: the bound is three steps
+        with pytest.raises(InvariantError, match="exceeded its bound"):
+            fixpoint_stable_models(load_program("a."))
+        assert len(steps) == 6
 
     def test_agrees_with_reduct_on_self_loop(self):
         program = load_program("a :- a.")
@@ -301,6 +307,67 @@ class TestMaskOperatorDifferential:
             lower = frozenset(a for a in context if rng.random() < 0.5)
             assert tp_step(program, lower, context) == oracles.brute_tp_step(
                 program, lower, context)
+
+    def test_step_matches_the_set_step_from_a_lower_set_outside_the_context(self):
+        # ``lower`` is drawn apart from ``context``: a body c-atom whose lower
+        # part leaves its context part has no interpolants, so only the plain
+        # satisfaction of ``lower`` decides it (``core.interval``'s first test).
+        rng = random.Random(83)
+        pool = ("a", "b", "c", "d", "z")  # z is outside every vocabulary
+        outside = 0
+        for _ in range(300):
+            program = generators.random_positive_basic_program(
+                rng, atoms=pool[:4], max_rules=4, max_domain=3)
+            domains = [lit.item.domain for rule in program.rules for lit in rule.body
+                       if lit.is_constraint]
+            for _ in range(10):
+                context = frozenset(a for a in pool if rng.random() < 0.6)
+                lower = frozenset(a for a in pool if rng.random() < 0.5)
+                outside += any((lower - context) & domain for domain in domains)
+                assert tp_step(program, lower, context) == oracles.brute_tp_step(
+                    program, lower, context), (program, lower, context)
+        assert outside >= 600
+
+
+class TestAggregateFeed:
+    """Normal programs of 12-16 atoms whose even loops give thousands of models,
+    with count and sum aggregates, some of them negated, deriving further atoms."""
+
+    @staticmethod
+    def _programs(count):
+        rng = random.Random(89)
+        return [generators.random_aggregate_program(rng, 12 + i % 5) for i in range(count)]
+
+    def test_fixpoint_stable_models_match_the_reduct_route(self):
+        negated = 0
+        for program in self._programs(200):
+            assert fixpoint_stable_models(program) == stable_models(program), program
+            negated += any(lit.is_constraint and not lit.positive
+                           for rule in program.rules for lit in rule.body)
+        assert negated >= 150
+
+    def test_one_candidate_and_every_candidate_agree(self, monkeypatch):
+        # The all-candidates ascent decides every model at once: no route may
+        # turn a candidate back into a vocabulary mask, as a per-model ascent would.
+        def refuse(space, k):
+            raise AssertionError("a per-model driver read CandidateBits.mask")
+
+        monkeypatch.setattr(CandidateBits, "mask", refuse)
+        models = stable = answers = 0
+        for program in self._programs(3):
+            found = fixpoint_stable_models(program)
+            answers += len(found)
+            for candidate in iter_subsets(program.language):
+                try:
+                    verdict = fixpoint_stable(program, candidate)
+                except NotAModelError:
+                    verdict = False  # not a model, so not stable
+                else:
+                    models += 1
+                assert verdict == (candidate in found), (program, candidate)
+                stable += verdict
+        assert stable == answers
+        assert models >= 1000 and stable >= 10
 
 
 def test_fixpoint_oracle_imports_only_core_and_errors():
