@@ -5,8 +5,11 @@ satisfies it outright and every interpolant between R and S (restricted to
 the domain) stays admissible.  Iterating the induced one-step operator from
 the empty set underneath a candidate model yields a fixpoint; the candidate
 is stable exactly when it equals that fixpoint.  The operator is defined on
-positive basic programs; a normal program is read as its rewrite
+positive basic programs, whose rules have one head, an atom or a c-atom
+(``bot`` included); a program with ``not`` is read as its rewrite
 (:func:`to_positive_basic`), which pushes ``not`` into complement constraints.
+Disjunctive heads are refused: the operator (Son, Pontelli & Tu, JAIR 2007)
+defines none.
 
 The operator runs on ``Program.compiled``, the masks the reduct reads too,
 where ``not C`` already is C's complement, and on a ``core.CandidateBits``
@@ -17,8 +20,10 @@ candidates, and run on a space of one candidate (``tp_step``,
 (``fixpoint_stable_models``).  A step fires a rule for the candidates whose
 lower set holds ``pos``, for which neither set meets ``neg``, and whose
 lower set conditionally satisfies each body c-atom with respect to the
-candidate: ``CandidateBits.split`` of its table with the lower sets.  The
-``neg`` test is conditional satisfaction of ``not a``'s rewrite ``[a :
+candidate: ``CandidateBits.split`` of its table with the lower sets.  A
+fired rule derives its head atom or adds its head c-atom's domain within
+the candidate; an elementary c-atom derives its atom, as an atom head does.
+The ``neg`` test is conditional satisfaction of ``not a``'s rewrite ``[a :
 {}]``, table ``0b01``: it fails when a is in the lower set, and when a is in
 the context the fold ``t &= t >> 1`` empties the table.  The module imports
 only ``core`` and ``errors``: past the parse, the compile and core's sets of
@@ -31,8 +36,8 @@ from __future__ import annotations
 from itertools import compress
 from typing import Iterable
 
-from .core import (CandidateBits, CAtom, Literal, Program, Rule, head_atom_name, indices, interval,
-                   literal_catom, position, set_bits)
+from .core import (CandidateBits, CAtom, Literal, Program, Rule, indices, interval, literal_catom,
+                   position, set_bits)
 from .errors import InvariantError, NotAModelError, ProgramClassError, check_guard
 
 
@@ -46,9 +51,11 @@ def _step(space: CandidateBits, candidates: int, lower: list[int]) -> list[int]:
     """One operator step for each of ``candidates`` as context, from the lower sets ``lower``.
 
     Per atom, ``lower`` holds the candidates whose lower set holds it, and
-    so does the result for the sets the step derives.  On a space of more
-    than one candidate, each lower set lies inside its candidate, as
-    ``CandidateBits.split`` needs.
+    so does the result for the sets the step derives.  A fired rule derives
+    its head atom, or an elementary head c-atom's atom; any other head c-atom
+    adds its domain within the candidate, so ``bot``, with no domain, adds
+    nothing.  On a space of more than one candidate, each lower set lies
+    inside its candidate, as ``CandidateBits.split`` needs.
     """
     holds, derived = space.holds, [0] * space.n
     for head, pos, neg, heads, body in space.compiled.rules:
@@ -62,8 +69,11 @@ def _step(space: CandidateBits, candidates: int, lower: list[int]) -> list[int]:
                 break
             fired &= space.split(c, c.catom.table, lower)
         if fired:
-            for i in indices(head | sum(c.domain for c in heads)):
+            for i in indices(head):
                 derived[i] |= fired
+            for c in heads:
+                for i in indices(c.domain):
+                    derived[i] |= fired if c.catom.is_elementary else fired & holds[i]
     return derived
 
 
@@ -83,12 +93,10 @@ def _stable(space: CandidateBits, candidates: int) -> int:
 
 def tp_step(program: Program, lower: Iterable[str], context: Iterable[str]) -> frozenset[str]:
     """One operator step on sets, ignoring atoms outside the vocabulary; positive basic
-    programs only (:class:`ProgramClassError` otherwise)."""
-    for rule in program.rules:
-        if len(rule.head) != 1 or head_atom_name(rule.head[0]) is None:
-            raise ProgramClassError("the fixpoint operator requires single elementary heads")
-        if not all(lit.positive for lit in rule.body):
-            raise ProgramClassError("the fixpoint operator requires negation-free bodies")
+    programs only, single heads and no ``not`` (:class:`ProgramClassError` otherwise)."""
+    if any(len(rule.head) != 1 or not all(lit.positive for lit in rule.body)
+           for rule in program.rules):
+        raise ProgramClassError("the fixpoint operator requires single heads and no `not`")
     compiled = program.compiled
     space = CandidateBits(compiled, compiled.mask(context))
     below = CandidateBits(compiled, compiled.mask(lower)).holds  # the lower set's bit per atom
@@ -100,8 +108,6 @@ def _refuse_unless_normal(program: Program) -> None:
     for rule in program.rules:
         if len(rule.head) != 1:
             raise ProgramClassError("the rewrite requires non-disjunctive rules")
-        if head_atom_name(rule.head[0]) is None:
-            raise ProgramClassError("the rewrite requires elementary heads")
         for lit in rule.body:
             if not lit.positive and lit.is_constraint:
                 check_guard("complement_domain", len(lit.item.domain))
@@ -110,7 +116,8 @@ def _refuse_unless_normal(program: Program) -> None:
 def fixpoint_stable(program: Program, interpretation: Iterable[str]) -> bool:
     """Stability via the fixpoint of the conditional one-step operator.
 
-    Takes normal programs, refused and read as :func:`to_positive_basic` does.
+    Takes non-disjunctive programs, c-atom and ``bot`` heads included, refused and
+    read as :func:`to_positive_basic` does.
     Raises :class:`NotAModelError` unless the interpretation is a model: the
     iteration is only well-behaved underneath models.  An atom outside the vocabulary
     has no bit (``CompiledProgram.mask``) and is never derived: a model holding one is not stable.
@@ -126,12 +133,13 @@ def fixpoint_stable(program: Program, interpretation: Iterable[str]) -> bool:
 
 
 def to_positive_basic(program: Program) -> Program:
-    """Rewrite a normal constraint program into negation-free basic form.
+    """Rewrite a non-disjunctive constraint program into negation-free basic form.
 
     ``not a`` becomes the one-atom constraint admitting only the empty set;
-    a negated constraint becomes its complement.  Heads are left untouched.
-    This is the paper's rewrite spelled out; :func:`fixpoint_stable` reads a
-    normal program this way without building it.
+    a negated constraint becomes its complement.  Heads, c-atoms and ``bot``
+    among them, are left untouched; disjunctive heads are refused, since the
+    operator defines none.  This is the paper's rewrite spelled out;
+    :func:`fixpoint_stable` reads a program this way without building it.
     """
     _refuse_unless_normal(program)
     rules = [Rule(rule.head, tuple(lit if lit.positive else Literal.constraint(literal_catom(lit))

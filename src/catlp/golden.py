@@ -14,7 +14,7 @@ from typing import Callable
 from .abstraction import PrefixedPowerSet, build_abstract
 from .analysis import cycle_report, dependency_graph, translate_normal
 from .core import CAtom, Literal, Program, Rule, Value, candidate_models, is_model
-from .fixpoint import fixpoint_stable, to_positive_basic
+from .fixpoint import fixpoint_stable, fixpoint_stable_models, to_positive_basic
 from .parser import format_program, load_program
 from .reduct import (
     beta_atom,
@@ -229,6 +229,7 @@ def check_pair_choice_fact():
     program = load_program(PAIR_CHOICE_FACT)
     _expect_equal(stable_models(program), tuple(
         frozenset(s) for s in (("a",), ("a", "b"), ("b",))))
+    _expect_equal(fixpoint_stable_models(program), stable_models(program))
     _expect(is_model(frozenset("ab"), program), "{a, b} is not a model")
     _expect(frozenset("ab") not in minimal_models(program), "{a, b} is a minimal model")
 
@@ -284,6 +285,7 @@ def check_negative_edges():
 def check_bot_constraint():
     program = load_program(BOT_CONSTRAINT)
     _expect_equal(stable_models(program), ())
+    _expect_equal(fixpoint_stable_models(program), stable_models(program))
 
 
 class GoldenCase(Value):

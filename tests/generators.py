@@ -93,6 +93,24 @@ def random_normal_constraint_program(
     return Program(tuple(rules))
 
 
+def random_single_head_program(
+    rng: random.Random, atoms=POOL[:5], max_rules=5, max_domain=3
+) -> Program:
+    """One head per rule: ``bot`` (15 %), a random c-atom (35 %; possibly
+    empty or elementary) or an atom; bodies mix atoms and c-atoms under ``not``."""
+    rules = []
+    for _ in range(rng.randint(1, max_rules)):
+        roll = rng.random()
+        if roll < 0.15:
+            head = FALSE_CATOM
+        elif roll < 0.5:
+            head = random_catom(rng, atoms, max_domain)
+        else:
+            head = rng.choice(atoms)
+        rules.append(Rule((head,), _random_body(rng, atoms, max_domain, negation=True)))
+    return Program(tuple(rules))
+
+
 def random_disjunctive_constraint_program(
     rng: random.Random, atoms=POOL[:4], max_rules=4, max_domain=3, max_width=3
 ) -> Program:

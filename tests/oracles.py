@@ -210,20 +210,22 @@ def brute_cond_satisfies(lower, upper, catom: CAtom) -> bool:
 
 
 def brute_tp_step(program: Program, lower, context) -> frozenset[str]:
-    """The conditional one-step operator on sets: a rule's head is derived
-    when its body atoms are in ``lower`` and each body c-atom conditionally
-    satisfies (``brute_cond_satisfies``) ``lower`` under ``context``.  Positive
-    basic programs only: one elementary head per rule and no ``not``."""
+    """The conditional one-step operator on sets: a rule fires when its body
+    atoms are in ``lower`` and each body c-atom conditionally satisfies
+    (``brute_cond_satisfies``) ``lower`` under ``context``.  A fired rule
+    derives its head atom, or an elementary head c-atom's atom; any other head
+    c-atom adds its domain ∩ ``context`` (``bot`` nothing).  Positive basic
+    programs only: one head per rule and no ``not``."""
     low, ctx = frozenset(lower), frozenset(context)
     derived: set[str] = set()
     for rule in program.rules:
-        if len(rule.head) != 1 or head_atom_name(rule.head[0]) is None:
-            raise ProgramClassError("the fixpoint operator requires single elementary heads")
-        if not all(lit.positive for lit in rule.body):
-            raise ProgramClassError("the fixpoint operator requires negation-free bodies")
+        if len(rule.head) != 1 or not all(lit.positive for lit in rule.body):
+            raise ProgramClassError("the fixpoint operator requires single heads and no `not`")
         if all(lit.item in low if lit.is_atom else brute_cond_satisfies(low, ctx, lit.item)
                for lit in rule.body):
-            derived.add(head_atom_name(rule.head[0]))
+            (head,) = rule.head
+            name = head_atom_name(head)
+            derived |= {name} if name is not None else head.domain & ctx
     return frozenset(derived)
 
 

@@ -164,6 +164,28 @@ class TestCheck:
         assert capsys.readouterr().err == (
             "refused: complement_domain guard: 21 exceeds the limit of 20\n")
 
+    def test_both_oracles_take_choice_and_bot_heads(self, tmp_path, capsys):
+        # Every candidate of every golden text without a disjunction, a choice
+        # fact and an integrity constraint among them: both oracles decide it,
+        # and the verdict is the reduct's.  A disjunctive head is still refused.
+        import cli_corpus
+
+        path = tmp_path / "program.lp"
+        texts = {label: text for label, text in cli_corpus.golden_texts().items()
+                 if "|" not in text}
+        assert {"PAIR_CHOICE_FACT", "BOT_CONSTRAINT"} <= texts.keys()
+        for label, text in texts.items():
+            path.write_text(text, encoding="utf-8")
+            for candidate in iter_subsets(load_program(text).language):
+                argv = ["check", str(path), "-I", ",".join(sorted(candidate))]
+                assert cli.run(argv) == 0
+                reduct_verdict = capsys.readouterr().out
+                assert cli.run(argv + ["--oracle", "both"]) == 0, (label, candidate)
+                assert capsys.readouterr() == (reduct_verdict, ""), (label, candidate)
+        path.write_text("a | b.\n", encoding="utf-8")
+        assert cli.run(["check", str(path), "-I", "a", "--oracle", "both"]) == 2
+        assert capsys.readouterr().err == "refused: the rewrite requires non-disjunctive rules\n"
+
     def test_both_oracles_compile_the_program_once(self, tmp_path, capsys, monkeypatch):
         # The fixpoint oracle reads the ``Program.compiled`` that ``is_stable``
         # built, not a compile of the rewritten program.
@@ -886,7 +908,7 @@ def test_cli_corpus_slice_is_complete_and_reproducible():
 #: Lines and sha256 of ``tests/cli_corpus.py --per-family 40``; a change
 #: that alters CLI output on purpose updates both and says why.
 CORPUS_LINES = 22017
-CORPUS_SHA256 = "2e564771fe2fe9d6cab850bf148a1099723281a1da1e6b2c619113cd1a674131"
+CORPUS_SHA256 = "2b95ae65a5f5806c9f0e8fe09523af3349a62c0a7943e3292055260fcb140311"
 
 
 def test_cli_corpus_output_is_pinned():
@@ -899,6 +921,7 @@ def test_cli_corpus_output_is_pinned():
             "--per-family 40` on this tree and on its parent")
     assert len(text.splitlines()) == CORPUS_LINES, hint
     assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256, hint
+    assert "oracle divergence" not in text  # the two oracles agree on every `check`
 
 
 def test_no_library_route_reads_the_solutions_view(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from catlp import fixpoint as fixpoint_module
 from catlp.core import (
+    FALSE_CATOM,
     CAtom,
     CandidateBits,
     Literal,
@@ -230,10 +231,10 @@ class TestToPositiveBasic:
         with pytest.raises(ProgramClassError):
             to_positive_basic(Program((Rule(("a", "b")),)))
 
-    def test_rejects_constraint_heads(self):
+    def test_keeps_constraint_heads(self):
         program = Program((Rule((CAtom("ab", [{"a"}]),)),))
-        with pytest.raises(ProgramClassError):
-            to_positive_basic(program)
+        assert to_positive_basic(program) == program
+        assert fixpoint_stable_models(program) == stable_models(program) == (frozenset("a"),)
 
     def test_rewrite_preserves_stable_models(self):
         rng = random.Random(73)
@@ -271,15 +272,18 @@ class TestMaskOperatorDifferential:
                                 for r in program.rules[:2]) + program.rules[2:])
             yield generators.random_normal_constraint_program(
                 rng, atoms=("a", "b", "c", "d"), max_rules=4, max_domain=3)
-        for _ in range(8):
+        for _ in range(12):
             yield generators.random_disjunctive_constraint_program(rng, max_rules=3)
             yield generators.random_basic_program(rng, max_rules=3)
 
     def test_verdicts_and_refusals_match_the_set_ascent(self):
+        # Only a disjunctive head is refused: c-atom and ``bot`` heads are taken.
         refused = normal = stable = 0
         for program in self._programs():
             rewrite = _outcome(lambda: to_positive_basic(program))
-            if isinstance(rewrite, Program):
+            single = all(len(r.head) == 1 for r in program.rules)
+            assert isinstance(rewrite, Program) == single, (program, rewrite)
+            if single:
                 normal += any(not lit.positive for r in program.rules for lit in r.body)
             else:
                 refused += 1
@@ -327,6 +331,49 @@ class TestMaskOperatorDifferential:
                 assert tp_step(program, lower, context) == oracles.brute_tp_step(
                     program, lower, context), (program, lower, context)
         assert outside >= 600
+
+
+class TestCAtomHeadFeed:
+    """Programs of one head per rule, an atom, a c-atom or ``bot``, whose bodies
+    negate atoms and c-atoms: the heads the operator adds a domain for."""
+
+    @staticmethod
+    def _programs(count):
+        rng = random.Random(97)
+        return [generators.random_single_head_program(rng) for _ in range(count)]
+
+    def test_fixpoint_stable_models_match_the_reduct_route(self):
+        heads = bots = negated_atoms = negated_catoms = answers = 0
+        for program in self._programs(3000):
+            found = fixpoint_stable_models(program)
+            assert found == stable_models(program), program
+            answers += len(found)
+            for rule in program.rules:
+                (head,) = rule.head
+                bots += head == FALSE_CATOM
+                heads += isinstance(head, CAtom) and head != FALSE_CATOM
+                for lit in rule.body:
+                    negated_atoms += not lit.positive and lit.is_atom
+                    negated_catoms += not lit.positive and lit.is_constraint
+        assert heads >= 2000 and bots >= 1000 and answers >= 2000
+        assert negated_atoms >= 1000 and negated_catoms >= 800
+
+    def test_one_candidate_and_every_candidate_agree(self):
+        models = stable = answers = 0
+        for program in self._programs(1000):
+            found = fixpoint_stable_models(program)
+            answers += len(found)
+            for candidate in iter_subsets(program.language):
+                try:
+                    verdict = fixpoint_stable(program, candidate)
+                except NotAModelError:
+                    verdict = False  # not a model, so not stable
+                else:
+                    models += 1
+                assert verdict == (candidate in found), (program, candidate)
+                stable += verdict
+        assert stable == answers
+        assert models >= 4000 and stable >= 800
 
 
 class TestAggregateFeed:
