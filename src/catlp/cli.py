@@ -13,11 +13,11 @@ from functools import cache
 
 from .abstraction import checked_primes, cube_list, signs_and_class
 from .analysis import cycle_report, dependency_graph, format_translation, to_dot
-from .core import CAtom, CandidateBits, Program, select, set_key
+from .core import CAtom, CandidateBits, Program, select
 from .errors import CatlpError, GuardError, NotAModelError, ParseError, ProgramClassError
 from .fixpoint import fixpoint_stable
 from .parser import format_program, load_program, parse_constraint, parse_interpretation
-from .reduct import gl_reduct, is_stable, reduct_json, stable_models
+from .reduct import gl_reduct, is_stable, reduct_json, stable_candidates
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -37,16 +37,16 @@ def _load_file(path: str) -> Program:
 
 def _cmd_solve(args) -> int:
     program = _load_file(args.file)
-    models = stable_models(program)
+    space, found = stable_candidates(program)
+    models = space.keys(found)  # sorted atom tuples: no atom set is built
     if args.json:
-        print(json.dumps({"models": [list(set_key(m)) for m in models]}))
+        print(json.dumps({"models": models}))
         return EXIT_OK
     if not models:
         print("no stable models")
         return EXIT_OK
-    shown = models if args.all else models[:1]
-    for model in shown:
-        print("{%s}" % ", ".join(set_key(model)))
+    for model in models if args.all else models[:1]:
+        print("{%s}" % ", ".join(model))
     if not args.all and len(models) > 1:
         print(f"({len(models) - 1} more; use --all)")
     return EXIT_OK

@@ -33,11 +33,6 @@ def is_reserved(name: str) -> bool:
     return name.startswith(RESERVED_PREFIXES)
 
 
-def set_key(atoms: Iterable[str]) -> tuple[str, ...]:
-    """Canonical sort key for a set of atoms."""
-    return tuple(sorted(atoms))
-
-
 def set_bits(bits: int) -> list[int]:
     """The positions of the set bits of ``bits``, highest first.
 
@@ -425,7 +420,7 @@ class CompiledProgram:
         return sum(map(self.bit.__getitem__, self.bit.keys() & atoms))
 
     def atoms_of(self, mask: int) -> tuple[str, ...]:
-        """The atoms of ``mask`` in sorted order, so ``set_key`` of their set."""
+        """The atoms of ``mask`` in sorted order."""
         return select(self.atoms, mask)
 
 
@@ -467,12 +462,12 @@ def is_model(interpretation: Iterable[str], program: Program) -> bool:
 
 
 def candidate_models(program: Program) -> Iterator[frozenset[str]]:
-    """Every subset of the vocabulary that is a model, by size, then ``set_key`` order.
+    """Every subset of the vocabulary that is a model, by size, then in sorted-tuple order.
 
     The vocabulary size is checked against the ``stable_language`` guard
     when this is called, before any bitset is built.  All subsets are
     tested at once (``CandidateBits.models``, as ``is_model`` tests one) and
-    sorted by size from the ``set_key`` order of ``CandidateBits.answers``.
+    sorted by size from the order of ``CandidateBits.answers``.
     """
     check_guard("stable_language", len(program.language))
     space = CandidateBits(program.compiled)
@@ -497,12 +492,12 @@ class CandidateBits:
     k stands for the candidate whose vocabulary mask is k reversed over n
     bits: atom ``atoms[i]`` is bit ``n - 1 - i`` of k.  So ``format(k,
     "0nb")`` spells the candidate in atom order, and among candidates of one
-    size, ``set_key`` order is descending k.  A set of candidates is
+    size, the order of :meth:`keys` is descending k.  A set of candidates is
     one ``2**n``-bit integer, built per call.  A narrower ``within`` of w
     atoms lays out its ``2**w`` subsets the same way over its own atoms,
     and no candidate holds an atom outside it; the top bit is ``within``
-    itself.  :meth:`mask` and :meth:`answers` read a space of the whole
-    vocabulary.
+    itself.  :meth:`mask`, :meth:`keys` and :meth:`answers` read a space of
+    the whole vocabulary.
 
     Every such integer is built from one basis (:func:`_basis`, kept per
     width): per atom, the candidates that hold it (:attr:`holds`, a
@@ -628,8 +623,8 @@ class CandidateBits:
         """The vocabulary mask of candidate ``k`` of a space of the whole vocabulary."""
         return int(format(k, "0%db" % self.n)[::-1], 2)
 
-    def answers(self, ks: Iterable[int]) -> tuple[frozenset[str], ...]:
-        """The candidates ``ks`` as atom sets in ``set_key`` order: every route's answers.
+    def keys(self, ks: Iterable[int]) -> list[tuple[str, ...]]:
+        """The candidates ``ks`` as sorted atom tuples, in sorted order: every route's renderer.
 
         Spelled in binary, an index lists its atoms in order, so each index
         is split into its high and low half, each half is looked up in a
@@ -642,7 +637,11 @@ class CandidateBits:
         atoms, half = self.compiled.atoms, self.n // 2
         high, low = table(atoms[:self.n - half]), table(atoms[self.n - half:])
         low_bits = (1 << half) - 1
-        return tuple(map(frozenset, sorted([high[k >> half] + low[k & low_bits] for k in ks])))
+        return sorted([high[k >> half] + low[k & low_bits] for k in ks])
+
+    def answers(self, ks: Iterable[int]) -> tuple[frozenset[str], ...]:
+        """The candidates ``ks`` as atom sets, in the order of :meth:`keys`."""
+        return tuple(map(frozenset, self.keys(ks)))
 
 
 def complement(catom: CAtom) -> CAtom:

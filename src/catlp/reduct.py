@@ -12,15 +12,18 @@ candidate back.
 
 The steps and the one least fixpoint (``_derive``, which ``least_model``
 runs too) are written once, on bitsets of candidates (``core.CandidateBits``):
-``stable_models`` runs them on a space of every candidate, one bit each, and
-``is_stable`` and ``gl_reduct`` on a space of one.  A normal reduct is
-decided by its least fixpoint.  In ``stable_models``, so is a disjunctive
+``stable_candidates`` runs them on a space of every candidate, one bit each,
+and ``is_stable`` and ``gl_reduct`` on a space of one.  A normal reduct is
+decided by its least fixpoint.  In ``stable_candidates``, so is a disjunctive
 one, shifted with respect to its candidate, when the models' reducts pass
 one head-cycle-free test.  Any other disjunctive reduct, and every one in
 ``is_stable``, is decided by testing its only possible minimal witness, one
 candidate at a time, at that candidate's bit of the same reduct, against a
 space of the candidate's subsets.  Introduced atoms are bits, not names;
-only ``gl_reduct``, which renders a reduct, mints their names.
+only ``gl_reduct``, which renders a reduct, mints their names.  The stable
+candidates stay indices of their space until they are printed: ``solve``
+prints ``CandidateBits.keys`` of them, sorted atom tuples, and
+``stable_models`` returns ``CandidateBits.answers``, the same as atom sets.
 
 Every loaded program is taken as it stands: ``Program.compiled`` holds a
 negated body c-atom ``not A`` as the body c-atom A's complement, so a
@@ -525,8 +528,8 @@ def is_stable(program: Program, interpretation: Iterable[str]) -> bool:
     return bool(_stable_bits(reduct, space.full))
 
 
-def stable_models(program: Program) -> tuple[frozenset[str], ...]:
-    """All stable models, decided for every candidate at once.
+def stable_candidates(program: Program) -> tuple[CandidateBits, list[int]]:
+    """All stable models, decided for every candidate at once, as indices of one space.
 
     Vocabularies beyond the ``stable_language`` guard raise ``GuardError``
     before any bitset is built.  Every subset of the vocabulary is a bit of
@@ -538,8 +541,10 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
     fixpoint decides the disjunctive models with the others.  Otherwise
     each is decided alone, by ``_has_minimal_witness`` at its bit of the
     same reduct, read from byte columns made once (``_columns``), as
-    ``is_stable`` does at the one bit of its own.  ``CandidateBits.answers``
-    renders the stable candidates of both routes.
+    ``is_stable`` does at the one bit of its own.  The stable candidates of
+    both routes are returned as the space and their indices, unordered, so
+    ``solve`` prints ``CandidateBits.keys`` of them and counts them without
+    building an atom set.
     """
     check_guard("stable_language", len(program.language))
     compiled = program.compiled
@@ -555,6 +560,12 @@ def stable_models(program: Program) -> tuple[frozenset[str], ...]:
         byte, bit = k >> 3, 1 << (k & 7)
         if _has_minimal_witness(compiled, rules, covers, space.mask(k), lambda x: x[byte] & bit):
             found.append(k)
+    return space, found
+
+
+def stable_models(program: Program) -> tuple[frozenset[str], ...]:
+    """All stable models, in order: ``CandidateBits.answers`` of ``stable_candidates``."""
+    space, found = stable_candidates(program)
     return space.answers(found)
 
 

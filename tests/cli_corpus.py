@@ -41,7 +41,7 @@ import tempfile
 from typing import Iterator
 
 from catlp import cli, golden
-from catlp.core import CAtom, Program, literal_catom, set_key
+from catlp.core import CAtom, Program, literal_catom
 from catlp.parser import format_catom, format_program, load_program
 
 import generators
@@ -97,7 +97,7 @@ def corpus(per_family: int) -> Iterator[tuple[str, str]]:
 def interpretations(program: Program, label: str) -> list[str]:
     """The empty, the full and two seeded subsets of the vocabulary, then a
     third seeded one plus ``outside``, an atom outside it, as -I lists."""
-    atoms = list(set_key(program.language))
+    atoms = sorted(program.language)
     rng = random.Random(label)
     chosen = [[], atoms] + [[a for a in atoms if rng.random() < 0.5] for _ in range(3)]
     chosen[-1].append("outside")

@@ -34,10 +34,14 @@ from catlp.core import (
     head_atom_name,
     is_model,
     satisfies_body,
-    set_key,
 )
 from catlp.errors import NotAModelError, ProgramClassError
 from catlp.reduct import BOT, beta_atom, stable_models, theta_atom
+
+
+def set_key(atoms: Iterable[str]) -> tuple[str, ...]:
+    """Canonical sort key for a set of atoms: its sorted tuple."""
+    return tuple(sorted(atoms))
 
 
 def iter_subsets(atoms: Iterable[str]) -> Iterator[frozenset[str]]:

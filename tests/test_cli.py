@@ -419,6 +419,69 @@ def test_eight_of_sixteen_is_classified_in_desk_time():
     assert (data["monotone"], data["antimonotone"], data["convex"]) == (False, False, True)
 
 
+def test_twenty_atom_head_cycle_free_solve_in_desk_time(tmp_path):
+    # 2 * 2**17 stable models, one of a | b plus any subset of c0..c16,
+    # decided by the shifted least fixpoint and printed from their indices.
+    path = tmp_path / "hcf.lp"
+    path.write_text("#atoms z. a | b. {%s}. {%s}.\n" % (
+        ", ".join(f"c{i}" for i in range(8)), ", ".join(f"c{i}" for i in range(8, 17))))
+    started = time.perf_counter()
+    first = run_cli(["solve", str(path)])
+    printed = run_cli(["solve", str(path), "--all", "--json"])
+    assert time.perf_counter() - started < 1.5
+    models = json.loads(printed)["models"]
+    assert first == "{a}\n(262143 more; use --all)\n"
+    assert len(models) == 262144
+    assert models[:3] == [["a"], ["a", "c0"], ["a", "c0", "c1"]]
+    assert models == sorted(models) and len(set(map(tuple, models))) == 262144
+
+
+class TestSolveRendering:
+    """``solve``'s three outputs against the same text rendered from ``stable_models``."""
+
+    @staticmethod
+    def _programs():
+        rng = random.Random(41)
+        for _ in range(150):
+            yield generators.random_normal_constraint_program(rng)
+        for _ in range(150):
+            yield generators.random_disjunctive_constraint_program(rng)
+        for _ in range(100):
+            yield generators.random_ordinary_program(
+                rng, atoms=("a", "b", "c", "d"), max_rules=5, disjunctive=True)
+
+    @staticmethod
+    def _expected(models) -> dict[str, str]:
+        keys = [sorted(model) for model in models]
+        lines = ["{%s}\n" % ", ".join(key) for key in keys] or ["no stable models\n"]
+        more = [f"({len(keys) - 1} more; use --all)\n"] if len(keys) > 1 else []
+        return {"default": "".join(lines[:1] + more), "--all": "".join(lines),
+                "--json": json.dumps({"models": keys}) + "\n"}
+
+    def test_every_mode_prints_what_stable_models_answers(self, tmp_path):
+        path = tmp_path / "program.lp"
+        routes = {"normal": 0, "shifted": 0, "witness": 0}
+        counts = set()
+        for program in self._programs():
+            text = format_program(program)
+            path.write_text(text)
+            models = reduct.stable_models(load_program(text))
+            expected = self._expected(models)
+            for mode, flags in (("default", []), ("--all", ["--all"]), ("--json", ["--json"])):
+                assert run_cli(["solve", str(path), *flags]) == expected[mode], (text, mode)
+            space = core.CandidateBits(program.compiled)
+            models_reduct = reduct._Reduct(space, space.models())
+            if not models_reduct.disjunctive:
+                routes["normal"] += 1
+            elif reduct._head_cycle_free(models_reduct):
+                routes["shifted"] += 1
+            else:
+                routes["witness"] += 1
+            counts.add(min(len(models), 2))
+        assert routes == {"normal": 219, "shifted": 82, "witness": 99}
+        assert counts == {0, 1, 2}
+
+
 class TestMaskRoute:
     """The analysis passes read the checked prime-cube masks: they build no
     abstract-form object, and they keep the irredundancy check."""

@@ -20,7 +20,6 @@ from catlp.core import (
     satisfies_catom,
     satisfies_rule,
     set_bits,
-    set_key,
 )
 from catlp.errors import GUARD_LIMITS, GuardError, check_guard
 from catlp import golden
@@ -29,7 +28,7 @@ from catlp.parser import load_program, parse_constraint
 from catlp.reduct import gl_reduct, minimal_models, theta_atom
 
 import generators
-from oracles import is_supported, iter_subsets
+from oracles import is_supported, iter_subsets, set_key
 
 SUM_GE_ONE = CAtom(
     ("p(-1)", "p(1)", "p(2)"),
@@ -313,7 +312,7 @@ class TestModelChecks:
         # Overlapping and repeated cubes, and random and cardinality solution
         # families (whose equal subtables are split once), against a direct
         # test of each candidate's mask.
-        rng = random.Random(71)
+        rng, picks = random.Random(71), random.Random(72)
         for _ in range(300):
             n = rng.randint(0, 8)
             space = CandidateBits(Program((), frozenset(f"a{i}" for i in range(n))).compiled)
@@ -332,6 +331,8 @@ class TestModelChecks:
             c = CompiledCAtom(catom, space.compiled.bit)
             bits, satisfied = space.cubes(cubes), space.satisfied(c)
             read = space.answers(set_bits(space.full))
+            ks = [picks.randrange(1 << n) for _ in range(picks.randint(0, 12))]
+            assert space.keys(ks) == [set_key(m) for m in space.answers(ks)]
             assert read == tuple(sorted(iter_subsets(space.compiled.atoms), key=set_key))
             assert sorted(read, key=len) == list(iter_subsets(space.compiled.atoms))
             for k in range(1 << n):

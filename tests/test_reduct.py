@@ -22,7 +22,6 @@ from catlp.core import (
     complement,
     is_model,
     select,
-    set_key,
 )
 from catlp.errors import (
     GUARD_LIMITS,
@@ -56,7 +55,7 @@ from catlp.reduct import (
 
 import generators
 import oracles
-from oracles import iter_subsets
+from oracles import iter_subsets, set_key
 
 FULL_SUM_INTERP = frozenset(("p(-1)", "p(1)", "p(2)"))
 
