@@ -26,13 +26,10 @@ from .core import (
     Literal,
     Program,
     Rule,
-    candidate_models,
     complement,
     is_model,
     is_reserved,
     literal_catom,
-    satisfies_catom,
-    satisfies_rule,
 )
 from .errors import (
     CatlpError,

@@ -13,7 +13,7 @@ from functools import cache
 
 from .abstraction import checked_primes, cube_list, signs_and_class
 from .analysis import cycle_report, dependency_graph, format_translation, to_dot
-from .core import CAtom, CandidateBits, Program, select
+from .core import CAtom, Program, is_model, select
 from .errors import CatlpError, GuardError, NotAModelError, ParseError, ProgramClassError
 from .fixpoint import fixpoint_stable
 from .parser import format_program, load_program, parse_constraint, parse_interpretation
@@ -71,10 +71,9 @@ def _cmd_check(args) -> int:
         print("oracle divergence: %s" % verdicts, file=sys.stderr)
         return EXIT_DIVERGENCE
     verdict = next(iter(verdicts.values()))
-    compiled = program.compiled
     if verdict:
         print("stable")
-    elif not CandidateBits(compiled, compiled.mask(interpretation)).models():
+    elif not is_model(interpretation, program):
         print("not stable (not a model)")
     else:
         print("not stable")

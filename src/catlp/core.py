@@ -20,7 +20,7 @@ import re
 from functools import cache, cached_property
 from itertools import compress, product
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import check_guard
 
@@ -424,56 +424,6 @@ class CompiledProgram:
         return select(self.atoms, mask)
 
 
-def satisfies_catom(interpretation: Iterable[str], catom: CAtom) -> bool:
-    """Classical satisfaction: the domain restriction must be admissible."""
-    return bool(catom.table >> position(catom.atoms, interpretation) & 1)
-
-
-def satisfies_literal(interpretation: Iterable[str], literal: Literal) -> bool:
-    model = frozenset(interpretation)
-    if literal.is_atom:
-        holds = literal.item in model
-    else:
-        holds = satisfies_catom(model, literal.item)
-    return holds if literal.positive else not holds
-
-
-def satisfies_body(interpretation: Iterable[str], body: Iterable[Literal]) -> bool:
-    model = frozenset(interpretation)
-    return all(satisfies_literal(model, lit) for lit in body)
-
-
-def satisfies_head_element(interpretation: Iterable[str], element: HeadElement) -> bool:
-    if isinstance(element, str):
-        return element in frozenset(interpretation)
-    return satisfies_catom(interpretation, element)
-
-
-def satisfies_rule(interpretation: Iterable[str], rule: Rule) -> bool:
-    model = frozenset(interpretation)
-    if not satisfies_body(model, rule.body):
-        return True
-    return any(satisfies_head_element(model, e) for e in rule.head)
-
-
-def is_model(interpretation: Iterable[str], program: Program) -> bool:
-    model = frozenset(interpretation)
-    return all(satisfies_rule(model, r) for r in program.rules)
-
-
-def candidate_models(program: Program) -> Iterator[frozenset[str]]:
-    """Every subset of the vocabulary that is a model, by size, then in sorted-tuple order.
-
-    The vocabulary size is checked against the ``stable_language`` guard
-    when this is called, before any bitset is built.  All subsets are
-    tested at once (``CandidateBits.models``, as ``is_model`` tests one) and
-    sorted by size from the order of ``CandidateBits.answers``.
-    """
-    check_guard("stable_language", len(program.language))
-    space = CandidateBits(program.compiled)
-    return iter(sorted(space.answers(set_bits(space.models())), key=len))
-
-
 @cache
 def _basis(n: int) -> tuple[int, tuple[int, ...]]:
     """Every candidate over n atoms, and per atom the candidates that hold it.
@@ -642,6 +592,16 @@ class CandidateBits:
     def answers(self, ks: Iterable[int]) -> tuple[frozenset[str], ...]:
         """The candidates ``ks`` as atom sets, in the order of :meth:`keys`."""
         return tuple(map(frozenset, self.keys(ks)))
+
+
+def is_model(interpretation: Iterable[str], program: Program) -> bool:
+    """Does the interpretation violate no rule of the program (body true, head false)?
+
+    The one candidate's :meth:`CandidateBits.models` on ``program.compiled``;
+    an atom outside the vocabulary has no bit and changes nothing.
+    """
+    compiled = program.compiled
+    return bool(CandidateBits(compiled, compiled.mask(interpretation)).models())
 
 
 def complement(catom: CAtom) -> CAtom:

@@ -1,17 +1,21 @@
 """Independent reference implementations for differential testing.
 
 Everything here recomputes results straight from the definitions and stays
-away from the library's algorithms: sublattice inclusion enumerates covered
-sets, abstract forms scan every candidate per solution, stable models of
-ordinary programs go through the textbook two-step reduct, and closure
-properties of constraint atoms are checked by exhausting subsets, the
-fixpoint oracle's ascent runs its operator on sets with every interpolant
-enumerated, cycle flags come from a table of walks layered by length, and
-head-cycle-freeness from plain reachability over a rendered reduct.  Stable
-models of constraint programs go through ``brute_reduct``, the four
-transformation steps written on sets with ``brute_abstract`` for the
-covering bases, and scan every subset of the reduct's atoms for its
-minimal models.  Only the introduced names come from ``catlp.reduct``.
+away from the library's algorithms: satisfaction reads a c-atom's table at
+the index of the interpretation's part of its domain, a model violates no
+rule and the models are every such subset of the vocabulary, sublattice
+inclusion enumerates covered sets, abstract forms scan every candidate per
+solution, stable models of ordinary programs go through the textbook
+two-step reduct, and closure properties of constraint atoms are checked by
+exhausting subsets, the fixpoint oracle's ascent runs its operator on sets
+with every interpolant enumerated, cycle flags come from a table of walks
+layered by length, and head-cycle-freeness from plain reachability over a
+rendered reduct.  Stable models of constraint programs go through
+``brute_reduct``, the four transformation steps written on sets with
+``brute_abstract`` for the covering bases, and scan every subset of the
+reduct's atoms for its minimal models.  Only the introduced names come from
+``catlp.reduct``, and no library model or satisfaction test is imported:
+those run on the library's candidate bits.
 
 One check here is not a reference: :func:`dependency_implications` tests
 the four graph-vs-semantics implications of the dependency theorem, and
@@ -26,15 +30,7 @@ from typing import Iterable, Iterator
 
 from catlp.abstraction import PrefixedPowerSet
 from catlp.analysis import cycle_report, dependency_graph, normalize_basic
-from catlp.core import (
-    CAtom,
-    Literal,
-    Program,
-    Rule,
-    head_atom_name,
-    is_model,
-    satisfies_body,
-)
+from catlp.core import CAtom, Literal, Program, Rule, head_atom_name
 from catlp.errors import NotAModelError, ProgramClassError
 from catlp.reduct import BOT, beta_atom, stable_models, theta_atom
 
@@ -50,6 +46,40 @@ def iter_subsets(atoms: Iterable[str]) -> Iterator[frozenset[str]]:
     for size in range(len(pool) + 1):
         for combo in combinations(pool, size):
             yield frozenset(combo)
+
+
+def satisfies_catom(interpretation: Iterable[str], catom: CAtom) -> bool:
+    """I satisfies (D, C) iff I ∩ D ∈ C: bit x of the table, x the mask of I ∩ D over ``atoms``."""
+    held = frozenset(interpretation)
+    return bool(catom.table >> sum(1 << i for i, a in enumerate(catom.atoms) if a in held) & 1)
+
+
+def satisfies_literal(interpretation: Iterable[str], literal: Literal) -> bool:
+    model = frozenset(interpretation)
+    holds = literal.item in model if literal.is_atom else satisfies_catom(model, literal.item)
+    return holds if literal.positive else not holds
+
+
+def satisfies_body(interpretation: Iterable[str], body: Iterable[Literal]) -> bool:
+    model = frozenset(interpretation)
+    return all(satisfies_literal(model, lit) for lit in body)
+
+
+def satisfies_rule(interpretation: Iterable[str], rule: Rule) -> bool:
+    """A false body, or a head atom in the interpretation or a head c-atom it satisfies."""
+    model = frozenset(interpretation)
+    return not satisfies_body(model, rule.body) or any(
+        e in model if isinstance(e, str) else satisfies_catom(model, e) for e in rule.head)
+
+
+def brute_is_model(interpretation: Iterable[str], program: Program) -> bool:
+    model = frozenset(interpretation)
+    return all(satisfies_rule(model, rule) for rule in program.rules)
+
+
+def brute_models(program: Program) -> tuple[frozenset[str], ...]:
+    """Every model among the subsets of the vocabulary, in ``iter_subsets`` order."""
+    return tuple(s for s in iter_subsets(program.language) if brute_is_model(s, program))
 
 
 def is_supported(model, program: Program) -> bool:
@@ -237,7 +267,7 @@ def brute_fixpoint_stable(program: Program, interpretation) -> bool:
     """Stability by the ascent of ``brute_tp_step`` from the empty set under the
     candidate, which must be a model (``NotAModelError`` otherwise)."""
     candidate = frozenset(interpretation)
-    if not is_model(candidate, program):
+    if not brute_is_model(candidate, program):
         raise NotAModelError("{%s} is not a model of the program" % ", ".join(sorted(candidate)))
     current: frozenset[str] = frozenset()
     for _ in range(len(program.language) + 2):
@@ -363,8 +393,8 @@ def brute_reduct(program: Program, candidate):
             "negated c-atoms have no reduct"
         if any(lit.item in candidate for lit in rule.body if not lit.positive):
             continue
-        if any(candidate & lit.item.domain not in lit.item.solutions
-               for lit in rule.body if lit.is_constraint):
+        if not all(satisfies_catom(candidate, lit.item)
+                   for lit in rule.body if lit.is_constraint):
             continue
         body: set[str] = set()
         for lit in rule.body:
@@ -527,13 +557,12 @@ def dependency_implications(program: Program) -> dict[str, bool]:
     Call-consistency guarantees a stable model; several stable models demand
     an even cycle; acyclicity forces a unique stable model; without positive
     cycles every supported model is stable.  The supported models are the
-    models among all subsets of the language that :func:`is_supported` accepts.
+    models of :func:`brute_models` that :func:`is_supported` accepts.
     """
     basic = normalize_basic(program)
     cycles = cycle_report(dependency_graph(basic))
     stable = set(stable_models(basic))
-    supported = [m for m in iter_subsets(basic.language)
-                 if is_model(m, basic) and is_supported(m, basic)]
+    supported = [m for m in brute_models(basic) if is_supported(m, basic)]
     return {
         "call_consistent_implies_stable_model": not cycles.call_consistent or bool(stable),
         "multiple_stable_models_imply_even_cycle": len(stable) <= 1 or cycles.has_even_cycle,

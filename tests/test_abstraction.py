@@ -28,8 +28,6 @@ from catlp.core import (
     Program,
     Rule,
     complement,
-    satisfies_body,
-    satisfies_catom,
     select,
 )
 from catlp.errors import GuardError
@@ -46,7 +44,7 @@ from catlp.reduct import is_stable, reduct_size_bound, stable_models
 
 import generators
 import oracles
-from oracles import iter_subsets
+from oracles import iter_subsets, satisfies_body, satisfies_catom
 
 
 @st.composite

@@ -16,18 +16,14 @@ from catlp.abstraction import (
     expand,
     satisfiable_sets,
 )
-from catlp.core import (
-    CAtom,
-    is_model,
-    satisfies_catom,
-)
+from catlp.core import CAtom, is_model
 from catlp.analysis import translate_normal
 from catlp.fixpoint import fixpoint_stable
 from catlp.reduct import gl_reduct, is_stable, minimal_models, reduct_size_bound, stable_models
 
 import generators
 import oracles
-from oracles import iter_subsets
+from oracles import iter_subsets, satisfies_catom
 
 
 @contextlib.contextmanager

@@ -713,7 +713,8 @@ def test_library_has_no_unused_imports():
 
 def test_library_has_no_orphan_routes():
     """Every public top-level ``def``/``class`` is read by name somewhere in the
-    library, a re-export in ``__init__.py`` included; ``cli.main`` is the console script."""
+    library, a re-export in ``__init__.py`` included; ``cli.main`` is the console script.
+    The scan must see every module's definitions, whatever their number."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in Path(catlp.__file__).resolve().parent.glob("*.py")}
     read = set()
@@ -726,7 +727,8 @@ def test_library_has_no_orphan_routes():
     defined = [(module, node.name) for module, tree in trees.items() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_")]
-    assert len(defined) > 100
+    assert {module for module, _ in defined} == set(trees) - {"__init__", "__main__"}
+    assert {("core", "is_model"), ("reduct", "stable_models")} <= set(defined)
     orphans = [f"{module}.{name}" for module, name in defined
                if name not in read and (module, name) != ("cli", "main")]
     assert orphans == []

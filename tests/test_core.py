@@ -14,11 +14,8 @@ from catlp.core import (
     Literal,
     Program,
     Rule,
-    candidate_models,
     complement,
     is_model,
-    satisfies_catom,
-    satisfies_rule,
     set_bits,
 )
 from catlp.errors import GUARD_LIMITS, GuardError, check_guard
@@ -28,7 +25,15 @@ from catlp.parser import load_program, parse_constraint
 from catlp.reduct import gl_reduct, minimal_models, theta_atom
 
 import generators
-from oracles import is_supported, iter_subsets, set_key
+from oracles import (
+    brute_is_model,
+    brute_models,
+    is_supported,
+    iter_subsets,
+    satisfies_catom,
+    satisfies_rule,
+    set_key,
+)
 
 SUM_GE_ONE = CAtom(
     ("p(-1)", "p(1)", "p(2)"),
@@ -248,7 +253,7 @@ class TestModelChecks:
         assert (caught.value.guard, caught.value.actual) == ("minimal_models", size + 1)
 
     def test_minimal_model_matches_a_scan_of_proper_subsets(self):
-        # The definition itself as the reference: a model (``is_model``) none
+        # The definition itself as the reference: a model (``brute_is_model``) none
         # of whose proper subsets (``iter_subsets``) is a model.  C-atom
         # heads, negated atoms and c-atoms, declared atoms, and an atom
         # outside the vocabulary.
@@ -270,8 +275,8 @@ class TestModelChecks:
                         rng.sample(("e", "f", "z"), rng.randint(1, 2))))
                 models = minimal_models(program)
                 for candidate in iter_subsets(program.language):
-                    minimal = is_model(candidate, program) and not any(
-                        sub != candidate and is_model(sub, program)
+                    minimal = brute_is_model(candidate, program) and not any(
+                        sub != candidate and brute_is_model(sub, program)
                         for sub in iter_subsets(candidate))
                     assert (candidate in models) == minimal, (program, candidate)
                     counts[minimal] += 1
@@ -279,23 +284,31 @@ class TestModelChecks:
                         assert candidate | {"zz"} not in models
         assert counts == {True: 201, False: 3896}
 
+    FAMILIES = (
+        generators.random_positive_basic_program,
+        generators.random_basic_program,
+        lambda rng: generators.random_ordinary_program(rng, disjunctive=rng.random() < 0.5),
+        generators.random_normal_constraint_program,
+        generators.random_single_head_program,
+        generators.random_disjunctive_constraint_program,
+        lambda rng: generators.random_aggregate_program(rng, rng.randint(5, 7), max_rules=4),
+    )
+
+    @staticmethod
+    def _models(program):
+        """The library's models of every candidate at once, in ``iter_subsets`` order."""
+        space = CandidateBits(program.compiled)
+        return tuple(sorted(space.answers(set_bits(space.models())), key=len))
+
     def test_candidate_models_are_the_models_in_subset_order(self):
         program = load_program("#atoms c.\na | b. c :- a.")
-        assert list(candidate_models(program)) == [
-            s for s in iter_subsets("abc") if is_model(s, program)]
-        # The mask enumeration against ``is_model`` on every generator family,
-        # negated c-atoms and declared atoms included.
+        assert self._models(program) == brute_models(program) == tuple(
+            map(frozenset, ("b", "ac", "bc", "abc")))
+        # The mask enumeration against the set-level definition on every
+        # generator family, negated c-atoms and declared atoms included.
         rng = random.Random(37)
-        families = [
-            generators.random_positive_basic_program,
-            generators.random_basic_program,
-            lambda rng: generators.random_ordinary_program(
-                rng, disjunctive=rng.random() < 0.5),
-            generators.random_normal_constraint_program,
-            generators.random_disjunctive_constraint_program,
-        ]
         negated = declared = 0
-        for make in families:
+        for make in self.FAMILIES:
             for _ in range(30):
                 program = make(rng)
                 if rng.random() < 0.3:
@@ -304,9 +317,38 @@ class TestModelChecks:
                     declared += bool(extra - program.atoms)
                 negated += any(not lit.positive and lit.is_constraint
                                for rule in program.rules for lit in rule.body)
-                assert list(candidate_models(program)) == [
-                    s for s in iter_subsets(program.language) if is_model(s, program)]
+                assert self._models(program) == brute_models(program), program
         assert negated and declared
+
+    def test_is_model_matches_the_set_level_definition(self):
+        # Every subset of the vocabulary, then with an atom outside it, on
+        # every generator family, some with declared atoms.
+        rng = random.Random(41)
+        counts = {True: 0, False: 0}
+        for make in self.FAMILIES:
+            for _ in range(40):
+                program = make(rng)
+                if rng.random() < 0.3:
+                    program = Program(program.rules, program.declared_atoms | frozenset(
+                        rng.sample(("e", "f", "z"), rng.randint(1, 2))))
+                for candidate in iter_subsets(program.language):
+                    verdict = brute_is_model(candidate, program)
+                    assert is_model(candidate, program) == verdict, (program, candidate)
+                    assert is_model(candidate | {"zz"}, program) == verdict
+                    counts[verdict] += 1
+        assert counts == {True: 5830, False: 5885}
+
+    def test_is_model_refuses_a_negated_catom_past_the_complement_guard(self):
+        # ``not A`` is read as A's complement, as every route reads it.
+        def program(width):
+            catom = CAtom([f"x{i}" for i in range(width)], [{"x0"}])
+            return Program((Rule(("a",), (Literal.negated_constraint(catom),)),))
+
+        limit = GUARD_LIMITS["complement_domain"]
+        assert is_model({"a"}, program(limit)) and not is_model(set(), program(limit))
+        with pytest.raises(GuardError) as caught:
+            is_model({"a"}, program(limit + 1))
+        assert (caught.value.guard, caught.value.actual) == ("complement_domain", limit + 1)
 
     def test_candidate_bits_match_a_scan_of_every_candidate(self):
         # Overlapping and repeated cubes, and random and cardinality solution
@@ -361,12 +403,6 @@ class TestModelChecks:
             model = space.compiled.atoms_of(space.mask(k))
             assert satisfied >> k & 1 == satisfies_catom(model, catom)
         assert satisfied == space.full ^ 1 << samples[-1]
-
-    def test_candidate_models_guard_fires_before_enumeration(self):
-        program = Program(tuple(Rule((f"x{i}",)) for i in range(21)))
-        with pytest.raises(GuardError) as caught:
-            candidate_models(program)
-        assert (caught.value.guard, caught.value.actual) == ("stable_language", 21)
 
 
 class TestGuards:

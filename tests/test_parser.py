@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from catlp.core import (
-    CAtom, FALSE_CATOM, Literal, Program, Rule, head_atom_name, satisfies_catom)
+    CAtom, FALSE_CATOM, Literal, Program, Rule, head_atom_name)
 from catlp.errors import GuardError, ParseError
 from catlp.golden import (
     BOT_CONSTRAINT,
@@ -29,7 +29,7 @@ from catlp.parser import (
 )
 
 import generators
-from oracles import iter_subsets
+from oracles import iter_subsets, satisfies_catom
 
 #: The aggregate relations, spelled out apart from the parser's table.
 RELATIONS = {">=": operator.ge, "<=": operator.le, "=": operator.eq,

@@ -18,7 +18,6 @@ from catlp.core import (
     Literal,
     Program,
     Rule,
-    candidate_models,
     complement,
     is_model,
     select,
@@ -58,6 +57,13 @@ import oracles
 from oracles import iter_subsets, set_key
 
 FULL_SUM_INTERP = frozenset(("p(-1)", "p(1)", "p(2)"))
+
+
+def library_models(program):
+    """The library's models, every candidate at once, in ``set_key`` order."""
+    space = core_module.CandidateBits(program.compiled)
+    return space.answers(core_module.set_bits(space.models()))
+
 
 #: ``x :- [c : {}], [d : {d}].``: dropped for any candidate without d, although
 #: its first body c-atom holds whenever c is false.
@@ -546,7 +552,7 @@ class TestStability:
             Rule((CAtom(frozenset(), ()),)),
         ))
         assert stable_models(program) == stable_models(oracles.lower_negated_catoms(program)) == ()
-        assert list(candidate_models(program)) == []
+        assert library_models(program) == ()
         for candidate in iter_subsets("a"):
             assert not is_stable(program, candidate)
 
@@ -593,7 +599,7 @@ class TestAllCandidatesAtOnce:
         programs = stable = 0
         for program in self._programs():
             expected = tuple(sorted(
-                (c for c in candidate_models(program) if is_stable(program, c)), key=set_key))
+                (c for c in oracles.brute_models(program) if is_stable(program, c)), key=set_key))
             assert stable_models(program) == expected, program
             assert expected == oracles.brute_stable_models(program), program
             programs += 1
@@ -732,7 +738,7 @@ class TestShiftedHeadCycleFree:
         for program in self._programs():
             if reduct_module._head_cycle_free(self._models_reduct(program)):
                 passed += 1
-                for candidate in candidate_models(program):
+                for candidate in oracles.brute_models(program):
                     assert oracles.is_head_cycle_free(gl_reduct(program, candidate)), (
                         program, candidate)
         assert passed == 141
@@ -803,7 +809,7 @@ class TestNegatedCAtomsAsComplements:
             negated += lowered != program
             disjunctive += lowered != program and any(len(r.head) > 1 for r in program.rules)
             assert stable_models(program) == stable_models(lowered), program
-            assert list(candidate_models(program)) == list(candidate_models(lowered))
+            assert library_models(program) == library_models(lowered)
             assert reduct_size_bound(program) == reduct_size_bound(lowered), program
             for candidate in iter_subsets(program.language):
                 assert is_stable(program, candidate) == is_stable(lowered, candidate)
